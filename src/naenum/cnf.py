@@ -142,7 +142,22 @@ def negation_closure(f: Formula) -> Formula:
 
 
 def is_negation_closed(f: Formula) -> bool:
-    return negation_closure(f) == f
+    """``negation_closure(f) == f``, decided without rebuilding the closure
+    when ``f`` is canonical: every clause's negation is present, and the
+    clauses are canonical, in range and strictly in canonical order."""
+    clauses = f.clauses
+    present = set(clauses)
+    prev: tuple = ()
+    for c in clauses:
+        key = (len(c), _clause_key(c))
+        canonical = key > prev and all(abs(a) < abs(b) for a, b in zip(c, c[1:])) \
+            and (not c or 0 < abs(c[0]) and abs(c[-1]) <= f.n)
+        if not canonical or tuple(-l for l in c) not in present:
+            # the rebuild decides, and raises as it always has on
+            # tautological or out-of-range clauses
+            return negation_closure(f) == f
+        prev = key
+    return True
 
 
 def simplify(f: Formula, ones: Iterable[int]) -> Formula:

@@ -38,7 +38,8 @@ class OracleRefused(NaenumError):
 
 
 class ParameterError(NaenumError):
-    """Inconsistent or out-of-range analysis parameters."""
+    """Inconsistent or out-of-range parameters, including a target weight t
+    whose search would recurse deeper than the interpreter's limit."""
 
 
 class InternalInvariantError(NaenumError):

@@ -6,13 +6,29 @@ edge it checks whether the edge's label already appeared on a child edge to
 the left of the current path — crossing such an edge could only revisit
 solution sets already reachable further left, so it is skipped.  With that
 rule every weight-t transversal is emitted exactly once, at its leftmost leaf.
+
+The residual formula at a node is four Python-int bitmasks, passed down the
+recursion by value: ``Q`` (bit v: variable v is set to 1 on the path), ``P``
+(bit r: the clause of free-pick rank r is positive and live, i.e. not hit by
+``Q`` and with every negative literal falsified), ``U`` (bit v: entering v
+would falsify an all-negative clause) and ``L`` (bit v: label v sits on a
+child edge left of the path).  A child's masks are computed from its parent's
+in time proportional to the occurrences of its label, so backtracking is just
+returning: no trail is kept, and a reset signal unwinds any number of levels
+without repair.  Clauses are ranked in ``canonical_pick`` order, so the free
+pick is the lowest set bit of ``P`` and "no live positive clause" is
+``P == 0``.  Path labels and per-depth ordering hashes live in depth-indexed
+arrays that a child overwrites; only the label mark counters are raised and
+lowered (in ``finally``) around an expansion.
 """
 
 from __future__ import annotations
 
+import _random
 import hashlib
 import itertools
 import random
+import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -24,19 +40,30 @@ from .matching import (BASE, ONEMARK, TWOMARK, DisjointCollection,
                        attempt_reset, greedy_maximal)
 from .selection import (FREE, BaseResetSignal, OnemarkResetSignal,
                         StageProfile, TwomarkContext, TwomarkResetSignal,
-                        branch_on_t0, build_stage_profile, canonical_pick,
-                        twomark_context)
+                        branch_on_t0, build_stage_profile, twomark_context)
 from .tree import DebugTree, TreeNode
 
 PROFILE_CAP = 512
 DEBUG_TREE_MAX_N = 24
+
+# Random.seed(int) without its Python wrapper: the same generator state.
+_seed_rng = _random.Random.seed
+# Random.shuffle of k items as (position, bits drawn per try) steps
+_SHUFFLE_STEPS = [tuple((i, (i + 1).bit_length()) for i in range(k - 1, 0, -1))
+                  for k in range(4)]
 
 
 @dataclass(frozen=True)
 class OrderingSource:
     """How sibling edges are ordered during traversal.  ``random`` draws each
     node's ordering from a stream keyed by (seed, path labels), so the order
-    at a node never depends on how sibling subtrees were explored."""
+    at a node never depends on how sibling subtrees were explored.
+
+    The stream, byte for byte: hash with blake2b (8-byte digest) the seed
+    modulo 2^64 as 8 little-endian bytes, followed by each label on the path
+    from the root, in path order, as 3 little-endian bytes.  The node's
+    children, in clause-variable order, are then permuted by
+    ``random.Random(int.from_bytes(digest, "big")).shuffle``."""
 
     kind: str = "fixed"
     seed: int = 0
@@ -113,22 +140,19 @@ class _Engine:
         self.f = f
         self.n = f.n
         self.t = t
-        self.ordering = ordering
         self.record = record
         if debug_assertions is None:
             debug_assertions = f.n <= 32
         self.debug_assertions = debug_assertions
-        self.seed_bytes = (ordering.seed & (2 ** 64 - 1)).to_bytes(8, "little")
+        self.random = ordering.kind == "random"
+        self.rng = random.Random()
+        seed_bytes = (ordering.seed & (2 ** 64 - 1)).to_bytes(8, "little")
+        self.hashes = [hashlib.blake2b(seed_bytes, digest_size=8)] + [None] * t
+        self.path = [0] * t              # label entered at each depth
 
-        self.lits = list(f.clauses)
-        self.posvars = [tuple(l for l in c if l > 0) for c in self.lits]
-        self.pos_occ: list[list[int]] = [[] for _ in range(self.n + 1)]
-        self.neg_occ: list[list[int]] = [[] for _ in range(self.n + 1)]
-        for i, c in enumerate(self.lits):
-            for l in c:
-                (self.pos_occ[l] if l > 0 else self.neg_occ[-l]).append(i)
         self.mono3 = f.monotone_clauses(3)
-        self.has_empty_clause = any(len(c) == 0 for c in self.lits)
+        self.has_empty_clause = any(len(c) == 0 for c in f.clauses)
+        self._index_clauses(f)
 
         self.base = base if base is not None else greedy_maximal(self.mono3, BASE)
         self.stats = SearchStats()
@@ -136,146 +160,96 @@ class _Engine:
         self.tree_nodes: list[TreeNode] = []
         self.tree_profiles: list[StageProfile] = []
         self._seen: set[tuple[int, ...]] = set()
-
-    # ------------------------------------------------------------------
-    # incremental residual-formula state
-
-    def _reset_state(self) -> None:
-        m = len(self.lits)
-        self.sat = [False] * m
-        self.size = [len(c) for c in self.lits]
-        self.nneg = [sum(1 for l in c if l < 0) for c in self.lits]
-        self.poslive = sum(1 for i in range(m)
-                           if self.size[i] > 0 and self.nneg[i] == 0)
-        self.neg_unit = [0] * (self.n + 1)
-        for i in range(m):
-            if self.size[i] == 1 and self.lits[i][0] < 0:
-                self.neg_unit[-self.lits[i][0]] += 1
-        self.in_q = [False] * (self.n + 1)
-        self.q: list[int] = []
         self.label_cnt = [0] * (self.n + 1)
-        self.left_cnt = [0] * (self.n + 1)
         self.label_nodes: list[list[int]] = [[] for _ in range(self.n + 1)]
 
-    def _remaining_lit(self, cid: int) -> int:
-        for l in self.lits[cid]:
-            if not self.in_q[abs(l)]:
-                return l
-        raise InternalInvariantError("no remaining literal in live clause")
-
-    def _assign(self, x: int) -> list[tuple[int, int]]:
-        self.q.append(x)
-        self.in_q[x] = True
-        trail: list[tuple[int, int]] = []
-        for cid in self.pos_occ[x]:
-            if not self.sat[cid]:
-                self.sat[cid] = True
-                trail.append((0, cid))
-                if self.nneg[cid] == 0:
-                    self.poslive -= 1
-        for cid in self.neg_occ[x]:
-            if not self.sat[cid]:
-                self.size[cid] -= 1
-                self.nneg[cid] -= 1
-                trail.append((1, cid))
-                if self.nneg[cid] == 0:
-                    self.poslive += 1
-                if self.size[cid] == 1:
-                    l = self._remaining_lit(cid)
-                    if l < 0:
-                        self.neg_unit[-l] += 1
-                        trail.append((2, -l))
-                elif self.size[cid] == 0:
-                    raise InternalInvariantError("entered a falsified child")
-        return trail
-
-    def _unassign(self, x: int, trail: list[tuple[int, int]]) -> None:
-        self.in_q[x] = False
-        self.q.pop()
-        for kind, v in reversed(trail):
-            if kind == 0:
-                self.sat[v] = False
-                if self.nneg[v] == 0:
-                    self.poslive += 1
-            elif kind == 1:
-                if self.nneg[v] == 0:
-                    self.poslive -= 1
-                self.size[v] += 1
-                self.nneg[v] += 1
-            else:
-                self.neg_unit[v] -= 1
+    def _index_clauses(self, f: Formula) -> None:
+        """Per-variable occurrence masks and lists, in O(total literals).
+        Clauses with a positive literal get a bit each, ranked in
+        ``canonical_pick`` order; all-negative ones feed the falsifying mask."""
+        posvars = [tuple(l for l in c if l > 0) for c in f.clauses]
+        ranked = sorted((i for i, pv in enumerate(posvars) if pv),
+                        key=lambda i: (len(posvars[i]), posvars[i]))
+        self.pick = [posvars[i] for i in ranked]        # free labels per rank
+        sat_by = [0] * (f.n + 1)     # ranks of the clauses a literal +v hits
+        # per v: (negated-variable mask, positive-variable mask, rank bit) of
+        # each ranked clause with literal -v, and the variable mask of each
+        # all-negative clause with literal -v
+        self.wake_by: list[list[tuple[int, int, int]]] = [[] for _ in sat_by]
+        self.fals_by: list[list[int]] = [[] for _ in sat_by]
+        self.live0 = self.unit0 = 0                     # P and U at the root
+        for r, i in enumerate(ranked):
+            bit = 1 << r
+            neg = sum(1 << -l for l in f.clauses[i] if l < 0)
+            for v in posvars[i]:
+                sat_by[v] |= bit
+            self.live0 |= 0 if neg else bit
+            # live once all its negated variables are set, unless hit by then
+            for l in f.clauses[i]:
+                if l < 0:
+                    self.wake_by[-l].append((neg, sum(1 << v for v in posvars[i]), bit))
+        self.keep_by = [~m for m in sat_by]
+        for c, pv in zip(f.clauses, posvars):
+            if c and not pv:
+                neg = sum(1 << -l for l in c)
+                self.unit0 |= neg if len(c) == 1 else 0
+                for l in c:
+                    self.fals_by[-l].append(neg)
 
     # ------------------------------------------------------------------
     # drivers
 
+    def _begin_attempt(self) -> None:
+        self.t0 = len(self.base)
+        self.route = branch_on_t0(self.t0, self.n)
+        self.buffer.clear()
+        self._seen.clear()
+        self.tree_nodes = [TreeNode(0, 0, None, None, (), False)]
+        self.tree_profiles = []
+
+    def _finish(self) -> None:
+        self.stats.route = self.route
+        self.stats.t0 = self.t0
+        self.stats.solutions_emitted = len(self.buffer)
+
     def run(self) -> None:
         while True:
-            self.t0 = len(self.base)
-            self.route = branch_on_t0(self.t0, self.n)
-            self._reset_state()
-            self.buffer.clear()
-            self._seen.clear()
-            self.tree_nodes = [TreeNode(0, 0, None, None, (), False)]
-            self.tree_profiles = []
+            self._begin_attempt()
             try:
                 if self.has_empty_clause:
                     self.stats.falsified_leaves += 1
                     self.tree_nodes[0].leaf_kind = "falsified"
                 else:
-                    self._node(0, None, 0)
+                    self.stats.nodes_visited += 1
+                    self._node(0, 0, self.live0, self.unit0, 0, None, 0)
                 break
             except BaseResetSignal as sig:
                 self._apply_base_reset(sig)
-        self.stats.route = self.route
-        self.stats.t0 = self.t0
-        self.stats.solutions_emitted = len(self.buffer)
+        self._finish()
 
     def run_from_prefix(self, prefix: Sequence[int]) -> None:
         """Search only the subtree under the given disjoint-stage path; used by
         the parallel driver.  Sibling edges left of the prefix still feed the
-        left-label bookkeeping of deeper superfluous checks."""
-        self.t0 = len(self.base)
-        self.route = branch_on_t0(self.t0, self.n)
-        self._reset_state()
-        self.buffer.clear()
-        self.tree_nodes = [TreeNode(0, 0, None, None, (), False)]
+        left-label mask of deeper superfluous checks.  The engine serves this
+        one subtree, so the prefix's mark counts are never lowered again."""
+        self._begin_attempt()
         if self.has_empty_clause:
             return
-        try:
-            self._descend_prefix(list(prefix), 0)
-        except BaseResetSignal as sig:
-            raise sig
-        self.stats.route = self.route
-        self.stats.t0 = self.t0
-        self.stats.solutions_emitted = len(self.buffer)
-
-    def _descend_prefix(self, prefix: list[int], depth: int) -> None:
-        if depth == len(prefix):
-            self._node(depth, None, 0)
-            return
-        labels = clause_vars(self.base.members[depth])
-        order = self._order_children(labels)
-        if prefix[depth] not in labels:
-            raise InternalInvariantError("prefix label not at this level")
-        for x in order:
-            if x == prefix[depth]:
-                break
-            self.left_cnt[x] += 1
-        pushed = [y for y in order[:order.index(prefix[depth])]]
-        for y in labels:
-            self.label_cnt[y] += 1
-        x = prefix[depth]
-        if self.neg_unit[x] > 0:
-            raise InternalInvariantError("falsifying edge inside a valid prefix")
-        trail = self._assign(x)
-        try:
-            self._descend_prefix(prefix, depth + 1)
-        finally:
-            self._unassign(x, trail)
+        Q, P, U, L = 0, self.live0, self.unit0, 0
+        for depth, x in enumerate(prefix):
+            labels = clause_vars(self.base.members[depth])
+            if x not in labels:
+                raise InternalInvariantError("prefix label not at this level")
+            order = self._order_children(depth, labels)
+            L |= sum(1 << y for y in order[:order.index(x)])
             for y in labels:
-                self.label_cnt[y] -= 1
-            for y in pushed:
-                self.left_cnt[y] -= 1
+                self.label_cnt[y] += 1
+            if U >> x & 1:
+                raise InternalInvariantError("falsifying edge inside a valid prefix")
+            Q, P, U = self._step(depth, x, Q, P, U)
+        self.stats.nodes_visited += 1
+        self._node(len(prefix), Q, P, U, L, None, 0)
+        self._finish()
 
     def _apply_base_reset(self, sig: BaseResetSignal) -> None:
         event = attempt_reset(self.base, sig.removed, sig.added,
@@ -289,42 +263,133 @@ class _Engine:
         self.stats.reset_events.append({**event.as_dict(), "reason": sig.reason})
 
     # ------------------------------------------------------------------
-    # recursion
+    # recursion: one frame per tree level
 
-    def _node(self, depth: int, fr: _Frame | None, node_id: int) -> None:
-        self.stats.nodes_visited += 1
+    def _step(self, depth: int, x: int, Q: int, P: int, U: int) -> tuple[int, int, int]:
+        """Masks of the child entered through label ``x`` at ``depth``; also
+        records the label on the path and, for random orderings, the child's
+        ordering hash."""
+        self.path[depth] = x
+        Q |= 1 << x
+        P &= self.keep_by[x]
+        for neg in self.fals_by[x]:
+            rest = neg & ~Q
+            if not rest & (rest - 1):
+                if not rest:
+                    raise InternalInvariantError("entered a falsified child")
+                U |= rest
+        for neg, pos, bit in self.wake_by[x]:
+            if not (neg & ~Q or pos & Q):
+                P |= bit
+        if self.random and depth + 1 < self.t:
+            h = self.hashes[depth].copy()
+            h.update(x.to_bytes(3, "little"))
+            self.hashes[depth + 1] = h
+        return Q, P, U
+
+    def _node(self, depth: int, Q: int, P: int, U: int, L: int,
+              fr: _Frame | None, node_id: int) -> None:
+        stats = self.stats
+        record = self.record
         if depth == self.t:
-            self.stats.leaves_visited += 1
-            node = self.tree_nodes[node_id] if self.record else None
-            if node is not None:
-                node.leaf_kind = "viable"
-            if self.poslive == 0:
-                self._emit(node)
+            stats.leaves_visited += 1
+            if record:
+                self.tree_nodes[node_id].leaf_kind = "viable"
+            if not P:
+                self._emit(node_id)
             return
-        if self.poslive == 0:
+        if not P:
             raise PreconditionViolated(
-                f"{sorted(self.q)} is a transversal of weight {depth} < t={self.t}")
-        if self.route == "controlled" and depth == self.t0 and fr is None:
-            self._run_u0(depth, node_id)
+                f"{sorted(self.path[:depth])} is a transversal of weight "
+                f"{depth} < t={self.t}")
+        if fr is None and depth == self.t0 and self.route == "controlled":
+            self._run_u0(depth, Q, P, U, L, node_id)
             return
-        if fr is None:
-            labels, stage, fals_var = self._select(depth, fr)
-            self._expand(depth, labels, stage, fals_var, fr, node_id)
-        else:
-            self._node_tail(depth, fr, node_id)
+        if fr is not None and fr.k2 is None and depth - self.t0 >= fr.prof.t1:
+            k2 = twomark_context(fr.prof, fr.took)
+            fr.prof.ell_histogram[k2.ell] = fr.prof.ell_histogram.get(k2.ell, 0) + 1
+            fr = replace(fr, k2=k2, heavy=0)
+            if record:
+                self.tree_nodes[node_id].ell = k2.ell
+                self.tree_nodes[node_id].heavy_budget = k2.heavy_budget
+        labels, stage, fals_var = self._select(depth, fr, P)
 
-    def _run_u0(self, depth: int, node_id: int) -> None:
+        cnt = self.label_cnt
+        if depth >= self.t0 and len(labels) == 3 and \
+                not (cnt[labels[0]] or cnt[labels[1]] or cnt[labels[2]]):
+            # a width-3 monotone clause untouched by every earlier level beats
+            # the maximal base collection: grow it and rebuild
+            raise BaseResetSignal([], [labels],
+                                  "unmarked width-3 expansion past the disjoint prefix")
+        if fr is not None:
+            fr = self._stage_checks(labels, stage, fals_var, U, fr)
+
+        node = None
+        if record:
+            node = self.tree_nodes[node_id]
+            node.stage = stage
+            node.clause = labels
+            if fr is not None:
+                node.u0 = fr.u0_id
+            order = labels
+        else:
+            order = self._order_children(depth, labels)
+        for x in labels:
+            cnt[x] += 1
+            if record:
+                self.label_nodes[x].append(node_id)
+        try:
+            for x in order:
+                bit = 1 << x
+                child_id = 0
+                if record:
+                    child_id = self._record_child(node, depth, x, bool(U & bit), fr)
+                if L & bit and not record:
+                    stats.superfluous_skips += 1
+                elif U & bit:
+                    stats.falsified_leaves += 1
+                    if record:
+                        self.tree_nodes[child_id].leaf_kind = "falsified"
+                else:
+                    child_fr = fr
+                    if stage == ONEMARK:
+                        lvl = fr.prof.c1_levels[depth - self.t0]
+                        if x == fr.prof.x_tilde[lvl]:
+                            child_fr = replace(fr, took=fr.took | {lvl})
+                    stats.nodes_visited += 1
+                    self._node(depth + 1, *self._step(depth, x, Q, P, U), L,
+                               child_fr, child_id)
+                L |= bit
+        finally:
+            for x in labels:
+                cnt[x] -= 1
+                if record:
+                    self.label_nodes[x].pop()
+
+    def _record_child(self, node: TreeNode, depth: int, x: int, fals: bool,
+                      fr: _Frame | None) -> int:
+        child_id = len(self.tree_nodes)
+        child = TreeNode(child_id, depth + 1, node.id, x,
+                         tuple(self.label_nodes[x][:-1]), fals)
+        if fr is not None:
+            child.u0 = fr.u0_id
+        self.tree_nodes.append(child)
+        node.children.append(child_id)
+        return child_id
+
+    def _run_u0(self, depth: int, Q: int, P: int, U: int, L: int,
+                node_id: int) -> None:
         c1_keep: tuple[Clause, ...] = ()
         cr_keep: tuple[Clause, ...] = ()
         one_resets = two_resets = 0
         buf_mark = len(self.buffer)
         tree_mark = len(self.tree_nodes)
+        path = tuple(self.path[:depth])
         while True:
-            prof = build_stage_profile(self.f, self.base, tuple(self.q),
-                                       c1_keep, cr_keep)
+            prof = build_stage_profile(self.f, self.base, path, c1_keep, cr_keep)
             fr = _Frame(prof, frozenset(), None, 0, (), node_id)
             try:
-                self._node_tail(depth, fr, node_id)
+                self._node(depth, Q, P, U, L, fr, node_id)
                 self._record_profile(prof)
                 return
             except OnemarkResetSignal as sig:
@@ -361,17 +426,6 @@ class _Engine:
                 u0.ell = u0.heavy_budget = None
                 u0.stage = u0.clause = None
 
-    def _node_tail(self, depth: int, fr: _Frame, node_id: int) -> None:
-        if fr.k2 is None and depth - self.t0 >= fr.prof.t1:
-            k2 = twomark_context(fr.prof, fr.took)
-            fr.prof.ell_histogram[k2.ell] = fr.prof.ell_histogram.get(k2.ell, 0) + 1
-            fr = replace(fr, k2=k2, heavy=0)
-            if self.record:
-                self.tree_nodes[node_id].ell = k2.ell
-                self.tree_nodes[node_id].heavy_budget = k2.heavy_budget
-        labels, stage, fals_var = self._select(depth, fr)
-        self._expand(depth, labels, stage, fals_var, fr, node_id)
-
     def _record_profile(self, prof: StageProfile) -> None:
         if self.record:
             self.tree_profiles.append(prof)
@@ -380,106 +434,40 @@ class _Engine:
         else:
             self.stats.profiles_truncated = True
 
-    def _select(self, depth: int, fr: _Frame | None):
+    def _select(self, depth: int, fr: _Frame | None, P: int):
         if depth < self.t0:
-            c = self.base.members[depth]
-            return clause_vars(c), BASE, None
-        if fr is None:
-            return self._free_labels(), FREE, None
-        k = depth - self.t0
-        if k < fr.prof.t1:
-            return clause_vars(fr.prof.c1.members[k]), ONEMARK, None
-        j = k - fr.prof.t1
-        if fr.k2 is not None and j < fr.k2.ell:
-            return clause_vars(fr.k2.clauses[j]), TWOMARK, fr.k2.fals_vars[j]
-        return self._free_labels(), FREE, None
-
-    def _free_labels(self) -> tuple[int, ...]:
-        cands = [self.posvars[i] for i in range(len(self.lits))
-                 if not self.sat[i] and self.nneg[i] == 0]
-        if not cands:
-            raise InternalInvariantError("no positive clause despite live count")
-        return canonical_pick(cands)
+            return clause_vars(self.base.members[depth]), BASE, None
+        if fr is not None:
+            k = depth - self.t0
+            if k < fr.prof.t1:
+                return clause_vars(fr.prof.c1.members[k]), ONEMARK, None
+            j = k - fr.prof.t1
+            if fr.k2 is not None and j < fr.k2.ell:
+                return clause_vars(fr.k2.clauses[j]), TWOMARK, fr.k2.fals_vars[j]
+        return self.pick[(P & -P).bit_length() - 1], FREE, None
 
     # ------------------------------------------------------------------
     # expansion
 
-    def _order_children(self, labels: tuple[int, ...]) -> list[int]:
+    def _order_children(self, depth: int, labels: tuple[int, ...]) -> Sequence[int]:
+        if not self.random:
+            return labels
+        rng = self.rng
+        _seed_rng(rng, int.from_bytes(self.hashes[depth].digest(), "big"))
+        # Random.shuffle, with its _randbelow(i + 1) inlined: draw
+        # (i + 1).bit_length() bits until the value is at most i
         order = list(labels)
-        if self.ordering.kind == "random":
-            h = hashlib.blake2b(digest_size=8)
-            h.update(self.seed_bytes)
-            h.update(b"".join(v.to_bytes(3, "little") for v in self.q))
-            random.Random(int.from_bytes(h.digest(), "big")).shuffle(order)
+        draw = rng.getrandbits
+        for i, width in _SHUFFLE_STEPS[len(order)]:
+            j = draw(width)
+            while j > i:
+                j = draw(width)
+            order[i], order[j] = order[j], order[i]
         return order
 
-    def _expand(self, depth: int, labels: tuple[int, ...], stage: str,
-                fals_var: int | None, fr: _Frame | None, node_id: int) -> None:
-        kids = [(x, self.label_cnt[x], self.neg_unit[x] > 0) for x in labels]
-        fr = self._stage_checks(depth, labels, stage, fals_var, kids, fr)
-
-        node = self.tree_nodes[node_id] if self.record else None
-        if node is not None:
-            node.stage = stage
-            node.clause = labels
-            if fr is not None and fr.u0_id is not None:
-                node.u0 = fr.u0_id
-
-        order = labels if self.record else self._order_children(labels)
-        for x in labels:
-            self.label_cnt[x] += 1
-            if self.record:
-                self.label_nodes[x].append(node_id)
-        processed: list[int] = []
-        try:
-            for x in order:
-                m, fals = next((mm, ff) for (xx, mm, ff) in kids if xx == x)
-                child_id = 0
-                if node is not None:
-                    child_id = len(self.tree_nodes)
-                    child = TreeNode(child_id, depth + 1, node_id, x,
-                                     tuple(self.label_nodes[x][:-1]), fals)
-                    if fr is not None and fr.u0_id is not None:
-                        child.u0 = fr.u0_id
-                    self.tree_nodes.append(child)
-                    node.children.append(child_id)
-                if not self.record and self.left_cnt[x] > 0:
-                    self.stats.superfluous_skips += 1
-                elif fals:
-                    self.stats.falsified_leaves += 1
-                    if node is not None:
-                        self.tree_nodes[child_id].leaf_kind = "falsified"
-                else:
-                    child_fr = fr
-                    if fr is not None and stage == ONEMARK:
-                        k = depth - self.t0
-                        lvl = fr.prof.c1_levels[k]
-                        if x == fr.prof.x_tilde[lvl]:
-                            child_fr = replace(fr, took=fr.took | {lvl})
-                    trail = self._assign(x)
-                    try:
-                        self._node(depth + 1, child_fr, child_id)
-                    finally:
-                        self._unassign(x, trail)
-                self.left_cnt[x] += 1
-                processed.append(x)
-        finally:
-            for x in labels:
-                self.label_cnt[x] -= 1
-                if self.record:
-                    self.label_nodes[x].pop()
-            for x in processed:
-                self.left_cnt[x] -= 1
-
-    def _stage_checks(self, depth: int, labels: tuple[int, ...], stage: str,
-                      fals_var: int | None,
-                      kids: list[tuple[int, int, bool]],
-                      fr: _Frame | None) -> _Frame | None:
-        if depth >= self.t0 and len(labels) == 3 and all(m == 0 for _, m, _ in kids):
-            # a width-3 monotone clause untouched by every earlier level beats
-            # the maximal base collection: grow it and rebuild
-            raise BaseResetSignal([], [labels],
-                                  "unmarked width-3 expansion past the disjoint prefix")
+    def _stage_checks(self, labels: tuple[int, ...], stage: str,
+                      fals_var: int | None, U: int, fr: _Frame) -> _Frame:
+        kids = [(x, self.label_cnt[x], bool(U >> x & 1)) for x in labels]
         if stage == TWOMARK:
             if not self.debug_assertions:
                 return fr
@@ -496,7 +484,7 @@ class _Engine:
                 raise InternalInvariantError(
                     f"twomark clause {labels}: mass {mass} > 3/2")
             return fr
-        if stage == FREE and fr is not None:
+        if stage == FREE:
             marked = [(x, m) for x, m, f in kids if m > 0]
             clean3 = len(kids) == 3 and not any(f for _, _, f in kids)
             if clean3 and len(marked) == 1 and marked[0][1] == 1:
@@ -533,16 +521,16 @@ class _Engine:
             f"heavy budget {fr.k2.heavy_budget} exceeded without a witness: "
             f"{len(r)} pool heavies, {len(b)} outside")
 
-    def _emit(self, node: TreeNode | None) -> None:
-        sol = tuple(sorted(self.q))
+    def _emit(self, node_id: int) -> None:
+        sol = tuple(sorted(self.path))
         if self.debug_assertions and not self.record:
             # the pruned traversal reaches each transversal exactly once; the
             # unpruned debug tree legitimately repeats them
             if sol in self._seen:
                 raise InternalInvariantError(f"solution {sol} emitted twice")
             self._seen.add(sol)
-        if node is not None:
-            node.is_transversal = True
+        if self.record:
+            self.tree_nodes[node_id].is_transversal = True
         self.buffer.append(sol)
 
 
@@ -558,12 +546,20 @@ def enumerate_solutions(f: Formula, t: int,
                         base: DisjointCollection | None = None) -> SearchStats:
     """Emit every weight-t satisfying assignment of a negation-closed 3-CNF
     exactly once, assuming no satisfying assignment has weight below t
-    (violations are detected and raised when the search trips over them)."""
+    (violations are detected and raised when the search trips over them).
+
+    The search recurses one interpreter frame per tree level; a t too deep
+    for the recursion limit raises ``ParameterError``."""
     ordering = ordering or OrderingSource.fixed()
-    if parallel > 1:
-        return _parallel_enumerate(f, t, ordering, sink, parallel)
-    eng = _Engine(f, t, ordering, debug_assertions=debug_assertions, base=base)
-    eng.run()
+    try:
+        if parallel > 1:
+            return _parallel_enumerate(f, t, ordering, sink, parallel)
+        eng = _Engine(f, t, ordering, debug_assertions=debug_assertions, base=base)
+        eng.run()
+    except RecursionError:
+        raise ParameterError(
+            f"target weight t={t} needs a search deeper than the interpreter "
+            f"recursion limit {sys.getrecursionlimit()} allows") from None
     if sink is not None:
         for sol in eng.buffer:
             sink(sol)
@@ -709,27 +705,22 @@ def _subtree_worker(args):
 def _valid_prefixes(eng: _Engine, depth_limit: int) -> tuple[list[tuple[int, ...]], int]:
     """All non-falsified disjoint-stage paths to depth_limit, plus the count
     of falsified leaves encountered among them."""
-    eng._reset_state()
     prefixes: list[tuple[int, ...]] = []
     falsified = 0
 
-    def rec(depth: int) -> None:
+    def rec(depth: int, Q: int, P: int, U: int) -> None:
         nonlocal falsified
         if depth == depth_limit:
-            prefixes.append(tuple(eng.q))
+            prefixes.append(tuple(eng.path[:depth]))
             return
         labels = clause_vars(eng.base.members[depth])
-        for x in eng._order_children(labels):
-            if eng.neg_unit[x] > 0:
+        for x in eng._order_children(depth, labels):
+            if U >> x & 1:
                 falsified += 1
-                continue
-            trail = eng._assign(x)
-            try:
-                rec(depth + 1)
-            finally:
-                eng._unassign(x, trail)
+            else:
+                rec(depth + 1, *eng._step(depth, x, Q, P, U))
 
-    rec(0)
+    rec(0, 0, eng.live0, eng.unit0)
     return prefixes, falsified
 
 

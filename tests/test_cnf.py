@@ -94,6 +94,50 @@ def test_closure_idempotent(f):
     assert is_negation_closed(once)
 
 
+def _closed_outcome(check, f):
+    try:
+        return check(f)
+    except (TautologyError, ValueError) as exc:
+        return type(exc)
+
+
+def _closed_by_rebuild(f):
+    return negation_closure(f) == f
+
+
+@given(formulas())
+@settings(max_examples=60, deadline=None)
+def test_is_negation_closed_matches_rebuild(f):
+    for g in (f, negation_closure(f)):
+        assert is_negation_closed(g) == _closed_by_rebuild(g)
+
+
+def test_is_negation_closed_matches_rebuild_on_corpus(corpus500):
+    for f, _ in corpus500:
+        assert is_negation_closed(f) and _closed_by_rebuild(f)
+        g = Formula(f.n, f.clauses[1:])
+        assert is_negation_closed(g) == _closed_by_rebuild(g)
+
+
+@pytest.mark.parametrize("f", [
+    Formula(3, ((1, 2, 3), (-1, -2, -3))),
+    Formula(3, ((-1, -2, -3), (1, 2, 3))),              # clause order
+    Formula(3, ((1, 2, 3), (1, 2, 3), (-1, -2, -3))),   # repeated clause
+    Formula(3, ((3, 2, 1), (-3, -2, -1))),              # literal order
+    Formula(2, ((1, 1), (-1, -1))),                     # repeated literal
+    Formula(2, ((1, -2), (-1, 2))),
+    Formula(2, ((-1, 2), (1, -2))),
+    Formula(2, ((1, 2),)),                              # negation missing
+    Formula(2, ((),)),
+    Formula(2, ((1, -1),)),                             # tautology
+    Formula(2, ((1, 3), (-1, -3))),                     # out of range
+    Formula(2, ((0, 1), (0, -1))),
+])
+def test_is_negation_closed_matches_rebuild_on_raw_formulas(f):
+    assert _closed_outcome(is_negation_closed, f) == \
+        _closed_outcome(_closed_by_rebuild, f)
+
+
 @given(formulas(max_n=7, max_m=5))
 @settings(max_examples=40, deadline=None)
 def test_nae_equals_closure_sat(f):

@@ -1,6 +1,9 @@
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from naenum import (BudgetExceeded, Formula, InputNotClosed, OrderingSource,
                     ParameterError, PreconditionViolated, WidthError,
@@ -8,6 +11,8 @@ from naenum import (BudgetExceeded, Formula, InputNotClosed, OrderingSource,
                     count_solutions, enumerate_all_orderings,
                     enumerate_solutions, maj, negation_closure,
                     random_negation_closed, verify_enumeration)
+from naenum.cli import main as cli_main
+from naenum.treesearch import _Engine
 from corpus import collision_reset_instance, structure_reset_instance
 
 
@@ -183,3 +188,76 @@ def test_count_matches_enumerate():
     n1, st = count_solutions(f, 4, OrderingSource.random(1))
     sols, _ = collect_solutions(f, 4, OrderingSource.random(1))
     assert n1 == len(sols) == 36
+
+
+def test_ordering_stream_matches_documented_recipe():
+    # blake2b-64 over the 8-byte LE seed and 3-byte LE path labels, then
+    # random.Random(digest as a big-endian int).shuffle of the clause order
+    f = negation_closure(maj(8, 3))
+    for seed in range(300):
+        eng = _Engine(f, 4, OrderingSource.random(seed))
+        eng._step(0, 2, 0, eng.live0, eng.unit0)
+        for depth, path in ((0, b""), (1, (2).to_bytes(3, "little"))):
+            h = hashlib.blake2b(seed.to_bytes(8, "little") + path, digest_size=8)
+            for labels in ((5,), (3, 7), (1, 4, 6)):
+                want = list(labels)
+                random.Random(int.from_bytes(h.digest(), "big")).shuffle(want)
+                assert list(eng._order_children(depth, labels)) == want
+
+
+@st.composite
+def mixed_closures(draw, max_n=8):
+    """Negation closures of random mixed-sign clauses of width 1..3, with a
+    target weight anywhere in 0..n (the test also runs t = tau)."""
+    n = draw(st.integers(1, max_n))
+    clauses = []
+    for _ in range(draw(st.integers(0, 2 * n))):
+        vs = draw(st.lists(st.integers(1, n), min_size=1,
+                           max_size=min(3, n), unique=True))
+        clauses.append([v if draw(st.booleans()) else -v for v in vs])
+    return negation_closure(Formula.of(n, clauses)), draw(st.integers(0, n))
+
+
+@given(mixed_closures(), st.integers(0, 2 ** 64 - 1))
+@settings(max_examples=300, deadline=None)
+def test_engine_matches_oracle_on_mixed_sign_closures(case, seed):
+    f, t_drawn = case
+    tau = brute_force(f).tau
+    for t in {t_drawn, t_drawn if tau is None else tau}:
+        expect = list(brute_force(f, t=t).weight_t_solutions)
+        for ordering in (OrderingSource.fixed(), OrderingSource.random(seed)):
+            if tau is not None and tau < t:
+                with pytest.raises(PreconditionViolated):
+                    collect_solutions(f, t, ordering)
+            else:
+                sols, _ = collect_solutions(f, t, ordering)
+                assert len(set(sols)) == len(sols)
+                assert sorted(sols) == expect
+
+
+def _path_chain(n: int) -> Formula:
+    return Formula.of(n, [(i, i + 1) for i in range(1, n)])
+
+
+def test_deep_path_chain_finishes():
+    # one interpreter frame per tree level: depth 400 fits the default limit.
+    # The odd and the even variables are the two solutions, one root-to-leaf
+    # path each; every other child edge is falsified.
+    count, stats = count_solutions(negation_closure(_path_chain(800)), 400)
+    assert count == 2
+    assert stats.nodes_visited == 2 * 400 + 1
+    assert stats.falsified_leaves == 798
+
+
+def test_too_deep_search_is_refused(tmp_path, capsys):
+    f = negation_closure(_path_chain(4000))
+    with pytest.raises(ParameterError, match="t=2000.*recursion limit"):
+        count_solutions(f, 2000)
+    path = tmp_path / "chain.cnf"
+    path.write_text(_path_chain(4000).to_dimacs())
+    assert cli_main(["enumerate", "--t", "2000", "--closure", "--mode",
+                     "count", str(path)]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("refused: target weight t=2000")
+    assert "Traceback" not in err
