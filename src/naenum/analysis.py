@@ -1,16 +1,33 @@
-"""Closed-form bound functions, exact-rational DP tables, grid verification of
-the crossover/upper-bound claims, and survival-value estimation.
+"""Closed-form bound functions, exact DP tables, grid verification of the
+crossover/upper-bound claims, and survival-value estimation.
 
-Half-integer exponents of 27/8 are kept exact in the quadratic extension
-Q[sqrt(6)] (sqrt(27/8) = 3*sqrt(6)/4), so every comparison in the claim grids
-and profile sweeps is decided by integer arithmetic, never floats.
+Each closed form G_i is defined once, in ``_LARGE_FORMS``/``_SMALL_FORMS``/
+``_SMALL_ALT_CASE3``, as a product of powers base**(cw*w + cd*d + ch*h) over
+the bases 5/2, 2, 3/2, 9/4 and sqrt(27/8) = 3*sqrt(6)/4.  The ceiling F stays
+piecewise: a case index picks one G_i, so the claim min(G_i) = F is a check,
+not a definition.  The public functions (``g*_large``, ``f_large``,
+``g*_small``, ``f_small``, ``f_small_alt_case3``) evaluate the product exactly,
+as a Fraction or in the quadratic extension Q[sqrt(6)] when the half-integer
+power of 27/8 appears.
+
+The claim grids never build those values.  Every closed form and DP entry is
+nonnegative, so comparing two of them is comparing their squares, and each
+square is a ratio P/Q of Python ints: a closed form squares to 2^a 3^b 5^c,
+with (a, b, c) linear in (w, d, h) and read off the same definition; the DP
+recurrences run bottom-up by depth on integers, 2^d * M(w,d) (factors 5, 4, 3)
+and 4^d * M(w,d,h) (factors 9, 8, 7, 6).  Each <= in the grid loop is one
+cross-multiplication of ints; = between closed forms is equality of their
+pairs, which are in lowest terms.  Nothing is decided by floats.  Fractions
+appear only in the ``BoundTable`` values the public DP functions return.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -21,9 +38,26 @@ from .errors import ParameterError
 Rat = Fraction
 
 
+def _numeric(op):
+    """Binary QSqrt6 operator: coerce the other operand (a QSqrt6, a rational
+    or a finite float) or return NotImplemented for anything else."""
+
+    def method(self, other):
+        if not isinstance(other, QSqrt6):
+            if not (isinstance(other, numbers.Rational)
+                    or (isinstance(other, float) and math.isfinite(other))):
+                return NotImplemented
+            other = QSqrt6(other)
+        return op(self, other)
+
+    return method
+
+
 class QSqrt6:
     """Exact a + b*sqrt(6) with rational a, b.  Supports ring operations and
-    total ordering (signs resolved by squaring, never by floating point)."""
+    total ordering (signs resolved by squaring, never by floating point).
+    Equal to, and hashed like, the rational a when b = 0; mixed with a
+    non-number, every operator returns NotImplemented."""
 
     __slots__ = ("a", "b")
 
@@ -35,25 +69,11 @@ class QSqrt6:
     def of(cls, x) -> "QSqrt6":
         return x if isinstance(x, QSqrt6) else cls(x)
 
-    def __add__(self, other):
-        o = QSqrt6.of(other)
-        return QSqrt6(self.a + o.a, self.b + o.b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = QSqrt6.of(other)
-        return QSqrt6(self.a - o.a, self.b - o.b)
-
-    def __rsub__(self, other):
-        return QSqrt6.of(other) - self
-
-    def __mul__(self, other):
-        o = QSqrt6.of(other)
-        return QSqrt6(self.a * o.a + 6 * self.b * o.b,
-                      self.a * o.b + self.b * o.a)
-
-    __rmul__ = __mul__
+    __add__ = __radd__ = _numeric(lambda x, y: QSqrt6(x.a + y.a, x.b + y.b))
+    __sub__ = _numeric(lambda x, y: QSqrt6(x.a - y.a, x.b - y.b))
+    __rsub__ = _numeric(lambda x, y: y - x)
+    __mul__ = __rmul__ = _numeric(lambda x, y: QSqrt6(x.a * y.a + 6 * x.b * y.b,
+                                                      x.a * y.b + x.b * y.a))
 
     def __neg__(self):
         return QSqrt6(-self.a, -self.b)
@@ -70,26 +90,14 @@ class QSqrt6:
             return 1 if a * a > 6 * b * b else (0 if a * a == 6 * b * b else -1)
         return 1 if 6 * b * b > a * a else (0 if a * a == 6 * b * b else -1)
 
-    def _cmp(self, other) -> int:
-        return (self - other).sign()
-
-    def __eq__(self, other):
-        return self._cmp(other) == 0
+    __eq__ = _numeric(lambda x, y: (x - y).sign() == 0)
+    __lt__ = _numeric(lambda x, y: (x - y).sign() < 0)
+    __le__ = _numeric(lambda x, y: (x - y).sign() <= 0)
+    __gt__ = _numeric(lambda x, y: (x - y).sign() > 0)
+    __ge__ = _numeric(lambda x, y: (x - y).sign() >= 0)
 
     def __hash__(self):
-        return hash((self.a, self.b))
-
-    def __lt__(self, other):
-        return self._cmp(other) < 0
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
+        return hash(self.a) if self.b == 0 else hash((self.a, self.b))
 
     def __float__(self):
         return float(self.a) + float(self.b) * math.sqrt(6)
@@ -108,94 +116,219 @@ class QSqrt6:
 SQRT_27_8 = QSqrt6(0, Fraction(3, 4))  # sqrt(27/8) = 3*sqrt(6)/4
 
 
-def _pow_cache(base: Fraction):
-    cache: dict[int, Fraction] = {0: Fraction(1)}
-
-    def power(e: int) -> Fraction:
-        v = cache.get(e)
-        if v is None:
-            v = base ** e
-            cache[e] = v
-        return v
-
-    return power
-
-_P52 = _pow_cache(Fraction(5, 2))
-_P2 = _pow_cache(Fraction(2))
-_P32 = _pow_cache(Fraction(3, 2))
-_P94 = _pow_cache(Fraction(9, 4))
-_P278 = _pow_cache(Fraction(27, 8))
+@lru_cache(maxsize=1 << 12)
+def _power(base: Fraction, e: int) -> Fraction:
+    return base ** e
 
 
 def pow_half_27_8(e: int) -> QSqrt6:
     """Exact (27/8)^(e/2) for any integer e."""
     k, r = divmod(e, 2)
-    v = QSqrt6(_P278(k))
+    v = QSqrt6(_power(Fraction(27, 8), k))
     return v * SQRT_27_8 if r else v
 
 
 # ----------------------------------------------------------------------
 # closed forms
 
+_ROOT = "sqrt(27/8)"
+_5_2, _2, _3_2, _9_4 = Fraction(5, 2), Fraction(2), Fraction(3, 2), Fraction(9, 4)
+
+# exponents of 2, 3 and 5 in the square of each base
+_BASE_SQUARE = {_5_2: (-2, 0, 2), _2: (2, 0, 0), _3_2: (-2, 2, 0),
+                _9_4: (-4, 4, 0), _ROOT: (-3, 3, 0)}
+
+# A closed form is ((base, (cw, cd, ch)), ...): the product of
+# base ** (cw*w + cd*d + ch*h).  These tuples are the only definition of G_i;
+# the public values and the claim kernel are both read off them.
+_LARGE_FORMS = (
+    ((_5_2, (-1, 2, 0)), (_2, (1, -1, 0))),                 # (5/2)^(2d-w) 2^(w-d)
+    ((_2, (-1, 3, 0)), (_3_2, (1, -2, 0))),                 # 2^(3d-w) (3/2)^(w-2d)
+)
+_SMALL_FORMS = (
+    ((_9_4, (0, 1, 0)),),                                   # (9/4)^d
+    ((_9_4, (-1, 2, 0)), (_2, (1, -1, 0))),                 # (9/4)^(2d-w) 2^(w-d)
+    ((_9_4, (-1, 2, 0)), (_2, (0, 0, 1)),
+     (_ROOT, (1, -1, -1))),                                 # ... 2^h (27/8)^((w-d-h)/2)
+    ((_2, (-1, 3, 0)), (_3_2, (1, -2, 0))),                 # 2^(3d-w) (3/2)^(w-2d)
+)
+# the algebraically equal second form of the third case
+_SMALL_ALT_CASE3 = ((_2, (0, 0, 1)), (_3_2, (1, -2, 0)),
+                    (_ROOT, (-1, 3, -1)))                   # ... (27/8)^((3d-w-h)/2)
+
+
+def _large_case(w: int, d: int) -> int:
+    """Index of the G_i that the piecewise F(w,d) is."""
+    return 0 if w <= 2 * d else 1
+
+
+def _small_case(w: int, d: int, h: int) -> int:
+    """Index of the G_i that the piecewise F(w,d,h) is."""
+    if w <= d:
+        return 0
+    if w <= d + h:
+        return 1
+    return 2 if w <= 3 * d - h else 3
+
+
+def _evaluate(form, w: int, d: int, h: int = 0):
+    """Exact value of a closed form: a Fraction, or a QSqrt6 when it has a
+    sqrt(27/8) factor."""
+    v = Fraction(1)
+    root = None
+    for base, (cw, cd, ch) in form:
+        e = cw * w + cd * d + ch * h
+        if base is _ROOT:
+            root = pow_half_27_8(e)
+        else:
+            v *= _power(base, e)
+    return v if root is None else QSqrt6(v) * root
+
+
+def _check_depth(d: int, h: int = 0) -> None:
+    if d < 0:
+        raise ParameterError("d must be nonnegative")
+    if h < 0:
+        raise ParameterError("h must be nonnegative")
+
 
 def f_large(w: int, d: int) -> Fraction:
     """Survival-value ceiling for a depth-d subtree whose every root-to-leaf
     shoot weighs at least w, when every node has a marked edge."""
-    if d < 0:
-        raise ParameterError("d must be nonnegative")
-    if w <= 2 * d:
-        return _P52(2 * d - w) * _P2(w - d)
-    return _P2(3 * d - w) * _P32(w - 2 * d)
+    _check_depth(d)
+    return _evaluate(_LARGE_FORMS[_large_case(w, d)], w, d)
 
 
 def g1_large(w: int, d: int) -> Fraction:
-    return _P52(2 * d - w) * _P2(w - d)
+    return _evaluate(_LARGE_FORMS[0], w, d)
 
 
 def g2_large(w: int, d: int) -> Fraction:
-    return _P2(3 * d - w) * _P32(w - 2 * d)
+    return _evaluate(_LARGE_FORMS[1], w, d)
 
 
 def f_small(w: int, d: int, h: int) -> QSqrt6:
     """Four-case ceiling with the extra parameter h bounding, per shoot, the
     twice-marked full-mass nodes ("heavy" nodes)."""
-    if d < 0:
-        raise ParameterError("d must be nonnegative")
-    if h < 0:
-        raise ParameterError("h must be nonnegative")
-    if w <= d:
-        return QSqrt6(_P94(d))
-    if w <= d + h:
-        return QSqrt6(_P94(2 * d - w) * _P2(w - d))
-    if w <= 3 * d - h:
-        return QSqrt6(_P94(2 * d - w) * _P2(h)) * pow_half_27_8(w - d - h)
-    return QSqrt6(_P2(3 * d - w) * _P32(w - 2 * d))
+    _check_depth(d, h)
+    return QSqrt6.of(_evaluate(_SMALL_FORMS[_small_case(w, d, h)], w, d, h))
 
 
 def f_small_alt_case3(w: int, d: int, h: int) -> QSqrt6:
     """The algebraically equal second form of the third case; asserted equal
     to the first as a self-test."""
-    return QSqrt6(_P2(h) * _P32(w - 2 * d)) * pow_half_27_8(3 * d - w - h)
+    return _evaluate(_SMALL_ALT_CASE3, w, d, h)
 
 
 def g1_small(w: int, d: int, h: int) -> QSqrt6:
-    return QSqrt6(_P94(d))
+    return QSqrt6(_evaluate(_SMALL_FORMS[0], w, d, h))
 
 
 def g2_small(w: int, d: int, h: int) -> QSqrt6:
-    return QSqrt6(_P94(2 * d - w) * _P2(w - d))
+    return QSqrt6(_evaluate(_SMALL_FORMS[1], w, d, h))
 
 
 def g3_small(w: int, d: int, h: int) -> QSqrt6:
-    return QSqrt6(_P94(2 * d - w) * _P2(h)) * pow_half_27_8(w - d - h)
+    return _evaluate(_SMALL_FORMS[2], w, d, h)
 
 
 def g4_small(w: int, d: int, h: int) -> QSqrt6:
-    return QSqrt6(_P2(3 * d - w) * _P32(w - 2 * d))
+    return QSqrt6(_evaluate(_SMALL_FORMS[3], w, d, h))
+
+
+# ----------------------------------------------------------------------
+# squared-integer kernel
+
+
+def _square_exponents(form) -> tuple[int, ...]:
+    """Coefficients (a2w, a2d, a2h, a3w, ..., a5h): the exponent of prime p in
+    the square of the form is a_pw*w + a_pd*d + a_ph*h."""
+    out = [0] * 9
+    for base, c in form:
+        for p, ep in enumerate(_BASE_SQUARE[base]):
+            for k in range(3):
+                out[3 * p + k] += ep * c[k]
+    return tuple(out)
+
+
+@lru_cache(maxsize=1 << 16)
+def _square_pair(e2: int, e3: int, e5: int) -> tuple[int, int]:
+    """(P, Q) with P/Q = 2^e2 3^e3 5^e5, in lowest terms."""
+    p = q = 1
+    for prime, e in ((2, e2), (3, e3), (5, e5)):
+        if e >= 0:
+            p *= prime ** e
+        else:
+            q *= prime ** -e
+    return p, q
+
+
+def _squares(exps, w: int, d: int, h: int = 0) -> list[tuple[int, int]]:
+    """Squares (P, Q) of the forms with square exponents ``exps`` at (w,d,h)."""
+    return [_square_pair(a2w * w + a2d * d + a2h * h,
+                         a3w * w + a3d * d + a3h * h,
+                         a5w * w + a5d * d + a5h * h)
+            for a2w, a2d, a2h, a3w, a3d, a3h, a5w, a5d, a5h in exps]
+
+
+# square exponents of G1, G2 (large) and of G1..G4 plus the alternate third
+# case (small)
+_LARGE_EXPONENTS = tuple(map(_square_exponents, _LARGE_FORMS))
+_SMALL_EXPONENTS = tuple(map(_square_exponents, _SMALL_FORMS + (_SMALL_ALT_CASE3,)))
 
 
 # ----------------------------------------------------------------------
 # DP recurrences
+
+MAX_TABLE_CELLS = 1_000_000
+
+
+def _check_cells(cells: int) -> None:
+    if cells > MAX_TABLE_CELLS:
+        raise ParameterError(f"grid of {cells} cells exceeds the limit "
+                             f"of {MAX_TABLE_CELLS}")
+
+
+def _dp_large_rows(lo: int, wmax: int, dmax: int) -> list[list[int]]:
+    """rows[d][w - lo] = 2^d * M(w, d) for lo <= w <= wmax, lo <= -2.
+
+    Each level spends one depth and 1, 2 or 3 weight for a factor 5/2, 2 or
+    3/2, so 2^d M(w,d) = max(5 N(w-1), 4 N(w-2), 3 N(w-3)) one level down.
+    For w <= 0 every descendant has w <= 0 too and 5/2 is the largest factor,
+    so M(w, d) = (5/2)^d there."""
+    width = wmax - lo + 1
+    row = [1 if lo + k <= 0 else 0 for k in range(width)]
+    rows = [row]
+    for d in range(1, dmax + 1):
+        prev = row
+        row = [5 ** d] * min(-lo + 1, width)
+        row += [max(5 * prev[k - 1], 4 * prev[k - 2], 3 * prev[k - 3])
+                for k in range(len(row), width)]
+        rows.append(row)
+    return rows
+
+
+def _dp_small_rows(lo: int, wmax: int, dmax: int,
+                   hmax: int) -> list[list[list[int]]]:
+    """rows[d][w - lo][h] = 4^d * M(w, d, h) for lo <= w <= wmax, lo <= -2,
+    0 <= h <= hmax.
+
+    A level spends (weight, budget) (1, 0), (2, 1), (2, 0) or (3, 0) for a
+    factor 9/4, 2, 7/4 or 3/2; a negative budget is worth 0.  For w <= 0 the
+    largest factor 9/4 is always available, so M(w, d, h) = (9/4)^d there."""
+    width = wmax - lo + 1
+    hs = range(hmax + 1)
+    row = [[1 if lo + k <= 0 else 0] * (hmax + 1) for k in range(width)]
+    rows = [row]
+    for d in range(1, dmax + 1):
+        prev = row
+        row = [[9 ** d] * (hmax + 1) for _ in range(min(-lo + 1, width))]
+        for k in range(len(row), width):
+            a, b, c = prev[k - 1], prev[k - 2], prev[k - 3]
+            row.append([max(9 * a[h], 7 * b[h], 6 * c[h], 8 * b[h - 1] if h else 0)
+                        for h in hs])
+        rows.append(row)
+    return rows
 
 
 @dataclass
@@ -225,21 +358,10 @@ class BoundTable:
 def dp_m_large(wmax: int, dmax: int, wmin: int = -3) -> BoundTable:
     """Worst-case survival-value recurrence on (shoot weight, depth): each
     level spends one depth and 1..3 weight for factors 5/2, 2, 3/2."""
-    memo: dict[tuple[int, int], Fraction] = {}
-
-    def m(w: int, d: int) -> Fraction:
-        if d == 0:
-            return Fraction(1) if w <= 0 else Fraction(0)
-        key = (w, d)
-        v = memo.get(key)
-        if v is None:
-            v = max(Fraction(5, 2) * m(w - 1, d - 1),
-                    2 * m(w - 2, d - 1),
-                    Fraction(3, 2) * m(w - 3, d - 1))
-            memo[key] = v
-        return v
-
-    grid = {(w, d): m(w, d) for d in range(dmax + 1)
+    _check_cells(max(wmax - wmin + 1, 0) * (dmax + 1))
+    lo = min(wmin, -2)
+    rows = _dp_large_rows(lo, wmax, dmax)
+    grid = {(w, d): Fraction(rows[d][w - lo], 2 ** d) for d in range(dmax + 1)
             for w in range(wmin, wmax + 1)}
     return BoundTable("large", grid, wmin, wmax, dmax)
 
@@ -247,24 +369,11 @@ def dp_m_large(wmax: int, dmax: int, wmin: int = -3) -> BoundTable:
 def dp_m_small(wmax: int, dmax: int, hmax: int, wmin: int = -3) -> BoundTable:
     """Recurrence with the heavy budget h: a full-mass twice-marked level
     costs (2, 1) in (weight, budget); other levels leave h alone."""
-    memo: dict[tuple[int, int, int], Fraction] = {}
-
-    def m(w: int, d: int, h: int) -> Fraction:
-        if h < 0:
-            return Fraction(0)
-        if d == 0:
-            return Fraction(1) if w <= 0 else Fraction(0)
-        key = (w, d, h)
-        v = memo.get(key)
-        if v is None:
-            v = max(Fraction(9, 4) * m(w - 1, d - 1, h),
-                    2 * m(w - 2, d - 1, h - 1),
-                    Fraction(7, 4) * m(w - 2, d - 1, h),
-                    Fraction(3, 2) * m(w - 3, d - 1, h))
-            memo[key] = v
-        return v
-
-    grid = {(w, d, h): m(w, d, h) for d in range(dmax + 1)
+    _check_cells(max(wmax - wmin + 1, 0) * (dmax + 1) * (hmax + 1))
+    lo = min(wmin, -2)
+    rows = _dp_small_rows(lo, wmax, dmax, hmax)
+    grid = {(w, d, h): Fraction(rows[d][w - lo][h], 4 ** d)
+            for d in range(dmax + 1)
             for w in range(wmin, wmax + 1) for h in range(hmax + 1)}
     return BoundTable("small", grid, wmin, wmax, dmax, hmax)
 
@@ -297,18 +406,9 @@ class ClaimReport:
         return {"ok": self.ok, "checks": [c.as_dict() for c in self.checks]}
 
 
-def _run_check(report: ClaimReport, name: str, points: Iterable, pred) -> None:
-    count = 0
-    witness = None
-    for p in points:
-        count += 1
-        if witness is None and not pred(*p):
-            witness = p
-    report.checks.append(ClaimCheck(name, witness is None, count, witness))
-
-
-def _multi_check(report: ClaimReport, points: Iterable, preds, names) -> None:
-    """Evaluate a tuple of predicates per point in one grid pass."""
+def _multi_check(report, points: Iterable, preds, names) -> None:
+    """Evaluate a tuple of predicates per point in one grid pass, recording
+    each predicate's first failing point as its witness."""
     count = 0
     witnesses: list[tuple | None] = [None] * len(names)
     for p in points:
@@ -331,17 +431,27 @@ def verify_appendix_claims(grid2_w: tuple[int, int] = (-3, 60),
     The two-parameter min identity min(G1,G2) = F holds everywhere.  The
     three-parameter ladder identity min(G1..G4) = F needs the case boundaries
     ordered, i.e. h <= d; it is checked on that region, while the piecewise F
-    itself is verified to dominate the DP everywhere on the grid.
+    itself is verified to dominate the DP everywhere on the grid.  Every
+    comparison is made on squared values as integer pairs (module docstring).
     """
+    (w2lo, w2hi), (w3lo, w3hi) = grid2_w, grid3_w
+    if min(grid2_d, grid3_d, grid3_h) < 0 or w2lo > w2hi or w3lo > w3hi:
+        raise ParameterError("claim grids must be nonempty")
+    _check_cells((w2hi - w2lo + 1) * (grid2_d + 1))
+    _check_cells((w3hi - w3lo + 1) * (grid3_d + 1) * (grid3_h + 1))
     rep = ClaimReport()
-    t2 = dp_m_large(grid2_w[1], grid2_d, grid2_w[0])
-    pts2 = [(w, d) for d in range(grid2_d + 1)
-            for w in range(grid2_w[0], grid2_w[1] + 1)]
+    lo2 = min(w2lo, -2)
+    rows2 = _dp_large_rows(lo2, w2hi, grid2_d)
+    pts2 = ((w, d) for d in range(grid2_d + 1) for w in range(w2lo, w2hi + 1))
 
     def large_all(w, d):
-        m, gg1, gg2, ff = t2.grid[w, d], g1_large(w, d), g2_large(w, d), f_large(w, d)
-        return (m <= gg1, m <= gg2, m <= ff, min(gg1, gg2) == ff,
-                ((gg1 <= gg2) == (w <= 2 * d)) and ((gg1 == gg2) == (w == 2 * d)))
+        n2, s = rows2[d][w - lo2] ** 2, 4 ** d        # M^2 = (2^d M)^2 / 4^d
+        gg = (p1, q1), (p2, q2) = _squares(_LARGE_EXPONENTS, w, d)
+        ff = fp, fq = gg[_large_case(w, d)]
+        return (n2 * q1 <= p1 * s, n2 * q2 <= p2 * s, n2 * fq <= fp * s,
+                ff in gg and all(fp * q <= p * fq for p, q in gg),
+                ((p1 * q2 <= p2 * q1) == (w <= 2 * d))
+                and ((gg[0] == gg[1]) == (w == 2 * d)))
 
     _multi_check(rep, pts2, large_all,
                  ["large: M(w,d) <= G1",
@@ -350,25 +460,27 @@ def verify_appendix_claims(grid2_w: tuple[int, int] = (-3, 60),
                   "large: min(G1,G2) = F",
                   "large: G1 <= G2 iff w <= 2d, equality iff w = 2d"])
 
-    t3 = dp_m_small(grid3_w[1], grid3_d, grid3_h, grid3_w[0])
-    pts3 = [(w, d, h) for d in range(grid3_d + 1)
-            for w in range(grid3_w[0], grid3_w[1] + 1)
-            for h in range(grid3_h + 1)]
+    lo3 = min(w3lo, -2)
+    rows3 = _dp_small_rows(lo3, w3hi, grid3_d, grid3_h)
+    pts3 = ((w, d, h) for d in range(grid3_d + 1)
+            for w in range(w3lo, w3hi + 1) for h in range(grid3_h + 1))
 
     def small_all(w, d, h):
-        m = QSqrt6(t3.grid[w, d, h])
-        gg = (g1_small(w, d, h), g2_small(w, d, h),
-              g3_small(w, d, h), g4_small(w, d, h))
-        ff = f_small(w, d, h)
-        case3 = d + h <= w <= 3 * d - h
-        return (all(m <= g for g in gg),
-                m <= ff,
-                ((gg[0] <= gg[1]) == (w <= d)) and ((gg[0] == gg[1]) == (w == d)),
-                ((gg[1] <= gg[2]) == (w <= d + h)) and ((gg[1] == gg[2]) == (w == d + h)),
-                ((gg[2] <= gg[3]) == (w <= 3 * d - h)) and ((gg[2] == gg[3]) == (w == 3 * d - h)),
-                h > d or min(gg) == ff,
-                any(ff == g for g in gg),
-                not case3 or ff == f_small_alt_case3(w, d, h))
+        n2, s = rows3[d][w - lo3][h] ** 2, 16 ** d    # M^2 = (4^d M)^2 / 16^d
+        *gg, alt = _squares(_SMALL_EXPONENTS, w, d, h)
+        (p1, q1), (p2, q2), (p3, q3), (p4, q4) = gg
+        ff = fp, fq = gg[_small_case(w, d, h)]
+        # squares are in lowest terms, so = is tuple equality
+        return (all(n2 * q <= p * s for p, q in gg),
+                n2 * fq <= fp * s,
+                ((p1 * q2 <= p2 * q1) == (w <= d)) and ((gg[0] == gg[1]) == (w == d)),
+                ((p2 * q3 <= p3 * q2) == (w <= d + h))
+                and ((gg[1] == gg[2]) == (w == d + h)),
+                ((p3 * q4 <= p4 * q3) == (w <= 3 * d - h))
+                and ((gg[2] == gg[3]) == (w == 3 * d - h)),
+                h > d or (ff in gg and all(fp * q <= p * fq for p, q in gg)),
+                ff in gg,
+                not d + h <= w <= 3 * d - h or ff == alt)
 
     _multi_check(rep, pts3, small_all,
                  ["small: M(w,d,h) <= G_i for i=1..4",
@@ -380,6 +492,7 @@ def verify_appendix_claims(grid2_w: tuple[int, int] = (-3, 60),
                   "small: F equals one of G1..G4 everywhere",
                   "small: third-case forms agree"])
     return rep
+
 
 
 # ----------------------------------------------------------------------
@@ -492,9 +605,9 @@ def global_bound_check(ns_large: Sequence[int] = tuple(range(8, 65, 4)),
         bound = Fraction(6) ** (n // 4)
         return lhs == bound * Fraction(27, 32) ** delta and lhs <= bound
 
-    _run_check(rep, "large route: 3^(n/4+D) F(n/2, n/4-D) = 6^(n/4) (27/32)^D <= 6^(n/4)",
-               [(n, delta) for n in ns_large for delta in range(n // 4 + 1)],
-               large_ok)
+    _multi_check(rep, [(n, delta) for n in ns_large for delta in range(n // 4 + 1)],
+                 lambda *p: (large_ok(*p),),
+                 ["large route: 3^(n/4+D) F(n/2, n/4-D) = 6^(n/4) (27/32)^D <= 6^(n/4)"])
 
     def controlled_ok(n: int, t0: int, t1: int, m_r: int, m_b: int) -> bool:
         cert = n_of_u0(n, t0, t1, m_r, m_b)
@@ -511,8 +624,8 @@ def global_bound_check(ns_large: Sequence[int] = tuple(range(8, 65, 4)),
 
     for n in ns_controlled:
         pts = [(n, *p) for p in feasible_profiles(n)]
-        _run_check(rep, f"controlled route n={n}: 3^t0 N <= 6^(n/4), d+h <= w, regime iff",
-                   pts, controlled_ok)
+        _multi_check(rep, pts, lambda *p: (controlled_ok(*p),),
+                     [f"controlled route n={n}: 3^t0 N <= 6^(n/4), d+h <= w, regime iff"])
         best = max((n_of_u0(n, *p) for p in feasible_profiles(n)),
                    key=lambda c: c.scaled())
         rep.details.append({"n": n, "max_scaled_float": float(best.scaled()),

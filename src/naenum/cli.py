@@ -194,6 +194,8 @@ def cmd_verify(args) -> int:
 def cmd_bound(args) -> int:
     doc: dict = {"command": "bound"}
     did = False
+    if (args.verify_claims or args.dump_tables) and args.grid < 0:
+        raise ParameterError(f"--grid must be nonnegative, got {args.grid}")
     if args.f_large:
         w, d = args.f_large
         v = analysis.f_large(w, d)

@@ -1,14 +1,18 @@
+import sys
+import time
 from fractions import Fraction
 
 import pytest
 
 from naenum import (Formula, brute_force, enumerate_all_orderings, maj,
                     negation_closure, random_negation_closed)
-from naenum.analysis import (QSqrt6, SQRT_27_8, dp_m_large, dp_m_small,
-                             estimate_psi, f_large, f_small,
-                             f_small_alt_case3, feasible_profiles,
-                             g3_small, g4_small, global_bound_check, n_of_u0,
-                             pow_half_27_8, verify_appendix_claims)
+from naenum import analysis
+from naenum.analysis import (QSqrt6, SQRT_27_8, ClaimReport, dp_m_large,
+                             dp_m_small, estimate_psi, f_large, f_small,
+                             f_small_alt_case3, feasible_profiles, g1_large,
+                             g1_small, g2_large, g2_small, g3_small, g4_small,
+                             global_bound_check, n_of_u0, pow_half_27_8,
+                             verify_appendix_claims)
 from naenum.errors import ParameterError
 
 
@@ -30,6 +34,24 @@ def test_qsqrt6_ordering_near_sqrt6():
 
 def test_sqrt_27_8_square():
     assert SQRT_27_8 * SQRT_27_8 == QSqrt6(Fraction(27, 8))
+
+
+def test_qsqrt6_hash_agrees_with_equal_numbers():
+    assert QSqrt6(6) == 6 and hash(QSqrt6(6)) == hash(6)
+    assert len({QSqrt6(6), 6}) == 1
+    assert hash(QSqrt6(Fraction(1, 2))) == hash(Fraction(1, 2)) == hash(0.5)
+    assert len({QSqrt6(1, 1), QSqrt6(Fraction(2, 2), 1)}) == 1
+
+
+def test_qsqrt6_non_numbers_are_not_implemented():
+    x = QSqrt6(1)
+    assert (x == None) is False  # noqa: E711
+    assert x != "x" and "x" != x
+    assert x == 1.0 and x != float("nan")
+    for op in (lambda: x < "x", lambda: x >= None, lambda: x + "x",
+               lambda: None * x, lambda: "x" - x):
+        with pytest.raises(TypeError):
+            op()
 
 
 @pytest.mark.parametrize("e", range(-6, 7))
@@ -76,6 +98,68 @@ def test_f_rejects_negative_depth():
         f_small(1, 1, -1)
 
 
+# The closed forms restated independently of their one definition in
+# ``analysis``: a wrong exponent there moves the public values and the claim
+# kernel together, and only a second statement catches it.
+P = Fraction
+R = pow_half_27_8
+LITERAL_FORMS = {
+    g1_large: lambda w, d, h: P(5, 2) ** (2 * d - w) * P(2) ** (w - d),
+    g2_large: lambda w, d, h: P(2) ** (3 * d - w) * P(3, 2) ** (w - 2 * d),
+    g1_small: lambda w, d, h: P(9, 4) ** d,
+    g2_small: lambda w, d, h: P(9, 4) ** (2 * d - w) * P(2) ** (w - d),
+    g3_small: lambda w, d, h: (QSqrt6(P(9, 4) ** (2 * d - w) * P(2) ** h)
+                               * R(w - d - h)),
+    g4_small: lambda w, d, h: P(2) ** (3 * d - w) * P(3, 2) ** (w - 2 * d),
+    f_small_alt_case3: lambda w, d, h: (QSqrt6(P(2) ** h * P(3, 2) ** (w - 2 * d))
+                                        * R(3 * d - w - h)),
+}
+GRID = [(w, d, h) for d in range(9) for w in range(-3, 17) for h in range(9)]
+
+
+def _square(v) -> Fraction:
+    sq = QSqrt6.of(v) * v
+    assert sq.b == 0
+    return sq.a
+
+
+def test_closed_forms_match_literal_formulas():
+    for w, d, h in GRID:
+        for fn, literal in LITERAL_FORMS.items():
+            args = (w, d) if fn in (g1_large, g2_large) else (w, d, h)
+            assert fn(*args) == literal(w, d, h), (fn.__name__, w, d, h)
+        gl = (g1_large(w, d), g2_large(w, d))
+        assert f_large(w, d) == (gl[0] if w <= 2 * d else gl[1])
+        gs = [fn(w, d, h) for fn in (g1_small, g2_small, g3_small, g4_small)]
+        case = 0 if w <= d else 1 if w <= d + h else 2 if w <= 3 * d - h else 3
+        assert f_small(w, d, h) == gs[case]
+
+
+def test_kernel_squares_match_public_values():
+    """At every grid point the claim kernel's integer pair (P, Q) is the
+    square of the public value, for every G_i, both F, the alternate third
+    case and both DP tables."""
+    large = dp_m_large(16, 8)
+    small = dp_m_small(16, 8, 8)
+    lo = -3
+    rows2 = analysis._dp_large_rows(lo, 16, 8)
+    rows3 = analysis._dp_small_rows(lo, 16, 8, 8)
+    for w, d, h in GRID:
+        g1, g2 = analysis._squares(analysis._LARGE_EXPONENTS, w, d)
+        assert Fraction(*g1) == _square(g1_large(w, d))
+        assert Fraction(*g2) == _square(g2_large(w, d))
+        fl = (g1, g2)[analysis._large_case(w, d)]
+        assert Fraction(*fl) == _square(f_large(w, d))
+        *gs, alt = analysis._squares(analysis._SMALL_EXPONENTS, w, d, h)
+        for pair, fn in zip(gs + [alt], (g1_small, g2_small, g3_small, g4_small,
+                                         f_small_alt_case3)):
+            assert Fraction(*pair) == _square(fn(w, d, h)), (fn.__name__, w, d, h)
+        fs = gs[analysis._small_case(w, d, h)]
+        assert Fraction(*fs) == _square(f_small(w, d, h))
+        assert Fraction(rows2[d][w - lo] ** 2, 4 ** d) == large.grid[w, d] ** 2
+        assert Fraction(rows3[d][w - lo][h] ** 2, 16 ** d) == small.grid[w, d, h] ** 2
+
+
 # ---------------------------------------------------------------- DP tables
 
 def test_dp_large_base_and_one_step():
@@ -100,6 +184,36 @@ def test_dp_small_negative_budget_is_zero():
     assert t.grid[2, 1, 0] == Fraction(7, 4)  # cannot take the 2-branch
 
 
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_dp_tables_deeper_than_recursion_limit():
+    old = sys.getrecursionlimit()
+    limit = _stack_depth() + 100
+    sys.setrecursionlimit(limit)
+    try:
+        large = dp_m_large(20, 3 * limit)
+        small = dp_m_small(20, 3 * limit, 2)
+    finally:
+        sys.setrecursionlimit(old)
+    d = 3 * limit
+    # w <= d: the all-(largest factor) path is available at every level
+    assert large.grid[20, d] == Fraction(5, 2) ** d
+    assert small.grid[20, d, 2] == Fraction(9, 4) ** d
+    assert large.grid[-3, d] == Fraction(5, 2) ** d
+
+
+def test_dp_tables_refuse_oversized_grids():
+    with pytest.raises(ParameterError):
+        dp_m_small(2000, 1000, 1000)
+    with pytest.raises(ParameterError):
+        dp_m_large(10 ** 6, 1)
+
+
 def test_csv_lines():
     t = dp_m_large(1, 1)
     lines = t.csv_lines()
@@ -114,6 +228,52 @@ def test_claim_grids_small():
                                  grid3_w=(-3, 12), grid3_d=6, grid3_h=6)
     assert rep.ok, [c.name for c in rep.checks if not c.ok]
     assert len(rep.checks) == 13
+
+
+LARGE_GRID = dict(grid2_w=(-3, 120), grid2_d=60,
+                  grid3_w=(-3, 60), grid3_d=30, grid3_h=30)
+
+
+def test_claim_grids_large():
+    """A grid beside the acceptance grid (criterion 4), not instead of it."""
+    start = time.perf_counter()
+    rep = verify_appendix_claims(**LARGE_GRID)
+    elapsed = time.perf_counter() - start
+    assert rep.ok, [c.name for c in rep.checks if not c.ok]
+    assert sum(c.points for c in rep.checks) == 5 * 124 * 61 + 8 * 64 * 31 * 31
+    assert elapsed <= 1.5
+
+
+def test_claim_grids_refuse_empty_grids():
+    for kw in (dict(grid2_d=-1), dict(grid3_h=-1), dict(grid3_w=(5, 4))):
+        with pytest.raises(ParameterError):
+            verify_appendix_claims(**kw)
+
+
+def test_multi_check_records_first_failing_point():
+    rep = ClaimReport()
+    analysis._multi_check(rep, [(1, 0), (2, 0), (3, 1)],
+                          lambda a, b: (a != 2, b == 0, True), ["x", "y", "z"])
+    assert [c.as_dict() for c in rep.checks] == [
+        {"name": "x", "ok": False, "points": 3, "witness": [2, 0]},
+        {"name": "y", "ok": False, "points": 3, "witness": [3, 1]},
+        {"name": "z", "ok": True, "points": 3, "witness": None}]
+
+
+def test_claim_kernel_detects_wrong_pieces(monkeypatch):
+    # F on the wrong piece breaks the min identity; a DP entry above its
+    # ceiling breaks the M <= G claims
+    monkeypatch.setattr(analysis, "_small_case",
+                        lambda w, d, h: 0 if w <= d + h else 3)
+    monkeypatch.setattr(analysis, "_dp_large_rows",
+                        lambda lo, wmax, dmax: [[3 * (d + 1)] * (wmax - lo + 1)
+                                                for d in range(dmax + 1)])
+    rep = verify_appendix_claims(grid2_w=(-3, 8), grid2_d=4,
+                                 grid3_w=(-3, 8), grid3_d=4, grid3_h=4)
+    failed = {c.name: c.witness for c in rep.checks if not c.ok}
+    assert failed["large: M(w,d) <= G1"] == (-3, 0)
+    assert failed["small: min(G1..G4) = F on the ordered region h <= d"]
+    assert "small: G1 <= G2 iff w <= d, equality iff w = d" not in failed
 
 
 # ---------------------------------------------------------------- certificates

@@ -190,6 +190,22 @@ def test_bound_refuses_bad_profile(capsys):
     assert code == 4
 
 
+def test_bound_refuses_negative_grid(tmp_path, capsys):
+    code, out, err = run_cli(["bound", "--verify-claims", "--grid", "-1"], capsys)
+    assert code == 4 and out == "" and "--grid" in err
+    prefix = str(tmp_path / "tables")
+    code, _, _ = run_cli(["bound", "--dump-tables", prefix, "--grid", "-1"], capsys)
+    assert code == 4 and not list(tmp_path.iterdir())
+
+
+def test_bound_refuses_oversized_grid(tmp_path, capsys):
+    prefix = str(tmp_path / "tables")
+    code, _, err = run_cli(["bound", "--dump-tables", prefix, "--grid", "1100"],
+                           capsys)
+    assert code == 4 and "Traceback" not in err and "cells" in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_bound_dump_tables(tmp_path, capsys):
     prefix = str(tmp_path / "tables")
     code, out, _ = run_cli(["bound", "--dump-tables", prefix, "--grid", "4"], capsys)
