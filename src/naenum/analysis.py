@@ -609,26 +609,29 @@ def global_bound_check(ns_large: Sequence[int] = tuple(range(8, 65, 4)),
                  lambda *p: (large_ok(*p),),
                  ["large route: 3^(n/4+D) F(n/2, n/4-D) = 6^(n/4) (27/32)^D <= 6^(n/4)"])
 
-    def controlled_ok(n: int, t0: int, t1: int, m_r: int, m_b: int) -> bool:
-        cert = n_of_u0(n, t0, t1, m_r, m_b)
-        bound = QSqrt6(Fraction(6) ** (n // 4))
-        if not cert.scaled() <= bound:
+    def controlled_ok(cert: NodeCertificate, scaled: QSqrt6, bound: QSqrt6) -> bool:
+        if not scaled <= bound:
             return False
         for term in cert.terms:
             w, d, h = term["w"], term["d"], term["h"]
             if d + h > w:
                 return False
-            if (w <= 3 * d - h) != (cert.i_value <= n):
+            if (w <= 3 * d - h) != (cert.i_value <= cert.n):
                 return False
         return True
 
     for n in ns_controlled:
+        # one certificate per profile serves both the check and the argmax
         pts = [(n, *p) for p in feasible_profiles(n)]
-        _multi_check(rep, pts, lambda *p: (controlled_ok(*p),),
+        certs = {pt: n_of_u0(*pt) for pt in pts}
+        scaled = {pt: cert.scaled() for pt, cert in certs.items()}
+        bound = QSqrt6(Fraction(6) ** (n // 4))
+        _multi_check(rep, pts,
+                     lambda *pt: (controlled_ok(certs[pt], scaled[pt], bound),),
                      [f"controlled route n={n}: 3^t0 N <= 6^(n/4), d+h <= w, regime iff"])
-        best = max((n_of_u0(n, *p) for p in feasible_profiles(n)),
-                   key=lambda c: c.scaled())
-        rep.details.append({"n": n, "max_scaled_float": float(best.scaled()),
+        top = max(pts, key=scaled.__getitem__)
+        best = certs[top]
+        rep.details.append({"n": n, "max_scaled_float": float(scaled[top]),
                             "bound": float(Fraction(6) ** (n // 4)),
                             "argmax": {"t0": best.t0, "t1": best.t1,
                                        "m_r_prime": best.m_r_prime,

@@ -56,14 +56,22 @@ class DisjointCollection:
         return frozenset(v for c in self.members for v in clause_vars(c))
 
 
+def var_mask(clause: Clause) -> int:
+    """Bit v set for every variable v of the clause."""
+    m = 0
+    for l in clause:
+        m |= 1 << abs(l)
+    return m
+
+
 def _check_disjoint(clauses: Sequence[Clause], tag: str) -> None:
-    seen: set[int] = set()
+    seen = 0                       # bit v: variable v is covered
     for c in clauses:
-        vs = clause_vars(c)
-        if any(v in seen for v in vs):
+        m = var_mask(c)
+        if m & seen:
             raise InternalInvariantError(
                 f"{tag}: clauses not pairwise variable-disjoint: {clauses}")
-        seen.update(vs)
+        seen |= m
 
 
 def greedy_maximal(candidates: Iterable[Clause], tag: str = BASE,
@@ -72,12 +80,16 @@ def greedy_maximal(candidates: Iterable[Clause], tag: str = BASE,
     the collection so far.  ``keep`` seeds the collection (used after resets).
     The result is maximal: no candidate is disjoint from all members."""
     members = list(keep)
-    used = {v for c in members for v in clause_vars(c)}
+    chosen = set(members)
+    used = 0                       # bit v: variable v is covered
+    for c in members:
+        used |= var_mask(c)
     for c in sorted(set(candidates)):
-        vs = clause_vars(c)
-        if c not in members and not any(v in used for v in vs):
+        m = var_mask(c)
+        if not m & used and c not in chosen:
             members.append(c)
-            used.update(vs)
+            chosen.add(c)
+            used |= m
     members.sort()
     return DisjointCollection(members, tag)
 

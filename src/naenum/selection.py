@@ -13,8 +13,14 @@ Levels are expanded in three phases:
   order (smallest residual width, then lexicographic).
 
 Structural checks during the controlled stage can discover strictly larger
-disjoint families; они are raised as reset signals, the affected collection is
-grown, and the affected subtree is rebuilt.
+disjoint families; they are raised as reset signals, the affected collection
+is grown, and the affected subtree is rebuilt.
+
+Stage profiles read a ``monotone_index``: the formula's monotone width-3
+clauses in canonical order, each paired with its variable bitmask.  The
+search engine builds it once per call and hands it to every profile, which
+then classifies clauses by int mask tests against the path labels, the
+sibling pairs and the onemark collection.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from typing import Sequence
 from .cnf import Clause, Formula, clause_vars
 from .errors import InternalInvariantError
 from .matching import (BASE, ONEMARK, TWOMARK, DisjointCollection,
-                       greedy_maximal)
+                       greedy_maximal, var_mask)
 
 FREE = "free"
 DISJOINT = BASE  # stage tag of the disjoint prefix
@@ -145,25 +151,48 @@ class StageProfile:
                                   sorted(self.ell_histogram.items())}}
 
 
+MonotoneIndex = tuple[tuple[Clause, int], ...]
+
+
+def monotone_index(f: Formula) -> MonotoneIndex:
+    """The formula's monotone width-3 clauses in canonical order, each with
+    its variable bitmask."""
+    return tuple((c, var_mask(c)) for c in f.monotone_clauses(3))
+
+
+def _var(bit: int) -> int:
+    return bit.bit_length() - 1
+
+
 def build_stage_profile(f: Formula, base: DisjointCollection,
                         path_labels: Sequence[int],
                         c1_keep: Sequence[Clause] = (),
-                        cr_keep: Sequence[Clause] = ()) -> StageProfile:
+                        cr_keep: Sequence[Clause] = (), *,
+                        index: MonotoneIndex | None = None) -> StageProfile:
     """Compute the controlled-stage profile for the node reached along
     ``path_labels`` (one label per base level).
 
     Raises a reset signal whenever the classification uncovers a disjoint
     family that beats one of the maintained collections.  ``c1_keep`` and
-    ``cr_keep`` seed the collections after such resets.
+    ``cr_keep`` seed the collections after such resets.  ``index`` is
+    ``monotone_index(f)``, built here when the caller has none.
+
+    Membership is decided on variable bitmasks: ``q0`` (path labels), ``X``
+    (sibling pairs), ``once``/``twice`` (variables marked by exactly one or by
+    both of X and the onemark collection) and the X variables of the V1
+    levels.  Clauses are walked in canonical order, so the first structural
+    violation found is the one raised.
     """
     t0 = len(base)
     if len(path_labels) != t0:
         raise InternalInvariantError("path does not cover the disjoint prefix")
-    mono3 = f.monotone_clauses(3)
+    if index is None:
+        index = monotone_index(f)
     q0 = frozenset(path_labels)
     p: list[int] = []
     x_pairs: list[tuple[int, int]] = []
     x_index: dict[int, int] = {}
+    q0_mask = x_mask = 0
     for i, (c, lab) in enumerate(zip(base.members, path_labels)):
         vs = clause_vars(c)
         if lab not in vs:
@@ -171,22 +200,27 @@ def build_stage_profile(f: Formula, base: DisjointCollection,
         rest = tuple(v for v in vs if v != lab)
         p.append(lab)
         x_pairs.append(rest)
+        q0_mask |= 1 << lab
         for v in rest:
             x_index[v] = i
+            x_mask |= 1 << v
 
     # exactly one marked variable at u0, live at u0
-    f1 = tuple(c for c in mono3
-               if not (set(clause_vars(c)) & q0)
-               and sum(v in x_index for v in clause_vars(c)) == 1)
+    f1 = tuple(c for c, m in index
+               if not m & q0_mask and (m & x_mask).bit_count() == 1)
     c1 = greedy_maximal(f1, ONEMARK, keep=c1_keep)
 
     x_tilde: dict[int, int] = {}
     x_hat: dict[int, int] = {}
     y_index: dict[int, int] = {}
     c1_of_level: dict[int, Clause] = {}
+    c1_levels: list[int] = []
+    c1_mask = v1_x_mask = 0
     for c in c1.members:
-        xs = [v for v in clause_vars(c) if v in x_index]
+        vs = clause_vars(c)
+        xs = [v for v in vs if v in x_index]
         i = x_index[xs[0]]
+        c1_levels.append(i)
         if i in c1_of_level:
             # two onemark clauses on the same sibling pair with disjoint
             # tails: swapping them in for base level i grows the base family
@@ -195,52 +229,49 @@ def build_stage_profile(f: Formula, base: DisjointCollection,
         c1_of_level[i] = c
         x_tilde[i] = xs[0]
         x_hat[i] = x_pairs[i][0] if x_pairs[i][1] == xs[0] else x_pairs[i][1]
-        for v in clause_vars(c):
+        v1_x_mask |= 1 << x_pairs[i][0] | 1 << x_pairs[i][1]
+        for v in vs:
+            c1_mask |= 1 << v
             if v != xs[0]:
                 y_index[v] = i
     v1 = tuple(sorted(c1_of_level))
     vb = tuple(i for i in range(t0) if i not in c1_of_level)
-    c1_levels = tuple(x_index[next(v for v in clause_vars(c) if v in x_index)]
-                      for c in c1.members)
 
-    # marking multiplicity at the end of the onemark stage
-    c1_vars = c1.variables()
-    qstar = q0 | {x_tilde[i] for i in v1}
-
-    def _count(v: int) -> int:
-        return (1 if v in x_index else 0) + (1 if v in c1_vars else 0)
+    # marking multiplicity at the end of the onemark stage: a clause is
+    # twice-marked when two of its variables are marked once and none twice.
+    # Q* = q0 | X-tilde, and X-tilde lies inside ``twice``, so skipping
+    # clauses that meet q0 | twice also skips those that meet Q*.
+    once = x_mask ^ c1_mask
+    skip = q0_mask | (x_mask & c1_mask)
 
     f2r: list[Clause] = []
     f2b: list[Clause] = []
-    for c in mono3:
-        vs = clause_vars(c)
-        if set(vs) & qstar:
+    vr_levels: set[int] = set()
+    for c, m in index:
+        marked = m & once
+        if m & skip or marked.bit_count() != 2:
             continue
-        counts = [_count(v) for v in vs]
-        if sorted(counts) != [0, 1, 1]:
-            continue
-        marked = [v for v in vs if _count(v) == 1]
-        v1_x = [v for v in marked if v in x_index and x_index[v] in c1_of_level]
-        if len(v1_x) >= 2:
-            i, j = sorted(x_index[v] for v in v1_x[:2])
+        v1_x = marked & v1_x_mask
+        if v1_x == marked:
+            lo = v1_x & -v1_x
+            i, j = sorted((x_index[_var(lo)], x_index[_var(v1_x ^ lo)]))
             raise BaseResetSignal(
                 [base.members[i], base.members[j]],
                 [c1_of_level[i], c1_of_level[j], c],
                 f"twice-marked clause spans the X pairs of levels {i} and {j}")
-        if len(v1_x) == 1:
-            i = x_index[v1_x[0]]
-            other = next(v for v in marked if v != v1_x[0])
-            if other in x_index:
-                f2r.append(c)  # second mark on a VB sibling pair
-            else:
-                j = y_index[other]
+        if v1_x:
+            i = x_index[_var(v1_x)]
+            if not marked & ~v1_x & x_mask:
+                j = y_index[_var(marked ^ v1_x)]
                 if j != i:
                     raise BaseResetSignal(
                         [base.members[i]], [c1_of_level[i], c],
                         f"twice-marked clause pairs level {i} with a tail of level {j}")
-                f2r.append(c)  # second mark on the same level's tail
+            # the second mark is on a VB sibling pair or on level i's tail
+            f2r.append(c)
+            vr_levels.add(i)
         else:
-            if not any(v in x_index for v in marked):
+            if not marked & x_mask:
                 raise BaseResetSignal(
                     [], [c],
                     "twice-marked clause disjoint from the base collection")
@@ -249,16 +280,13 @@ def build_stage_profile(f: Formula, base: DisjointCollection,
     cr = greedy_maximal(f2r, TWOMARK, keep=cr_keep)
     cr_level = {}
     for c in cr.members:
-        lv = next(x_index[v] for v in clause_vars(c)
-                  if v in x_index and x_index[v] in c1_of_level)
+        lv = next(x_index[v] for v in clause_vars(c) if 1 << v & v1_x_mask)
         cr_level[c] = lv
-    vr = tuple(sorted({next(x_index[v] for v in clause_vars(c)
-                            if v in x_index and x_index[v] in c1_of_level)
-                       for c in f2r}))
+    vr = tuple(sorted(vr_levels))
     vr_prime = tuple(sorted(cr_level.values()))
     return StageProfile(f.n, t0, base, q0, tuple(p), tuple(x_pairs), x_index,
-                        f1, c1, c1_levels, x_tilde, x_hat, y_index, v1, vb,
-                        tuple(f2r), tuple(f2b), cr, cr_level, vr, vr_prime)
+                        f1, c1, tuple(c1_levels), x_tilde, x_hat, y_index, v1,
+                        vb, tuple(f2r), tuple(f2b), cr, cr_level, vr, vr_prime)
 
 
 @dataclass(frozen=True)

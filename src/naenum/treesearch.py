@@ -20,6 +20,12 @@ pick is the lowest set bit of ``P`` and "no live positive clause" is
 ``P == 0``.  Path labels and per-depth ordering hashes live in depth-indexed
 arrays that a child overwrites; only the label mark counters are raised and
 lowered (in ``finally``) around an expansion.
+
+Each call also builds one ``monotone_index`` of the formula (its monotone
+width-3 clauses with their variable masks).  The base greedy and every
+controlled-stage profile read it, so a depth-t0 node's profile is built from
+mask tests rather than a fresh scan of the formula.  The index lives only as
+long as the engine.
 """
 
 from __future__ import annotations
@@ -40,7 +46,8 @@ from .matching import (BASE, ONEMARK, TWOMARK, DisjointCollection,
                        attempt_reset, greedy_maximal)
 from .selection import (FREE, BaseResetSignal, OnemarkResetSignal,
                         StageProfile, TwomarkContext, TwomarkResetSignal,
-                        branch_on_t0, build_stage_profile, twomark_context)
+                        branch_on_t0, build_stage_profile, monotone_index,
+                        twomark_context)
 from .tree import DebugTree, TreeNode
 
 PROFILE_CAP = 512
@@ -150,7 +157,10 @@ class _Engine:
         self.hashes = [hashlib.blake2b(seed_bytes, digest_size=8)] + [None] * t
         self.path = [0] * t              # label entered at each depth
 
-        self.mono3 = f.monotone_clauses(3)
+        # monotone width-3 clauses with their variable masks, read by the
+        # base greedy and by every stage profile of this call
+        self.mono3_index = monotone_index(f)
+        self.mono3 = tuple(c for c, _ in self.mono3_index)
         self.has_empty_clause = any(len(c) == 0 for c in f.clauses)
         self._index_clauses(f)
 
@@ -159,6 +169,7 @@ class _Engine:
         self.buffer: list[tuple[int, ...]] = []
         self.tree_nodes: list[TreeNode] = []
         self.tree_profiles: list[StageProfile] = []
+        self.kept_profiles: list[StageProfile] = []     # first PROFILE_CAP
         self._seen: set[tuple[int, ...]] = set()
         self.label_cnt = [0] * (self.n + 1)
         self.label_nodes: list[list[int]] = [[] for _ in range(self.n + 1)]
@@ -201,6 +212,7 @@ class _Engine:
 
     def _begin_attempt(self) -> None:
         self.t0 = len(self.base)
+        self.base_labels = [clause_vars(c) for c in self.base.members]
         self.route = branch_on_t0(self.t0, self.n)
         self.buffer.clear()
         self._seen.clear()
@@ -208,6 +220,7 @@ class _Engine:
         self.tree_profiles = []
 
     def _finish(self) -> None:
+        self.stats.profiles = [prof.as_dict() for prof in self.kept_profiles]
         self.stats.route = self.route
         self.stats.t0 = self.t0
         self.stats.solutions_emitted = len(self.buffer)
@@ -305,14 +318,35 @@ class _Engine:
         if fr is None and depth == self.t0 and self.route == "controlled":
             self._run_u0(depth, Q, P, U, L, node_id)
             return
-        if fr is not None and fr.k2 is None and depth - self.t0 >= fr.prof.t1:
-            k2 = twomark_context(fr.prof, fr.took)
-            fr.prof.ell_histogram[k2.ell] = fr.prof.ell_histogram.get(k2.ell, 0) + 1
-            fr = replace(fr, k2=k2, heavy=0)
-            if record:
-                self.tree_nodes[node_id].ell = k2.ell
-                self.tree_nodes[node_id].heavy_budget = k2.heavy_budget
-        labels, stage, fals_var = self._select(depth, fr, P)
+        # stage selection: base levels, then (below u0) the onemark clauses,
+        # the twomark plan, and the free pick; onemark and twomark clauses
+        # come from the monotone index, so each is its own label tuple
+        stage, fals_var = FREE, None
+        took_x = 0                       # onemark: the child through X-tilde
+        if depth < self.t0:
+            labels, stage = self.base_labels[depth], BASE
+        elif fr is not None:
+            prof = fr.prof
+            k = depth - self.t0
+            t1 = prof.t1
+            if k < t1:
+                labels, stage = prof.c1.members[k], ONEMARK
+                lvl = prof.c1_levels[k]
+                took_x = prof.x_tilde[lvl]
+            else:
+                if fr.k2 is None:
+                    k2 = twomark_context(prof, fr.took)
+                    prof.ell_histogram[k2.ell] = prof.ell_histogram.get(k2.ell, 0) + 1
+                    fr = replace(fr, k2=k2, heavy=0)
+                    if record:
+                        self.tree_nodes[node_id].ell = k2.ell
+                        self.tree_nodes[node_id].heavy_budget = k2.heavy_budget
+                j = k - t1
+                if j < fr.k2.ell:
+                    labels, stage = fr.k2.clauses[j], TWOMARK
+                    fals_var = fr.k2.fals_vars[j]
+        if stage == FREE:
+            labels = self.pick[(P & -P).bit_length() - 1]
 
         cnt = self.label_cnt
         if depth >= self.t0 and len(labels) == 3 and \
@@ -352,10 +386,8 @@ class _Engine:
                         self.tree_nodes[child_id].leaf_kind = "falsified"
                 else:
                     child_fr = fr
-                    if stage == ONEMARK:
-                        lvl = fr.prof.c1_levels[depth - self.t0]
-                        if x == fr.prof.x_tilde[lvl]:
-                            child_fr = replace(fr, took=fr.took | {lvl})
+                    if x == took_x:
+                        child_fr = replace(fr, took=fr.took | {lvl})
                     stats.nodes_visited += 1
                     self._node(depth + 1, *self._step(depth, x, Q, P, U), L,
                                child_fr, child_id)
@@ -386,7 +418,8 @@ class _Engine:
         tree_mark = len(self.tree_nodes)
         path = tuple(self.path[:depth])
         while True:
-            prof = build_stage_profile(self.f, self.base, path, c1_keep, cr_keep)
+            prof = build_stage_profile(self.f, self.base, path, c1_keep, cr_keep,
+                                       index=self.mono3_index)
             fr = _Frame(prof, frozenset(), None, 0, (), node_id)
             try:
                 self._node(depth, Q, P, U, L, fr, node_id)
@@ -429,22 +462,10 @@ class _Engine:
     def _record_profile(self, prof: StageProfile) -> None:
         if self.record:
             self.tree_profiles.append(prof)
-        if len(self.stats.profiles) < PROFILE_CAP:
-            self.stats.profiles.append(prof.as_dict())
+        if len(self.kept_profiles) < PROFILE_CAP:
+            self.kept_profiles.append(prof)
         else:
             self.stats.profiles_truncated = True
-
-    def _select(self, depth: int, fr: _Frame | None, P: int):
-        if depth < self.t0:
-            return clause_vars(self.base.members[depth]), BASE, None
-        if fr is not None:
-            k = depth - self.t0
-            if k < fr.prof.t1:
-                return clause_vars(fr.prof.c1.members[k]), ONEMARK, None
-            j = k - fr.prof.t1
-            if fr.k2 is not None and j < fr.k2.ell:
-                return clause_vars(fr.k2.clauses[j]), TWOMARK, fr.k2.fals_vars[j]
-        return self.pick[(P & -P).bit_length() - 1], FREE, None
 
     # ------------------------------------------------------------------
     # expansion

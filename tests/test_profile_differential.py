@@ -1,0 +1,168 @@
+"""Differential tests: the bitmask stage-profile builder against the frozen
+scan-based reference in ``reference_profile.py``, on every depth-t0 path."""
+
+from dataclasses import fields
+from itertools import product
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import naenum.treesearch as treesearch
+from naenum import (Formula, OrderingSource, brute_force, build_stage_profile,
+                    collect_solutions, disjoint_stage, negation_closure,
+                    random_negation_closed, twomark_context)
+from naenum.matching import attempt_reset
+from naenum.selection import (BaseResetSignal, StageProfile,
+                              TwomarkResetSignal, monotone_index)
+from corpus import collision_reset_instance, structure_reset_instance
+import reference_profile
+
+MAX_PATHS = 729  # 3^t0 for t0 <= 6
+
+
+def _outcome(build, *args, **kw):
+    try:
+        return build(*args, **kw)
+    except Exception as exc:  # compared by class and payload below
+        return exc
+
+
+def _assert_same(got, want, where):
+    assert type(got) is type(want), (where, got, want)
+    if isinstance(want, StageProfile):
+        for fld in fields(StageProfile):
+            assert getattr(got, fld.name) == getattr(want, fld.name), \
+                (where, fld.name)
+    elif isinstance(want, BaseResetSignal):
+        assert (got.removed, got.added, got.reason) == \
+            (want.removed, want.added, want.reason), where
+    else:
+        assert str(got) == str(want), where
+
+
+def _other_maximal(clauses):
+    """A maximal disjoint family picked greedily in reverse canonical order:
+    a valid collection that the forward greedy usually does not produce."""
+    members, used = [], set()
+    for c in sorted(set(clauses), reverse=True):
+        if not used & set(c):
+            members.append(c)
+            used.update(c)
+    return tuple(sorted(members))
+
+
+def _check_formula(f: Formula) -> int:
+    """Compare both builders on every base-label path of ``f``, without keeps
+    and with onemark/twomark keeps; returns the number of comparisons."""
+    base, t0 = disjoint_stage(f)
+    if 3 ** t0 > MAX_PATHS:
+        return 0
+    index = monotone_index(f)
+    done = 0
+    for path in product(*base.members):
+        args = (f, base, path)
+        want = _outcome(reference_profile.build_stage_profile, *args)
+        _assert_same(_outcome(build_stage_profile, *args), want, (f, path))
+        _assert_same(_outcome(build_stage_profile, *args, index=index), want,
+                     (f, path))
+        done += 1
+        if not isinstance(want, StageProfile):
+            continue
+        # keeps as a reset hands them over: a maximal onemark family, then
+        # that family with a maximal twomark family
+        c1_keep = _other_maximal(want.f1)
+        for keeps in ((c1_keep, ()), (tuple(want.c1.members),
+                                      _other_maximal(want.f2r))):
+            want_k = _outcome(reference_profile.build_stage_profile, *args,
+                              *keeps)
+            _assert_same(_outcome(build_stage_profile, *args, *keeps,
+                                  index=index), want_k, (f, path, keeps))
+            done += 1
+    return done
+
+
+def test_profiles_match_reference_on_corpus(corpus500):
+    assert sum(_check_formula(f) for f, _ in corpus500) > 15000
+
+
+def test_profiles_match_reference_on_large_random_instances():
+    # the benchmark's corpus runs n up to 20; the shipped corpus stops at 14
+    done = 0
+    for s in range(60):
+        n = 15 + s % 6
+        done += _check_formula(random_negation_closed(n, 3 + (s * 7) % (n - 2),
+                                                      seed=7000 + s))
+    assert done > 10000
+
+
+def test_profiles_match_reference_on_reset_instances():
+    for f in (collision_reset_instance(), structure_reset_instance()):
+        assert _check_formula(f) > 0
+
+
+def _heavy_overflow_instance() -> Formula:
+    return negation_closure(Formula.of(13, [
+        (1, 2, 3), (4, 5, 6), (2, 7, 8), (5, 9, 10),
+        (3, 7, 11), (3, 8, 12), (6, 9, 11)]))
+
+
+def test_profiles_match_reference_after_a_twomark_reset():
+    f = _heavy_overflow_instance()
+    assert _check_formula(f) > 0
+    base, t0 = disjoint_stage(f)
+    prof = build_stage_profile(f, base, (1, 4))
+    eng = treesearch._Engine(f, f.n // 2, OrderingSource.fixed(), base=base)
+    eng.t0 = t0
+    k2 = twomark_context(prof, frozenset())
+    fr = treesearch._Frame(prof, frozenset(), k2, 1, ((3, 8, 12),))
+    with pytest.raises(TwomarkResetSignal) as ei:
+        eng._heavy_overflow(fr, (6, 9, 11))
+    assert attempt_reset(prof.cr, list(prof.cr.members), ei.value.family,
+                         extend_from=prof.f2r) is not None
+    cr_keep = tuple(prof.cr.members)
+    c1_keep = tuple(prof.c1.members)
+    want = reference_profile.build_stage_profile(f, base, (1, 4), c1_keep, cr_keep)
+    got = build_stage_profile(f, base, (1, 4), c1_keep, cr_keep,
+                              index=monotone_index(f))
+    _assert_same(got, want, "twomark reset")
+    assert got.cr.members == [(3, 8, 12), (6, 9, 11)]
+
+
+@st.composite
+def mixed_closures(draw, max_n=12):
+    n = draw(st.integers(3, max_n))
+    clauses = []
+    for _ in range(draw(st.integers(0, 3 * n))):
+        vs = draw(st.lists(st.integers(1, n), min_size=1, max_size=3,
+                           unique=True))
+        clauses.append([v if draw(st.booleans()) else -v for v in vs])
+    return negation_closure(Formula.of(n, clauses))
+
+
+@given(mixed_closures())
+@settings(max_examples=200, deadline=None)
+def test_profiles_match_reference_on_mixed_sign_closures(f):
+    _check_formula(f)
+
+
+def test_engine_profiles_match_reference(corpus500, monkeypatch):
+    # every profile the engine builds (with its per-call index) equals the
+    # reference's, including those rebuilt after base resets
+    calls = []
+
+    def checked(f, base, path, c1_keep=(), cr_keep=(), **kw):
+        calls.append(kw)
+        want = _outcome(reference_profile.build_stage_profile, f, base, path,
+                        c1_keep, cr_keep)
+        got = _outcome(build_stage_profile, f, base, path, c1_keep, cr_keep, **kw)
+        _assert_same(got, want, (f, path, c1_keep, cr_keep))
+        if isinstance(got, Exception):
+            raise got
+        return got
+
+    monkeypatch.setattr(treesearch, "build_stage_profile", checked)
+    for f, rep in corpus500 + [(g, brute_force(g)) for g in (
+            collision_reset_instance(), structure_reset_instance())]:
+        sols, _ = collect_solutions(f, rep.tau)
+        assert sorted(sols) == list(rep.gamma)
+    assert len(calls) > 1500 and all("index" in kw for kw in calls), len(calls)
