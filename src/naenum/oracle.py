@@ -1,7 +1,20 @@
 """Brute-force ground truth over the full assignment space (n <= 24).
 
-Independent of the search engine by construction: assignments are scanned as
-bitmasks with vectorized clause evaluation, no clause-selection code shared.
+The scan meets in the middle.  The variables split into a low half of
+ceil(n/2) bits and a high half of floor(n/2) bits.  For each half a table
+over its 2^(n/2) half-assignments holds a packed uint64 clause bitset per
+entry: bit j is set when the half-assignment makes some literal of clause j
+true.  An assignment satisfies the formula iff the OR of its two halves'
+entries has every clause bit set.  The not-all-equal scan adds table words
+for "some literal false" (the same literal sets with the roles of 1 and 0
+swapped), which must come out full too.  The combine runs over row blocks of
+the high x low grid no larger than 4 MiB, weights come from per-half
+popcounts, and the hits become sorted solution tuples through a bit matrix.
+
+Independent of the search engine by construction: the tables are built from
+the clause literals alone, with no clause-selection, tree or collection code
+shared, and the direct NAE scan tests "some literal true and some literal
+false" on the formula as given, never on its negation closure.
 """
 
 from __future__ import annotations
@@ -15,36 +28,109 @@ from .cnf import Formula, nae_check
 from .errors import OracleRefused
 
 MAX_ORACLE_VARS = 24
-_CHUNK = 1 << 20
-
-_POPCOUNT16 = np.array([bin(i).count("1") for i in range(1 << 16)], dtype=np.uint8)
-
-
-def _weights(a: np.ndarray) -> np.ndarray:
-    return _POPCOUNT16[a & 0xFFFF] + _POPCOUNT16[a >> 16]
+_BLOCK = 1 << 19        # uint64 entries per combine block (4 MiB)
+_WORD = 64
+_UNSAT = 0xFF           # above any weight, n <= 24
 
 
-def _masks(f: Formula) -> tuple[np.ndarray, np.ndarray]:
-    pos = np.zeros(len(f.clauses), dtype=np.uint32)
-    neg = np.zeros(len(f.clauses), dtype=np.uint32)
-    for i, c in enumerate(f.clauses):
+def _clause_sets(f: Formula) -> tuple[list[int], list[int]]:
+    """Entry v-1 of (pos, neg): the clauses that hold literal v, resp. -v,
+    as a Python-int bitset over clause indices."""
+    pos, neg = [0] * f.n, [0] * f.n
+    for j, c in enumerate(f.clauses):
         for l in c:
             if l > 0:
-                pos[i] |= np.uint32(1 << (l - 1))
+                pos[l - 1] |= 1 << j
             else:
-                neg[i] |= np.uint32(1 << (-l - 1))
+                neg[-l - 1] |= 1 << j
     return pos, neg
 
 
-def _mask_to_vars(mask: int) -> tuple[int, ...]:
-    out = []
-    v = 1
-    while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
-    return tuple(out)
+def _pack(bitsets: Sequence[int], words: int) -> np.ndarray:
+    """Split Python-int bitsets into rows of ``words`` uint64 words."""
+    mask = (1 << _WORD) - 1
+    return np.array([[(b >> (_WORD * k)) & mask for k in range(words)]
+                     for b in bitsets], dtype=np.uint64).reshape(-1, words)
+
+
+def _half_table(one: np.ndarray, zero: np.ndarray) -> np.ndarray:
+    """Column i is the OR, over the half's variables k, of row k of ``one``
+    when bit k of i is set and of ``zero`` otherwise; one row per word."""
+    tab = np.zeros((one.shape[1], 1), dtype=np.uint64)
+    for o, z in zip(one, zero):
+        tab = np.concatenate((tab | z[:, None], tab | o[:, None]), axis=1)
+    return tab
+
+
+def _popcounts(bits: int) -> np.ndarray:
+    """Entry i is the number of set bits of i, for i < 2^bits."""
+    pc = np.zeros(1, dtype=np.uint8)
+    for _ in range(bits):
+        pc = np.concatenate((pc, pc + 1))
+    return pc
+
+
+def _scan(f: Formula, nae: bool,
+          t: int | None) -> tuple[int | None, np.ndarray, np.ndarray]:
+    """Return (tau, masks of weight tau, masks of weight t) over the
+    assignments that satisfy f, or with ``nae`` that make some literal true
+    and some literal false in every clause.  tau is None when none does.
+
+    Assignment mask a = a_lo | a_hi << low.  Every table word must come
+    out full: the "some literal true" words, followed for ``nae`` by the
+    "some literal false" words.
+    """
+    low = (f.n + 1) // 2
+    words = max(1, -(-len(f.clauses) // _WORD))
+    pos, neg = _clause_sets(f)
+    packed = _pack(pos + neg + [(1 << len(f.clauses)) - 1], words)
+    one, zero, full = packed[:f.n], packed[f.n:-1], packed[-1]
+    if nae:
+        one, zero = np.hstack((one, zero)), np.hstack((zero, one))
+        full = np.concatenate((full, full))
+    lo = _half_table(one[:low], zero[:low])
+    hi = _half_table(one[low:], zero[low:])
+    pc = _popcounts(low)
+    want_t = t is not None and 0 <= t <= f.n
+    tau = None
+    masks, weights = [], []
+    rows = max(1, _BLOCK >> low)
+    for r0 in range(0, hi.shape[1], rows):
+        block = hi[:, r0:r0 + rows, None]
+        ok = (lo[0] | block[0]) == full[0]
+        for k in range(1, full.size):
+            ok &= (lo[k] | block[k]) == full[k]
+        weight = pc[r0:r0 + block.shape[1], None] + pc
+        least = int(np.min(weight, where=ok, initial=_UNSAT))
+        if least == _UNSAT:
+            continue
+        tau = least if tau is None else min(tau, least)
+        keep = weight == tau
+        if want_t:
+            keep |= weight == t
+        hits = np.flatnonzero(keep & ok)
+        masks.append(hits + (r0 << low))
+        weights.append(weight.ravel()[hits])
+    if tau is None:
+        empty = np.zeros(0, dtype=np.int64)
+        return None, empty, empty
+    masks, weights = np.concatenate(masks), np.concatenate(weights)
+    at_t = masks[weights == t] if want_t else masks[:0]
+    return tau, masks[weights == tau], at_t
+
+
+def _tuples(masks: np.ndarray, n: int) -> tuple[tuple[int, ...], ...]:
+    """Sorted variable tuples of assignment masks that share one weight."""
+    if masks.size == 0:
+        return ()
+    bits = np.unpackbits(masks.astype("<u4").view(np.uint8).reshape(-1, 4),
+                         axis=1, count=n, bitorder="little")
+    _, cols = np.nonzero(bits)
+    cols += 1
+    columns = cols.reshape(masks.size, -1).T
+    if columns.size == 0:
+        return ((),)
+    return tuple(zip(*columns[:, np.lexsort(columns[::-1])].tolist()))
 
 
 @dataclass
@@ -66,50 +152,15 @@ def _require_small(f: Formula) -> None:
         raise OracleRefused(f"n={f.n} exceeds oracle limit {MAX_ORACLE_VARS}")
 
 
-def _scan(f: Formula, predicate) -> tuple[np.ndarray, np.ndarray]:
-    """Return (masks, weights) of assignments where predicate holds.
-
-    predicate(assigns, pos, neg) -> bool array; evaluated per chunk.
-    """
-    pos, neg = _masks(f)
-    hits = []
-    for lo in range(0, 1 << f.n, _CHUNK):
-        hi = min(lo + _CHUNK, 1 << f.n)
-        a = np.arange(lo, hi, dtype=np.uint32)
-        ok = predicate(a, pos, neg)
-        hits.append(a[ok])
-    masks = np.concatenate(hits) if hits else np.zeros(0, dtype=np.uint32)
-    return masks, _weights(masks)
-
-
-def _sat_pred(a: np.ndarray, pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
-    ok = np.ones(a.shape, dtype=bool)
-    for p, ng in zip(pos, neg):
-        ok &= ((a & p) != 0) | ((~a & ng) != 0)
-    return ok
-
-
-def _nae_pred(a: np.ndarray, pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
-    ok = np.ones(a.shape, dtype=bool)
-    for p, ng in zip(pos, neg):
-        some_true = ((a & p) != 0) | ((~a & ng) != 0)
-        some_false = ((~a & p) != 0) | ((a & ng) != 0)
-        ok &= some_true & some_false
-    return ok
-
-
 def brute_force(f: Formula, t: int | None = None) -> OracleReport:
     """Scan all 2^n assignments: exact transversal number, all minimum-size
     transversals, and the full weight-t satisfying set when t is given."""
     _require_small(f)
-    masks, weights = _scan(f, _sat_pred)
-    if masks.size == 0:
+    tau, at_tau, at_t = _scan(f, False, t)
+    if tau is None:
         return OracleReport(f.n, None, None, (), 0, t, ())
-    tau = int(weights.min())
-    gamma = tuple(sorted(_mask_to_vars(int(m)) for m in masks[weights == tau]))
-    sols = ()
-    if t is not None:
-        sols = tuple(sorted(_mask_to_vars(int(m)) for m in masks[weights == t]))
+    gamma = _tuples(at_tau, f.n)
+    sols = () if t is None else gamma if t == tau else _tuples(at_t, f.n)
     return OracleReport(f.n, tau, tau, gamma, len(gamma), t, sols)
 
 
@@ -117,8 +168,7 @@ def nae_solutions_direct(f: Formula, t: int) -> tuple[tuple[int, ...], ...]:
     """All weight-t assignments that satisfy and falsify a literal in every
     clause of the (pre-closure) formula."""
     _require_small(f)
-    masks, weights = _scan(f, _nae_pred)
-    return tuple(sorted(_mask_to_vars(int(m)) for m in masks[weights == t]))
+    return _tuples(_scan(f, True, t)[2], f.n)
 
 
 @dataclass
@@ -160,10 +210,9 @@ def verify_enumeration(f: Formula, t: int,
 
 def nae_oracle_cross_check(f: Formula, t: int) -> bool:
     """Direct weight-t NAE set of f equals the satisfying weight-t set of its
-    negation closure."""
+    negation closure, and every member passes ``nae_check``."""
     from .cnf import negation_closure
 
     direct = nae_solutions_direct(f, t)
     closed = brute_force(negation_closure(f), t).weight_t_solutions
-    assert all(nae_check(f, s) for s in direct)
-    return direct == closed
+    return direct == closed and all(nae_check(f, s) for s in direct)

@@ -158,6 +158,14 @@ def test_verify_nae(maj4, capsys):
     assert code == 0 and json.loads(out.strip())["passed"] is True
 
 
+def test_verify_nae_check_failure_exits_5(maj4, capsys, monkeypatch):
+    import naenum.oracle as oracle
+
+    monkeypatch.setattr(oracle, "nae_check", lambda f, s: s != (1, 2))
+    code, out, _ = run_cli(["verify", "--nae", maj4], capsys)
+    assert code == 5 and json.loads(out.strip())["passed"] is False
+
+
 def test_bound_values(capsys):
     code, out, _ = run_cli(["bound", "--f-large", "2", "1"], capsys)
     assert code == 0

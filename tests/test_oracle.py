@@ -1,8 +1,23 @@
+import hashlib
+
 import pytest
 
+import naenum.oracle as oracle
 from naenum import (Formula, OracleRefused, brute_force, maj,
                     nae_solutions_direct, negation_closure,
                     random_negation_closed, verify_enumeration)
+
+# sha256 of repr(report), recorded with the chunked per-clause scan that the
+# split-half kernel replaced; pins the benchmark's n = 24 instance without a
+# reference run.
+GOLDEN_REPORTS = [
+    pytest.param(lambda: brute_force(maj(24, 3), 12),
+                 "0ff680b42c9a43f2eed7f2e829ceb8422b4dc5dc2bed179ced7c0119134e5c88",
+                 id="maj24-t12"),
+    pytest.param(lambda: brute_force(negation_closure(maj(16, 3)), 8),
+                 "5a8f7ea01afabe4e6dcc94272489b44370b6aa287756cc1acf206fdcb354706c",
+                 id="closure-maj16-t8"),
+]
 
 
 def test_maj4_report():
@@ -66,3 +81,15 @@ def test_verify_enumeration_pass_and_fault_injection():
 
     extra = verify_enumeration(f, 2, good + [(1, 2, 3)])
     assert not extra.passed and extra.unexpected
+
+
+@pytest.mark.parametrize("run, digest", GOLDEN_REPORTS)
+def test_golden_report_digests(run, digest):
+    assert hashlib.sha256(repr(run()).encode()).hexdigest() == digest
+
+
+def test_nae_cross_check_reports_nae_check_failure(monkeypatch):
+    f = maj(4, 3)
+    assert oracle.nae_oracle_cross_check(f, 2)
+    monkeypatch.setattr(oracle, "nae_check", lambda g, s: s != (1, 2))
+    assert oracle.nae_oracle_cross_check(f, 2) is False
