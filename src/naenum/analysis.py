@@ -662,18 +662,18 @@ def estimate_psi(f: Formula, t: int, samples: int, seed: int,
 
     ``tree`` samples orderings over the materialized tree (fast, small n);
     ``engine`` reruns the actual pruned search per seed.  Both count the
-    depth-t non-falsified leaves whose path survives.
+    depth-t non-falsified leaves whose path survives; the engine counts them
+    on the tree its run settles on, after any resets.
     """
     if method == "auto":
         method = "tree" if f.n <= 24 else "engine"
     if method == "engine":
-        from .treesearch import OrderingSource, enumerate_solutions
+        from .treesearch import OrderingSource, surviving_leaves
 
         counts = np.empty(samples, dtype=np.int64)
         for k in range(samples):
-            stats = enumerate_solutions(f, t, OrderingSource.random(seed + k),
-                                        debug_assertions=False)
-            counts[k] = stats.leaves_visited
+            counts[k] = surviving_leaves(f, t, OrderingSource.random(seed + k),
+                                         debug_assertions=False)
     elif method == "tree":
         counts = _tree_survival_samples(f, t, samples, seed)
     else:

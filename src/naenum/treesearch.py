@@ -21,6 +21,20 @@ pick is the lowest set bit of ``P`` and "no live positive clause" is
 arrays that a child overwrites; only the label mark counters are raised and
 lowered (in ``finally``) around an expansion.
 
+Random sibling orderings come from a counter-based stream (splitmix64 as a
+path hash, after Salmon et al., SC 2011): a node's order is a function of the
+seed and its path labels alone, computed from its parent's hash in a few
+integer operations.  The stream, exactly: splitmix64(z) adds
+0x9E3779B97F4A7C15 to z, then does z ^= z >> 30, z *= 0xBF58476D1CE4E5B9,
+z ^= z >> 27, z *= 0x94D049BB133111EB and z ^= z >> 31, all modulo 2^64.  The
+root's hash is splitmix64(seed mod 2^64), and the child entered through label
+x gets splitmix64(h ^ x), where h is its parent's hash.  A node with k
+children draws d from its hash h: d = h, and while d >= k! * floor(2^64 / k!),
+d = splitmix64(d).  Its children, in clause-variable order, are then permuted
+by entry d mod k! of the lexicographic list itertools.permutations(range(k)):
+position i of the new order holds the child at index perm[i].  Re-mixing
+changes only d, never the hash passed to the children.
+
 Each call also builds one ``monotone_index`` of the formula (its monotone
 width-3 clauses with their variable masks).  The base greedy and every
 controlled-stage profile read it, so a depth-t0 node's profile is built from
@@ -30,13 +44,11 @@ long as the engine.
 
 from __future__ import annotations
 
-import _random
-import hashlib
 import itertools
-import random
 import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Sequence
 
 from .cnf import Clause, Formula, clause_vars, is_negation_closed
@@ -53,24 +65,45 @@ from .tree import DebugTree, TreeNode
 PROFILE_CAP = 512
 DEBUG_TREE_MAX_N = 24
 
-# Random.seed(int) without its Python wrapper: the same generator state.
-_seed_rng = _random.Random.seed
-# Random.shuffle of k items as (position, bits drawn per try) steps
-_SHUFFLE_STEPS = [tuple((i, (i + 1).bit_length()) for i in range(k - 1, 0, -1))
-                  for k in range(4)]
+_M64 = 2 ** 64 - 1
+
+
+def _splitmix64(z: int) -> int:
+    """The splitmix64 output function of Steele, Lea and Flood (OOPSLA 2014)
+    applied to ``z + 0x9E3779B97F4A7C15``, on integers modulo 2^64."""
+    z = (z + 0x9E3779B97F4A7C15) & _M64
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & _M64
+    z = (z ^ z >> 27) * 0x94D049BB133111EB & _M64
+    return z ^ z >> 31
+
+
+# per clause width k <= 3: the lexicographic permutations of range(k), the
+# draw limit k! * floor(2^64 / k!) below which d mod k! is exactly uniform,
+# and one tuple picker per permutation (k >= 2; one label needs no draw)
+_PERMS = [tuple(itertools.permutations(range(k))) for k in range(4)]
+_DRAW_LIMIT = [len(perms) * (2 ** 64 // len(perms)) for perms in _PERMS]
+_PICK = [tuple(itemgetter(*p) for p in perms) if len(perms) > 1 else ()
+         for perms in _PERMS]
 
 
 @dataclass(frozen=True)
 class OrderingSource:
     """How sibling edges are ordered during traversal.  ``random`` draws each
     node's ordering from a stream keyed by (seed, path labels), so the order
-    at a node never depends on how sibling subtrees were explored.
+    at a node never depends on how sibling subtrees were explored, and every
+    ordering of a node's children is exactly equally likely.
 
-    The stream, byte for byte: hash with blake2b (8-byte digest) the seed
-    modulo 2^64 as 8 little-endian bytes, followed by each label on the path
-    from the root, in path order, as 3 little-endian bytes.  The node's
-    children, in clause-variable order, are then permuted by
-    ``random.Random(int.from_bytes(digest, "big")).shuffle``."""
+    The stream, exactly: splitmix64(z) adds 0x9E3779B97F4A7C15 to z, then
+    does z ^= z >> 30, z *= 0xBF58476D1CE4E5B9, z ^= z >> 27,
+    z *= 0x94D049BB133111EB and z ^= z >> 31, all modulo 2^64.  The root's
+    hash is splitmix64(seed mod 2^64), and the child entered through label x
+    gets splitmix64(h ^ x), where h is its parent's hash.  A node with k
+    children draws d from its hash h: d = h, and while
+    d >= k! * floor(2^64 / k!), d = splitmix64(d).  Its children, in
+    clause-variable order, are then permuted by entry d mod k! of the
+    lexicographic list itertools.permutations(range(k)): position i of the
+    new order holds the child at index perm[i].  Re-mixing changes only d,
+    never the hash passed to the children."""
 
     kind: str = "fixed"
     seed: int = 0
@@ -99,8 +132,23 @@ class SearchStats:
     t0: int = 0
     resets: dict = field(default_factory=lambda: {BASE: 0, ONEMARK: 0, TWOMARK: 0})
     reset_events: list = field(default_factory=list)
-    profiles: list = field(default_factory=list)
     profiles_truncated: bool = False
+    # the first PROFILE_CAP controlled-stage profiles: dicts, then the
+    # StageProfile objects not yet read, converted on first read of profiles
+    _profiles: list = field(default_factory=list, repr=False)
+    _unread: list = field(default_factory=list, repr=False)
+
+    @property
+    def profiles(self) -> list:
+        """``StageProfile.as_dict()`` of the first ``PROFILE_CAP`` stage
+        profiles of the run, in build order."""
+        if self._unread:
+            self._profiles.extend(prof.as_dict() for prof in self._unread)
+            self._unread = []
+        return self._profiles
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, SearchStats) and self.as_dict() == other.as_dict()
 
     def as_dict(self) -> dict:
         return {"nodes_visited": self.nodes_visited,
@@ -152,9 +200,7 @@ class _Engine:
             debug_assertions = f.n <= 32
         self.debug_assertions = debug_assertions
         self.random = ordering.kind == "random"
-        self.rng = random.Random()
-        seed_bytes = (ordering.seed & (2 ** 64 - 1)).to_bytes(8, "little")
-        self.hashes = [hashlib.blake2b(seed_bytes, digest_size=8)] + [None] * t
+        self.hashes = [_splitmix64(ordering.seed & _M64)] + [0] * t
         self.path = [0] * t              # label entered at each depth
 
         # monotone width-3 clauses with their variable masks, read by the
@@ -169,7 +215,6 @@ class _Engine:
         self.buffer: list[tuple[int, ...]] = []
         self.tree_nodes: list[TreeNode] = []
         self.tree_profiles: list[StageProfile] = []
-        self.kept_profiles: list[StageProfile] = []     # first PROFILE_CAP
         self._seen: set[tuple[int, ...]] = set()
         self.label_cnt = [0] * (self.n + 1)
         self.label_nodes: list[list[int]] = [[] for _ in range(self.n + 1)]
@@ -216,11 +261,11 @@ class _Engine:
         self.route = branch_on_t0(self.t0, self.n)
         self.buffer.clear()
         self._seen.clear()
+        self.discarded_leaves = self.stats.leaves_visited
         self.tree_nodes = [TreeNode(0, 0, None, None, (), False)]
         self.tree_profiles = []
 
     def _finish(self) -> None:
-        self.stats.profiles = [prof.as_dict() for prof in self.kept_profiles]
         self.stats.route = self.route
         self.stats.t0 = self.t0
         self.stats.solutions_emitted = len(self.buffer)
@@ -280,8 +325,7 @@ class _Engine:
 
     def _step(self, depth: int, x: int, Q: int, P: int, U: int) -> tuple[int, int, int]:
         """Masks of the child entered through label ``x`` at ``depth``; also
-        records the label on the path and, for random orderings, the child's
-        ordering hash."""
+        records the label on the path."""
         self.path[depth] = x
         Q |= 1 << x
         P &= self.keep_by[x]
@@ -294,10 +338,6 @@ class _Engine:
         for neg, pos, bit in self.wake_by[x]:
             if not (neg & ~Q or pos & Q):
                 P |= bit
-        if self.random and depth + 1 < self.t:
-            h = self.hashes[depth].copy()
-            h.update(x.to_bytes(3, "little"))
-            self.hashes[depth + 1] = h
         return Q, P, U
 
     def _node(self, depth: int, Q: int, P: int, U: int, L: int,
@@ -418,6 +458,7 @@ class _Engine:
         tree_mark = len(self.tree_nodes)
         path = tuple(self.path[:depth])
         while True:
+            leaf_mark = self.stats.leaves_visited
             prof = build_stage_profile(self.f, self.base, path, c1_keep, cr_keep,
                                        index=self.mono3_index)
             fr = _Frame(prof, frozenset(), None, 0, (), node_id)
@@ -450,6 +491,7 @@ class _Engine:
                 self.stats.resets[TWOMARK] += 1
                 self.stats.reset_events.append({**event.as_dict(), "reason": sig.reason})
                 cr_keep = tuple(prof.cr.members)
+            self.discarded_leaves += self.stats.leaves_visited - leaf_mark
             del self.buffer[buf_mark:]
             self._seen = set(self.buffer)
             if self.record:
@@ -462,8 +504,9 @@ class _Engine:
     def _record_profile(self, prof: StageProfile) -> None:
         if self.record:
             self.tree_profiles.append(prof)
-        if len(self.kept_profiles) < PROFILE_CAP:
-            self.kept_profiles.append(prof)
+        kept = self.stats._unread
+        if len(kept) < PROFILE_CAP:
+            kept.append(prof)
         else:
             self.stats.profiles_truncated = True
 
@@ -471,20 +514,21 @@ class _Engine:
     # expansion
 
     def _order_children(self, depth: int, labels: tuple[int, ...]) -> Sequence[int]:
+        """The node's child order; for random orderings, also stores the
+        node's hash, which its parent's hash and the entered label fix."""
         if not self.random:
             return labels
-        rng = self.rng
-        _seed_rng(rng, int.from_bytes(self.hashes[depth].digest(), "big"))
-        # Random.shuffle, with its _randbelow(i + 1) inlined: draw
-        # (i + 1).bit_length() bits until the value is at most i
-        order = list(labels)
-        draw = rng.getrandbits
-        for i, width in _SHUFFLE_STEPS[len(order)]:
-            j = draw(width)
-            while j > i:
-                j = draw(width)
-            order[i], order[j] = order[j], order[i]
-        return order
+        hashes = self.hashes
+        if depth:
+            hashes[depth] = _splitmix64(hashes[depth - 1] ^ self.path[depth - 1])
+        k = len(labels)
+        if k < 2:
+            return labels
+        d = hashes[depth]
+        while d >= _DRAW_LIMIT[k]:
+            d = _splitmix64(d)
+        pick = _PICK[k]
+        return pick[d % len(pick)](labels)
 
     def _stage_checks(self, labels: tuple[int, ...], stage: str,
                       fals_var: int | None, U: int, fr: _Frame) -> _Frame:
@@ -578,13 +622,30 @@ def enumerate_solutions(f: Formula, t: int,
         eng = _Engine(f, t, ordering, debug_assertions=debug_assertions, base=base)
         eng.run()
     except RecursionError:
-        raise ParameterError(
-            f"target weight t={t} needs a search deeper than the interpreter "
-            f"recursion limit {sys.getrecursionlimit()} allows") from None
+        raise _too_deep(t) from None
     if sink is not None:
         for sol in eng.buffer:
             sink(sol)
     return eng.stats
+
+
+def _too_deep(t: int) -> ParameterError:
+    return ParameterError(
+        f"target weight t={t} needs a search deeper than the interpreter "
+        f"recursion limit {sys.getrecursionlimit()} allows")
+
+
+def surviving_leaves(f: Formula, t: int, ordering: OrderingSource,
+                     *, debug_assertions: bool | None = None) -> int:
+    """Surviving depth-t leaves of the search under ``ordering``, counting
+    only the tree that the run settled on.  ``SearchStats.leaves_visited``
+    also counts the leaves of attempts that a reset threw away."""
+    eng = _Engine(f, t, ordering, debug_assertions=debug_assertions)
+    try:
+        eng.run()
+    except RecursionError:
+        raise _too_deep(t) from None
+    return eng.stats.leaves_visited - eng.discarded_leaves
 
 
 def count_solutions(f: Formula, t: int,

@@ -344,6 +344,20 @@ def test_psi_estimators_agree_with_exhaustive():
     assert abs(engine.mean - exact) <= 4 * engine.std_error + 1e-9
 
 
+def test_engine_psi_counts_only_the_settled_tree():
+    # the reset instances restart their search; leaves of the attempts a
+    # reset throws away are not part of any ordering's surviving count
+    from corpus import collision_reset_instance, structure_reset_instance
+    from naenum import build_debug_tree, psi_exact
+
+    for f in (negation_closure(maj(12, 3)), collision_reset_instance(),
+              structure_reset_instance()):
+        t = brute_force(f).tau
+        exact = float(psi_exact(build_debug_tree(f, t)))
+        est = estimate_psi(f, t, samples=300, seed=0, method="engine")
+        assert abs(est.mean - exact) <= 3 * est.std_error
+
+
 def test_psi_maj_extremal_no_variance():
     f = negation_closure(maj(8, 3))
     est = estimate_psi(f, 4, samples=200, seed=0, method="tree")

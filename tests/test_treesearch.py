@@ -1,6 +1,8 @@
-import hashlib
-import random
+import itertools
+import math
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,8 +13,9 @@ from naenum import (BudgetExceeded, Formula, InputNotClosed, OrderingSource,
                     count_solutions, enumerate_all_orderings,
                     enumerate_solutions, maj, negation_closure,
                     random_negation_closed, verify_enumeration)
+from naenum import treesearch
 from naenum.cli import main as cli_main
-from naenum.treesearch import _Engine
+from naenum.treesearch import _DRAW_LIMIT, _PERMS, _Engine
 from corpus import collision_reset_instance, structure_reset_instance
 
 
@@ -190,19 +193,130 @@ def test_count_matches_enumerate():
     assert n1 == len(sols) == 36
 
 
+M64 = 2 ** 64
+
+
+def _ref_splitmix64(z: int) -> int:
+    """splitmix64 as published (Steele, Lea and Flood 2014): advance the
+    state by the golden gamma, then mix it."""
+    z = (z + 0x9E3779B97F4A7C15) % M64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % M64
+    return z ^ (z >> 31)
+
+
+def _ref_order(h: int, labels: tuple[int, ...]) -> list[int]:
+    """The documented draw: re-mix until below k! * floor(2^64 / k!), then
+    take that entry of the lexicographic permutation list."""
+    kf = math.factorial(len(labels))
+    d = h
+    while d >= kf * (M64 // kf):
+        d = _ref_splitmix64(d)
+    perm = list(itertools.permutations(range(len(labels))))[d % kf]
+    return [labels[i] for i in perm]
+
+
+def test_reference_splitmix64_matches_published_outputs():
+    # the first three outputs of a splitmix64 generator seeded with 0
+    gamma = 0x9E3779B97F4A7C15
+    assert [_ref_splitmix64(i * gamma % M64) for i in range(3)] == \
+        [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+
+
 def test_ordering_stream_matches_documented_recipe():
-    # blake2b-64 over the 8-byte LE seed and 3-byte LE path labels, then
-    # random.Random(digest as a big-endian int).shuffle of the clause order
+    # root hash splitmix64(seed mod 2^64), child hash splitmix64(h ^ label),
+    # order by the rejection draw; checked along the path 2, 5, 7 of maj(8,3)
     f = negation_closure(maj(8, 3))
-    for seed in range(300):
+    seeds = list(range(300)) + [-1, -2 ** 70 + 3, 2 ** 64 + 7, 2 ** 200]
+    for seed in seeds:
         eng = _Engine(f, 4, OrderingSource.random(seed))
-        eng._step(0, 2, 0, eng.live0, eng.unit0)
-        for depth, path in ((0, b""), (1, (2).to_bytes(3, "little"))):
-            h = hashlib.blake2b(seed.to_bytes(8, "little") + path, digest_size=8)
+        h = _ref_splitmix64(seed % M64)
+        Q, P, U = 0, eng.live0, eng.unit0
+        for depth, x in enumerate((2, 5, 7)):
             for labels in ((5,), (3, 7), (1, 4, 6)):
-                want = list(labels)
-                random.Random(int.from_bytes(h.digest(), "big")).shuffle(want)
-                assert list(eng._order_children(depth, labels)) == want
+                assert list(eng._order_children(depth, labels)) == _ref_order(h, labels)
+            assert eng.hashes[depth] == h
+            Q, P, U = eng._step(depth, x, Q, P, U)
+            h = _ref_splitmix64(h ^ x)
+    # hashes at or above the width-3 draw limit take the rejection branch
+    labels = (1, 4, 6)
+    for h in range(_DRAW_LIMIT[3], M64):
+        eng.hashes[0] = h
+        assert list(eng._order_children(0, labels)) == _ref_order(h, labels)
+        eng._step(0, 2, 0, eng.live0, eng.unit0)
+        assert list(eng._order_children(1, labels)) == \
+            _ref_order(_ref_splitmix64(h ^ 2), labels)
+
+
+def test_ordering_draw_rejects_at_the_limit(monkeypatch):
+    f = negation_closure(maj(8, 3))
+    eng = _Engine(f, 4, OrderingSource.random(0))
+    labels = (1, 4, 6)
+    limit = _DRAW_LIMIT[3]
+    mixes = []
+
+    def counted(z):
+        mixes.append(z)
+        return _ref_splitmix64(z)
+
+    monkeypatch.setattr(treesearch, "_splitmix64", counted)
+    # the last accepted hash is used as it is: index (limit - 1) mod 6 = 5
+    eng.hashes[0] = limit - 1
+    assert list(eng._order_children(0, labels)) == [6, 4, 1] == _ref_order(limit - 1, labels)
+    assert mixes == []
+    # every hash from the limit up is re-mixed once before the draw, and the
+    # node keeps its own hash for its children
+    remixed = 0
+    for h in range(limit, M64):
+        eng.hashes[0] = h
+        mixes.clear()
+        got = list(eng._order_children(0, labels))
+        assert mixes == [h] and eng.hashes[0] == h
+        assert got == _ref_order(h, labels)
+        remixed += got != [labels[i] for i in _PERMS[3][h % 6]]
+    assert remixed          # the re-mix moved at least one draw
+    # width 2 never rejects: its limit is 2^64 itself
+    assert _DRAW_LIMIT[2] == M64
+    eng.hashes[0] = M64 - 1
+    mixes.clear()
+    assert list(eng._order_children(0, (3, 7))) == [7, 3] and mixes == []
+
+
+def test_stream_description_is_the_same_everywhere():
+    # the module docstring, the OrderingSource docstring and the README give
+    # the recipe in identical words
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    texts = [" ".join(re.search(r"The stream, exactly:.*?passed\s+to\s+the\s+children\.",
+                                doc, re.S).group().split())
+             for doc in (treesearch.__doc__, OrderingSource.__doc__, readme)]
+    assert texts[0] == texts[1] == texts[2]
+    assert "0x9E3779B97F4A7C15" in texts[0] and "h ^ x" in texts[0]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_draw_limit_is_exactly_uniform(k):
+    kf = math.factorial(k)
+    limit = _DRAW_LIMIT[k]
+    assert limit == kf * (M64 // kf) and limit % kf == 0
+    assert M64 - kf < limit <= M64
+    # over the accepted range [0, limit) every index occurs floor(2^64 / k!) times
+    for i in range(kf):
+        assert (limit - 1 - i) // kf + 1 == M64 // kf
+
+
+def test_root_ordering_hits_every_permutation():
+    # the emission order of the closure of one width-3 clause at t = 1 is its
+    # root's child order; over 3,000 seeds all 6 orders occur, with a
+    # chi-square statistic (5 degrees of freedom) below its 0.999 quantile
+    f = negation_closure(Formula.of(3, [(1, 2, 3)]))
+    seen: dict[tuple, int] = {}
+    for seed in range(3000):
+        sols, _ = collect_solutions(f, 1, OrderingSource.random(seed))
+        key = tuple(s for (s,) in sols)
+        seen[key] = seen.get(key, 0) + 1
+    assert sorted(seen) == sorted(itertools.permutations((1, 2, 3)))
+    chi2 = sum((c - 500) ** 2 / 500 for c in seen.values())
+    assert chi2 < 20.52
 
 
 @st.composite
