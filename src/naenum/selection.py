@@ -14,7 +14,11 @@ Levels are expanded in three phases:
 
 Structural checks during the controlled stage can discover strictly larger
 disjoint families; they are raised as reset signals, the affected collection
-is grown, and the affected subtree is rebuilt.
+is grown, and the affected subtree is rebuilt.  The base and twomark
+collections reset this way.  The onemark collection never does: it is
+greedily maximal over the once-marked clauses F1, so no F1 clause is disjoint
+from it, and a free-stage clause that would witness a larger onemark family
+would be exactly such a clause.
 
 Stage profiles read a ``monotone_index``: the formula's monotone width-3
 clauses in canonical order, each paired with its variable bitmask.  The
@@ -35,7 +39,6 @@ from .matching import (BASE, ONEMARK, TWOMARK, DisjointCollection,
                        greedy_maximal, var_mask)
 
 FREE = "free"
-DISJOINT = BASE  # stage tag of the disjoint prefix
 
 
 class ResetSignal(Exception):
@@ -48,13 +51,6 @@ class BaseResetSignal(ResetSignal):
         super().__init__(reason)
         self.removed = list(removed)
         self.added = list(added)
-        self.reason = reason
-
-
-class OnemarkResetSignal(ResetSignal):
-    def __init__(self, clause: Clause, reason: str):
-        super().__init__(reason)
-        self.clause = clause
         self.reason = reason
 
 
@@ -166,16 +162,18 @@ def _var(bit: int) -> int:
 
 def build_stage_profile(f: Formula, base: DisjointCollection,
                         path_labels: Sequence[int],
-                        c1_keep: Sequence[Clause] = (),
                         cr_keep: Sequence[Clause] = (), *,
                         index: MonotoneIndex | None = None) -> StageProfile:
     """Compute the controlled-stage profile for the node reached along
     ``path_labels`` (one label per base level).
 
     Raises a reset signal whenever the classification uncovers a disjoint
-    family that beats one of the maintained collections.  ``c1_keep`` and
-    ``cr_keep`` seed the collections after such resets.  ``index`` is
-    ``monotone_index(f)``, built here when the caller has none.
+    family that beats one of the maintained collections.  ``cr_keep`` seeds
+    the twomark collection after a twomark reset.  The onemark collection C1
+    is greedily maximal over F1 and never reset, so it takes no keep: a
+    free-stage clause of mass 5/2 (one variable marked once, two unmarked)
+    would lie in F1 and be disjoint from C1, which maximality rules out.
+    ``index`` is ``monotone_index(f)``, built here when the caller has none.
 
     Membership is decided on variable bitmasks: ``q0`` (path labels), ``X``
     (sibling pairs), ``once``/``twice`` (variables marked by exactly one or by
@@ -208,7 +206,7 @@ def build_stage_profile(f: Formula, base: DisjointCollection,
     # exactly one marked variable at u0, live at u0
     f1 = tuple(c for c, m in index
                if not m & q0_mask and (m & x_mask).bit_count() == 1)
-    c1 = greedy_maximal(f1, ONEMARK, keep=c1_keep)
+    c1 = greedy_maximal(f1, ONEMARK)
 
     x_tilde: dict[int, int] = {}
     x_hat: dict[int, int] = {}

@@ -46,20 +46,19 @@ from __future__ import annotations
 
 import itertools
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .cnf import Clause, Formula, clause_vars, is_negation_closed
 from .errors import (BudgetExceeded, InputNotClosed, InternalInvariantError,
                      ParameterError, PreconditionViolated, WidthError)
 from .matching import (BASE, ONEMARK, TWOMARK, DisjointCollection,
                        attempt_reset, greedy_maximal)
-from .selection import (FREE, BaseResetSignal, OnemarkResetSignal,
-                        StageProfile, TwomarkContext, TwomarkResetSignal,
-                        branch_on_t0, build_stage_profile, monotone_index,
-                        twomark_context)
+from .selection import (FREE, BaseResetSignal, StageProfile, TwomarkContext,
+                        TwomarkResetSignal, branch_on_t0, build_stage_profile,
+                        monotone_index, twomark_context)
 from .tree import DebugTree, TreeNode
 
 PROFILE_CAP = 512
@@ -130,6 +129,7 @@ class SearchStats:
     solutions_emitted: int = 0
     route: str = ""
     t0: int = 0
+    # ONEMARK is always 0 (C1 never resets); kept so the JSON shape holds
     resets: dict = field(default_factory=lambda: {BASE: 0, ONEMARK: 0, TWOMARK: 0})
     reset_events: list = field(default_factory=list)
     profiles_truncated: bool = False
@@ -163,8 +163,7 @@ class SearchStats:
                 "profiles_truncated": self.profiles_truncated}
 
 
-@dataclass(frozen=True)
-class _Frame:
+class _Frame(NamedTuple):
     """Path-local controlled-stage bookkeeping below one depth-t0 node."""
 
     prof: StageProfile
@@ -377,7 +376,7 @@ class _Engine:
                 if fr.k2 is None:
                     k2 = twomark_context(prof, fr.took)
                     prof.ell_histogram[k2.ell] = prof.ell_histogram.get(k2.ell, 0) + 1
-                    fr = replace(fr, k2=k2, heavy=0)
+                    fr = _Frame(fr.prof, fr.took, k2, 0, fr.heavies, fr.u0_id)
                     if record:
                         self.tree_nodes[node_id].ell = k2.ell
                         self.tree_nodes[node_id].heavy_budget = k2.heavy_budget
@@ -427,7 +426,8 @@ class _Engine:
                 else:
                     child_fr = fr
                     if x == took_x:
-                        child_fr = replace(fr, took=fr.took | {lvl})
+                        child_fr = _Frame(fr.prof, fr.took | {lvl}, fr.k2,
+                                          fr.heavy, fr.heavies, fr.u0_id)
                     stats.nodes_visited += 1
                     self._node(depth + 1, *self._step(depth, x, Q, P, U), L,
                                child_fr, child_id)
@@ -451,34 +451,20 @@ class _Engine:
 
     def _run_u0(self, depth: int, Q: int, P: int, U: int, L: int,
                 node_id: int) -> None:
-        c1_keep: tuple[Clause, ...] = ()
         cr_keep: tuple[Clause, ...] = ()
-        one_resets = two_resets = 0
+        two_resets = 0
         buf_mark = len(self.buffer)
         tree_mark = len(self.tree_nodes)
         path = tuple(self.path[:depth])
         while True:
             leaf_mark = self.stats.leaves_visited
-            prof = build_stage_profile(self.f, self.base, path, c1_keep, cr_keep,
+            prof = build_stage_profile(self.f, self.base, path, cr_keep,
                                        index=self.mono3_index)
             fr = _Frame(prof, frozenset(), None, 0, (), node_id)
             try:
                 self._node(depth, Q, P, U, L, fr, node_id)
                 self._record_profile(prof)
                 return
-            except OnemarkResetSignal as sig:
-                event = attempt_reset(prof.c1, [], [sig.clause],
-                                      extend_from=prof.f1)
-                if event is None:
-                    raise InternalInvariantError(
-                        f"onemark reset did not grow: {sig.reason}")
-                one_resets += 1
-                if one_resets > self.n:
-                    raise InternalInvariantError("onemark collection reset more than n times")
-                self.stats.resets[ONEMARK] += 1
-                self.stats.reset_events.append({**event.as_dict(), "reason": sig.reason})
-                c1_keep = tuple(prof.c1.members)
-                cr_keep = ()
             except TwomarkResetSignal as sig:
                 event = attempt_reset(prof.cr, list(prof.cr.members), sig.family,
                                       extend_from=prof.f2r)
@@ -553,19 +539,22 @@ class _Engine:
             marked = [(x, m) for x, m, f in kids if m > 0]
             clean3 = len(kids) == 3 and not any(f for _, _, f in kids)
             if clean3 and len(marked) == 1 and marked[0][1] == 1:
-                clause = tuple(labels)
-                if clause not in fr.prof.f1 or \
-                        set(labels) & fr.prof.c1.variables():
-                    raise InternalInvariantError(
-                        f"mass-5/2 clause {clause} is not an onemark witness")
-                raise OnemarkResetSignal(
-                    clause, "once-marked free-stage node of mass 5/2")
+                # Unreachable while C1 is maximal over F1.  The clause is
+                # monotone and live, so it avoids the path labels q0; the
+                # base collection is maximal, so it meets an X variable,
+                # which carries a base mark.  That X variable is its only
+                # marked one and is marked once, and its two other variables
+                # are unmarked: the clause lies in F1 and is disjoint from
+                # C1's variables, contradicting C1 = greedy_maximal(F1).
+                raise InternalInvariantError(
+                    f"once-marked free-stage clause {tuple(labels)} of mass "
+                    f"5/2: the onemark collection is not maximal")
             if clean3 and len(marked) == 2 and all(m == 1 for _, m in marked):
                 clause = tuple(labels)
                 if fr.k2 is not None and fr.heavy + 1 > fr.k2.heavy_budget:
                     self._heavy_overflow(fr, clause)
-                fr = replace(fr, heavy=fr.heavy + 1,
-                             heavies=fr.heavies + (clause,))
+                fr = _Frame(fr.prof, fr.took, fr.k2, fr.heavy + 1,
+                            fr.heavies + (clause,), fr.u0_id)
         return fr
 
     def _heavy_overflow(self, fr: _Frame, clause: Clause) -> None:
@@ -607,8 +596,7 @@ def enumerate_solutions(f: Formula, t: int,
                         ordering: OrderingSource | None = None,
                         sink: Callable[[tuple[int, ...]], None] | None = None,
                         *, debug_assertions: bool | None = None,
-                        parallel: int = 1,
-                        base: DisjointCollection | None = None) -> SearchStats:
+                        parallel: int = 1) -> SearchStats:
     """Emit every weight-t satisfying assignment of a negation-closed 3-CNF
     exactly once, assuming no satisfying assignment has weight below t
     (violations are detected and raised when the search trips over them).
@@ -619,7 +607,7 @@ def enumerate_solutions(f: Formula, t: int,
     try:
         if parallel > 1:
             return _parallel_enumerate(f, t, ordering, sink, parallel)
-        eng = _Engine(f, t, ordering, debug_assertions=debug_assertions, base=base)
+        eng = _Engine(f, t, ordering, debug_assertions=debug_assertions)
         eng.run()
     except RecursionError:
         raise _too_deep(t) from None
@@ -663,14 +651,13 @@ def collect_solutions(f: Formula, t: int,
     return out, stats
 
 
-def build_debug_tree(f: Formula, t: int,
-                     base: DisjointCollection | None = None) -> DebugTree:
+def build_debug_tree(f: Formula, t: int) -> DebugTree:
     """Materialize the full transversal tree (no ordering, no pruning) for
     invariant sweeps and exhaustive-ordering analysis.  Small n only."""
     if f.n > DEBUG_TREE_MAX_N:
         raise ParameterError(f"debug trees limited to n <= {DEBUG_TREE_MAX_N}")
     eng = _Engine(f, t, OrderingSource.fixed(), record=True,
-                  debug_assertions=True, base=base)
+                  debug_assertions=True)
     eng.run()
     tree = DebugTree(f.n, t, eng.route, eng.t0, eng.tree_nodes,
                      eng.tree_profiles)
@@ -815,11 +802,9 @@ def _parallel_enumerate(f: Formula, t: int, ordering: OrderingSource,
         t0 = len(master.base)
         depth = min(t0, t)
         if depth == 0:
-            stats = enumerate_solutions(f, t, ordering, sink, base=master.base)
-            for k, v in master.stats.resets.items():
-                stats.resets[k] += v
-            stats.reset_events = master.stats.reset_events + stats.reset_events
-            return stats
+            # only on the first pass (resets grow t0 and leave t), so the
+            # master has reset nothing and a fresh engine builds its base
+            return enumerate_solutions(f, t, ordering, sink)
         prefixes, falsified = _valid_prefixes(master, depth)
         tasks = [(f, t, ordering, tuple(master.base.members), p) for p in prefixes]
         reset = None

@@ -11,7 +11,7 @@ import naenum.treesearch as treesearch
 from naenum import (Formula, OrderingSource, brute_force, build_stage_profile,
                     collect_solutions, disjoint_stage, negation_closure,
                     random_negation_closed, twomark_context)
-from naenum.matching import attempt_reset
+from naenum.matching import attempt_reset, is_maximal
 from naenum.selection import (BaseResetSignal, StageProfile,
                               TwomarkResetSignal, monotone_index)
 from corpus import collision_reset_instance, structure_reset_instance
@@ -52,8 +52,8 @@ def _other_maximal(clauses):
 
 
 def _check_formula(f: Formula) -> int:
-    """Compare both builders on every base-label path of ``f``, without keeps
-    and with onemark/twomark keeps; returns the number of comparisons."""
+    """Compare both builders on every base-label path of ``f``, without a
+    keep and with a twomark keep; returns the number of comparisons."""
     base, t0 = disjoint_stage(f)
     if 3 ** t0 > MAX_PATHS:
         return 0
@@ -68,21 +68,18 @@ def _check_formula(f: Formula) -> int:
         done += 1
         if not isinstance(want, StageProfile):
             continue
-        # keeps as a reset hands them over: a maximal onemark family, then
-        # that family with a maximal twomark family
-        c1_keep = _other_maximal(want.f1)
-        for keeps in ((c1_keep, ()), (tuple(want.c1.members),
-                                      _other_maximal(want.f2r))):
-            want_k = _outcome(reference_profile.build_stage_profile, *args,
-                              *keeps)
-            _assert_same(_outcome(build_stage_profile, *args, *keeps,
-                                  index=index), want_k, (f, path, keeps))
-            done += 1
+        # a maximal twomark family, as a twomark reset hands it over
+        cr_keep = _other_maximal(want.f2r)
+        want_k = _outcome(reference_profile.build_stage_profile, *args, (),
+                          cr_keep)
+        _assert_same(_outcome(build_stage_profile, *args, cr_keep,
+                              index=index), want_k, (f, path, cr_keep))
+        done += 1
     return done
 
 
 def test_profiles_match_reference_on_corpus(corpus500):
-    assert sum(_check_formula(f) for f, _ in corpus500) > 15000
+    assert sum(_check_formula(f) for f, _ in corpus500) > 10000
 
 
 def test_profiles_match_reference_on_large_random_instances():
@@ -92,7 +89,7 @@ def test_profiles_match_reference_on_large_random_instances():
         n = 15 + s % 6
         done += _check_formula(random_negation_closed(n, 3 + (s * 7) % (n - 2),
                                                       seed=7000 + s))
-    assert done > 10000
+    assert done > 7000
 
 
 def test_profiles_match_reference_on_reset_instances():
@@ -120,12 +117,37 @@ def test_profiles_match_reference_after_a_twomark_reset():
     assert attempt_reset(prof.cr, list(prof.cr.members), ei.value.family,
                          extend_from=prof.f2r) is not None
     cr_keep = tuple(prof.cr.members)
-    c1_keep = tuple(prof.c1.members)
-    want = reference_profile.build_stage_profile(f, base, (1, 4), c1_keep, cr_keep)
-    got = build_stage_profile(f, base, (1, 4), c1_keep, cr_keep,
-                              index=monotone_index(f))
+    want = reference_profile.build_stage_profile(f, base, (1, 4), (), cr_keep)
+    got = build_stage_profile(f, base, (1, 4), cr_keep, index=monotone_index(f))
     _assert_same(got, want, "twomark reset")
     assert got.cr.members == [(3, 8, 12), (6, 9, 11)]
+
+
+def test_onemark_collection_is_maximal(corpus500, monkeypatch):
+    # the premise that makes a onemark reset unreachable: C1 leaves no F1
+    # clause disjoint from its variables, on every profile built over every
+    # base-label path and on every profile the engine builds
+    built = []
+
+    def recorded(*args, **kw):
+        prof = build_stage_profile(*args, **kw)
+        built.append(prof)
+        return prof
+
+    monkeypatch.setattr(treesearch, "build_stage_profile", recorded)
+    instances = [f for f, _ in corpus500] + [
+        collision_reset_instance(), structure_reset_instance(),
+        _heavy_overflow_instance()]
+    for f in instances:
+        base, t0 = disjoint_stage(f)
+        if 3 ** t0 <= MAX_PATHS:
+            for path in product(*base.members):
+                prof = _outcome(build_stage_profile, f, base, path)
+                if isinstance(prof, StageProfile):
+                    built.append(prof)
+        collect_solutions(f, brute_force(f).tau)
+    assert len(built) > 6000, len(built)
+    assert all(is_maximal(prof.c1, prof.f1) for prof in built)
 
 
 @st.composite
@@ -150,12 +172,12 @@ def test_engine_profiles_match_reference(corpus500, monkeypatch):
     # reference's, including those rebuilt after base resets
     calls = []
 
-    def checked(f, base, path, c1_keep=(), cr_keep=(), **kw):
+    def checked(f, base, path, cr_keep=(), **kw):
         calls.append(kw)
         want = _outcome(reference_profile.build_stage_profile, f, base, path,
-                        c1_keep, cr_keep)
-        got = _outcome(build_stage_profile, f, base, path, c1_keep, cr_keep, **kw)
-        _assert_same(got, want, (f, path, c1_keep, cr_keep))
+                        (), cr_keep)
+        got = _outcome(build_stage_profile, f, base, path, cr_keep, **kw)
+        _assert_same(got, want, (f, path, cr_keep))
         if isinstance(got, Exception):
             raise got
         return got

@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from naenum import (BudgetExceeded, Formula, InputNotClosed, OrderingSource,
+from naenum import (BudgetExceeded, DisjointCollection, Formula,
+                    InputNotClosed, InternalInvariantError, OrderingSource,
                     ParameterError, PreconditionViolated, WidthError,
                     brute_force, build_debug_tree, collect_solutions,
                     count_solutions, enumerate_all_orderings,
@@ -15,6 +16,7 @@ from naenum import (BudgetExceeded, Formula, InputNotClosed, OrderingSource,
                     random_negation_closed, verify_enumeration)
 from naenum import treesearch
 from naenum.cli import main as cli_main
+from naenum.matching import ONEMARK
 from naenum.treesearch import _DRAW_LIMIT, _PERMS, _Engine
 from corpus import collision_reset_instance, structure_reset_instance
 
@@ -89,6 +91,29 @@ def test_reset_instances_still_enumerate():
         assert verify_enumeration(f, rep.tau, sols).passed
         assert stats.resets["base"] >= 1
         assert stats.reset_events
+
+
+def test_mass_five_halves_node_is_an_invariant_failure(monkeypatch):
+    # corpus500[19], random_negation_closed(7, 3, seed=1019): base (1, 2, 5),
+    # F1 = C1 = {(2, 4, 7)}.  With C1 emptied, (2, 4, 7) reaches the free
+    # stage with one variable marked once: a node that only a non-maximal
+    # onemark collection exposes.  It must end the run, with no retry.
+    f = negation_closure(Formula.of(7, [(1, 2, 5), (1, 5, 7), (2, 4, 7)]))
+    real = treesearch.build_stage_profile
+    built = []
+
+    def dropped(*args, **kw):
+        prof = real(*args, **kw)
+        assert prof.c1.members == [(2, 4, 7)]
+        prof.c1 = DisjointCollection(prof.c1.members[:-1], ONEMARK)
+        prof.c1_levels = prof.c1_levels[:-1]
+        built.append(prof)
+        return prof
+
+    monkeypatch.setattr(treesearch, "build_stage_profile", dropped)
+    with pytest.raises(InternalInvariantError, match=r"\(2, 4, 7\) of mass 5/2"):
+        collect_solutions(f, 2)
+    assert len(built) == 1
 
 
 def test_leftmost_leaf_property():
