@@ -34,6 +34,8 @@ import numpy as np
 
 from .cnf import Formula
 from .errors import ParameterError
+from .tree import SurvivalKernel
+from .treesearch import OrderingSource, build_debug_tree, surviving_leaves
 
 Rat = Fraction
 
@@ -660,16 +662,18 @@ def estimate_psi(f: Formula, t: int, samples: int, seed: int,
     """Monte Carlo estimate of the expected surviving-leaf count under
     uniformly random sibling orderings.
 
-    ``tree`` samples orderings over the materialized tree (fast, small n);
-    ``engine`` reruns the actual pruned search per seed.  Both count the
-    depth-t non-falsified leaves whose path survives; the engine counts them
-    on the tree its run settles on, after any resets.
+    ``tree`` samples orderings over the materialized tree (fast, small n):
+    each sibling group of k children draws one permutation code from [0, k!),
+    so every sibling order is exactly equally likely (seeded with seed mod
+    2^64).  ``engine`` reruns the actual pruned search per seed.  Both count
+    the depth-t non-falsified leaves whose path survives; the engine counts
+    them on the tree its run settles on, after any resets.
     """
+    if samples < 1:
+        raise ParameterError(f"samples must be at least 1, got {samples}")
     if method == "auto":
         method = "tree" if f.n <= 24 else "engine"
     if method == "engine":
-        from .treesearch import OrderingSource, surviving_leaves
-
         counts = np.empty(samples, dtype=np.int64)
         for k in range(samples):
             counts[k] = surviving_leaves(f, t, OrderingSource.random(seed + k),
@@ -685,56 +689,14 @@ def estimate_psi(f: Formula, t: int, samples: int, seed: int,
 
 def _tree_survival_samples(f: Formula, t: int, samples: int, seed: int,
                            batch: int = 256) -> np.ndarray:
-    """Vectorized sampling on the materialized tree: each edge draws an i.i.d.
-    uniform priority; a sibling ordering reads priorities ascending, so a leaf
-    survives iff every marker's same-label child edge draws a higher priority
-    than the marker's path child edge."""
-    from .treesearch import build_debug_tree
-
-    tree = build_debug_tree(f, t)
-    nodes = tree.nodes
-    n_nodes = len(nodes)
-    paths: list[list[int]] = [[] for _ in range(n_nodes)]
-    for u in nodes:
-        paths[u.id] = (paths[u.parent] + [u.id]) if u.parent is not None else [u.id]
-
-    pairs_x: list[int] = []
-    pairs_p: list[int] = []
-    ptr: list[int] = []
-    free_leaves = 0
-    for leaf in nodes:
-        if leaf.leaf_kind != "viable":
-            continue
-        cons: list[tuple[int, int]] = []
-        for v_id in paths[leaf.id][1:]:
-            v = nodes[v_id]
-            for w_id in v.markers:
-                w = nodes[w_id]
-                x_child = next(c for c in w.children if nodes[c].label == v.label)
-                cons.append((x_child, paths[v.id][w.depth + 1]))
-        if not cons:
-            free_leaves += 1
-            continue
-        ptr.append(len(pairs_x))
-        for xc, pc in cons:
-            pairs_x.append(xc)
-            pairs_p.append(pc)
-
-    rng = np.random.default_rng(seed)
+    """Per sample, one permutation code per sibling group, uniform on [0, k!);
+    the survival kernel counts the viable leaves whose path survives it."""
+    kernel = SurvivalKernel(build_debug_tree(f, t))
+    rng = np.random.default_rng(seed % 2 ** 64)
     out = np.empty(samples, dtype=np.int64)
-    ax = np.array(pairs_x, dtype=np.int64)
-    ap = np.array(pairs_p, dtype=np.int64)
-    aptr = np.array(ptr, dtype=np.int64)
-    done = 0
-    while done < samples:
+    for done in range(0, samples, batch):
         b = min(batch, samples - done)
-        prio = rng.random((n_nodes, b))
-        if len(aptr):
-            ok = prio[ax] > prio[ap]
-            surv = np.logical_and.reduceat(ok, aptr, axis=0)
-            counts = surv.sum(axis=0) + free_leaves
-        else:
-            counts = np.full(b, free_leaves, dtype=np.int64)
-        out[done:done + b] = counts
-        done += b
+        # every group's k! divides 3! = 6, so the remainder is exactly uniform
+        codes = rng.integers(0, 6, size=(len(kernel.orders), b), dtype=np.uint8)
+        out[done:done + b] = kernel.run(codes % kernel.orders[:, None])[1].sum(axis=0)
     return out

@@ -8,9 +8,13 @@ per-shoot accounting: markings, defect, weight, mass, effective width.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
+
+import numpy as np
 
 from .selection import FREE, StageProfile
 from .matching import TWOMARK
@@ -130,17 +134,82 @@ def sigma_edge(node: TreeNode) -> Fraction:
 def psi_exact(tree: DebugTree) -> Fraction:
     """Exact expected surviving-leaf count: sum over depth-t non-falsified
     leaves of the product of edge survival probabilities along the path."""
-    total = Fraction(0)
-    for leaf in tree.leaves():
-        if leaf.leaf_kind != "viable":
-            continue
-        marks = 0
-        node = leaf
-        while node.parent is not None:
-            marks += node.marks
-            node = tree.nodes[node.parent]
-        total += Fraction(1, 2 ** marks)
-    return total
+    marks = [0] * len(tree.nodes)
+    for u in tree.nodes[1:]:            # a parent's id is below its children's
+        marks[u.id] = marks[u.parent] + u.marks
+    return sum((Fraction(1, 2 ** marks[u.id]) for u in tree.leaves()
+                if u.leaf_kind == "viable"), start=Fraction(0))
+
+
+def edge_constraints(tree: DebugTree) -> list[list[tuple[int, int, int]]]:
+    """Per edge, indexed by the node it enters: one (marker, same-label child,
+    path child) triple per marker w, the children of w through the edge's
+    label and on the path to the edge.  The edge survives an ordering iff
+    each same-label child is placed after its path child."""
+    nodes = tree.nodes
+    cons: list[list[tuple[int, int, int]]] = [[] for _ in nodes]
+    for v in nodes[1:]:
+        for w_id in v.markers:
+            w = nodes[w_id]
+            x_child = next(c for c in w.children if nodes[c].label == v.label)
+            cons[v.id].append((w_id, x_child, tree.path_ids(v)[w.depth + 1]))
+    return cons
+
+
+# _AFTER[k][i][j] bit c: code c of k <= 3 siblings puts child i after child j
+_AFTER = {k: [[sum(1 << c for c, p in enumerate(itertools.permutations(range(k)))
+                   if p.index(i) > p.index(j)) for j in range(k)] for i in range(k)]
+          for k in (1, 2, 3)}
+
+
+class SurvivalKernel:
+    """Edge survival and surviving viable leaves over columns of orderings,
+    for the psi sampler and the exhaustive sweep alike.
+
+    Sibling group g is the k children of ``groups[g]``, the g-th internal
+    node; its code, in [0, ``orders[g]`` = k!), indexes
+    ``itertools.permutations(range(k))``, the order they are explored in.
+    ``run`` takes a (groups, columns) code array, one joint ordering per
+    column.  Each edge's ok flag is evaluated once, from its marker
+    constraints; "alive" is propagated top-down by depth."""
+
+    def __init__(self, tree: DebugTree):
+        nodes = tree.nodes
+        self.groups = [u.id for u in nodes if u.children]
+        self.orders = np.array([math.factorial(len(nodes[u].children))
+                                for u in self.groups], dtype=np.uint8)
+        group_of = {u: g for g, u in enumerate(self.groups)}
+        # row r holds each constrained edge's r-th constraint: the marker's
+        # group and the bitmask of codes that pass it; edges with fewer
+        # constraints are padded with one that every code passes
+        cons = [(v, c) for v, c in enumerate(edge_constraints(tree)) if c]
+        self.con_edges = np.array([v for v, _ in cons], dtype=np.intp)
+        shape = (max((len(c) for _, c in cons), default=0), len(cons))
+        self.con_group = np.zeros(shape, dtype=np.intp)
+        self.con_bits = np.full(shape, 0xFF, dtype=np.uint8)
+        for e, (_, triples) in enumerate(cons):
+            for r, (w, x_child, path_child) in enumerate(triples):
+                kids = nodes[w].children
+                self.con_group[r, e] = group_of[w]
+                self.con_bits[r, e] = _AFTER[len(kids)][kids.index(x_child)][
+                    kids.index(path_child)]
+        self.size = len(nodes)
+        depth = np.array([u.depth for u in nodes])
+        parent = np.array([u.parent or 0 for u in nodes])
+        self.levels = [(ids, parent[ids]) for ids in
+                       (np.flatnonzero(depth == d) for d in range(1, depth.max() + 1))]
+        self.viable = np.flatnonzero([u.leaf_kind == "viable" for u in nodes])
+
+    def run(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(ok, alive): ``ok[v, j]``, the edge into node v passes its marker
+        constraints in ordering j; ``alive[i, j]``, each edge to ``viable[i]`` does."""
+        ok = np.ones((self.size, codes.shape[1]), dtype=bool)
+        hit = (self.con_bits[..., None] >> codes[self.con_group]) & 1
+        ok[self.con_edges] &= np.bitwise_and.reduce(hit, axis=0).view(bool)
+        alive = ok.copy()
+        for ids, parents in self.levels:
+            alive[ids] &= alive[parents]
+        return ok, alive[self.viable]
 
 
 def psi_of_node(tree: DebugTree, u: TreeNode) -> Fraction:
@@ -180,8 +249,12 @@ def check_invariants(tree: DebugTree) -> list[str]:
     bad: list[str] = []
     n, t = tree.n, tree.t
 
+    light: list[tuple[int, int]] = []   # (leaf id, shoot weight) under 3t - n
+
     def walk(u: TreeNode, path_marker_ids: set[int], heavy: int,
-             budget: int | None):
+             budget: int | None, weight: int):   # weight of the root shoot to u
+        if u.depth == t and u.leaf_kind is not None and weight < 3 * t - n:
+            light.append((u.id, weight))
         if u.children:
             m = mass(tree, u)
             j = marked_child_count(tree, u)
@@ -210,18 +283,14 @@ def check_invariants(tree: DebugTree) -> list[str]:
                 heavy += 1
                 if budget is not None and heavy > budget:
                     bad.append(f"node {u.id}: heavy count {heavy} exceeds budget {budget}")
+        weight += marked_child_count(tree, u) + 3 - len(u.children)
         for k in tree.child_nodes(u):
             shared = set(k.markers) & path_marker_ids
             if shared and not k.falsifying:
                 bad.append(f"edge into {k.id}: marker {sorted(shared)[0]} shared "
                            f"with an ancestor edge but child not falsified")
-            walk(k, path_marker_ids | set(k.markers), heavy, budget)
+            walk(k, path_marker_ids | set(k.markers), heavy, budget, weight)
 
-    walk(tree.root, set(), 0, None)
-
-    for leaf in tree.leaves():
-        if leaf.depth == t:
-            st = shoot_stats(tree, tree.root, leaf)
-            if st.weight < 3 * t - n:
-                bad.append(f"leaf {leaf.id}: shoot weight {st.weight} < {3*t-n}")
+    walk(tree.root, set(), 0, None, 0)
+    bad += [f"leaf {i}: shoot weight {w} < {3*t-n}" for i, w in sorted(light)]
     return bad

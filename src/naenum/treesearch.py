@@ -45,11 +45,14 @@ long as the engine.
 from __future__ import annotations
 
 import itertools
+import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, NamedTuple, Sequence
+
+import numpy as np
 
 from .cnf import Clause, Formula, clause_vars, is_negation_closed
 from .errors import (BudgetExceeded, InputNotClosed, InternalInvariantError,
@@ -59,10 +62,11 @@ from .matching import (BASE, ONEMARK, TWOMARK, DisjointCollection,
 from .selection import (FREE, BaseResetSignal, StageProfile, TwomarkContext,
                         TwomarkResetSignal, branch_on_t0, build_stage_profile,
                         monotone_index, twomark_context)
-from .tree import DebugTree, TreeNode
+from .tree import DebugTree, SurvivalKernel, TreeNode, psi_exact
 
 PROFILE_CAP = 512
 DEBUG_TREE_MAX_N = 24
+_ORDERING_BLOCK = 512       # joint orderings per survival-kernel call
 
 _M64 = 2 ** 64 - 1
 
@@ -685,71 +689,36 @@ class ExhaustiveReport:
         return Fraction(self.total_surviving, self.orderings)
 
 
-def count_orderings(tree: DebugTree) -> int:
-    total = 1
-    for u in tree.internal():
-        k = len(u.children)
-        for i in range(2, k + 1):
-            total *= i
-    return total
-
-
 def enumerate_all_orderings(f: Formula, t: int, budget: int = 10 ** 6,
                             keep_per_ordering: bool = False) -> ExhaustiveReport:
     """Evaluate every joint sibling ordering of the transversal tree: exact
     per-edge survival frequencies and the exact average surviving-leaf count.
     Refuses when the ordering product exceeds ``budget``."""
-    from .tree import psi_exact
-
     tree = build_debug_tree(f, t)
-    total = count_orderings(tree)
+    kernel = SurvivalKernel(tree)
+    total = math.prod(kernel.orders.tolist())
     if total > budget:
         raise BudgetExceeded(f"{total} orderings exceed budget {budget}")
-
-    nodes = tree.nodes
-    n_nodes = len(nodes)
-    paths: list[list[int]] = [[] for _ in range(n_nodes)]
-    for u in nodes:
-        paths[u.id] = (paths[u.parent] + [u.id]) if u.parent is not None else [u.id]
-    # per-edge constraints: (marker id, its same-label child, its path child)
-    cons: list[list[tuple[int, int, int]]] = [[] for _ in range(n_nodes)]
-    for v in nodes[1:]:
-        for w_id in v.markers:
-            w = nodes[w_id]
-            x_child = next(c for c in w.children if nodes[c].label == v.label)
-            path_child = paths[v.id][w.depth + 1]
-            cons[v.id].append((w_id, x_child, path_child))
-
-    internal = [u for u in nodes if u.children]
-    perm_lists = [list(itertools.permutations(u.children)) for u in internal]
-    rank = [0] * n_nodes
-    survived_count = [0] * n_nodes
+    # ordering i is the code vector of i in mixed radix, so the orderings run
+    # in itertools.product order: the last sibling group varies fastest
+    stride = (total // np.cumprod(kernel.orders, dtype=np.int64))[:, None]
+    survived_count = np.zeros(len(tree.nodes), dtype=np.int64)
     total_surviving = 0
-    per_ordering: list[tuple[tuple, int]] | None = [] if keep_per_ordering else None
-
-    alive = [False] * n_nodes
-    alive[0] = not tree.root.leaf_kind == "falsified"
-    for combo in itertools.product(*perm_lists):
-        for ordered in combo:
-            for pos, cid in enumerate(ordered):
-                rank[cid] = pos
-        LL = 0
-        for v in nodes[1:]:
-            superf = any(rank[xc] < rank[pc] for _, xc, pc in cons[v.id])
-            edge_ok = (not superf) and (not v.falsifying)
-            if edge_ok:
-                survived_count[v.id] += 1
-            alive[v.id] = alive[v.parent] and edge_ok
-            if v.leaf_kind == "viable" and alive[v.id] and v.depth == t:
-                LL += 1
-        if t == 0 and tree.root.leaf_kind == "viable":
-            LL = 1
-        total_surviving += LL
-        if per_ordering is not None:
-            per_ordering.append((combo, LL))
-
-    edge_survival = {v.id: Fraction(survived_count[v.id], total)
-                     for v in nodes[1:] if not v.falsifying}
+    counts: list[int] = []      # surviving leaves per ordering, if kept
+    for start in range(0, total, _ORDERING_BLOCK):
+        index = np.arange(start, min(start + _ORDERING_BLOCK, total))
+        codes = index // stride % kernel.orders[:, None]
+        ok, alive = kernel.run(codes.astype(np.uint8))
+        survived_count += ok.sum(axis=1)
+        total_surviving += int(alive.sum())
+        if keep_per_ordering:
+            counts.extend(alive.sum(axis=0).tolist())
+    per_ordering = None
+    if keep_per_ordering:
+        perms = (itertools.permutations(tree.nodes[u].children) for u in kernel.groups)
+        per_ordering = list(zip(itertools.product(*perms), counts))
+    edge_survival = {v.id: Fraction(int(survived_count[v.id]), total)
+                     for v in tree.nodes[1:] if not v.falsifying}
     return ExhaustiveReport(total, total_surviving, edge_survival,
                             psi_exact(tree), tree, per_ordering)
 

@@ -2,6 +2,7 @@ import sys
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from naenum import (Formula, brute_force, enumerate_all_orderings, maj,
@@ -332,6 +333,28 @@ def test_psi_deterministic_tree():
     f = negation_closure(Formula.of(3, [(1, 2, 3)]))
     est = estimate_psi(f, 1, samples=50, seed=0, method="tree")
     assert est.mean == 3.0 and est.std_error == 0.0
+
+
+@pytest.mark.parametrize("method", ["tree", "engine"])
+@pytest.mark.parametrize("samples", [0, -3])
+def test_psi_refuses_fewer_than_one_sample(method, samples):
+    f = negation_closure(maj(4, 3))
+    with pytest.raises(ParameterError):
+        estimate_psi(f, 2, samples=samples, seed=0, method=method)
+
+
+def test_psi_tree_seed_reduced_mod_2_64():
+    # any int seeds the tree method, as it does the engine method; seeds in
+    # [0, 2^64) are used as they are
+    f = random_negation_closed(6, 4, seed=6)
+    draws = {seed: analysis._tree_survival_samples(f, 2, 64, seed)
+             for seed in (-1, 2 ** 64 - 1, -5, 2 ** 64 - 5, 2 ** 70 + 3, 3)}
+    assert np.array_equal(draws[-1], draws[2 ** 64 - 1])
+    assert np.array_equal(draws[-5], draws[2 ** 64 - 5])
+    assert np.array_equal(draws[2 ** 70 + 3], draws[3])
+    assert set(np.unique(draws[-1])) <= {7, 8}
+    est = estimate_psi(f, 2, samples=64, seed=-1, method="tree")
+    assert est.mean == float(draws[-1].mean())
 
 
 def test_psi_estimators_agree_with_exhaustive():

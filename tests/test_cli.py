@@ -116,6 +116,13 @@ def test_enumerate_psi_mode(maj4, capsys):
     assert doc["psi"]["mean"] == 6.0
 
 
+def test_enumerate_psi_mode_refuses_zero_samples(maj4, capsys):
+    code, out, err = run_cli(["enumerate", "--t", "2", "--closure", "--mode",
+                              "psi", "--samples", "0", maj4], capsys)
+    assert code == 4 and "samples" in err
+    assert "NaN" not in out
+
+
 def test_enumerate_debug_tree(maj4, tmp_path, capsys):
     dump = tmp_path / "tree.txt"
     code, out, _ = run_cli(["enumerate", "--t", "2", "--closure", "--mode",

@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from naenum import (Formula, brute_force, build_debug_tree, check_invariants,
                     effective_width, export_lines, maj, mass, negation_closure,
                     psi_exact, psi_of_node, random_negation_closed,
@@ -122,3 +124,26 @@ def test_check_invariants_flags_tampering():
         c.markers = ()
     flagged = check_invariants(tree)
     assert any("unmarked" in v for v in flagged)
+
+
+@pytest.mark.parametrize("f, t", [
+    (negation_closure(maj(8, 3)), 4),
+    # width-2 expansions: the shoot weight includes a defect
+    (negation_closure(Formula.of(9, [(7, 8, 9), (3, 5, 6), (1, 3, 5), (1, 4, 8),
+                                     (5, 7, -9), (6, 9, -8)])), 3)])
+def test_check_invariants_reports_light_shoots_last_in_leaf_order(f, t):
+    tree = build_debug_tree(f, t)
+    # raise the weight floor 3t - n to t and erase every mark below the
+    # root's first child: some depth-t shoots fall under the floor
+    tree.n = 2 * t
+    victim = tree.child_nodes(tree.root)[0]
+    for u in tree.nodes:
+        if victim.id in tree.path_ids(u)[1:-1]:
+            u.markers = ()
+    floor = 3 * tree.t - tree.n
+    light = [f"leaf {leaf.id}: shoot weight {st.weight} < {floor}"
+             for leaf in tree.leaves() if leaf.depth == tree.t
+             and (st := shoot_stats(tree, tree.root, leaf)).weight < floor]
+    flagged = check_invariants(tree)
+    assert light and flagged[len(flagged) - len(light):] == light
+    assert not any("shoot weight" in v for v in flagged[:len(flagged) - len(light)])
