@@ -4,8 +4,8 @@ Maximum disjoint clause packing is NP-hard, so the search settles for
 greedily-maximal collections and lets its own structural checks act as
 improving oracles: whenever a check would fail, it hands over a strictly
 larger disjoint family, the collection is replaced and re-extended, and the
-affected subtree is rebuilt.  Each reset grows a collection by at least one
-clause, so there are at most n of them per collection.
+attempt restarts.  Each reset grows a collection by at least one clause, so
+there are at most n of them per collection.
 """
 
 import naenum as ne

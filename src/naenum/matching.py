@@ -8,7 +8,7 @@ by at least one clause, so a collection resets at most n times.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .cnf import Clause, clause_vars
@@ -36,7 +36,7 @@ class ResetEvent:
 
 @dataclass
 class DisjointCollection:
-    """Ordered list of pairwise variable-disjoint clauses plus reset history.
+    """Ordered list of pairwise variable-disjoint clauses plus its reset count.
 
     The order is the expansion order of tree levels, so it is kept canonical
     (sorted) for reproducibility."""
@@ -44,7 +44,6 @@ class DisjointCollection:
     members: list[Clause]
     universe_tag: str = BASE
     reset_count: int = 0
-    events: list[ResetEvent] = field(default_factory=list)
 
     def __post_init__(self):
         _check_disjoint(self.members, self.universe_tag)
@@ -125,5 +124,4 @@ def attempt_reset(coll: DisjointCollection, removed: Iterable[Clause],
                        tuple(sorted(added)))
     coll.members = grown.members
     coll.reset_count += 1
-    coll.events.append(event)
     return event

@@ -14,11 +14,11 @@ Levels are expanded in three phases:
 
 Structural checks during the controlled stage can discover strictly larger
 disjoint families; they are raised as reset signals, the affected collection
-is grown, and the affected subtree is rebuilt.  The base and twomark
-collections reset this way.  The onemark collection never does: it is
-greedily maximal over the once-marked clauses F1, so no F1 clause is disjoint
-from it, and a free-stage clause that would witness a larger onemark family
-would be exactly such a clause.
+is grown, and the attempt restarts.  The base and twomark collections reset
+this way.  The onemark collection never does: it is greedily maximal over the
+once-marked clauses F1, so no F1 clause is disjoint from it, and a free-stage
+clause that would witness a larger onemark family would be exactly such a
+clause.
 
 Stage profiles read a ``monotone_index``: the formula's monotone width-3
 clauses in canonical order, each paired with its variable bitmask.  The
@@ -41,11 +41,10 @@ from .matching import (BASE, ONEMARK, TWOMARK, DisjointCollection,
 FREE = "free"
 
 
-class ResetSignal(Exception):
-    """Internal control flow: a strictly larger disjoint family was found."""
+class BaseResetSignal(Exception):
+    """Internal control flow: a disjoint family larger than the base
+    collection was found."""
 
-
-class BaseResetSignal(ResetSignal):
     def __init__(self, removed: Sequence[Clause], added: Sequence[Clause],
                  reason: str):
         super().__init__(reason)
@@ -54,9 +53,14 @@ class BaseResetSignal(ResetSignal):
         self.reason = reason
 
 
-class TwomarkResetSignal(ResetSignal):
-    def __init__(self, family: Sequence[Clause], reason: str):
+class TwomarkResetSignal(Exception):
+    """Internal control flow: a disjoint family larger than the twomark
+    collection of ``profile`` was found."""
+
+    def __init__(self, profile: StageProfile, family: Sequence[Clause],
+                 reason: str):
         super().__init__(reason)
+        self.profile = profile
         self.family = list(family)  # replacement collection, pairwise disjoint
         self.reason = reason
 
@@ -130,14 +134,6 @@ class StageProfile:
     @property
     def i_value(self) -> int:
         return 3 * self.t0 + 2 * self.t1 + self.m_r_prime + self.m_b
-
-    @property
-    def f2r_set(self) -> frozenset[Clause]:
-        return frozenset(self.f2r)
-
-    @property
-    def f2b_set(self) -> frozenset[Clause]:
-        return frozenset(self.f2b)
 
     def as_dict(self) -> dict:
         return {"q_u0": sorted(self.q_u0), "t0": self.t0, "t1": self.t1,

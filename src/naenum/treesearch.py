@@ -111,6 +111,11 @@ class OrderingSource:
     kind: str = "fixed"
     seed: int = 0
 
+    def __post_init__(self):
+        if self.kind not in ("fixed", "random"):
+            raise ParameterError(
+                f"ordering kind {self.kind!r} is not 'fixed' or 'random'")
+
     @classmethod
     def fixed(cls) -> "OrderingSource":
         return cls("fixed", 0)
@@ -118,10 +123,6 @@ class OrderingSource:
     @classmethod
     def random(cls, seed: int) -> "OrderingSource":
         return cls("random", seed)
-
-    @classmethod
-    def exhaustive(cls) -> "OrderingSource":
-        return cls("exhaustive", 0)
 
 
 @dataclass
@@ -193,8 +194,6 @@ class _Engine:
                  record: bool = False,
                  base: DisjointCollection | None = None):
         validate_engine_input(f, t)
-        if ordering.kind == "exhaustive":
-            raise ParameterError("use enumerate_all_orderings for exhaustive mode")
         self.f = f
         self.n = f.n
         self.t = t
@@ -214,12 +213,13 @@ class _Engine:
         self._index_clauses(f)
 
         self.base = base if base is not None else greedy_maximal(self.mono3, BASE)
+        # the twomark collection a reset grew, per depth-t0 path of this base
+        self.cr_keeps: dict[tuple[int, ...], tuple[Clause, ...]] = {}
         self.stats = SearchStats()
         self.buffer: list[tuple[int, ...]] = []
         self.tree_nodes: list[TreeNode] = []
         self.tree_profiles: list[StageProfile] = []
         self._seen: set[tuple[int, ...]] = set()
-        self.label_cnt = [0] * (self.n + 1)
         self.label_nodes: list[list[int]] = [[] for _ in range(self.n + 1)]
 
     def _index_clauses(self, f: Formula) -> None:
@@ -267,13 +267,29 @@ class _Engine:
         self.discarded_leaves = self.stats.leaves_visited
         self.tree_nodes = [TreeNode(0, 0, None, None, (), False)]
         self.tree_profiles = []
+        self.label_cnt = [0] * (self.n + 1)
 
     def _finish(self) -> None:
         self.stats.route = self.route
         self.stats.t0 = self.t0
         self.stats.solutions_emitted = len(self.buffer)
 
-    def run(self) -> None:
+    def run(self, prefix: Sequence[int] = ()) -> None:
+        """Search until one attempt finishes without a reset.
+
+        There is one reset protocol: every reset signal unwinds to here, the
+        collection it names is grown, and the attempt restarts at the root.
+        A base reset grows the base collection and drops every twomark keep,
+        which was grown against the old base.  A twomark reset grows the
+        twomark collection of one depth-t0 node and keeps it for that node's
+        path, where the next attempt's profile starts from it.  Each reset
+        strictly grows a disjoint collection, so the loop ends.
+
+        With a ``prefix`` (one label per base level, as the parallel driver
+        hands out) only the subtree under that path is searched; sibling
+        edges left of the prefix still feed the left-label mask of deeper
+        superfluous checks.  A base reset moves every prefix, so in this
+        mode it is raised to the caller."""
         while True:
             self._begin_attempt()
             try:
@@ -282,23 +298,22 @@ class _Engine:
                     self.tree_nodes[0].leaf_kind = "falsified"
                 else:
                     self.stats.nodes_visited += 1
-                    self._node(0, 0, self.live0, self.unit0, 0, None, 0)
+                    self._node(len(prefix), *self._walk_prefix(prefix), None, 0)
                 break
+            except TwomarkResetSignal as sig:
+                self._apply_twomark_reset(sig)
             except BaseResetSignal as sig:
+                if prefix:
+                    raise
                 self._apply_base_reset(sig)
         self._finish()
 
-    def run_from_prefix(self, prefix: Sequence[int]) -> None:
-        """Search only the subtree under the given disjoint-stage path; used by
-        the parallel driver.  Sibling edges left of the prefix still feed the
-        left-label mask of deeper superfluous checks.  The engine serves this
-        one subtree, so the prefix's mark counts are never lowered again."""
-        self._begin_attempt()
-        if self.has_empty_clause:
-            return
+    def _walk_prefix(self, prefix: Sequence[int]) -> tuple[int, int, int, int]:
+        """Masks ``Q, P, U, L`` at the end of a disjoint-stage path, with the
+        path's labels marked."""
         Q, P, U, L = 0, self.live0, self.unit0, 0
         for depth, x in enumerate(prefix):
-            labels = clause_vars(self.base.members[depth])
+            labels = self.base_labels[depth]
             if x not in labels:
                 raise InternalInvariantError("prefix label not at this level")
             order = self._order_children(depth, labels)
@@ -308,9 +323,7 @@ class _Engine:
             if U >> x & 1:
                 raise InternalInvariantError("falsifying edge inside a valid prefix")
             Q, P, U = self._step(depth, x, Q, P, U)
-        self.stats.nodes_visited += 1
-        self._node(len(prefix), Q, P, U, L, None, 0)
-        self._finish()
+        return Q, P, U, L
 
     def _apply_base_reset(self, sig: BaseResetSignal) -> None:
         event = attempt_reset(self.base, sig.removed, sig.added,
@@ -320,7 +333,19 @@ class _Engine:
                 f"base reset did not grow the collection: {sig.reason}")
         if self.base.reset_count > self.n:
             raise InternalInvariantError("base collection reset more than n times")
+        # a keep may hold clauses outside the new base's twomark pool
+        self.cr_keeps.clear()
         self.stats.resets[BASE] += 1
+        self.stats.reset_events.append({**event.as_dict(), "reason": sig.reason})
+
+    def _apply_twomark_reset(self, sig: TwomarkResetSignal) -> None:
+        prof = sig.profile
+        event = attempt_reset(prof.cr, list(prof.cr.members), sig.family,
+                              extend_from=prof.f2r)
+        if event is None:
+            raise InternalInvariantError(f"twomark reset did not grow: {sig.reason}")
+        self.cr_keeps[prof.p] = tuple(prof.cr.members)
+        self.stats.resets[TWOMARK] += 1
         self.stats.reset_events.append({**event.as_dict(), "reason": sig.reason})
 
     # ------------------------------------------------------------------
@@ -455,41 +480,13 @@ class _Engine:
 
     def _run_u0(self, depth: int, Q: int, P: int, U: int, L: int,
                 node_id: int) -> None:
-        cr_keep: tuple[Clause, ...] = ()
-        two_resets = 0
-        buf_mark = len(self.buffer)
-        tree_mark = len(self.tree_nodes)
         path = tuple(self.path[:depth])
-        while True:
-            leaf_mark = self.stats.leaves_visited
-            prof = build_stage_profile(self.f, self.base, path, cr_keep,
-                                       index=self.mono3_index)
-            fr = _Frame(prof, frozenset(), None, 0, (), node_id)
-            try:
-                self._node(depth, Q, P, U, L, fr, node_id)
-                self._record_profile(prof)
-                return
-            except TwomarkResetSignal as sig:
-                event = attempt_reset(prof.cr, list(prof.cr.members), sig.family,
-                                      extend_from=prof.f2r)
-                if event is None:
-                    raise InternalInvariantError(
-                        f"twomark reset did not grow: {sig.reason}")
-                two_resets += 1
-                if two_resets > self.n:
-                    raise InternalInvariantError("twomark collection reset more than n times")
-                self.stats.resets[TWOMARK] += 1
-                self.stats.reset_events.append({**event.as_dict(), "reason": sig.reason})
-                cr_keep = tuple(prof.cr.members)
-            self.discarded_leaves += self.stats.leaves_visited - leaf_mark
-            del self.buffer[buf_mark:]
-            self._seen = set(self.buffer)
-            if self.record:
-                del self.tree_nodes[tree_mark:]
-                u0 = self.tree_nodes[node_id]
-                u0.children.clear()
-                u0.ell = u0.heavy_budget = None
-                u0.stage = u0.clause = None
+        prof = build_stage_profile(self.f, self.base, path,
+                                   self.cr_keeps.get(path, ()),
+                                   index=self.mono3_index)
+        fr = _Frame(prof, frozenset(), None, 0, (), node_id)
+        self._node(depth, Q, P, U, L, fr, node_id)
+        self._record_profile(prof)
 
     def _record_profile(self, prof: StageProfile) -> None:
         if self.record:
@@ -564,11 +561,11 @@ class _Engine:
     def _heavy_overflow(self, fr: _Frame, clause: Clause) -> None:
         prof = fr.prof
         heavies = fr.heavies + (clause,)
-        r = [c for c in heavies if c in prof.f2r_set]
-        b = [c for c in heavies if c in prof.f2b_set]
+        r = [c for c in heavies if c in prof.f2r]
+        b = [c for c in heavies if c in prof.f2b]
         if len(r) + fr.k2.ell > prof.m_r_prime:
             raise TwomarkResetSignal(
-                list(fr.k2.clauses) + r,
+                prof, list(fr.k2.clauses) + r,
                 f"{len(r)} heavy twomark-pool clauses on one shoot")
         if len(b) > prof.m_b:
             t_side = [prof.base.members[i] for i in prof.v1]
@@ -732,7 +729,7 @@ def _subtree_worker(args):
     base = DisjointCollection(list(base_members), BASE)
     eng = _Engine(f, t, ordering, base=base)
     try:
-        eng.run_from_prefix(prefix)
+        eng.run(prefix)
     except BaseResetSignal as sig:
         return ("reset", sig.removed, sig.added, sig.reason)
     except PreconditionViolated as exc:
@@ -770,9 +767,10 @@ def _parallel_enumerate(f: Formula, t: int, ordering: OrderingSource,
     while True:
         t0 = len(master.base)
         depth = min(t0, t)
-        if depth == 0:
-            # only on the first pass (resets grow t0 and leave t), so the
-            # master has reset nothing and a fresh engine builds its base
+        if depth == 0 or master.has_empty_clause:
+            # only on the first pass (resets grow t0 and leave t, and an
+            # empty clause ends the search at the root), so the master has
+            # reset nothing and a fresh engine builds its base
             return enumerate_solutions(f, t, ordering, sink)
         prefixes, falsified = _valid_prefixes(master, depth)
         tasks = [(f, t, ordering, tuple(master.base.members), p) for p in prefixes]

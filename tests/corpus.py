@@ -61,3 +61,35 @@ def structure_reset_instance() -> Formula:
 
     return negation_closure(Formula.of(
         12, [(1, 8, 9), (2, 3, 8), (4, 10, 11), (5, 6, 10), (5, 7, 9)]))
+
+
+def heavy_overflow_instance() -> Formula:
+    """At the depth-t0 path (1, 4) the twice-marked pool F2R holds the
+    disjoint pair (3, 8, 12), (6, 9, 11), which the greedy twomark collection
+    [(3, 7, 11)] misses.  Its tau = 4 ends every shoot in the onemark or
+    twomark stage, so the search never meets that pair as heavy clauses."""
+    from naenum import negation_closure
+
+    return negation_closure(Formula.of(13, [
+        (1, 2, 3), (4, 5, 6), (2, 7, 8), (5, 9, 10),
+        (3, 7, 11), (3, 8, 12), (6, 9, 11)]))
+
+
+def heavy_reset_instance() -> Formula:
+    """At t = 5 (tau), a free-stage shoot meets more disjoint heavy clauses
+    outside the twomark pool than the heavy budget allows; they grow the
+    base collection from 2 to 3 clauses in one base reset."""
+    return random_negation_closed(13, 17, seed=258832577)
+
+
+def twomark_reset_instance() -> Formula:
+    """``heavy_overflow_instance()`` plus clauses that lift tau to 6 and are
+    all hit on the shoot (1, 4, 7, 10).  Below it the free stage meets the
+    disjoint pool pair (3, 8, 12), (6, 9, 11) as heavy clauses, and the
+    twomark collection at the depth-t0 path (1, 4) grows from 1 to 2."""
+    from naenum import negation_closure
+
+    return negation_closure(Formula.of(14, [
+        (1, 2, 3), (4, 5, 6), (2, 7, 8), (5, 9, 10),
+        (3, 7, 11), (3, 8, 12), (6, 9, 11),
+        (1, 5), (1, 13), (4, 5), (5, 7), (5, 10, 11), (7, 14)]))

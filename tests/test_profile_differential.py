@@ -14,7 +14,8 @@ from naenum import (Formula, OrderingSource, brute_force, build_stage_profile,
 from naenum.matching import attempt_reset, is_maximal
 from naenum.selection import (BaseResetSignal, StageProfile,
                               TwomarkResetSignal, monotone_index)
-from corpus import collision_reset_instance, structure_reset_instance
+from corpus import (collision_reset_instance, heavy_overflow_instance,
+                    structure_reset_instance)
 import reference_profile
 
 MAX_PATHS = 729  # 3^t0 for t0 <= 6
@@ -97,14 +98,8 @@ def test_profiles_match_reference_on_reset_instances():
         assert _check_formula(f) > 0
 
 
-def _heavy_overflow_instance() -> Formula:
-    return negation_closure(Formula.of(13, [
-        (1, 2, 3), (4, 5, 6), (2, 7, 8), (5, 9, 10),
-        (3, 7, 11), (3, 8, 12), (6, 9, 11)]))
-
-
 def test_profiles_match_reference_after_a_twomark_reset():
-    f = _heavy_overflow_instance()
+    f = heavy_overflow_instance()
     assert _check_formula(f) > 0
     base, t0 = disjoint_stage(f)
     prof = build_stage_profile(f, base, (1, 4))
@@ -137,7 +132,7 @@ def test_onemark_collection_is_maximal(corpus500, monkeypatch):
     monkeypatch.setattr(treesearch, "build_stage_profile", recorded)
     instances = [f for f, _ in corpus500] + [
         collision_reset_instance(), structure_reset_instance(),
-        _heavy_overflow_instance()]
+        heavy_overflow_instance()]
     for f in instances:
         base, t0 = disjoint_stage(f)
         if 3 ** t0 <= MAX_PATHS:

@@ -7,7 +7,8 @@ from naenum import (Formula, branch_on_t0, build_stage_profile,
 from naenum.cnf import clause_vars
 from naenum.selection import (BaseResetSignal, TwomarkResetSignal,
                               canonical_pick, node_mass)
-from corpus import collision_reset_instance, structure_reset_instance
+from corpus import (collision_reset_instance, heavy_overflow_instance,
+                    structure_reset_instance)
 
 
 def _max_disjoint_size(clauses):
@@ -116,9 +117,7 @@ def test_structure_reset_signal():
 def test_heavy_overflow_yields_twomark_reset():
     # f2r hides a disjoint pair the greedy twomark collection missed; two such
     # clauses heavy on one shoot with an empty twomark plan overflow budget 1
-    f = negation_closure(Formula.of(13, [
-        (1, 2, 3), (4, 5, 6), (2, 7, 8), (5, 9, 10),
-        (3, 7, 11), (3, 8, 12), (6, 9, 11)]))
+    f = heavy_overflow_instance()
     base, t0 = disjoint_stage(f)
     assert base.members == [(1, 2, 3), (4, 5, 6)] and t0 == 2
     prof = build_stage_profile(f, base, (1, 4))

@@ -10,15 +10,19 @@ from hypothesis import given, settings, strategies as st
 from naenum import (BudgetExceeded, DisjointCollection, Formula,
                     InputNotClosed, InternalInvariantError, OrderingSource,
                     ParameterError, PreconditionViolated, WidthError,
-                    brute_force, build_debug_tree, collect_solutions,
-                    count_solutions, enumerate_all_orderings,
-                    enumerate_solutions, maj, negation_closure,
-                    random_negation_closed, verify_enumeration)
+                    brute_force, build_debug_tree, check_invariants,
+                    collect_solutions, count_solutions, disjoint_stage,
+                    enumerate_all_orderings, enumerate_solutions, maj,
+                    negation_closure, psi_exact, random_negation_closed,
+                    verify_enumeration)
 from naenum import treesearch
 from naenum.cli import main as cli_main
 from naenum.matching import ONEMARK
+from naenum.selection import TwomarkContext, TwomarkResetSignal
 from naenum.treesearch import _DRAW_LIMIT, _PERMS, _Engine
-from corpus import collision_reset_instance, structure_reset_instance
+from corpus import (collision_reset_instance, heavy_overflow_instance,
+                    heavy_reset_instance, structure_reset_instance,
+                    twomark_reset_instance)
 
 
 @pytest.mark.parametrize("n,count", [(4, 6), (8, 36), (12, 216)])
@@ -44,8 +48,9 @@ def test_input_validation():
     with pytest.raises(ParameterError):
         enumerate_solutions(negation_closure(maj(4, 3)), 9)
     with pytest.raises(ParameterError):
-        enumerate_solutions(negation_closure(maj(4, 3)), 2,
-                            OrderingSource.exhaustive())
+        OrderingSource("exhaustive")
+    with pytest.raises(ParameterError):
+        OrderingSource("Random", 3)
 
 
 def test_precondition_detected():
@@ -84,13 +89,153 @@ def test_exactly_once_many_seeds(corpus500):
             assert len(set(sols)) == len(sols)
 
 
+HEAVY_BASE_REASON = "2 disjoint heavy clauses outside the twomark pool"
+
+
 def test_reset_instances_still_enumerate():
-    for f in (collision_reset_instance(), structure_reset_instance()):
+    heavy = heavy_reset_instance()
+    for f in (collision_reset_instance(), structure_reset_instance(), heavy):
         rep = brute_force(f)
         sols, stats = collect_solutions(f, rep.tau)
         assert verify_enumeration(f, rep.tau, sols).passed
         assert stats.resets["base"] >= 1
         assert stats.reset_events
+        if f is heavy:
+            assert [e["reason"] for e in stats.reset_events] == [HEAVY_BASE_REASON]
+
+
+def test_heavy_reset_instance_overflows_into_one_base_reset():
+    # the first engine input known to reach _heavy_overflow: a
+    # controlled-route shoot (t0 = 2) meets more disjoint heavy clauses
+    # outside the twomark pool than its budget allows.  The pruned search,
+    # the debug tree and the parallel driver each settle it with one reset.
+    f = heavy_reset_instance()
+    assert disjoint_stage(f)[1] == 2 and brute_force(f).tau == 5
+    expect = list(brute_force(f, t=5).weight_t_solutions)
+    assert len(expect) == 19
+    for ordering in [OrderingSource.fixed()] + [OrderingSource.random(s)
+                                                for s in range(20)]:
+        sols, _ = collect_solutions(f, 5, ordering)
+        assert sorted(sols) == expect
+    tree = build_debug_tree(f, 5)
+    assert check_invariants(tree) == []
+    for stats in (collect_solutions(f, 5)[1], tree.stats,
+                  collect_solutions(f, 5, parallel=2)[1]):
+        assert stats.resets == {"base": 1, "onemark": 0, "twomark": 0}
+        assert [e["reason"] for e in stats.reset_events] == [HEAVY_BASE_REASON]
+        assert (stats.route, stats.t0) == ("controlled", 3)
+
+
+def test_twomark_reset_instance_restarts_the_attempt():
+    # a free-stage shoot below the depth-t0 path (1, 4) meets two disjoint
+    # heavy clauses of the twomark pool; the twomark collection there grows
+    # and the attempt restarts, under every ordering and in every driver
+    f = twomark_reset_instance()
+    assert brute_force(f).tau == 6
+    expect = list(brute_force(f, t=6).weight_t_solutions)
+    assert len(expect) == 18
+    event = {"stage": "twomark", "old_size": 1, "new_size": 2,
+             "witness": [[3, 8, 12], [6, 9, 11]],
+             "reason": "2 heavy twomark-pool clauses on one shoot"}
+    for ordering in [OrderingSource.fixed()] + [OrderingSource.random(s)
+                                                for s in range(20)]:
+        sols, stats = collect_solutions(f, 6, ordering)
+        assert sorted(sols) == expect
+        assert stats.resets == {"base": 0, "onemark": 0, "twomark": 1}
+        assert stats.reset_events == [event]
+    tree = build_debug_tree(f, 6)
+    assert check_invariants(tree) == []
+    assert tree.stats.reset_events == [event]
+    sols, stats = collect_solutions(f, 6, parallel=2)
+    assert sorted(sols) == expect and stats.reset_events == [event]
+
+
+def test_base_reset_drops_the_twomark_keeps():
+    # a twomark reset at the depth-t0 path (1, 4), then a base reset: the
+    # twomark collection kept for (1, 4) was grown against the old base's
+    # pool, so it must not seed any profile of the new base
+    f = negation_closure(Formula.of(14, [
+        (1, 2, 3), (4, 5, 6), (2, 7, 8), (5, 9, 10), (3, 7, 11), (3, 8, 12),
+        (6, 9, 11), (1, 8, 11), (1, 12, 14), (1, 13), (2, 10, 14), (4, 14)]))
+    eng = _Engine(f, 6, OrderingSource.fixed())
+    eng.run()
+    assert [e["stage"] for e in eng.stats.reset_events] == ["twomark", "base"]
+    assert eng.cr_keeps == {}
+    assert sorted(eng.buffer) == list(brute_force(f, t=6).weight_t_solutions)
+
+
+def _inject_twomark_reset(monkeypatch) -> None:
+    """The first profile built at the depth-t0 path (1, 4) of
+    ``heavy_overflow_instance()`` raises a twomark reset that hands over the
+    disjoint pair its pool hides; every later build is the real one."""
+    real = treesearch.build_stage_profile
+    raised = []
+
+    def build(f, base, path, *args, **kw):
+        prof = real(f, base, path, *args, **kw)
+        if tuple(path) == (1, 4) and not raised:
+            raised.append(prof)
+            raise TwomarkResetSignal(prof, [(3, 8, 12), (6, 9, 11)], "injected")
+        return prof
+
+    monkeypatch.setattr(treesearch, "build_stage_profile", build)
+
+
+def test_twomark_reset_restarts_the_attempt(monkeypatch):
+    f = heavy_overflow_instance()
+    expect = list(brute_force(f, t=4).weight_t_solutions)
+    assert len(expect) == 20
+    event = {"stage": "twomark", "old_size": 1, "new_size": 2,
+             "witness": [[3, 8, 12], [6, 9, 11]], "reason": "injected"}
+    for ordering in (OrderingSource.fixed(), OrderingSource.random(7)):
+        _inject_twomark_reset(monkeypatch)
+        sols, stats = collect_solutions(f, 4, ordering)
+        assert sorted(sols) == expect
+        assert stats.resets == {"base": 0, "onemark": 0, "twomark": 1}
+        assert stats.reset_events == [event]
+        # the restarted attempt builds the profile at (1, 4) from the keep
+        at_u0 = [p for p in stats.profiles if p["q_u0"] == [1, 4]]
+        assert at_u0[-1]["m_r_prime"] == 2
+
+    _inject_twomark_reset(monkeypatch)
+    tree = build_debug_tree(f, 4)
+    assert tree.stats.resets["twomark"] == 1
+    assert check_invariants(tree) == []
+    assert psi_exact(tree) == Fraction(105, 2)
+
+    # the parallel driver's worker settles a twomark reset itself
+    task = (f, 4, OrderingSource.fixed(), tuple(disjoint_stage(f)[0].members),
+            (1, 4))
+    monkeypatch.undo()
+    clean = treesearch._subtree_worker(task)
+    _inject_twomark_reset(monkeypatch)
+    res = treesearch._subtree_worker(task)
+    assert res[0] == "ok" and res[2]["resets"]["twomark"] == 1
+    assert res[1] == clean[1] and clean[2]["resets"]["twomark"] == 0
+    # the restarted prefix walk marks each base level's labels once again
+    eng = _Engine(f, 4, OrderingSource.fixed())
+    _inject_twomark_reset(monkeypatch)
+    eng.run((1, 4))
+    assert eng.stats.resets["twomark"] == 1
+    assert eng.label_cnt[1:] == [1] * 6 + [0] * 7
+
+
+def test_heavy_overflow_without_a_witness_is_an_invariant_failure(monkeypatch):
+    # random_negation_closed(10, 12, seed=21): with every heavy budget cut by
+    # one, a shoot overflows on a single heavy clause outside the twomark
+    # pool, which witnesses no larger family.  The run must end there.
+    f = random_negation_closed(10, 12, seed=21)
+    real = treesearch.twomark_context
+
+    def cut(prof, took):
+        k2 = real(prof, took)
+        return TwomarkContext(k2.clauses, k2.fals_vars, k2.ell,
+                              k2.heavy_budget - 1)
+
+    monkeypatch.setattr(treesearch, "twomark_context", cut)
+    with pytest.raises(InternalInvariantError,
+                       match="exceeded without a witness: 0 pool heavies, 1 outside"):
+        collect_solutions(f, 4)
 
 
 def test_mass_five_halves_node_is_an_invariant_failure(monkeypatch):
@@ -165,7 +310,13 @@ def test_exhaustive_orderings_single_node():
 
 
 def test_exhaustive_orderings_identities(tiny_exhaustive):
-    for f, rep, report in tiny_exhaustive[:10]:
+    # no surviving edge of the exhaustive corpus carries two markers; this
+    # closure has two such edges, so the 2^-marks identity is checked at 2
+    twice = enumerate_all_orderings(negation_closure(Formula.of(
+        8, [(-7, 2, 3), (-7, 5, 6), (-2, 5), (-1, 2), (1, 2, 4), (1, 5, 7)])), 3)
+    assert twice.orderings == 432 and twice.mean_surviving == Fraction(13, 4)
+    assert any(v.marks >= 2 for v in twice.tree.nodes[1:] if not v.falsifying)
+    for report in [r for _, _, r in tiny_exhaustive[:10]] + [twice]:
         assert report.mean_surviving == report.predicted_psi
         for v in report.tree.nodes[1:]:
             if not v.falsifying:
@@ -201,6 +352,9 @@ def test_parallel_matches_sequential(workers):
     assert seq == par
     assert seq_stats.nodes_visited == par_stats.nodes_visited
     assert seq_stats.superfluous_skips == par_stats.superfluous_skips
+    # an empty clause ends the search at the root, in either driver
+    g = Formula.of(6, [(1, 2, 3), (-1, -2, -3), ()])
+    assert collect_solutions(g, 2, parallel=workers) == collect_solutions(g, 2)
 
 
 def test_parallel_reset_instance():
