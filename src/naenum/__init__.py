@@ -4,9 +4,8 @@ bound calculators and brute-force oracles that machine-check the method's
 structural claims at desk scale."""
 
 from .cnf import (Clause, Formula, canonical_clause, clause_vars,
-                  is_falsified, is_monotone, is_negation_closed, live_clauses,
-                  nae_check, negation_closure, parse_dimacs, satisfies,
-                  simplify)
+                  is_monotone, is_negation_closed, nae_check,
+                  negation_closure, parse_dimacs, satisfies)
 from .errors import (BudgetExceeded, DimacsError, InputNotClosed,
                      InternalInvariantError, NaenumError, OracleRefused,
                      ParameterError, PreconditionViolated, TautologyError,
@@ -22,6 +21,6 @@ from .treesearch import (ExhaustiveReport, OrderingSource, SearchStats,
                          build_debug_tree, collect_solutions, count_solutions,
                          enumerate_all_orderings, enumerate_solutions)
 from .tree import (DebugTree, TreeNode, check_invariants, effective_width,
-                   export_lines, mass, psi_exact, psi_of_node, shoot_stats)
+                   export_lines, mass, psi_exact)
 
 __version__ = "0.1.0"

@@ -344,9 +344,6 @@ class BoundTable:
     dmax: int
     hmax: int | None = None
 
-    def value(self, *key) -> Fraction:
-        return self.grid[key]
-
     def csv_lines(self) -> list[str]:
         if self.kind == "large":
             head = ["w,d,value"]
@@ -612,15 +609,10 @@ def global_bound_check(ns_large: Sequence[int] = tuple(range(8, 65, 4)),
                  ["large route: 3^(n/4+D) F(n/2, n/4-D) = 6^(n/4) (27/32)^D <= 6^(n/4)"])
 
     def controlled_ok(cert: NodeCertificate, scaled: QSqrt6, bound: QSqrt6) -> bool:
-        if not scaled <= bound:
-            return False
-        for term in cert.terms:
-            w, d, h = term["w"], term["d"], term["h"]
-            if d + h > w:
-                return False
-            if (w <= 3 * d - h) != (cert.i_value <= cert.n):
-                return False
-        return True
+        inner = cert.i_value <= cert.n
+        return scaled <= bound and all(
+            t["d"] + t["h"] <= t["w"] and (t["w"] <= 3 * t["d"] - t["h"]) == inner
+            for t in cert.terms)
 
     for n in ns_controlled:
         # one certificate per profile serves both the check and the argmax

@@ -81,13 +81,11 @@ def cmd_gen(args) -> int:
             raise ParameterError("--m required for the random family")
         f = random_negation_closed(args.n, args.m, args.seed)
         spec = GenSpec("random", args.n, 3, args.m, args.seed)
-    elif args.family == "reduction":
+    else:                            # argparse allows only the three families
         if not args.input:
             raise ParameterError("--input required for the reduction family")
         f = ksat_to_naesat(_read_formula(args.input))
         spec = GenSpec("reduction", f.n)
-    else:
-        raise ParameterError(f"unknown family {args.family}")
     if args.closure:
         f = negation_closure(f)
     text = f.to_dimacs([spec.comment()])

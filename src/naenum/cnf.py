@@ -160,30 +160,6 @@ def is_negation_closed(f: Formula) -> bool:
     return True
 
 
-def simplify(f: Formula, ones: Iterable[int]) -> Formula:
-    """Set the given variables to 1: delete satisfied clauses, strip falsified
-    negative literals.  The variable universe stays ``f.n``."""
-    on = set(ones)
-    out = []
-    for c in f.clauses:
-        if any(l > 0 and l in on for l in c):
-            continue
-        out.append(tuple(l for l in c if not (l < 0 and -l in on)))
-    return Formula(f.n, tuple(sorted(set(out), key=lambda c: (len(c), _clause_key(c)))))
-
-
-def is_falsified(f: Formula) -> bool:
-    """True iff the formula contains an empty clause."""
-    return any(len(c) == 0 for c in f.clauses)
-
-
-def live_clauses(f: Formula, q: Iterable[int]) -> tuple[Clause, ...]:
-    """Clauses with no positive literal over ``q``; negations of ``q``
-    variables are allowed."""
-    qs = set(q)
-    return tuple(c for c in f.clauses if not any(l > 0 and l in qs for l in c))
-
-
 def _clause_sat(c: Clause, on: set[int]) -> bool:
     return any((l > 0 and l in on) or (l < 0 and -l not in on) for l in c)
 

@@ -93,11 +93,6 @@ def greedy_maximal(candidates: Iterable[Clause], tag: str = BASE,
     return DisjointCollection(members, tag)
 
 
-def is_maximal(coll: DisjointCollection, candidates: Iterable[Clause]) -> bool:
-    used = coll.variables()
-    return all(set(clause_vars(c)) & used for c in set(candidates) - set(coll.members))
-
-
 def attempt_reset(coll: DisjointCollection, removed: Iterable[Clause],
                   added: Iterable[Clause],
                   extend_from: Iterable[Clause] = ()) -> ResetEvent | None:

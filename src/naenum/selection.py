@@ -9,8 +9,8 @@ Levels are expanded in three phases:
   expands a maximal disjoint family of once-marked monotone clauses, then
   ``twomark`` expands twice-marked clauses that carry a built-in falsifying
   edge, for a path-dependent number of levels.
-* ``free`` stage: any live clause with a positive simplification, in canonical
-  order (smallest residual width, then lexicographic).
+* ``free`` stage: the live clause whose positive literals rank first by the
+  key (width, variables): smallest residual width, then lexicographic.
 
 Structural checks during the controlled stage can discover strictly larger
 disjoint families; they are raised as reset signals, the affected collection
@@ -19,6 +19,13 @@ this way.  The onemark collection never does: it is greedily maximal over the
 once-marked clauses F1, so no F1 clause is disjoint from it, and a free-stage
 clause that would witness a larger onemark family would be exactly such a
 clause.
+
+The checks rest on one premise: the base collection is maximal over the
+monotone width-3 clauses (``greedy_maximal`` builds it, each base reset
+re-extends it), so each such clause meets a base variable.  The search
+engine checks the premise once per attempt under its debug assertions.  So
+no twice-marked clause has both marks on onemark tails: it would avoid the
+path labels and the sibling pairs X, which are all the base's variables.
 
 Stage profiles read a ``monotone_index``: the formula's monotone width-3
 clauses in canonical order, each paired with its variable bitmask.  The
@@ -33,7 +40,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .cnf import Clause, Formula, clause_vars
+from .cnf import Clause, Formula
 from .errors import InternalInvariantError
 from .matching import (BASE, ONEMARK, TWOMARK, DisjointCollection,
                        greedy_maximal, var_mask)
@@ -187,11 +194,11 @@ def build_stage_profile(f: Formula, base: DisjointCollection,
     x_pairs: list[tuple[int, int]] = []
     x_index: dict[int, int] = {}
     q0_mask = x_mask = 0
+    # collection members are monotone: each clause is its own variable tuple
     for i, (c, lab) in enumerate(zip(base.members, path_labels)):
-        vs = clause_vars(c)
-        if lab not in vs:
+        if lab not in c:
             raise InternalInvariantError("path label not in base clause")
-        rest = tuple(v for v in vs if v != lab)
+        rest = tuple(v for v in c if v != lab)
         p.append(lab)
         x_pairs.append(rest)
         q0_mask |= 1 << lab
@@ -211,8 +218,7 @@ def build_stage_profile(f: Formula, base: DisjointCollection,
     c1_levels: list[int] = []
     c1_mask = v1_x_mask = 0
     for c in c1.members:
-        vs = clause_vars(c)
-        xs = [v for v in vs if v in x_index]
+        xs = [v for v in c if v in x_index]
         i = x_index[xs[0]]
         c1_levels.append(i)
         if i in c1_of_level:
@@ -224,7 +230,7 @@ def build_stage_profile(f: Formula, base: DisjointCollection,
         x_tilde[i] = xs[0]
         x_hat[i] = x_pairs[i][0] if x_pairs[i][1] == xs[0] else x_pairs[i][1]
         v1_x_mask |= 1 << x_pairs[i][0] | 1 << x_pairs[i][1]
-        for v in vs:
+        for v in c:
             c1_mask |= 1 << v
             if v != xs[0]:
                 y_index[v] = i
@@ -265,16 +271,12 @@ def build_stage_profile(f: Formula, base: DisjointCollection,
             f2r.append(c)
             vr_levels.add(i)
         else:
-            if not marked & x_mask:
-                raise BaseResetSignal(
-                    [], [c],
-                    "twice-marked clause disjoint from the base collection")
             f2b.append(c)
 
     cr = greedy_maximal(f2r, TWOMARK, keep=cr_keep)
     cr_level = {}
     for c in cr.members:
-        lv = next(x_index[v] for v in clause_vars(c) if 1 << v & v1_x_mask)
+        lv = next(x_index[v] for v in c if 1 << v & v1_x_mask)
         cr_level[c] = lv
     vr = tuple(sorted(vr_levels))
     vr_prime = tuple(sorted(cr_level.values()))
@@ -305,12 +307,6 @@ def twomark_context(profile: StageProfile, took_marked: frozenset[int]) -> Twoma
     ell = len(clauses)
     budget = profile.m_r_prime + profile.m_b - ell
     return TwomarkContext(clauses, fals, ell, budget)
-
-
-def canonical_pick(candidates: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
-    """Free-stage selection: among positive residual clauses pick the smallest
-    width, ties broken lexicographically on the variable tuple."""
-    return min(candidates, key=lambda vs: (len(vs), vs))
 
 
 def node_mass(kids: Sequence[tuple[int, int, bool]]) -> Fraction:

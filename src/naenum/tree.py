@@ -2,8 +2,9 @@
 and structural invariant sweeps.
 
 The search engine normally keeps only path-local state; this module holds the
-fully expanded tree it can optionally record (small n only), together with the
-per-shoot accounting: markings, defect, weight, mass, effective width.
+fully expanded tree it can optionally record (small n only), the per-node
+accounting (marks, mass, effective width), the exact survival value psi, the
+survival kernel over sibling orderings and the structural invariant sweep.
 """
 
 from __future__ import annotations
@@ -99,38 +100,6 @@ def marked_child_count(tree: DebugTree, u: TreeNode) -> int:
     return sum(1 for k in tree.child_nodes(u) if k.marks > 0)
 
 
-@dataclass(frozen=True)
-class ShootStats:
-    marked_edge_count: int
-    defect: int
-
-    @property
-    def weight(self) -> int:
-        return self.marked_edge_count + self.defect
-
-
-def shoot_stats(tree: DebugTree, top: TreeNode, bottom: TreeNode) -> ShootStats:
-    """Stats over the shoot from ``top`` to its descendant ``bottom``: the path
-    edges plus all child edges of path nodes other than ``bottom``."""
-    path = tree.path_ids(bottom)
-    if top.id not in path:
-        raise ValueError("top is not an ancestor of bottom")
-    path = path[path.index(top.id):]
-    marked = 0
-    defect = 0
-    for nid in path[:-1]:
-        node = tree.nodes[nid]
-        defect += 3 - len(node.children)
-        marked += sum(1 for k in tree.child_nodes(node) if k.marks > 0)
-    return ShootStats(marked, defect)
-
-
-def sigma_edge(node: TreeNode) -> Fraction:
-    """Survival probability of the edge into ``node`` under uniformly random
-    sibling orderings (0 for falsifying edges)."""
-    return Fraction(0) if node.falsifying else Fraction(1, 2 ** node.marks)
-
-
 def psi_exact(tree: DebugTree) -> Fraction:
     """Exact expected surviving-leaf count: sum over depth-t non-falsified
     leaves of the product of edge survival probabilities along the path."""
@@ -210,17 +179,6 @@ class SurvivalKernel:
         for ids, parents in self.levels:
             alive[ids] &= alive[parents]
         return ok, alive[self.viable]
-
-
-def psi_of_node(tree: DebugTree, u: TreeNode) -> Fraction:
-    """Recursive survival value: 1 at viable leaves, 0 at falsified ones, and
-    the sigma-weighted child sum at internal nodes."""
-    if u.leaf_kind == "viable":
-        return Fraction(1)
-    if u.leaf_kind == "falsified":
-        return Fraction(0)
-    return sum((sigma_edge(k) * psi_of_node(tree, k)
-                for k in tree.child_nodes(u)), start=Fraction(0))
 
 
 def export_lines(tree: DebugTree) -> list[str]:

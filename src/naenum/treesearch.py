@@ -15,11 +15,11 @@ would falsify an all-negative clause) and ``L`` (bit v: label v sits on a
 child edge left of the path).  A child's masks are computed from its parent's
 in time proportional to the occurrences of its label, so backtracking is just
 returning: no trail is kept, and a reset signal unwinds any number of levels
-without repair.  Clauses are ranked in ``canonical_pick`` order, so the free
-pick is the lowest set bit of ``P`` and "no live positive clause" is
-``P == 0``.  Path labels and per-depth ordering hashes live in depth-indexed
-arrays that a child overwrites; only the label mark counters are raised and
-lowered (in ``finally``) around an expansion.
+without repair.  Clauses are ranked by the key (width, variables) of their
+positive literals, so the free pick is the lowest set bit of ``P`` and "no
+live positive clause" is ``P == 0``.  Path labels and per-depth ordering
+hashes live in depth-indexed arrays that a child overwrites; only the label
+mark counters are raised and lowered (in ``finally``) around an expansion.
 
 Random sibling orderings come from a counter-based stream (splitmix64 as a
 path hash, after Salmon et al., SC 2011): a node's order is a function of the
@@ -40,12 +40,19 @@ width-3 clauses with their variable masks).  The base greedy and every
 controlled-stage profile read it, so a depth-t0 node's profile is built from
 mask tests rather than a fresh scan of the formula.  The index lives only as
 long as the engine.
+
+The base collection is maximal over that index (``greedy_maximal`` builds
+it, each base reset re-extends it), so below depth t0, where every base
+variable is marked, no width-3 expansion is unmarked: it is a monotone
+width-3 clause, which meets a base variable.  Under debug assertions each
+attempt checks this premise once against the index's masks.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -54,14 +61,14 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .cnf import Clause, Formula, clause_vars, is_negation_closed
+from .cnf import Clause, Formula, is_negation_closed
 from .errors import (BudgetExceeded, InputNotClosed, InternalInvariantError,
                      ParameterError, PreconditionViolated, WidthError)
 from .matching import (BASE, ONEMARK, TWOMARK, DisjointCollection,
-                       attempt_reset, greedy_maximal)
+                       attempt_reset, greedy_maximal, var_mask)
 from .selection import (FREE, BaseResetSignal, StageProfile, TwomarkContext,
                         TwomarkResetSignal, branch_on_t0, build_stage_profile,
-                        monotone_index, twomark_context)
+                        monotone_index, node_mass, twomark_context)
 from .tree import DebugTree, SurvivalKernel, TreeNode, psi_exact
 
 PROFILE_CAP = 512
@@ -174,18 +181,24 @@ class _Frame(NamedTuple):
     prof: StageProfile
     took: frozenset[int]             # base levels entered via the marked X var
     k2: TwomarkContext | None
-    heavy: int
-    heavies: tuple[Clause, ...]
+    heavies: tuple[Clause, ...]      # heavy free-stage clauses on the shoot
     u0_id: int | None = None
 
 
-def validate_engine_input(f: Formula, t: int) -> None:
+def validate_engine_input(f: Formula, t: int) -> int:
+    """Refuse what the engine cannot search; return ``t`` as an int (numpy
+    integers are accepted, ``None`` and floats are not)."""
     if f.max_width > 3:
         raise WidthError(f"engine accepts width <= 3, found width {f.max_width}")
+    try:
+        t = operator.index(t)
+    except TypeError:
+        raise ParameterError(f"target weight t={t!r} is not an integer") from None
     if not 0 <= t <= f.n:
         raise ParameterError(f"target weight t={t} outside 0..{f.n}")
     if not is_negation_closed(f):
         raise InputNotClosed("formula is not negation-closed; close it first")
+    return t
 
 
 class _Engine:
@@ -193,7 +206,7 @@ class _Engine:
                  *, debug_assertions: bool | None = None,
                  record: bool = False,
                  base: DisjointCollection | None = None):
-        validate_engine_input(f, t)
+        t = validate_engine_input(f, t)
         self.f = f
         self.n = f.n
         self.t = t
@@ -224,8 +237,9 @@ class _Engine:
 
     def _index_clauses(self, f: Formula) -> None:
         """Per-variable occurrence masks and lists, in O(total literals).
-        Clauses with a positive literal get a bit each, ranked in
-        ``canonical_pick`` order; all-negative ones feed the falsifying mask."""
+        Clauses with a positive literal get a bit each, ranked by (width,
+        variables) of their positive literals; all-negative ones feed the
+        falsifying mask."""
         posvars = [tuple(l for l in c if l > 0) for c in f.clauses]
         ranked = sorted((i for i, pv in enumerate(posvars) if pv),
                         key=lambda i: (len(posvars[i]), posvars[i]))
@@ -260,7 +274,10 @@ class _Engine:
 
     def _begin_attempt(self) -> None:
         self.t0 = len(self.base)
-        self.base_labels = [clause_vars(c) for c in self.base.members]
+        if self.debug_assertions:
+            used = sum(map(var_mask, self.base.members))    # disjoint members
+            if any(not m & used for _, m in self.mono3_index):
+                raise InternalInvariantError("base collection is not maximal")
         self.route = branch_on_t0(self.t0, self.n)
         self.buffer.clear()
         self._seen.clear()
@@ -310,18 +327,15 @@ class _Engine:
 
     def _walk_prefix(self, prefix: Sequence[int]) -> tuple[int, int, int, int]:
         """Masks ``Q, P, U, L`` at the end of a disjoint-stage path, with the
-        path's labels marked."""
+        path's labels marked.  The prefix is one of ``_valid_prefixes`` of
+        this base: a label of each level, none falsifying."""
         Q, P, U, L = 0, self.live0, self.unit0, 0
         for depth, x in enumerate(prefix):
-            labels = self.base_labels[depth]
-            if x not in labels:
-                raise InternalInvariantError("prefix label not at this level")
+            labels = self.base.members[depth]
             order = self._order_children(depth, labels)
             L |= sum(1 << y for y in order[:order.index(x)])
             for y in labels:
                 self.label_cnt[y] += 1
-            if U >> x & 1:
-                raise InternalInvariantError("falsifying edge inside a valid prefix")
             Q, P, U = self._step(depth, x, Q, P, U)
         return Q, P, U, L
 
@@ -331,8 +345,6 @@ class _Engine:
         if event is None:
             raise InternalInvariantError(
                 f"base reset did not grow the collection: {sig.reason}")
-        if self.base.reset_count > self.n:
-            raise InternalInvariantError("base collection reset more than n times")
         # a keep may hold clauses outside the new base's twomark pool
         self.cr_keeps.clear()
         self.stats.resets[BASE] += 1
@@ -387,12 +399,12 @@ class _Engine:
             self._run_u0(depth, Q, P, U, L, node_id)
             return
         # stage selection: base levels, then (below u0) the onemark clauses,
-        # the twomark plan, and the free pick; onemark and twomark clauses
-        # come from the monotone index, so each is its own label tuple
+        # the twomark plan, and the free pick; base, onemark and twomark
+        # clauses come from the monotone index, so each is its own label tuple
         stage, fals_var = FREE, None
         took_x = 0                       # onemark: the child through X-tilde
         if depth < self.t0:
-            labels, stage = self.base_labels[depth], BASE
+            labels, stage = self.base.members[depth], BASE
         elif fr is not None:
             prof = fr.prof
             k = depth - self.t0
@@ -405,7 +417,7 @@ class _Engine:
                 if fr.k2 is None:
                     k2 = twomark_context(prof, fr.took)
                     prof.ell_histogram[k2.ell] = prof.ell_histogram.get(k2.ell, 0) + 1
-                    fr = _Frame(fr.prof, fr.took, k2, 0, fr.heavies, fr.u0_id)
+                    fr = _Frame(fr.prof, fr.took, k2, fr.heavies, fr.u0_id)
                     if record:
                         self.tree_nodes[node_id].ell = k2.ell
                         self.tree_nodes[node_id].heavy_budget = k2.heavy_budget
@@ -415,14 +427,6 @@ class _Engine:
                     fals_var = fr.k2.fals_vars[j]
         if stage == FREE:
             labels = self.pick[(P & -P).bit_length() - 1]
-
-        cnt = self.label_cnt
-        if depth >= self.t0 and len(labels) == 3 and \
-                not (cnt[labels[0]] or cnt[labels[1]] or cnt[labels[2]]):
-            # a width-3 monotone clause untouched by every earlier level beats
-            # the maximal base collection: grow it and rebuild
-            raise BaseResetSignal([], [labels],
-                                  "unmarked width-3 expansion past the disjoint prefix")
         if fr is not None:
             fr = self._stage_checks(labels, stage, fals_var, U, fr)
 
@@ -436,6 +440,7 @@ class _Engine:
             order = labels
         else:
             order = self._order_children(depth, labels)
+        cnt = self.label_cnt
         for x in labels:
             cnt[x] += 1
             if record:
@@ -456,7 +461,7 @@ class _Engine:
                     child_fr = fr
                     if x == took_x:
                         child_fr = _Frame(fr.prof, fr.took | {lvl}, fr.k2,
-                                          fr.heavy, fr.heavies, fr.u0_id)
+                                          fr.heavies, fr.u0_id)
                     stats.nodes_visited += 1
                     self._node(depth + 1, *self._step(depth, x, Q, P, U), L,
                                child_fr, child_id)
@@ -484,7 +489,7 @@ class _Engine:
         prof = build_stage_profile(self.f, self.base, path,
                                    self.cr_keeps.get(path, ()),
                                    index=self.mono3_index)
-        fr = _Frame(prof, frozenset(), None, 0, (), node_id)
+        fr = _Frame(prof, frozenset(), None, (), node_id)
         self._node(depth, Q, P, U, L, fr, node_id)
         self._record_profile(prof)
 
@@ -527,11 +532,11 @@ class _Engine:
             if des is None or not des[1]:
                 raise InternalInvariantError(
                     f"twomark clause {labels}: designated edge {fals_var} not falsifying")
-            nonfals = [(x, m) for x, m, f in kids if not f]
-            if len(nonfals) > 2:
+            width = sum(1 for _, _, f in kids if not f)
+            if width > 2:
                 raise InternalInvariantError(
-                    f"twomark clause {labels}: effective width {len(nonfals)} > 2")
-            mass = sum(Fraction(1, 2 ** m) for _, m in nonfals)
+                    f"twomark clause {labels}: effective width {width} > 2")
+            mass = node_mass(kids)
             if mass > Fraction(3, 2):
                 raise InternalInvariantError(
                     f"twomark clause {labels}: mass {mass} > 3/2")
@@ -552,10 +557,10 @@ class _Engine:
                     f"5/2: the onemark collection is not maximal")
             if clean3 and len(marked) == 2 and all(m == 1 for _, m in marked):
                 clause = tuple(labels)
-                if fr.k2 is not None and fr.heavy + 1 > fr.k2.heavy_budget:
+                if len(fr.heavies) >= fr.k2.heavy_budget:
                     self._heavy_overflow(fr, clause)
-                fr = _Frame(fr.prof, fr.took, fr.k2, fr.heavy + 1,
-                            fr.heavies + (clause,), fr.u0_id)
+                fr = _Frame(fr.prof, fr.took, fr.k2, fr.heavies + (clause,),
+                            fr.u0_id)
         return fr
 
     def _heavy_overflow(self, fr: _Frame, clause: Clause) -> None:
@@ -748,7 +753,7 @@ def _valid_prefixes(eng: _Engine, depth_limit: int) -> tuple[list[tuple[int, ...
         if depth == depth_limit:
             prefixes.append(tuple(eng.path[:depth]))
             return
-        labels = clause_vars(eng.base.members[depth])
+        labels = eng.base.members[depth]
         for x in eng._order_children(depth, labels):
             if U >> x & 1:
                 falsified += 1

@@ -1,7 +1,7 @@
 """Write or check ``engine_golden.json``: the search engine's transcript on a
 fixed instance set.
 
-The instances are ``maj(12,3)`` and ``maj(16,3)``, the two reset instances,
+The instances are ``maj(12,3)`` and ``maj(16,3)``, the four reset instances,
 the first 30 ``satisfiable_corpus`` instances and ten negation closures of
 random mixed-sign clauses of width 1..3 (the corpora are monotone; these reach
 the engine's negative-literal logic).  For every instance and ordering (fixed,
@@ -31,8 +31,9 @@ GOLDEN = HERE / "engine_golden.json"
 sys.path.insert(0, str(HERE.parent))
 sys.path.insert(0, str(HERE.parent.parent / "src"))
 
-from corpus import (collision_reset_instance, satisfiable_corpus,  # noqa: E402
-                    structure_reset_instance)
+from corpus import (collision_reset_instance, heavy_reset_instance,  # noqa: E402
+                    satisfiable_corpus, structure_reset_instance,
+                    twomark_reset_instance)
 from naenum import (Formula, OrderingSource, brute_force,  # noqa: E402
                     build_debug_tree, collect_solutions, maj,
                     negation_closure, psi_exact)
@@ -40,7 +41,8 @@ from naenum import (Formula, OrderingSource, brute_force,  # noqa: E402
 ORDERINGS = {"fixed": OrderingSource.fixed(),
              "seed0": OrderingSource.random(0),
              "seed1": OrderingSource.random(1)}
-RESET_INSTANCES = ("collision_reset", "structure_reset")
+RESET_INSTANCES = ("collision_reset", "structure_reset", "heavy_reset",
+                   "twomark_reset")
 
 
 def mixed_sign_instances(count: int = 10, seed0: int = 9000):
@@ -64,7 +66,8 @@ def mixed_sign_instances(count: int = 10, seed0: int = 9000):
 def instances() -> list[tuple[str, object, int]]:
     out = [(f"maj{n}", negation_closure(maj(n, 3)), n // 2) for n in (12, 16)]
     for name, f in zip(RESET_INSTANCES,
-                       (collision_reset_instance(), structure_reset_instance())):
+                       (collision_reset_instance(), structure_reset_instance(),
+                        heavy_reset_instance(), twomark_reset_instance())):
         out.append((name, f, brute_force(f).tau))
     for i, (f, rep) in enumerate(satisfiable_corpus(30)):
         out.append((f"corpus{i:02d}", f, rep.tau))

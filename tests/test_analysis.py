@@ -55,6 +55,11 @@ def test_qsqrt6_non_numbers_are_not_implemented():
             op()
 
 
+def test_qsqrt6_repr():
+    assert repr(QSqrt6(Fraction(3, 2))) == "3/2"
+    assert repr(QSqrt6(1, -2)) == "1 + -2*sqrt(6)"
+
+
 @pytest.mark.parametrize("e", range(-6, 7))
 def test_pow_half_consistency(e):
     v = pow_half_27_8(e)
@@ -319,6 +324,15 @@ def test_certificate_refuses_inconsistency():
         n_of_u0(9, 2, 0, 0, 0)       # odd n
     with pytest.raises(ParameterError):
         n_of_u0(8, 3, 0, 0, 0)       # 4 t0 > n
+    with pytest.raises(ParameterError, match="nonnegative"):
+        n_of_u0(8, 2, -1, 0, 0)
+    with pytest.raises(ParameterError, match="deeper than the tree"):
+        n_of_u0(8, 2, 2, 2, 0)       # t0 + t1 + m'_R = 6 levels > n/2
+
+
+def test_estimate_psi_refuses_unknown_method():
+    with pytest.raises(ParameterError, match="unknown method 'bogus'"):
+        estimate_psi(negation_closure(maj(4, 3)), 2, 10, 0, method="bogus")
 
 
 def test_global_bound_check_fast():

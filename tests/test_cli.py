@@ -1,3 +1,4 @@
+import io
 import json
 import subprocess
 import sys
@@ -5,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from naenum import InternalInvariantError, is_negation_closed, parse_dimacs
+from naenum import cli
 from naenum.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -246,6 +249,60 @@ def test_gen_random_roundtrip(tmp_path, capsys):
     assert code == 0
     code, out, _ = run_cli(["verify", str(path)], capsys)
     assert code == 0
+
+
+def test_enumerate_reads_stdin(maj4, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(Path(maj4).read_text()))
+    code, out, _ = run_cli(["enumerate", "--t", "2", "--closure", "--mode",
+                            "count", "-"], capsys)
+    assert code == 0 and json.loads(out)["count"] == 6
+
+
+def test_t_auto_on_an_unsatisfiable_formula_is_refused(tmp_path, capsys):
+    path = tmp_path / "unsat.cnf"
+    path.write_text("p cnf 1 1\n1 0\n")       # its closure holds 1 and -1
+    code, out, err = run_cli(["enumerate", "--t", "auto", "--closure",
+                              str(path)], capsys)
+    assert code == 4 and out == "" and "unsatisfiable" in err
+
+
+def test_non_integer_t_is_refused(maj4, capsys):
+    code, out, err = run_cli(["enumerate", "--t", "x", "--closure", maj4], capsys)
+    assert code == 4 and out == "" and "--t expects an integer" in err
+
+
+@pytest.mark.parametrize("args, message", [
+    (["gen", "--family", "random", "--n", "6"], "--m required"),
+    (["gen", "--family", "reduction"], "--input required"),
+    (["bound", "--profile", "2,0,0,0"], "--profile requires --n"),
+    (["bound", "--n", "8", "--profile", "2,0,0"], "--profile expects"),
+])
+def test_missing_or_malformed_options_are_refused(args, message, capsys):
+    code, out, err = run_cli(args, capsys)
+    assert code == 4 and out == "" and message in err
+
+
+def test_gen_closure_to_stdout(capsys):
+    code, out, _ = run_cli(["gen", "--family", "maj", "--n", "4", "--closure"],
+                           capsys)
+    assert code == 0 and out.startswith("c naenum gen family=maj n=4")
+    f = parse_dimacs(out)
+    assert len(f.clauses) == 8 and is_negation_closed(f)
+
+
+def test_bound_global_sweep(capsys):
+    code, out, _ = run_cli(["bound", "--global-sweep"], capsys)
+    assert code == 0 and json.loads(out)["global"]["ok"] is True
+
+
+def test_internal_invariant_failure_exits_1(maj4, capsys, monkeypatch):
+    def broken(*args, **kw):
+        raise InternalInvariantError("broken on purpose")
+
+    monkeypatch.setattr(cli, "collect_solutions", broken)
+    code, out, err = run_cli(["enumerate", "--t", "2", "--closure", maj4], capsys)
+    assert code == 1 and out == ""
+    assert err == "internal invariant failure: broken on purpose\n"
 
 
 def test_usage_error_exit_code(capsys):

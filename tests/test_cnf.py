@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from naenum import (DimacsError, Formula, TautologyError, canonical_clause,
-                    is_falsified, is_negation_closed, live_clauses, nae_check,
-                    negation_closure, parse_dimacs, satisfies, simplify)
+                    is_negation_closed, nae_check, negation_closure,
+                    parse_dimacs, satisfies)
+from oracles import simplify
 
 
 # ---------------------------------------------------------------- strategies
@@ -54,6 +55,25 @@ def test_parse_malformed_header():
         parse_dimacs("p dnf 3 1\n1 0")
     with pytest.raises(DimacsError, match="header"):
         parse_dimacs("1 2 0")
+
+
+def test_parse_bytes_and_percent_terminator():
+    # SATLIB files end with "%" and a stray "0"; nothing after "%" is read
+    f = parse_dimacs(b"p cnf 3 1\n1 2 -3 0\n%\n0\n")
+    assert f == Formula.of(3, [(1, 2, -3)])
+
+
+@pytest.mark.parametrize("text, message, line", [
+    ("p cnf 2 0\np cnf 2 0\n", "duplicate header", 2),
+    ("p cnf x 1\n1 0\n", "malformed header", 1),
+    ("p cnf 2 -1\n", "malformed header", 1),
+    ("p cnf 2 1\n1 a 0\n", "bad token 'a'", 2),
+    ("c no header\n", "missing header", 1),
+])
+def test_parse_refusals_name_the_line(text, message, line):
+    with pytest.raises(DimacsError, match=message) as ei:
+        parse_dimacs(text)
+    assert ei.value.line == line
 
 
 def test_parse_tautology_rejected():
@@ -155,7 +175,7 @@ def test_simplify_examples():
     g = Formula.of(2, [(-1, 2)])
     assert simplify(g, {1}).clauses == ((2,),)
     h = Formula.of(1, [(-1,)])
-    assert is_falsified(simplify(h, {1}))
+    assert simplify(h, {1}).clauses == ((),)
 
 
 def test_simplify_keeps_universe():
@@ -171,30 +191,6 @@ def test_simplify_composes(f, data):
     rest = [v for v in all_vars if v not in a]
     b = set(data.draw(st.lists(st.sampled_from(rest), unique=True))) if rest else set()
     assert simplify(simplify(f, a), b) == simplify(f, a | b)
-
-
-# ---------------------------------------------------------------- liveness
-
-def test_is_falsified_examples():
-    assert not is_falsified(Formula.of(3, []))
-    assert is_falsified(Formula(3, ((),)))
-    assert not is_falsified(Formula.of(3, [(1,)]))
-
-
-def test_live_clauses_examples():
-    f = Formula.of(3, [(1, 2, 3)])
-    assert live_clauses(f, {1}) == ()
-    g = Formula.of(3, [(-1, 2, 3)])
-    assert live_clauses(g, {1}) == ((-1, 2, 3),)
-    assert live_clauses(g, set()) == g.clauses
-
-
-@given(formulas(), st.data())
-@settings(max_examples=40, deadline=None)
-def test_live_clauses_never_positive_on_q(f, data):
-    q = set(data.draw(st.lists(st.sampled_from(range(1, f.n + 1)), unique=True)))
-    for c in live_clauses(f, q):
-        assert not any(l > 0 and l in q for l in c)
 
 
 # ---------------------------------------------------------------- NAE check

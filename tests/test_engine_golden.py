@@ -21,7 +21,7 @@ def _generator():
 
 def test_engine_matches_golden_transcript(capsys):
     assert _generator().main(["--check"]) == 0
-    assert "44 instances match" in capsys.readouterr().out
+    assert "46 instances match" in capsys.readouterr().out
 
 
 def test_golden_check_names_first_difference():

@@ -52,6 +52,13 @@ def test_random_closed_seed_sensitivity():
     assert random_negation_closed(8, 5, seed=1) != random_negation_closed(8, 5, seed=2)
 
 
+def test_random_closed_refusals():
+    with pytest.raises(ValueError, match="n >= 3"):
+        random_negation_closed(2, 1, seed=0)
+    with pytest.raises(ValueError, match="m=5 exceeds the 4 available triples"):
+        random_negation_closed(4, 5, seed=0)
+
+
 def test_reduction_example():
     f = Formula.of(2, [(1, 2)])
     assert ksat_to_naesat(f) == Formula.of(3, [(1, 2, 3)])

@@ -3,7 +3,8 @@ from hypothesis import given, settings, strategies as st
 
 from naenum import DisjointCollection, attempt_reset, greedy_maximal
 from naenum.errors import InternalInvariantError
-from naenum.matching import BASE, is_maximal
+from naenum.matching import BASE
+from oracles import is_maximal
 
 
 def test_greedy_examples():
@@ -45,6 +46,13 @@ def test_reset_rejects_overlapping_witness():
     coll = greedy_maximal([(1, 2, 3)])
     with pytest.raises(InternalInvariantError):
         attempt_reset(coll, [], [(3, 4, 5), (5, 6, 7)])
+
+
+def test_reset_rejects_removing_a_non_member():
+    coll = greedy_maximal([(1, 2, 3)])
+    with pytest.raises(InternalInvariantError, match="non-member"):
+        attempt_reset(coll, [(4, 5, 6)], [(7, 8, 9), (10, 11, 12)])
+    assert coll.members == [(1, 2, 3)]
 
 
 def test_reset_extends_greedily():

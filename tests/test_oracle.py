@@ -81,6 +81,7 @@ def test_verify_enumeration_pass_and_fault_injection():
 
     extra = verify_enumeration(f, 2, good + [(1, 2, 3)])
     assert not extra.passed and extra.unexpected
+    assert extra.first_mismatch() == "unexpected: (1, 2, 3)"
 
 
 @pytest.mark.parametrize("run, digest", GOLDEN_REPORTS)

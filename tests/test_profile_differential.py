@@ -11,11 +11,12 @@ import naenum.treesearch as treesearch
 from naenum import (Formula, OrderingSource, brute_force, build_stage_profile,
                     collect_solutions, disjoint_stage, negation_closure,
                     random_negation_closed, twomark_context)
-from naenum.matching import attempt_reset, is_maximal
+from naenum.matching import attempt_reset
 from naenum.selection import (BaseResetSignal, StageProfile,
                               TwomarkResetSignal, monotone_index)
 from corpus import (collision_reset_instance, heavy_overflow_instance,
                     structure_reset_instance)
+from oracles import is_maximal
 import reference_profile
 
 MAX_PATHS = 729  # 3^t0 for t0 <= 6
@@ -106,7 +107,7 @@ def test_profiles_match_reference_after_a_twomark_reset():
     eng = treesearch._Engine(f, f.n // 2, OrderingSource.fixed(), base=base)
     eng.t0 = t0
     k2 = twomark_context(prof, frozenset())
-    fr = treesearch._Frame(prof, frozenset(), k2, 1, ((3, 8, 12),))
+    fr = treesearch._Frame(prof, frozenset(), k2, ((3, 8, 12),))
     with pytest.raises(TwomarkResetSignal) as ei:
         eng._heavy_overflow(fr, (6, 9, 11))
     assert attempt_reset(prof.cr, list(prof.cr.members), ei.value.family,

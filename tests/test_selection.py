@@ -5,8 +5,8 @@ import pytest
 from naenum import (Formula, branch_on_t0, build_stage_profile,
                     disjoint_stage, maj, negation_closure, twomark_context)
 from naenum.cnf import clause_vars
-from naenum.selection import (BaseResetSignal, TwomarkResetSignal,
-                              canonical_pick, node_mass)
+from naenum.errors import InternalInvariantError
+from naenum.selection import BaseResetSignal, TwomarkResetSignal, node_mass
 from corpus import (collision_reset_instance, heavy_overflow_instance,
                     structure_reset_instance)
 
@@ -94,6 +94,16 @@ def test_twomark_context_lengths():
     assert off.ell == 0 and off.heavy_budget == 1
 
 
+def test_profile_path_must_follow_the_base():
+    f = negation_closure(maj(8, 3))
+    base, t0 = disjoint_stage(f)
+    assert t0 == 2
+    with pytest.raises(InternalInvariantError, match="does not cover"):
+        build_stage_profile(f, base, (1,))
+    with pytest.raises(InternalInvariantError, match="path label not in base"):
+        build_stage_profile(f, base, (1, 2))
+
+
 def test_collision_reset_signal():
     f = collision_reset_instance()
     base, t0 = disjoint_stage(f)
@@ -130,7 +140,7 @@ def test_heavy_overflow_yields_twomark_reset():
     eng = _Engine(f, f.n // 2, OrderingSource.fixed(), base=base)
     eng.t0 = t0
     k2 = twomark_context(prof, frozenset())
-    fr = _Frame(prof, frozenset(), k2, 1, ((3, 8, 12),))
+    fr = _Frame(prof, frozenset(), k2, ((3, 8, 12),))
     with pytest.raises(TwomarkResetSignal) as ei:
         eng._heavy_overflow(fr, (6, 9, 11))
     event = attempt_reset(prof.cr, list(prof.cr.members), ei.value.family,
@@ -171,12 +181,6 @@ def test_twice_marked_pool_covers_every_end_of_onemark_node(corpus500):
                     assert c in pool
                     checked += 1
     assert checked >= 100
-
-
-def test_canonical_pick_prefers_width_then_lex():
-    assert canonical_pick([(5, 6, 7)]) == (5, 6, 7)
-    assert canonical_pick([(5, 6, 7), (5,)]) == (5,)
-    assert canonical_pick([(5, 7), (5, 6)]) == (5, 6)
 
 
 def test_node_mass():

@@ -4,10 +4,11 @@ import pytest
 
 from naenum import (Formula, brute_force, build_debug_tree, check_invariants,
                     effective_width, export_lines, maj, mass, negation_closure,
-                    psi_exact, psi_of_node, random_negation_closed,
-                    shoot_stats, simplify)
+                    psi_exact, random_negation_closed)
 from naenum.matching import TWOMARK
-from naenum.tree import marked_child_count, sigma_edge
+from naenum.selection import FREE
+from naenum.tree import marked_child_count
+from oracles import psi_of_node, shoot_stats, sigma_edge, simplify
 
 
 def test_single_clause_tree():
@@ -124,6 +125,80 @@ def test_check_invariants_flags_tampering():
         c.markers = ()
     flagged = check_invariants(tree)
     assert any("unmarked" in v for v in flagged)
+
+
+def test_check_invariants_flags_mass_above_the_marked_ceiling():
+    # j marked children of three carry at most (6 - j)/2; a fourth unmarked
+    # child lifts the unmarked root of maj(4,3) to mass 4
+    tree = build_debug_tree(negation_closure(maj(4, 3)), 2)
+    tree.root.children.append(tree.root.children[0])
+    assert "node 0: 0-marked mass 4 > 3" in check_invariants(tree)
+
+
+def _controlled_tree():
+    f = random_negation_closed(10, 11, seed=9)
+    tree = build_debug_tree(f, brute_force(f).tau)
+    assert tree.route == "controlled"
+    return tree
+
+
+def _twomark_flags(edit) -> list[str]:
+    """Twomark-shape violations after ``edit`` changes the children of the
+    first twomark node: two marked falsifying edges and one unmarked live one."""
+    tree = _controlled_tree()
+    u = next(u for u in tree.nodes if u.stage == TWOMARK and u.children)
+    kids = tree.child_nodes(u)
+    assert sorted((k.falsifying, k.marks) for k in kids) == [(False, 0), (True, 1), (True, 1)]
+    edit(kids)
+    return [v.split(": ", 1)[1] for v in check_invariants(tree)
+            if v.startswith(f"node {u.id}: twomark")]
+
+
+def test_check_invariants_flags_twomark_shape():
+    def unmark_falsifying(kids):
+        for k in kids:
+            if k.falsifying:
+                k.markers = ()
+
+    def unfalsify_all(kids):
+        for k in kids:
+            k.falsifying = False
+
+    def free_one_falsifying_edge(kids):
+        k = next(k for k in kids if k.falsifying)
+        k.falsifying, k.markers = False, ()
+
+    assert _twomark_flags(unmark_falsifying) == [
+        "twomark node lacks a marked falsifying edge"]
+    assert "twomark node effective width > 2" in _twomark_flags(unfalsify_all)
+    assert _twomark_flags(free_one_falsifying_edge) == ["twomark node mass 2 > 3/2"]
+
+
+def test_check_invariants_flags_once_marked_free_mass():
+    tree = _controlled_tree()
+    u = next(u for u in tree.nodes if u.stage == FREE and len(u.children) == 3
+             and all(k.marks == 1 and not k.falsifying for k in tree.child_nodes(u)))
+    for k in tree.child_nodes(u)[1:]:
+        k.markers = ()
+    assert f"node {u.id}: once-marked free node mass 5/2 > 9/4" in check_invariants(tree)
+
+
+def test_check_invariants_flags_heavy_budget():
+    tree = _controlled_tree()
+    for u in tree.nodes:
+        if u.heavy_budget is not None:
+            u.heavy_budget = 0
+    assert any(v.endswith("heavy count 1 exceeds budget 0")
+               for v in check_invariants(tree))
+
+
+def test_check_invariants_flags_shared_marker():
+    tree = build_debug_tree(negation_closure(maj(8, 3)), 4)
+    k = next(k for k in tree.nodes[1:]
+             if not k.falsifying and tree.nodes[k.parent].markers)
+    k.markers = tree.nodes[k.parent].markers
+    assert any(v.startswith(f"edge into {k.id}: marker ") and "shared" in v
+               for v in check_invariants(tree))
 
 
 @pytest.mark.parametrize("f, t", [

@@ -554,3 +554,59 @@ def test_too_deep_search_is_refused(tmp_path, capsys):
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("refused: target weight t=2000")
     assert "Traceback" not in err
+
+
+def test_too_deep_survival_runs_are_refused():
+    from naenum.analysis import estimate_psi
+
+    f = negation_closure(_path_chain(4000))
+    with pytest.raises(ParameterError, match="t=2000.*recursion limit"):
+        treesearch.surviving_leaves(f, 2000, OrderingSource.random(0))
+    with pytest.raises(ParameterError, match="t=2000.*recursion limit"):
+        estimate_psi(f, 2000, 1, 0, method="engine")
+
+
+def test_debug_trees_refuse_n_above_the_limit():
+    with pytest.raises(ParameterError, match="n <= 24"):
+        build_debug_tree(Formula.of(25, []), 0)
+
+
+@pytest.mark.parametrize("t", [None, 2.5, "2"])
+def test_non_integer_target_weight_is_refused(t):
+    # None is what brute_force reports as tau for an unsatisfiable formula
+    with pytest.raises(ParameterError, match="is not an integer"):
+        count_solutions(negation_closure(maj(4, 3)), t)
+
+
+def test_numpy_integer_target_weight_is_accepted():
+    import numpy as np
+
+    f = negation_closure(maj(4, 3))
+    count, stats = count_solutions(f, np.int64(2))
+    assert count == 6 and stats == count_solutions(f, 2)[1]
+
+
+def test_profiles_beyond_the_cap_are_dropped(monkeypatch):
+    f = twomark_reset_instance()
+    _, full = collect_solutions(f, 6)
+    assert len(full.profiles) > 2 and not full.profiles_truncated
+    monkeypatch.setattr(treesearch, "PROFILE_CAP", 2)
+    _, capped = collect_solutions(f, 6)
+    assert capped.profiles_truncated
+    assert capped.profiles == full.profiles[:2]
+
+
+def test_twomark_stage_without_debug_assertions():
+    # the twomark shape checks are debug assertions; switching them off
+    # changes nothing else
+    f = twomark_reset_instance()
+    assert collect_solutions(f, 6, debug_assertions=False) == collect_solutions(f, 6)
+
+
+def test_non_maximal_base_is_an_invariant_failure():
+    # base maximality is the premise that rules out an unmarked width-3
+    # expansion below the base levels; each attempt checks it
+    f = negation_closure(maj(8, 3))
+    base = DisjointCollection([(1, 2, 3)])
+    with pytest.raises(InternalInvariantError, match="base collection is not maximal"):
+        _Engine(f, 4, OrderingSource.fixed(), base=base).run()

@@ -1,0 +1,192 @@
+"""Reach audit: list the statements of ``src/naenum`` that the tier-1 suite
+never executes.
+
+    python tools/reach.py          # exit 1 if a statement is unreached and not allowed
+    python tools/reach.py --all    # also print the allowed ones
+
+The suite runs in this process under ``sys.settrace``, traced only inside
+``src/naenum``; test outcomes are ignored (tracing slows every test, so
+timing gates may fail).  Code that the suite runs in subprocesses is not
+followed.  A statement is unreached when none of its executable lines ran.
+``tools/reach_allow.txt`` lists the statements that may stay unreached, one
+per line as
+
+    <file> :: <enclosing function> :: <statement> :: <reason>
+
+where <statement> is the statement's source (a compound statement's header
+only) with each line stripped and the lines joined by one space.  Entries
+are keyed by text rather than line number, so edits elsewhere in a file do
+not stale the list.  Every entry needs a reason.  Entries that match no
+unreached statement are reported as stale but do not fail the run.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import os
+import sys
+import threading
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+PKG = SRC / "naenum"
+ALLOW = Path(__file__).resolve().parent / "reach_allow.txt"
+SEP = " :: "
+
+
+def _code_lines(code) -> set[int]:
+    """Line numbers that carry instructions, over nested code objects; the
+    ``def`` line of a function belongs to its enclosing code."""
+    out: set[int] = set()
+    stack = [(code, True)]
+    while stack:
+        co, is_module = stack.pop()
+        for _, _, line in co.co_lines():
+            if line and (is_module or line != co.co_firstlineno
+                         or co.co_name.startswith("<")):
+                out.add(line)
+        stack.extend((c, False) for c in co.co_consts if hasattr(c, "co_lines"))
+    return out
+
+
+def _statements(tree: ast.Module) -> tuple[dict[int, int], dict[int, str]]:
+    """Per line, the first line of the innermost statement (or statement
+    header) it belongs to; per first line, the enclosing function's name."""
+    start: dict[int, int] = {}
+    func: dict[int, str] = {}
+
+    def visit(node: ast.AST, qual: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            q = qual
+            if isinstance(child, (ast.stmt, ast.excepthandler)):
+                body = getattr(child, "body", None)
+                end = child.end_lineno
+                if isinstance(body, list) and body:     # header lines only
+                    end = max(child.lineno, body[0].lineno - 1)
+                decos = getattr(child, "decorator_list", [])
+                for line in range(min([child.lineno] + [d.lineno for d in decos]),
+                                  end + 1):
+                    start[line] = child.lineno
+                func[child.lineno] = qual or "<module>"
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                      ast.ClassDef)):
+                    q = f"{qual}.{child.name}" if qual else child.name
+            visit(child, q)
+
+    visit(tree, "")
+    return start, func
+
+
+def _trace_suite(pytest_args: list[str]) -> dict[str, set[int]]:
+    files = {str(p): set() for p in PKG.glob("*.py")}
+    need: dict = {}
+
+    def local_for(seen: set[int]):
+        def local(frame, event, arg):
+            if event == "line":
+                seen.add(frame.f_lineno)
+            return local
+        return local
+
+    def tracer(frame, event, arg):
+        code = frame.f_code
+        seen = files.get(code.co_filename)
+        if seen is None:
+            return None
+        lines = need.get(code)
+        if lines is None:
+            lines = need[code] = {l for _, _, l in code.co_lines()
+                                  if l and l != code.co_firstlineno}
+        if lines <= seen:           # every line of this code object already ran
+            return None
+        return local_for(seen)
+
+    class Rearm:
+        """A RecursionError raised inside the trace function switches
+        tracing off (tests that exhaust the recursion limit do this), so
+        tracing is switched back on before every test."""
+
+        @staticmethod
+        def pytest_runtest_setup(item):
+            sys.settrace(tracer)
+
+    import pytest
+
+    sys.path.insert(0, str(SRC))
+    # for the tests that start ``python -m naenum.cli``
+    os.environ["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    threading.settrace(tracer)
+    sys.settrace(tracer)
+    try:
+        pytest.main(pytest_args, plugins=[Rearm()])
+    finally:
+        sys.settrace(None)
+        threading.settrace(None)
+    return files
+
+
+def _read_allow() -> list[tuple[str, str, str, str]]:
+    entries = []
+    for n, raw in enumerate(ALLOW.read_text().splitlines(), start=1):
+        if not raw.strip() or raw.startswith("#"):
+            continue
+        parts = raw.split(SEP, 3)
+        if len(parts) != 4 or not parts[3].strip():
+            raise SystemExit(f"{ALLOW.name}:{n}: want 'file{SEP}function{SEP}"
+                             f"text{SEP}reason', with a reason")
+        entries.append(tuple(p.strip() for p in parts))
+    return entries
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--all", action="store_true",
+                    help="print allowed unreached statements too")
+    ap.add_argument("pytest_args", nargs="*",
+                    default=["-q", "-p", "no:cacheprovider",
+                             "--continue-on-collection-errors", str(ROOT / "tests")])
+    args = ap.parse_args(argv)
+    allow = _read_allow()
+    hits = _trace_suite(args.pytest_args)
+
+    unreached = []                  # (file, function, first line, statement)
+    for path in sorted(hits):
+        src = Path(path).read_text()
+        start, func = _statements(ast.parse(src))
+        text = src.splitlines()
+        span: dict[int, list[int]] = {}
+        for line, first in sorted(start.items()):
+            span.setdefault(first, []).append(line)
+        by_stmt: dict[int, list[int]] = {}
+        for line in _code_lines(compile(src, path, "exec")):
+            by_stmt.setdefault(start.get(line, line), []).append(line)
+        for first, lines in sorted(by_stmt.items()):
+            if not any(l in hits[path] for l in lines):
+                stmt = " ".join(text[l - 1].strip() for l in span.get(first, [first]))
+                unreached.append((Path(path).name, func.get(first, "<module>"),
+                                  first, stmt))
+
+    used = set()
+    bad = 0
+    print(f"\n{len(unreached)} unreached statements in src/naenum")
+    for name, fn, line, stmt in unreached:
+        key = next((e for e in allow if e[:3] == (name, fn, stmt)), None)
+        if key is None:
+            bad += 1
+            print(f"NOT ALLOWED {name}:{line} {fn}: {stmt}")
+        else:
+            used.add(key)
+            if args.all:
+                print(f"allowed     {name}:{line} {fn}: {stmt}  # {key[3]}")
+    for e in allow:
+        if e not in used:
+            print(f"stale allow entry: {SEP.join(e[:3])}")
+    print(f"{bad} unreached statements not in {ALLOW.name}")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
