@@ -35,7 +35,7 @@ import numpy as np
 from .cnf import Formula
 from .errors import ParameterError
 from .tree import SurvivalKernel
-from .treesearch import OrderingSource, build_debug_tree, surviving_leaves
+from .treesearch import OrderingSource, as_int, build_debug_tree, surviving_leaves
 
 Rat = Fraction
 
@@ -339,10 +339,6 @@ class BoundTable:
 
     kind: str                   # "large" or "small"
     grid: dict
-    wmin: int
-    wmax: int
-    dmax: int
-    hmax: int | None = None
 
     def csv_lines(self) -> list[str]:
         if self.kind == "large":
@@ -362,7 +358,7 @@ def dp_m_large(wmax: int, dmax: int, wmin: int = -3) -> BoundTable:
     rows = _dp_large_rows(lo, wmax, dmax)
     grid = {(w, d): Fraction(rows[d][w - lo], 2 ** d) for d in range(dmax + 1)
             for w in range(wmin, wmax + 1)}
-    return BoundTable("large", grid, wmin, wmax, dmax)
+    return BoundTable("large", grid)
 
 
 def dp_m_small(wmax: int, dmax: int, hmax: int, wmin: int = -3) -> BoundTable:
@@ -374,7 +370,7 @@ def dp_m_small(wmax: int, dmax: int, hmax: int, wmin: int = -3) -> BoundTable:
     grid = {(w, d, h): Fraction(rows[d][w - lo][h], 4 ** d)
             for d in range(dmax + 1)
             for w in range(wmin, wmax + 1) for h in range(hmax + 1)}
-    return BoundTable("small", grid, wmin, wmax, dmax, hmax)
+    return BoundTable("small", grid)
 
 
 # ----------------------------------------------------------------------
@@ -661,6 +657,7 @@ def estimate_psi(f: Formula, t: int, samples: int, seed: int,
     the depth-t non-falsified leaves whose path survives; the engine counts
     them on the tree its run settles on, after any resets.
     """
+    samples, seed = as_int(samples, "samples"), as_int(seed, "seed")
     if samples < 1:
         raise ParameterError(f"samples must be at least 1, got {samples}")
     if method == "auto":

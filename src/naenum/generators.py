@@ -29,6 +29,8 @@ def maj(n: int, k: int = 3) -> Formula:
     """Block-majority formula: split n variables into blocks of 2k-2 and add
     every positive width-k clause inside each block.  Every satisfying
     assignment sets at least k-1 ones per block."""
+    if k < 2 or n < 0:
+        raise ValueError(f"maj needs k >= 2 and n >= 0, got n={n}, k={k}")
     block = 2 * k - 2
     if n % block != 0:
         raise ValueError(f"n={n} not divisible by block size {block}")

@@ -36,14 +36,13 @@ class ResetEvent:
 
 @dataclass
 class DisjointCollection:
-    """Ordered list of pairwise variable-disjoint clauses plus its reset count.
+    """Ordered list of pairwise variable-disjoint clauses.
 
     The order is the expansion order of tree levels, so it is kept canonical
     (sorted) for reproducibility."""
 
     members: list[Clause]
     universe_tag: str = BASE
-    reset_count: int = 0
 
     def __post_init__(self):
         _check_disjoint(self.members, self.universe_tag)
@@ -118,5 +117,4 @@ def attempt_reset(coll: DisjointCollection, removed: Iterable[Clause],
     event = ResetEvent(coll.universe_tag, len(coll.members), len(grown),
                        tuple(sorted(added)))
     coll.members = grown.members
-    coll.reset_count += 1
     return event

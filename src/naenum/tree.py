@@ -17,7 +17,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .selection import FREE, StageProfile
+from .selection import FREE, StageProfile, node_mass
 from .matching import TWOMARK
 
 
@@ -30,13 +30,10 @@ class TreeNode:
     markers: tuple[int, ...]        # ancestors with a child edge of this label
     falsifying: bool
     stage: str | None = None        # stage of the clause expanding this node
-    clause: tuple[int, ...] | None = None  # residual variables used to expand
     children: list[int] = field(default_factory=list)
     leaf_kind: str | None = None    # None (internal) | "falsified" | "viable"
     is_transversal: bool = False
-    ell: int | None = None          # set on end-of-onemark nodes
-    heavy_budget: int | None = None
-    u0: int | None = None           # owning depth-t0 node on the controlled route
+    heavy_budget: int | None = None  # set on end-of-onemark nodes
 
     @property
     def marks(self) -> int:
@@ -92,8 +89,7 @@ def effective_width(tree: DebugTree, u: TreeNode) -> int:
 
 def mass(tree: DebugTree, u: TreeNode) -> Fraction:
     """Expected number of surviving children given the node survives."""
-    return sum((Fraction(1, 2 ** k.marks) for k in tree.child_nodes(u)
-                if not k.falsifying), start=Fraction(0))
+    return node_mass([(k.label, k.marks, k.falsifying) for k in tree.child_nodes(u)])
 
 
 def marked_child_count(tree: DebugTree, u: TreeNode) -> int:
@@ -197,12 +193,12 @@ def check_invariants(tree: DebugTree) -> list[str]:
     violation strings; an empty list means the tree is clean.
 
     Checks: disjoint marking of non-falsifying edges (a marker shared with an
-    ancestor edge forces a falsified child), at-least-one mark on every
-    width-3 expansion past the disjoint prefix, the shoot weight floor
-    3t - n on depth-t shoots, per-mark mass ceilings, the twomark-stage shape
-    (a designated falsifying edge, effective width at most 2, mass at most
-    3/2), the 9/4 mass ceiling for once-marked free-stage nodes on the
-    controlled route, and the per-shoot heavy-clause budget.
+    ancestor edge forces a falsified child), a mark on some child of every
+    three-child (width-3, as nothing is pruned) node past the disjoint prefix,
+    the shoot weight floor 3t - n on depth-t shoots, per-mark mass ceilings,
+    the twomark-stage shape (a designated falsifying edge, effective width at
+    most 2, mass at most 3/2), the 9/4 mass ceiling for once-marked free-stage
+    nodes on the controlled route, and the per-shoot heavy-clause budget.
     """
     bad: list[str] = []
     n, t = tree.n, tree.t
@@ -218,8 +214,7 @@ def check_invariants(tree: DebugTree) -> list[str]:
             j = marked_child_count(tree, u)
             if m > Fraction(6 - j, 2):
                 bad.append(f"node {u.id}: {j}-marked mass {m} > {Fraction(6-j,2)}")
-            if u.depth >= tree.t0 and u.clause is not None and len(u.clause) == 3 \
-                    and j == 0:
+            if u.depth >= tree.t0 and len(u.children) == 3 and j == 0:
                 bad.append(f"node {u.id}: width-3 expansion at depth {u.depth} unmarked")
             if u.stage == TWOMARK:
                 if not any(k.falsifying and k.marks > 0 for k in tree.child_nodes(u)):

@@ -20,6 +20,10 @@ positive literals, so the free pick is the lowest set bit of ``P`` and "no
 live positive clause" is ``P == 0``.  Path labels and per-depth ordering
 hashes live in depth-indexed arrays that a child overwrites; only the label
 mark counters are raised and lowered (in ``finally``) around an expansion.
+Below a depth-t0 node on the controlled route a ``_Frame`` adds the stage
+profile, the twomark plan and the shoot's heavy clauses; the plan's one input
+from the path, which onemark edges took their X-tilde variable, is read off
+the path labels.
 
 Random sibling orderings come from a counter-based stream (splitmix64 as a
 path hash, after Salmon et al., SC 2011): a node's order is a function of the
@@ -122,6 +126,7 @@ class OrderingSource:
         if self.kind not in ("fixed", "random"):
             raise ParameterError(
                 f"ordering kind {self.kind!r} is not 'fixed' or 'random'")
+        object.__setattr__(self, "seed", as_int(self.seed, "ordering seed"))
 
     @classmethod
     def fixed(cls) -> "OrderingSource":
@@ -176,24 +181,28 @@ class SearchStats:
 
 
 class _Frame(NamedTuple):
-    """Path-local controlled-stage bookkeeping below one depth-t0 node."""
+    """Path-local controlled-stage state below one depth-t0 node, shared by
+    a child unless the child sets the twomark plan or adds a heavy clause."""
 
     prof: StageProfile
-    took: frozenset[int]             # base levels entered via the marked X var
-    k2: TwomarkContext | None
+    k2: TwomarkContext | None        # set at the end-of-onemark node
     heavies: tuple[Clause, ...]      # heavy free-stage clauses on the shoot
-    u0_id: int | None = None
+
+
+def as_int(value, what: str) -> int:
+    """``value`` as an int: numpy integers are accepted, ``None``, floats and
+    strings raise ``ParameterError``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{what}={value!r} is not an integer") from None
 
 
 def validate_engine_input(f: Formula, t: int) -> int:
-    """Refuse what the engine cannot search; return ``t`` as an int (numpy
-    integers are accepted, ``None`` and floats are not)."""
+    """Refuse what the engine cannot search; return ``t`` as an int."""
     if f.max_width > 3:
         raise WidthError(f"engine accepts width <= 3, found width {f.max_width}")
-    try:
-        t = operator.index(t)
-    except TypeError:
-        raise ParameterError(f"target weight t={t!r} is not an integer") from None
+    t = as_int(t, "target weight t")
     if not 0 <= t <= f.n:
         raise ParameterError(f"target weight t={t} outside 0..{f.n}")
     if not is_negation_closed(f):
@@ -402,7 +411,6 @@ class _Engine:
         # the twomark plan, and the free pick; base, onemark and twomark
         # clauses come from the monotone index, so each is its own label tuple
         stage, fals_var = FREE, None
-        took_x = 0                       # onemark: the child through X-tilde
         if depth < self.t0:
             labels, stage = self.base.members[depth], BASE
         elif fr is not None:
@@ -411,15 +419,16 @@ class _Engine:
             t1 = prof.t1
             if k < t1:
                 labels, stage = prof.c1.members[k], ONEMARK
-                lvl = prof.c1_levels[k]
-                took_x = prof.x_tilde[lvl]
             else:
                 if fr.k2 is None:
-                    k2 = twomark_context(prof, fr.took)
+                    # the base levels whose onemark edge on the path is X-tilde
+                    took = frozenset(
+                        lvl for lvl, x in zip(prof.c1_levels, self.path[self.t0:depth])
+                        if x == prof.x_tilde[lvl])
+                    k2 = twomark_context(prof, took)
                     prof.ell_histogram[k2.ell] = prof.ell_histogram.get(k2.ell, 0) + 1
-                    fr = _Frame(fr.prof, fr.took, k2, fr.heavies, fr.u0_id)
+                    fr = _Frame(prof, k2, fr.heavies)
                     if record:
-                        self.tree_nodes[node_id].ell = k2.ell
                         self.tree_nodes[node_id].heavy_budget = k2.heavy_budget
                 j = k - t1
                 if j < fr.k2.ell:
@@ -430,16 +439,9 @@ class _Engine:
         if fr is not None:
             fr = self._stage_checks(labels, stage, fals_var, U, fr)
 
-        node = None
         if record:
-            node = self.tree_nodes[node_id]
-            node.stage = stage
-            node.clause = labels
-            if fr is not None:
-                node.u0 = fr.u0_id
-            order = labels
-        else:
-            order = self._order_children(depth, labels)
+            self.tree_nodes[node_id].stage = stage
+        order = self._order_children(depth, labels)
         cnt = self.label_cnt
         for x in labels:
             cnt[x] += 1
@@ -450,7 +452,7 @@ class _Engine:
                 bit = 1 << x
                 child_id = 0
                 if record:
-                    child_id = self._record_child(node, depth, x, bool(U & bit), fr)
+                    child_id = self._record_child(node_id, depth, x, bool(U & bit))
                 if L & bit and not record:
                     stats.superfluous_skips += 1
                 elif U & bit:
@@ -458,13 +460,9 @@ class _Engine:
                     if record:
                         self.tree_nodes[child_id].leaf_kind = "falsified"
                 else:
-                    child_fr = fr
-                    if x == took_x:
-                        child_fr = _Frame(fr.prof, fr.took | {lvl}, fr.k2,
-                                          fr.heavies, fr.u0_id)
                     stats.nodes_visited += 1
                     self._node(depth + 1, *self._step(depth, x, Q, P, U), L,
-                               child_fr, child_id)
+                               fr, child_id)
                 L |= bit
         finally:
             for x in labels:
@@ -472,15 +470,12 @@ class _Engine:
                 if record:
                     self.label_nodes[x].pop()
 
-    def _record_child(self, node: TreeNode, depth: int, x: int, fals: bool,
-                      fr: _Frame | None) -> int:
+    def _record_child(self, node_id: int, depth: int, x: int, fals: bool) -> int:
         child_id = len(self.tree_nodes)
-        child = TreeNode(child_id, depth + 1, node.id, x,
+        child = TreeNode(child_id, depth + 1, node_id, x,
                          tuple(self.label_nodes[x][:-1]), fals)
-        if fr is not None:
-            child.u0 = fr.u0_id
         self.tree_nodes.append(child)
-        node.children.append(child_id)
+        self.tree_nodes[node_id].children.append(child_id)
         return child_id
 
     def _run_u0(self, depth: int, Q: int, P: int, U: int, L: int,
@@ -489,8 +484,7 @@ class _Engine:
         prof = build_stage_profile(self.f, self.base, path,
                                    self.cr_keeps.get(path, ()),
                                    index=self.mono3_index)
-        fr = _Frame(prof, frozenset(), None, (), node_id)
-        self._node(depth, Q, P, U, L, fr, node_id)
+        self._node(depth, Q, P, U, L, _Frame(prof, None, ()), node_id)
         self._record_profile(prof)
 
     def _record_profile(self, prof: StageProfile) -> None:
@@ -559,8 +553,7 @@ class _Engine:
                 clause = tuple(labels)
                 if len(fr.heavies) >= fr.k2.heavy_budget:
                     self._heavy_overflow(fr, clause)
-                fr = _Frame(fr.prof, fr.took, fr.k2, fr.heavies + (clause,),
-                            fr.u0_id)
+                fr = _Frame(fr.prof, fr.k2, fr.heavies + (clause,))
         return fr
 
     def _heavy_overflow(self, fr: _Frame, clause: Clause) -> None:
@@ -696,6 +689,7 @@ def enumerate_all_orderings(f: Formula, t: int, budget: int = 10 ** 6,
     """Evaluate every joint sibling ordering of the transversal tree: exact
     per-edge survival frequencies and the exact average surviving-leaf count.
     Refuses when the ordering product exceeds ``budget``."""
+    budget = as_int(budget, "budget")
     tree = build_debug_tree(f, t)
     kernel = SurvivalKernel(tree)
     total = math.prod(kernel.orders.tolist())

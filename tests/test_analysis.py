@@ -357,6 +357,25 @@ def test_psi_refuses_fewer_than_one_sample(method, samples):
         estimate_psi(f, 2, samples=samples, seed=0, method=method)
 
 
+@pytest.mark.parametrize("method", ["tree", "engine"])
+@pytest.mark.parametrize("kw", [{"seed": 2.5}, {"seed": None}, {"samples": 2.5}],
+                         ids=["seed-2.5", "seed-None", "samples-2.5"])
+def test_psi_refuses_non_integer_seed_or_samples(method, kw):
+    f = negation_closure(maj(4, 3))
+    args = {"samples": 10, "seed": 0, **kw}
+    name = next(iter(kw))
+    with pytest.raises(ParameterError, match=f"{name}=.* is not an integer"):
+        estimate_psi(f, 2, method=method, **args)
+
+
+@pytest.mark.parametrize("method", ["tree", "engine"])
+def test_psi_accepts_numpy_integer_seed_and_samples(method):
+    f = random_negation_closed(6, 4, seed=6)
+    want = estimate_psi(f, 2, samples=20, seed=3, method=method)
+    assert estimate_psi(f, 2, samples=np.int64(20), seed=np.int64(3),
+                        method=method) == want
+
+
 def test_psi_tree_seed_reduced_mod_2_64():
     # any int seeds the tree method, as it does the engine method; seeds in
     # [0, 2^64) are used as they are
@@ -401,15 +420,16 @@ def test_psi_maj_extremal_no_variance():
     assert est.mean == 36.0 and est.std_error == 0.0
 
 
-@pytest.mark.parametrize("n", [4, 8, 12])
+@pytest.mark.parametrize("n", [4, 8, 12, 16])
 def test_exact_psi_at_most_headline_budget(n):
     # expected surviving-leaf count of the extremal trees meets the budget
-    # with equality
-    from naenum import build_debug_tree, psi_exact
+    # with equality; n = 20 (88,573 nodes) is too slow for this suite
+    from naenum import build_debug_tree, check_invariants, psi_exact
 
     f = negation_closure(maj(n, 3))
     tree = build_debug_tree(f, n // 2)
     assert psi_exact(tree) == Fraction(6) ** (n // 4)
+    assert check_invariants(tree) == []
 
 
 def test_psi_meta_trial_within_three_se():

@@ -282,6 +282,13 @@ def test_missing_or_malformed_options_are_refused(args, message, capsys):
     assert code == 4 and out == "" and message in err
 
 
+@pytest.mark.parametrize("n, k", [("4", "1"), ("4", "0"), ("-4", "3")])
+def test_gen_maj_refuses_small_k_and_negative_n(n, k, capsys):
+    code, out, err = run_cli(["gen", "--family", "maj", "--n", n, "--k", k],
+                             capsys)
+    assert code == 4 and out == "" and "k >= 2 and n >= 0" in err
+
+
 def test_gen_closure_to_stdout(capsys):
     code, out, _ = run_cli(["gen", "--family", "maj", "--n", "4", "--closure"],
                            capsys)

@@ -23,6 +23,12 @@ def test_maj_divisibility():
         maj(6, 3)
 
 
+@pytest.mark.parametrize("n, k", [(4, 1), (4, 0), (-4, 3)])
+def test_maj_refuses_small_k_and_negative_n(n, k):
+    with pytest.raises(ValueError, match="k >= 2 and n >= 0"):
+        maj(n, k)
+
+
 @pytest.mark.parametrize("n", [4, 8])
 def test_maj_satisfying_assignments_majority_per_block(n):
     f = maj(n, 3)

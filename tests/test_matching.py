@@ -31,7 +31,6 @@ def test_reset_grows_collection():
     event = attempt_reset(coll, [(1, 2, 3)], [(1, 4, 5), (2, 6, 7)])
     assert event is not None
     assert event.old_size == 1 and event.new_size == 2
-    assert coll.reset_count == 1
     assert coll.members == [(1, 4, 5), (2, 6, 7)]
 
 
@@ -39,7 +38,6 @@ def test_reset_noop_cases():
     coll = greedy_maximal([(1, 2, 3)])
     assert attempt_reset(coll, [], []) is None
     assert attempt_reset(coll, [(1, 2, 3)], [(4, 5, 6)]) is None
-    assert coll.reset_count == 0
 
 
 def test_reset_rejects_overlapping_witness():

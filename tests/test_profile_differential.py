@@ -107,7 +107,7 @@ def test_profiles_match_reference_after_a_twomark_reset():
     eng = treesearch._Engine(f, f.n // 2, OrderingSource.fixed(), base=base)
     eng.t0 = t0
     k2 = twomark_context(prof, frozenset())
-    fr = treesearch._Frame(prof, frozenset(), k2, ((3, 8, 12),))
+    fr = treesearch._Frame(prof, k2, ((3, 8, 12),))
     with pytest.raises(TwomarkResetSignal) as ei:
         eng._heavy_overflow(fr, (6, 9, 11))
     assert attempt_reset(prof.cr, list(prof.cr.members), ei.value.family,

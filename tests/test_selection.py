@@ -140,7 +140,7 @@ def test_heavy_overflow_yields_twomark_reset():
     eng = _Engine(f, f.n // 2, OrderingSource.fixed(), base=base)
     eng.t0 = t0
     k2 = twomark_context(prof, frozenset())
-    fr = _Frame(prof, frozenset(), k2, ((3, 8, 12),))
+    fr = _Frame(prof, k2, ((3, 8, 12),))
     with pytest.raises(TwomarkResetSignal) as ei:
         eng._heavy_overflow(fr, (6, 9, 11))
     event = attempt_reset(prof.cr, list(prof.cr.members), ei.value.family,

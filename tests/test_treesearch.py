@@ -586,6 +586,35 @@ def test_numpy_integer_target_weight_is_accepted():
     assert count == 6 and stats == count_solutions(f, 2)[1]
 
 
+@pytest.mark.parametrize("seed", [None, 2.5, "2"])
+def test_non_integer_ordering_seed_is_refused(seed):
+    with pytest.raises(ParameterError, match="ordering seed=.* is not an integer"):
+        OrderingSource.random(seed)
+
+
+def test_numpy_integer_ordering_seed_is_accepted():
+    import numpy as np
+
+    f = negation_closure(maj(8, 3))
+    got = collect_solutions(f, 4, OrderingSource.random(np.int64(5)))
+    assert got == collect_solutions(f, 4, OrderingSource.random(5))
+
+
+@pytest.mark.parametrize("budget", [None, 2.5])
+def test_non_integer_ordering_budget_is_refused(budget):
+    with pytest.raises(ParameterError, match="budget=.* is not an integer"):
+        enumerate_all_orderings(negation_closure(maj(4, 3)), 2, budget=budget)
+
+
+def test_numpy_integer_ordering_budget_is_accepted():
+    import numpy as np
+
+    f = negation_closure(maj(4, 3))
+    assert enumerate_all_orderings(f, 2, budget=np.int64(10 ** 6)).mean_surviving == 6
+    with pytest.raises(BudgetExceeded):
+        enumerate_all_orderings(f, 2, budget=np.int64(10))
+
+
 def test_profiles_beyond_the_cap_are_dropped(monkeypatch):
     f = twomark_reset_instance()
     _, full = collect_solutions(f, 6)

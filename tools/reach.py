@@ -1,7 +1,7 @@
 """Reach audit: list the statements of ``src/naenum`` that the tier-1 suite
-never executes.
+never executes, and the record fields that no code reads.
 
-    python tools/reach.py          # exit 1 if a statement is unreached and not allowed
+    python tools/reach.py          # exit 1 if one is found and not allowed
     python tools/reach.py --all    # also print the allowed ones
 
 The suite runs in this process under ``sys.settrace``, traced only inside
@@ -18,6 +18,17 @@ only) with each line stripped and the lines joined by one space.  Entries
 are keyed by text rather than line number, so edits elsewhere in a file do
 not stale the list.  Every entry needs a reason.  Entries that match no
 unreached statement are reported as stale but do not fail the run.
+
+The field audit lists every field of a dataclass or ``NamedTuple`` declared
+in ``src/naenum`` that nothing reads.  A field counts as read if some file
+under ``src/``, ``tests/``, ``demos/`` or ``perfbench/`` loads an attribute
+of its name or holds a string literal equal to it (``getattr``, dict keys).
+Stores, including augmented ones such as ``x.count += 1``, are not reads.
+Matching is by name only, so a field is read as soon as any class's field
+or attribute of that name is: ``TreeNode.ell`` would count as read through
+``TwomarkContext.ell``.  An unread field may be allowed by an entry
+
+    <file> :: <class> :: field <name> :: <reason>
 """
 
 from __future__ import annotations
@@ -33,6 +44,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 PKG = SRC / "naenum"
 ALLOW = Path(__file__).resolve().parent / "reach_allow.txt"
+READERS = ("src", "tests", "demos", "perfbench")
 SEP = " :: "
 
 
@@ -77,6 +89,35 @@ def _statements(tree: ast.Module) -> tuple[dict[int, int], dict[int, str]]:
 
     visit(tree, "")
     return start, func
+
+
+def _is_record(cls: ast.ClassDef) -> bool:
+    """A ``@dataclass`` (with or without arguments) or a ``NamedTuple``."""
+    marks = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
+    names = {getattr(m, "id", getattr(m, "attr", None)) for m in marks + cls.bases}
+    return bool(names & {"dataclass", "NamedTuple"})
+
+
+def _unread_fields() -> list[tuple[str, str, int, str]]:
+    """(file, class, line, ``field <name>``) per record field of
+    ``src/naenum`` whose name nothing reads."""
+    read: set[str] = set()
+    for top in READERS:
+        for path in (ROOT / top).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    read.add(node.value)
+    out = []
+    for path in sorted(PKG.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if isinstance(cls, ast.ClassDef) and _is_record(cls):
+                out += [(path.name, cls.name, st.lineno, f"field {st.target.id}")
+                        for st in cls.body if isinstance(st, ast.AnnAssign)
+                        and isinstance(st.target, ast.Name)
+                        and st.target.id not in read]
+    return out
 
 
 def _trace_suite(pytest_args: list[str]) -> dict[str, set[int]]:
@@ -169,10 +210,12 @@ def main(argv=None) -> int:
                 unreached.append((Path(path).name, func.get(first, "<module>"),
                                   first, stmt))
 
+    unread = _unread_fields()
     used = set()
     bad = 0
-    print(f"\n{len(unreached)} unreached statements in src/naenum")
-    for name, fn, line, stmt in unreached:
+    print(f"\n{len(unreached)} unreached statements and {len(unread)} unread "
+          f"fields in src/naenum")
+    for name, fn, line, stmt in unreached + unread:
         key = next((e for e in allow if e[:3] == (name, fn, stmt)), None)
         if key is None:
             bad += 1
@@ -184,7 +227,7 @@ def main(argv=None) -> int:
     for e in allow:
         if e not in used:
             print(f"stale allow entry: {SEP.join(e[:3])}")
-    print(f"{bad} unreached statements not in {ALLOW.name}")
+    print(f"{bad} unreached statements or unread fields not in {ALLOW.name}")
     return 1 if bad else 0
 
 
