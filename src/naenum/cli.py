@@ -23,7 +23,7 @@ from .generators import GenSpec, ksat_to_naesat, maj, random_negation_closed
 from .oracle import brute_force, nae_oracle_cross_check, verify_enumeration
 from .tree import check_invariants, export_lines
 from .treesearch import (OrderingSource, build_debug_tree, collect_solutions,
-                         enumerate_all_orderings)
+                         count_solutions, enumerate_all_orderings)
 
 SCHEMA_VERSION = 1
 
@@ -139,7 +139,8 @@ def cmd_enumerate(args) -> int:
         _emit_json(doc)
         return 0
 
-    sols, stats = collect_solutions(
+    search = collect_solutions if args.mode == "enumerate" else count_solutions
+    sols, stats = search(
         f, t, ordering,
         debug_assertions=True if args.debug_assertions else None,
         parallel=args.parallel)

@@ -17,9 +17,13 @@ in time proportional to the occurrences of its label, so backtracking is just
 returning: no trail is kept, and a reset signal unwinds any number of levels
 without repair.  Clauses are ranked by the key (width, variables) of their
 positive literals, so the free pick is the lowest set bit of ``P`` and "no
-live positive clause" is ``P == 0``.  Path labels and per-depth ordering
-hashes live in depth-indexed arrays that a child overwrites; only the label
-mark counters are raised and lowered (in ``finally``) around an expansion.
+live positive clause" is ``P == 0``.  A node steps into each child in its
+own loop and settles a depth-t child there, with no frame of its own.  Path
+labels and per-depth ordering hashes live in depth-indexed arrays that a
+child overwrites.  The label mark counters are raised and lowered around an
+expansion only where they are read: on the controlled route and in the debug
+tree.  A count keeps no solution list; its exactly-once check keys each
+solution on its ``Q`` mask.
 Below a depth-t0 node on the controlled route a ``_Frame`` adds the stage
 profile, the twomark plan and the shoot's heavy clauses; the plan's one input
 from the path, which onemark edges took their X-tilde variable, is read off
@@ -213,7 +217,7 @@ def validate_engine_input(f: Formula, t: int) -> int:
 class _Engine:
     def __init__(self, f: Formula, t: int, ordering: OrderingSource,
                  *, debug_assertions: bool | None = None,
-                 record: bool = False,
+                 record: bool = False, collect: bool = True,
                  base: DisjointCollection | None = None):
         t = validate_engine_input(f, t)
         self.f = f
@@ -238,11 +242,8 @@ class _Engine:
         # the twomark collection a reset grew, per depth-t0 path of this base
         self.cr_keeps: dict[tuple[int, ...], tuple[Clause, ...]] = {}
         self.stats = SearchStats()
-        self.buffer: list[tuple[int, ...]] = []
-        self.tree_nodes: list[TreeNode] = []
-        self.tree_profiles: list[StageProfile] = []
-        self._seen: set[tuple[int, ...]] = set()
-        self.label_nodes: list[list[int]] = [[] for _ in range(self.n + 1)]
+        # the solutions in emission order, or None to count them only
+        self.buffer: list[tuple[int, ...]] | None = [] if collect else None
 
     def _index_clauses(self, f: Formula) -> None:
         """Per-variable occurrence masks and lists, in O(total literals).
@@ -288,17 +289,17 @@ class _Engine:
             if any(not m & used for _, m in self.mono3_index):
                 raise InternalInvariantError("base collection is not maximal")
         self.route = branch_on_t0(self.t0, self.n)
-        self.buffer.clear()
-        self._seen.clear()
+        if self.buffer is not None:
+            self.buffer.clear()
+        self.stats.solutions_emitted = 0
+        # exactly-once check; the unpruned debug tree repeats solutions
+        self._seen = set() if self.debug_assertions and not self.record else None
         self.discarded_leaves = self.stats.leaves_visited
-        self.tree_nodes = [TreeNode(0, 0, None, None, (), False)]
-        self.tree_profiles = []
+        self.tree_nodes: list[TreeNode] = [TreeNode(0, 0, None, None, (), False)]
+        self.tree_profiles: list[StageProfile] = []
+        self.keep_marks = self.record or self.route == "controlled"
         self.label_cnt = [0] * (self.n + 1)
-
-    def _finish(self) -> None:
-        self.stats.route = self.route
-        self.stats.t0 = self.t0
-        self.stats.solutions_emitted = len(self.buffer)
+        self.label_nodes: list[list[int]] = [[] for _ in range(self.n + 1)]
 
     def run(self, prefix: Sequence[int] = ()) -> None:
         """Search until one attempt finishes without a reset.
@@ -324,7 +325,17 @@ class _Engine:
                     self.tree_nodes[0].leaf_kind = "falsified"
                 else:
                     self.stats.nodes_visited += 1
-                    self._node(len(prefix), *self._walk_prefix(prefix), None, 0)
+                    Q, P, U, L = self._walk_prefix(prefix)
+                    if len(prefix) < self.t:
+                        self._node(len(prefix), Q, P, U, L, None, 0)
+                    else:       # the root is a leaf: t = 0 or a full prefix
+                        self.stats.leaves_visited += 1
+                        self.tree_nodes[0].leaf_kind = "viable"
+                        if not P:
+                            self.stats.solutions_emitted += 1
+                            self.tree_nodes[0].is_transversal = True
+                            if self.buffer is not None:
+                                self.buffer.append(tuple(sorted(self.path)))
                 break
             except TwomarkResetSignal as sig:
                 self._apply_twomark_reset(sig)
@@ -332,7 +343,8 @@ class _Engine:
                 if prefix:
                     raise
                 self._apply_base_reset(sig)
-        self._finish()
+        self.stats.route = self.route
+        self.stats.t0 = self.t0
 
     def _walk_prefix(self, prefix: Sequence[int]) -> tuple[int, int, int, int]:
         """Masks ``Q, P, U, L`` at the end of a disjoint-stage path, with the
@@ -393,13 +405,6 @@ class _Engine:
               fr: _Frame | None, node_id: int) -> None:
         stats = self.stats
         record = self.record
-        if depth == self.t:
-            stats.leaves_visited += 1
-            if record:
-                self.tree_nodes[node_id].leaf_kind = "viable"
-            if not P:
-                self._emit(node_id)
-            return
         if not P:
             raise PreconditionViolated(
                 f"{sorted(self.path[:depth])} is a transversal of weight "
@@ -441,32 +446,59 @@ class _Engine:
 
         if record:
             self.tree_nodes[node_id].stage = stage
-        order = self._order_children(depth, labels)
-        cnt = self.label_cnt
-        for x in labels:
-            cnt[x] += 1
-            if record:
-                self.label_nodes[x].append(node_id)
-        try:
-            for x in order:
-                bit = 1 << x
-                child_id = 0
-                if record:
-                    child_id = self._record_child(node_id, depth, x, bool(U & bit))
-                if L & bit and not record:
-                    stats.superfluous_skips += 1
-                elif U & bit:
-                    stats.falsified_leaves += 1
-                    if record:
-                        self.tree_nodes[child_id].leaf_kind = "falsified"
-                else:
-                    stats.nodes_visited += 1
-                    self._node(depth + 1, *self._step(depth, x, Q, P, U), L,
-                               fr, child_id)
-                L |= bit
-        finally:
+        order = self._order_children(depth, labels) if self.random else labels
+        if self.keep_marks:
             for x in labels:
-                cnt[x] -= 1
+                self.label_cnt[x] += 1
+                if record:
+                    self.label_nodes[x].append(node_id)
+        # each child's step is _step inlined; depth-t children end here
+        leaf = depth + 1 == self.t
+        path, keep_by, wake_by = self.path, self.keep_by, self.wake_by
+        buf, seen = self.buffer, self._seen
+        for x in order:
+            bit = 1 << x
+            child_id = self._record_child(node_id, depth, x, bool(U & bit)) if record else 0
+            if L & bit and not record:
+                stats.superfluous_skips += 1
+            elif U & bit:
+                stats.falsified_leaves += 1
+            else:
+                stats.nodes_visited += 1
+                path[depth] = x
+                Qx = Q | bit
+                Px = P & keep_by[x]
+                for neg, pos, b in wake_by[x]:
+                    if not (neg & ~Qx or pos & Qx):
+                        Px |= b
+                if not leaf:
+                    Ux = U
+                    for neg in self.fals_by[x]:
+                        rest = neg & ~Qx
+                        if not rest & (rest - 1):
+                            if not rest:
+                                raise InternalInvariantError("entered a falsified child")
+                            Ux |= rest
+                    self._node(depth + 1, Qx, Px, Ux, L, fr, child_id)
+                else:
+                    stats.leaves_visited += 1
+                    if not Px:
+                        stats.solutions_emitted += 1
+                        if record:
+                            self.tree_nodes[child_id].is_transversal = True
+                        key = Qx
+                        if buf is not None:
+                            key = tuple(sorted(path))
+                            buf.append(key)
+                        if seen is not None:
+                            if key in seen:
+                                raise InternalInvariantError(
+                                    f"solution {tuple(sorted(path))} emitted twice")
+                            seen.add(key)
+            L |= bit
+        if self.keep_marks:
+            for x in labels:
+                self.label_cnt[x] -= 1
                 if record:
                     self.label_nodes[x].pop()
 
@@ -474,6 +506,8 @@ class _Engine:
         child_id = len(self.tree_nodes)
         child = TreeNode(child_id, depth + 1, node_id, x,
                          tuple(self.label_nodes[x][:-1]), fals)
+        if fals or depth + 1 == self.t:         # the debug tree skips no edge
+            child.leaf_kind = "falsified" if fals else "viable"
         self.tree_nodes.append(child)
         self.tree_nodes[node_id].children.append(child_id)
         return child_id
@@ -574,18 +608,6 @@ class _Engine:
             f"heavy budget {fr.k2.heavy_budget} exceeded without a witness: "
             f"{len(r)} pool heavies, {len(b)} outside")
 
-    def _emit(self, node_id: int) -> None:
-        sol = tuple(sorted(self.path))
-        if self.debug_assertions and not self.record:
-            # the pruned traversal reaches each transversal exactly once; the
-            # unpruned debug tree legitimately repeats them
-            if sol in self._seen:
-                raise InternalInvariantError(f"solution {sol} emitted twice")
-            self._seen.add(sol)
-        if self.record:
-            self.tree_nodes[node_id].is_transversal = True
-        self.buffer.append(sol)
-
 
 # ----------------------------------------------------------------------
 # public entry points
@@ -600,13 +622,14 @@ def enumerate_solutions(f: Formula, t: int,
     exactly once, assuming no satisfying assignment has weight below t
     (violations are detected and raised when the search trips over them).
 
-    The search recurses one interpreter frame per tree level; a t too deep
-    for the recursion limit raises ``ParameterError``."""
+    The search recurses one interpreter frame per tree level above the
+    leaves; a t too deep for the recursion limit raises ``ParameterError``."""
     ordering = ordering or OrderingSource.fixed()
     try:
         if parallel > 1:
             return _parallel_enumerate(f, t, ordering, sink, parallel)
-        eng = _Engine(f, t, ordering, debug_assertions=debug_assertions)
+        eng = _Engine(f, t, ordering, debug_assertions=debug_assertions,
+                      collect=sink is not None)
         eng.run()
     except RecursionError:
         raise _too_deep(t) from None
@@ -627,7 +650,8 @@ def surviving_leaves(f: Formula, t: int, ordering: OrderingSource,
     """Surviving depth-t leaves of the search under ``ordering``, counting
     only the tree that the run settled on.  ``SearchStats.leaves_visited``
     also counts the leaves of attempts that a reset threw away."""
-    eng = _Engine(f, t, ordering, debug_assertions=debug_assertions)
+    eng = _Engine(f, t, ordering, debug_assertions=debug_assertions,
+                  collect=False)
     try:
         eng.run()
     except RecursionError:
@@ -656,7 +680,7 @@ def build_debug_tree(f: Formula, t: int) -> DebugTree:
     if f.n > DEBUG_TREE_MAX_N:
         raise ParameterError(f"debug trees limited to n <= {DEBUG_TREE_MAX_N}")
     eng = _Engine(f, t, OrderingSource.fixed(), record=True,
-                  debug_assertions=True)
+                  debug_assertions=True, collect=False)
     eng.run()
     tree = DebugTree(f.n, t, eng.route, eng.t0, eng.tree_nodes,
                      eng.tree_profiles)

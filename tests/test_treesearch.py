@@ -1,6 +1,8 @@
 import itertools
 import math
+import random
 import re
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -365,11 +367,110 @@ def test_parallel_reset_instance():
     assert seq == par and s2.resets["base"] >= 1
 
 
-def test_count_matches_enumerate():
+RESET_INSTANCES = (collision_reset_instance, structure_reset_instance,
+                   heavy_overflow_instance, heavy_reset_instance,
+                   twomark_reset_instance)
+
+
+def _engine_cases(corpus500) -> list[tuple[Formula, int]]:
+    return [(f, rep.tau) for f, rep in corpus500] + [
+        (f, brute_force(f).tau) for f in (g() for g in RESET_INSTANCES)]
+
+
+def test_count_matches_enumerate(corpus500):
     f = negation_closure(maj(8, 3))
     n1, st = count_solutions(f, 4, OrderingSource.random(1))
     sols, _ = collect_solutions(f, 4, OrderingSource.random(1))
     assert n1 == len(sols) == 36
+    # a count keeps no list, and the search it runs is the same
+    for f, t in _engine_cases(corpus500):
+        for ordering in (OrderingSource.fixed(), OrderingSource.random(1),
+                         OrderingSource.random(2)):
+            for debug in (True, False):
+                count, cstats = count_solutions(f, t, ordering, debug_assertions=debug)
+                sols, stats = collect_solutions(f, t, ordering, debug_assertions=debug)
+                assert count == len(sols)
+                assert cstats.as_dict() == stats.as_dict()
+
+
+def test_count_keeps_no_solution_buffer():
+    # a buffer of the 1,296 solutions alone would take ~150 KiB
+    f = negation_closure(maj(16, 3))
+    tracemalloc.start()
+    try:
+        count, _ = count_solutions(f, 8, debug_assertions=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 1296
+    assert peak < 32 * 1024, peak
+
+
+def test_node_masks_match_step(corpus500, monkeypatch):
+    # _node steps into its children inline; every node it enters holds the
+    # masks that _step, chained along the node's path, gives
+    real = _Engine._node
+    entries = []
+
+    def node(eng, depth, Q, P, U, *rest):
+        entries.append((eng, depth, Q, P, U, tuple(eng.path[:depth])))
+        real(eng, depth, Q, P, U, *rest)
+
+    monkeypatch.setattr(_Engine, "_node", node)
+    # mixed-sign clauses wake positive clauses when their negated variables
+    # are entered; the monotone corpora have none of those
+    rng = random.Random(11)
+    mixed = []
+    while len(mixed) < 100:
+        n = rng.randint(4, 10)
+        g = negation_closure(Formula.of(n, [
+            [v if rng.random() < 0.5 else -v
+             for v in rng.sample(range(1, n + 1), rng.randint(1, 3))]
+            for _ in range(rng.randint(1, 2 * n))]))
+        tau = brute_force(g).tau
+        if tau is not None and tau >= 2:
+            mixed.append((g, tau))
+    for f, t in _engine_cases(corpus500) + mixed:
+        for ordering in (OrderingSource.fixed(), OrderingSource.random(1)):
+            entries.clear()
+            collect_solutions(f, t, ordering)
+            assert entries
+            ref = _Engine(f, t, ordering)
+            for eng, depth, Q, P, U, path in entries:
+                masks = (0, ref.live0, ref.unit0)
+                for d, x in enumerate(path):
+                    masks = ref._step(d, x, *masks)
+                assert (Q, P, U) == masks, (f, t, path)
+
+
+def test_entering_a_falsified_child_is_an_invariant_failure():
+    # with the unit clause (-1) missing from U at the root, the search steps
+    # through label 1 of the clause (1), which falsifies it
+    f = negation_closure(Formula.of(4, [(-1,), (2, 3)]))
+    eng = _Engine(f, 2, OrderingSource.fixed())
+    assert eng.unit0 == 1 << 1
+    eng.unit0 = 0
+    with pytest.raises(InternalInvariantError, match="entered a falsified child"):
+        eng.run()
+    with pytest.raises(InternalInvariantError, match="entered a falsified child"):
+        eng._step(0, 1, 0, eng.live0, eng.unit0)
+
+
+def test_repeated_emission_is_an_invariant_failure(monkeypatch):
+    # searching the tree twice from the root emits every solution twice
+    real = _Engine._node
+
+    def twice(eng, depth, *rest):
+        real(eng, depth, *rest)
+        if depth == 0:
+            real(eng, depth, *rest)
+
+    monkeypatch.setattr(_Engine, "_node", twice)
+    f = negation_closure(maj(8, 3))
+    for search in (count_solutions, collect_solutions):
+        with pytest.raises(InternalInvariantError, match=r"solution \(.*\) emitted twice"):
+            search(f, 4)
+    assert count_solutions(f, 4, debug_assertions=False)[0] == 2 * 36
 
 
 M64 = 2 ** 64
@@ -533,9 +634,10 @@ def _path_chain(n: int) -> Formula:
 
 
 def test_deep_path_chain_finishes():
-    # one interpreter frame per tree level: depth 400 fits the default limit.
-    # The odd and the even variables are the two solutions, one root-to-leaf
-    # path each; every other child edge is falsified.
+    # one interpreter frame per tree level above the leaves: depth 400 fits
+    # the default limit.  The odd and the even variables are the two
+    # solutions, one root-to-leaf path each; every other child edge is
+    # falsified.
     count, stats = count_solutions(negation_closure(_path_chain(800)), 400)
     assert count == 2
     assert stats.nodes_visited == 2 * 400 + 1
