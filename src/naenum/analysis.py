@@ -5,20 +5,24 @@ Each closed form G_i is defined once, in ``_LARGE_FORMS``/``_SMALL_FORMS``/
 ``_SMALL_ALT_CASE3``, as a product of powers base**(cw*w + cd*d + ch*h) over
 the bases 5/2, 2, 3/2, 9/4 and sqrt(27/8) = 3*sqrt(6)/4.  The ceiling F stays
 piecewise: a case index picks one G_i, so the claim min(G_i) = F is a check,
-not a definition.  The public functions (``g*_large``, ``f_large``,
-``g*_small``, ``f_small``, ``f_small_alt_case3``) evaluate the product exactly,
-as a Fraction or in the quadratic extension Q[sqrt(6)] when the half-integer
-power of 27/8 appears.
+not a definition.
+
+Every form is read one way: its square is 2^a 3^b 5^c, with (a, b, c) linear
+in (w, d, h) and read off the definition once (``_square_exponents``).  At a
+point the exponents become an integer pair P/Q for the claim kernel and,
+through a square root, the exact value the public functions (``g*_large``,
+``f_large``, ``g*_small``, ``f_small``, ``f_small_alt_case3``) return: a
+Fraction, or b*sqrt(6) in the quadratic extension Q[sqrt(6)] when the
+half-integer power of 27/8 is odd.
 
 The claim grids never build those values.  Every closed form and DP entry is
-nonnegative, so comparing two of them is comparing their squares, and each
-square is a ratio P/Q of Python ints: a closed form squares to 2^a 3^b 5^c,
-with (a, b, c) linear in (w, d, h) and read off the same definition; the DP
+nonnegative, so comparing two of them is comparing their squares; the DP
 recurrences run bottom-up by depth on integers, 2^d * M(w,d) (factors 5, 4, 3)
 and 4^d * M(w,d,h) (factors 9, 8, 7, 6).  Each <= in the grid loop is one
 cross-multiplication of ints; = between closed forms is equality of their
 pairs, which are in lowest terms.  Nothing is decided by floats.  Fractions
-appear only in the ``BoundTable`` values the public DP functions return.
+appear only in the public values and the ``BoundTable`` values the public DP
+functions return.
 """
 
 from __future__ import annotations
@@ -35,9 +39,8 @@ import numpy as np
 from .cnf import Formula
 from .errors import ParameterError
 from .tree import SurvivalKernel
-from .treesearch import OrderingSource, as_int, build_debug_tree, surviving_leaves
-
-Rat = Fraction
+from .treesearch import (DEBUG_TREE_MAX_N, OrderingSource, as_int,
+                         build_debug_tree, surviving_leaves)
 
 
 def _numeric(op):
@@ -115,34 +118,17 @@ class QSqrt6:
         return f"{self.a}+{self.b}*sqrt(6)"
 
 
-SQRT_27_8 = QSqrt6(0, Fraction(3, 4))  # sqrt(27/8) = 3*sqrt(6)/4
-
-
-@lru_cache(maxsize=1 << 12)
-def _power(base: Fraction, e: int) -> Fraction:
-    return base ** e
-
-
-def pow_half_27_8(e: int) -> QSqrt6:
-    """Exact (27/8)^(e/2) for any integer e."""
-    k, r = divmod(e, 2)
-    v = QSqrt6(_power(Fraction(27, 8), k))
-    return v * SQRT_27_8 if r else v
-
-
 # ----------------------------------------------------------------------
 # closed forms
 
-_ROOT = "sqrt(27/8)"
-_5_2, _2, _3_2, _9_4 = Fraction(5, 2), Fraction(2), Fraction(3, 2), Fraction(9, 4)
-
-# exponents of 2, 3 and 5 in the square of each base
-_BASE_SQUARE = {_5_2: (-2, 0, 2), _2: (2, 0, 0), _3_2: (-2, 2, 0),
-                _9_4: (-4, 4, 0), _ROOT: (-3, 3, 0)}
+# Each base is named by the exponents of 2, 3 and 5 in its square.
+_5_2, _2, _3_2, _9_4 = (-2, 0, 2), (2, 0, 0), (-2, 2, 0), (-4, 4, 0)
+_ROOT_27_8 = (-3, 3, 0)                                     # sqrt(27/8)
 
 # A closed form is ((base, (cw, cd, ch)), ...): the product of
 # base ** (cw*w + cd*d + ch*h).  These tuples are the only definition of G_i;
-# the public values and the claim kernel are both read off them.
+# ``_square_exponents`` turns each into the one input of the public values
+# and of the claim kernel.
 _LARGE_FORMS = (
     ((_5_2, (-1, 2, 0)), (_2, (1, -1, 0))),                 # (5/2)^(2d-w) 2^(w-d)
     ((_2, (-1, 3, 0)), (_3_2, (1, -2, 0))),                 # 2^(3d-w) (3/2)^(w-2d)
@@ -151,95 +137,12 @@ _SMALL_FORMS = (
     ((_9_4, (0, 1, 0)),),                                   # (9/4)^d
     ((_9_4, (-1, 2, 0)), (_2, (1, -1, 0))),                 # (9/4)^(2d-w) 2^(w-d)
     ((_9_4, (-1, 2, 0)), (_2, (0, 0, 1)),
-     (_ROOT, (1, -1, -1))),                                 # ... 2^h (27/8)^((w-d-h)/2)
+     (_ROOT_27_8, (1, -1, -1))),                            # ... 2^h (27/8)^((w-d-h)/2)
     ((_2, (-1, 3, 0)), (_3_2, (1, -2, 0))),                 # 2^(3d-w) (3/2)^(w-2d)
 )
 # the algebraically equal second form of the third case
 _SMALL_ALT_CASE3 = ((_2, (0, 0, 1)), (_3_2, (1, -2, 0)),
-                    (_ROOT, (-1, 3, -1)))                   # ... (27/8)^((3d-w-h)/2)
-
-
-def _large_case(w: int, d: int) -> int:
-    """Index of the G_i that the piecewise F(w,d) is."""
-    return 0 if w <= 2 * d else 1
-
-
-def _small_case(w: int, d: int, h: int) -> int:
-    """Index of the G_i that the piecewise F(w,d,h) is."""
-    if w <= d:
-        return 0
-    if w <= d + h:
-        return 1
-    return 2 if w <= 3 * d - h else 3
-
-
-def _evaluate(form, w: int, d: int, h: int = 0):
-    """Exact value of a closed form: a Fraction, or a QSqrt6 when it has a
-    sqrt(27/8) factor."""
-    v = Fraction(1)
-    root = None
-    for base, (cw, cd, ch) in form:
-        e = cw * w + cd * d + ch * h
-        if base is _ROOT:
-            root = pow_half_27_8(e)
-        else:
-            v *= _power(base, e)
-    return v if root is None else QSqrt6(v) * root
-
-
-def _check_depth(d: int, h: int = 0) -> None:
-    if d < 0:
-        raise ParameterError("d must be nonnegative")
-    if h < 0:
-        raise ParameterError("h must be nonnegative")
-
-
-def f_large(w: int, d: int) -> Fraction:
-    """Survival-value ceiling for a depth-d subtree whose every root-to-leaf
-    shoot weighs at least w, when every node has a marked edge."""
-    _check_depth(d)
-    return _evaluate(_LARGE_FORMS[_large_case(w, d)], w, d)
-
-
-def g1_large(w: int, d: int) -> Fraction:
-    return _evaluate(_LARGE_FORMS[0], w, d)
-
-
-def g2_large(w: int, d: int) -> Fraction:
-    return _evaluate(_LARGE_FORMS[1], w, d)
-
-
-def f_small(w: int, d: int, h: int) -> QSqrt6:
-    """Four-case ceiling with the extra parameter h bounding, per shoot, the
-    twice-marked full-mass nodes ("heavy" nodes)."""
-    _check_depth(d, h)
-    return QSqrt6.of(_evaluate(_SMALL_FORMS[_small_case(w, d, h)], w, d, h))
-
-
-def f_small_alt_case3(w: int, d: int, h: int) -> QSqrt6:
-    """The algebraically equal second form of the third case; asserted equal
-    to the first as a self-test."""
-    return _evaluate(_SMALL_ALT_CASE3, w, d, h)
-
-
-def g1_small(w: int, d: int, h: int) -> QSqrt6:
-    return QSqrt6(_evaluate(_SMALL_FORMS[0], w, d, h))
-
-
-def g2_small(w: int, d: int, h: int) -> QSqrt6:
-    return QSqrt6(_evaluate(_SMALL_FORMS[1], w, d, h))
-
-
-def g3_small(w: int, d: int, h: int) -> QSqrt6:
-    return _evaluate(_SMALL_FORMS[2], w, d, h)
-
-
-def g4_small(w: int, d: int, h: int) -> QSqrt6:
-    return QSqrt6(_evaluate(_SMALL_FORMS[3], w, d, h))
-
-
-# ----------------------------------------------------------------------
-# squared-integer kernel
+                    (_ROOT_27_8, (-1, 3, -1)))              # ... (27/8)^((3d-w-h)/2)
 
 
 def _square_exponents(form) -> tuple[int, ...]:
@@ -247,7 +150,7 @@ def _square_exponents(form) -> tuple[int, ...]:
     the square of the form is a_pw*w + a_pd*d + a_ph*h."""
     out = [0] * 9
     for base, c in form:
-        for p, ep in enumerate(_BASE_SQUARE[base]):
+        for p, ep in enumerate(base):
             for k in range(3):
                 out[3 * p + k] += ep * c[k]
     return tuple(out)
@@ -265,18 +168,99 @@ def _square_pair(e2: int, e3: int, e5: int) -> tuple[int, int]:
     return p, q
 
 
+# square exponents of G1, G2 (large) and of G1..G4 plus the alternate third
+# case (small)
+_LARGE_EXPONENTS = tuple(map(_square_exponents, _LARGE_FORMS))
+_SMALL_EXPONENTS = tuple(map(_square_exponents, _SMALL_FORMS + (_SMALL_ALT_CASE3,)))
+
+
+def _value(exps, w: int, d: int, h: int = 0):
+    """Exact value at (w,d,h) of the form with square exponents ``exps``.
+
+    The square is 2^e2 3^e3 5^e5 and the value its root.  Only sqrt(27/8)
+    makes e2 and e3 odd, and then both are, while e5 is always even: the
+    value is a Fraction, or b*sqrt(6) with b = 2^((e2-1)/2) 3^((e3-1)/2)
+    5^(e5/2) when e2 is odd."""
+    if d < 0:
+        raise ParameterError("d must be nonnegative")
+    if h < 0:
+        raise ParameterError("h must be nonnegative")
+    e2, e3, e5 = (exps[k] * w + exps[k + 1] * d + exps[k + 2] * h
+                  for k in (0, 3, 6))
+    v = Fraction(*_square_pair(e2 // 2, e3 // 2, e5 // 2))
+    return QSqrt6(0, v) if e2 % 2 else v
+
+
+def _large_case(w: int, d: int) -> int:
+    """Index of the G_i that the piecewise F(w,d) is."""
+    return 0 if w <= 2 * d else 1
+
+
+def _small_case(w: int, d: int, h: int) -> int:
+    """Index of the G_i that the piecewise F(w,d,h) is."""
+    if w <= d:
+        return 0
+    if w <= d + h:
+        return 1
+    return 2 if w <= 3 * d - h else 3
+
+
+def _small(i: int, w: int, d: int, h: int) -> QSqrt6:
+    return QSqrt6.of(_value(_SMALL_EXPONENTS[i], w, d, h))
+
+
+def f_large(w: int, d: int) -> Fraction:
+    """Survival-value ceiling for a depth-d subtree whose every root-to-leaf
+    shoot weighs at least w, when every node has a marked edge."""
+    return _value(_LARGE_EXPONENTS[_large_case(w, d)], w, d)
+
+
+def g1_large(w: int, d: int) -> Fraction:
+    return _value(_LARGE_EXPONENTS[0], w, d)
+
+
+def g2_large(w: int, d: int) -> Fraction:
+    return _value(_LARGE_EXPONENTS[1], w, d)
+
+
+def f_small(w: int, d: int, h: int) -> QSqrt6:
+    """Four-case ceiling with the extra parameter h bounding, per shoot, the
+    twice-marked full-mass nodes ("heavy" nodes)."""
+    return _small(_small_case(w, d, h), w, d, h)
+
+
+def f_small_alt_case3(w: int, d: int, h: int) -> QSqrt6:
+    """The algebraically equal second form of the third case; asserted equal
+    to the first as a self-test."""
+    return _small(4, w, d, h)
+
+
+def g1_small(w: int, d: int, h: int) -> QSqrt6:
+    return _small(0, w, d, h)
+
+
+def g2_small(w: int, d: int, h: int) -> QSqrt6:
+    return _small(1, w, d, h)
+
+
+def g3_small(w: int, d: int, h: int) -> QSqrt6:
+    return _small(2, w, d, h)
+
+
+def g4_small(w: int, d: int, h: int) -> QSqrt6:
+    return _small(3, w, d, h)
+
+
+# ----------------------------------------------------------------------
+# squared-integer kernel
+
+
 def _squares(exps, w: int, d: int, h: int = 0) -> list[tuple[int, int]]:
     """Squares (P, Q) of the forms with square exponents ``exps`` at (w,d,h)."""
     return [_square_pair(a2w * w + a2d * d + a2h * h,
                          a3w * w + a3d * d + a3h * h,
                          a5w * w + a5d * d + a5h * h)
             for a2w, a2d, a2h, a3w, a3d, a3h, a5w, a5d, a5h in exps]
-
-
-# square exponents of G1, G2 (large) and of G1..G4 plus the alternate third
-# case (small)
-_LARGE_EXPONENTS = tuple(map(_square_exponents, _LARGE_FORMS))
-_SMALL_EXPONENTS = tuple(map(_square_exponents, _SMALL_FORMS + (_SMALL_ALT_CASE3,)))
 
 
 # ----------------------------------------------------------------------
@@ -350,26 +334,27 @@ class BoundTable:
         return head + rows
 
 
-def dp_m_large(wmax: int, dmax: int, wmin: int = -3) -> BoundTable:
+_WMIN = -3  # low end of the public DP tables
+
+
+def dp_m_large(wmax: int, dmax: int) -> BoundTable:
     """Worst-case survival-value recurrence on (shoot weight, depth): each
     level spends one depth and 1..3 weight for factors 5/2, 2, 3/2."""
-    _check_cells(max(wmax - wmin + 1, 0) * (dmax + 1))
-    lo = min(wmin, -2)
-    rows = _dp_large_rows(lo, wmax, dmax)
-    grid = {(w, d): Fraction(rows[d][w - lo], 2 ** d) for d in range(dmax + 1)
-            for w in range(wmin, wmax + 1)}
+    _check_cells(max(wmax - _WMIN + 1, 0) * (dmax + 1))
+    rows = _dp_large_rows(_WMIN, wmax, dmax)
+    grid = {(w, d): Fraction(rows[d][w - _WMIN], 2 ** d) for d in range(dmax + 1)
+            for w in range(_WMIN, wmax + 1)}
     return BoundTable("large", grid)
 
 
-def dp_m_small(wmax: int, dmax: int, hmax: int, wmin: int = -3) -> BoundTable:
+def dp_m_small(wmax: int, dmax: int, hmax: int) -> BoundTable:
     """Recurrence with the heavy budget h: a full-mass twice-marked level
     costs (2, 1) in (weight, budget); other levels leave h alone."""
-    _check_cells(max(wmax - wmin + 1, 0) * (dmax + 1) * (hmax + 1))
-    lo = min(wmin, -2)
-    rows = _dp_small_rows(lo, wmax, dmax, hmax)
-    grid = {(w, d, h): Fraction(rows[d][w - lo][h], 4 ** d)
+    _check_cells(max(wmax - _WMIN + 1, 0) * (dmax + 1) * (hmax + 1))
+    rows = _dp_small_rows(_WMIN, wmax, dmax, hmax)
+    grid = {(w, d, h): Fraction(rows[d][w - _WMIN][h], 4 ** d)
             for d in range(dmax + 1)
-            for w in range(wmin, wmax + 1) for h in range(hmax + 1)}
+            for w in range(_WMIN, wmax + 1) for h in range(hmax + 1)}
     return BoundTable("small", grid)
 
 
@@ -571,17 +556,11 @@ def feasible_profiles(n: int) -> Iterable[tuple[int, int, int, int]]:
 
 
 @dataclass
-class BoundReport:
-    checks: list[ClaimCheck] = field(default_factory=list)
+class BoundReport(ClaimReport):
     details: list[dict] = field(default_factory=list)
 
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
     def as_dict(self) -> dict:
-        return {"ok": self.ok, "checks": [c.as_dict() for c in self.checks],
-                "details": self.details}
+        return {**super().as_dict(), "details": self.details}
 
 
 def global_bound_check(ns_large: Sequence[int] = tuple(range(8, 65, 4)),
@@ -661,7 +640,7 @@ def estimate_psi(f: Formula, t: int, samples: int, seed: int,
     if samples < 1:
         raise ParameterError(f"samples must be at least 1, got {samples}")
     if method == "auto":
-        method = "tree" if f.n <= 24 else "engine"
+        method = "tree" if f.n <= DEBUG_TREE_MAX_N else "engine"
     if method == "engine":
         counts = np.empty(samples, dtype=np.int64)
         for k in range(samples):

@@ -8,13 +8,14 @@ import pytest
 from naenum import (Formula, brute_force, enumerate_all_orderings, maj,
                     negation_closure, random_negation_closed)
 from naenum import analysis
-from naenum.analysis import (QSqrt6, SQRT_27_8, ClaimReport, dp_m_large,
-                             dp_m_small, estimate_psi, f_large, f_small,
+from naenum.analysis import (QSqrt6, ClaimReport, dp_m_large, dp_m_small,
+                             estimate_psi, f_large, f_small,
                              f_small_alt_case3, feasible_profiles, g1_large,
                              g1_small, g2_large, g2_small, g3_small, g4_small,
-                             global_bound_check, n_of_u0, pow_half_27_8,
+                             global_bound_check, n_of_u0,
                              verify_appendix_claims)
 from naenum.errors import ParameterError
+from naenum.treesearch import DEBUG_TREE_MAX_N
 
 
 # ---------------------------------------------------------------- numbers
@@ -33,8 +34,16 @@ def test_qsqrt6_ordering_near_sqrt6():
     assert root6 > 0 and -root6 < 0
 
 
+def _root_power(e: int):
+    """(27/8)^(e/2) as the evaluator reads it off its square exponents."""
+    exps = analysis._square_exponents(((analysis._ROOT_27_8, (1, 0, 0)),))
+    return analysis._value(exps, e, 0)
+
+
 def test_sqrt_27_8_square():
-    assert SQRT_27_8 * SQRT_27_8 == QSqrt6(Fraction(27, 8))
+    v = _root_power(1)
+    assert v == QSqrt6(0, Fraction(3, 4))
+    assert v * v == QSqrt6(Fraction(27, 8))
 
 
 def test_qsqrt6_hash_agrees_with_equal_numbers():
@@ -62,9 +71,10 @@ def test_qsqrt6_repr():
 
 @pytest.mark.parametrize("e", range(-6, 7))
 def test_pow_half_consistency(e):
-    v = pow_half_27_8(e)
+    v = QSqrt6.of(_root_power(e))
     assert v * v == QSqrt6(Fraction(27, 8) ** e)
     assert v > 0
+    assert v == R(e)
 
 
 # ---------------------------------------------------------------- closed forms
@@ -96,19 +106,30 @@ def test_f_small_case3_forms_agree():
 
 
 def test_f_rejects_negative_depth():
-    with pytest.raises(ParameterError):
-        f_large(1, -1)
-    with pytest.raises(ParameterError):
-        f_small(1, -1, 0)
-    with pytest.raises(ParameterError):
-        f_small(1, 1, -1)
+    # every public closed form, not only the two piecewise ceilings
+    for fn in (f_large, g1_large, g2_large):
+        with pytest.raises(ParameterError, match="d must be nonnegative"):
+            fn(1, -1)
+    for fn in (f_small, g1_small, g2_small, g3_small, g4_small,
+               f_small_alt_case3):
+        with pytest.raises(ParameterError, match="d must be nonnegative"):
+            fn(1, -1, 0)
+        with pytest.raises(ParameterError, match="h must be nonnegative"):
+            fn(1, 1, -1)
 
 
 # The closed forms restated independently of their one definition in
 # ``analysis``: a wrong exponent there moves the public values and the claim
 # kernel together, and only a second statement catches it.
 P = Fraction
-R = pow_half_27_8
+
+
+def R(e: int) -> QSqrt6:
+    """(27/8)^(e/2), with sqrt(27/8) = 3*sqrt(6)/4."""
+    k, odd = divmod(e, 2)
+    return QSqrt6(P(27, 8) ** k) * (QSqrt6(0, P(3, 4)) if odd else 1)
+
+
 LITERAL_FORMS = {
     g1_large: lambda w, d, h: P(5, 2) ** (2 * d - w) * P(2) ** (w - d),
     g2_large: lambda w, d, h: P(2) ** (3 * d - w) * P(3, 2) ** (w - 2 * d),
@@ -143,8 +164,9 @@ def test_closed_forms_match_literal_formulas():
 
 def test_kernel_squares_match_public_values():
     """At every grid point the claim kernel's integer pair (P, Q) is the
-    square of the public value, for every G_i, both F, the alternate third
-    case and both DP tables."""
+    square of the literal form (which the test above equates with the public
+    value), for every G_i, both F and the alternate third case; and the
+    kernel's integer DP rows are the squares of both public DP tables."""
     large = dp_m_large(16, 8)
     small = dp_m_small(16, 8, 8)
     lo = -3
@@ -152,16 +174,19 @@ def test_kernel_squares_match_public_values():
     rows3 = analysis._dp_small_rows(lo, 16, 8, 8)
     for w, d, h in GRID:
         g1, g2 = analysis._squares(analysis._LARGE_EXPONENTS, w, d)
-        assert Fraction(*g1) == _square(g1_large(w, d))
-        assert Fraction(*g2) == _square(g2_large(w, d))
+        lit1, lit2 = (_square(LITERAL_FORMS[fn](w, d, h))
+                      for fn in (g1_large, g2_large))
+        assert (Fraction(*g1), Fraction(*g2)) == (lit1, lit2)
         fl = (g1, g2)[analysis._large_case(w, d)]
-        assert Fraction(*fl) == _square(f_large(w, d))
+        assert Fraction(*fl) == (lit1 if w <= 2 * d else lit2)
         *gs, alt = analysis._squares(analysis._SMALL_EXPONENTS, w, d, h)
-        for pair, fn in zip(gs + [alt], (g1_small, g2_small, g3_small, g4_small,
-                                         f_small_alt_case3)):
-            assert Fraction(*pair) == _square(fn(w, d, h)), (fn.__name__, w, d, h)
+        lits = [_square(LITERAL_FORMS[fn](w, d, h))
+                for fn in (g1_small, g2_small, g3_small, g4_small,
+                           f_small_alt_case3)]
+        assert [Fraction(*pair) for pair in gs + [alt]] == lits, (w, d, h)
         fs = gs[analysis._small_case(w, d, h)]
-        assert Fraction(*fs) == _square(f_small(w, d, h))
+        case = 0 if w <= d else 1 if w <= d + h else 2 if w <= 3 * d - h else 3
+        assert Fraction(*fs) == lits[case]
         assert Fraction(rows2[d][w - lo] ** 2, 4 ** d) == large.grid[w, d] ** 2
         assert Fraction(rows3[d][w - lo][h] ** 2, 16 ** d) == small.grid[w, d, h] ** 2
 
@@ -170,6 +195,7 @@ def test_kernel_squares_match_public_values():
 
 def test_dp_large_base_and_one_step():
     t = dp_m_large(6, 2)
+    assert min(w for w, _ in t.grid) == -3
     assert t.grid[1, 1] == Fraction(5, 2)
     assert all(t.grid[w, 0] == 1 for w in range(-3, 1))
     assert all(t.grid[w, 0] == 0 for w in range(1, 7))
@@ -342,6 +368,14 @@ def test_global_bound_check_fast():
 
 
 # ---------------------------------------------------------------- psi
+
+@pytest.mark.parametrize("n, method", [(DEBUG_TREE_MAX_N, "tree"),
+                                       (DEBUG_TREE_MAX_N + 1, "engine")])
+def test_psi_auto_method_follows_debug_tree_limit(n, method):
+    f = negation_closure(Formula.of(n, [(1, 2, 3)]))
+    est = estimate_psi(f, 1, samples=3, seed=0)
+    assert est.method == method and est.mean == 3.0
+
 
 def test_psi_deterministic_tree():
     f = negation_closure(Formula.of(3, [(1, 2, 3)]))
