@@ -1,11 +1,13 @@
-"""Watching the disjoint collections grow.
+"""Watching the base collection grow.
 
-Maximum disjoint clause packing is NP-hard, so the search settles for
-greedily-maximal collections and lets its own structural checks act as
+Maximum disjoint clause packing is NP-hard, so the search settles for a
+greedily-maximal base collection and lets its own structural checks act as
 improving oracles: whenever a check would fail, it hands over a strictly
-larger disjoint family, the collection is replaced and re-extended, and the
-attempt restarts.  Each reset grows a collection by at least one clause, so
-there are at most n of them per collection.
+larger disjoint family, the base is replaced and re-extended, and the attempt
+restarts.  Each reset grows the base by at least one clause, so there are at
+most n of them.  The twomark collection of each depth-t0 node is a maximum
+family of a pool that holds one disjoint clause at most per level, so it
+never resets.
 """
 
 import naenum as ne

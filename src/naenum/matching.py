@@ -1,9 +1,9 @@
-"""Pseudomaximum collections of pairwise variable-disjoint clauses.
+"""Collections of pairwise variable-disjoint clauses.
 
-Maximum 3-set packing is NP-hard, so the search keeps greedily-maximal
-collections instead and grows them whenever a structural check exposes a
-strictly larger disjoint family ("reset").  Each reset enlarges the collection
-by at least one clause, so a collection resets at most n times.
+Maximum 3-set packing is NP-hard, so the base and onemark collections are
+greedily maximal, and the base grows whenever a structural check exposes a
+strictly larger disjoint family ("reset"): at most n times.  The twomark
+collection is a maximum family of a small pool (``maximum_family``).
 """
 
 from __future__ import annotations
@@ -90,6 +90,31 @@ def greedy_maximal(candidates: Iterable[Clause], tag: str = BASE,
             used |= m
     members.sort()
     return DisjointCollection(members, tag)
+
+
+def maximum_family(pool: Sequence[Clause], bound: int) -> list[Clause]:
+    """The first maximum pairwise-disjoint family of ``pool`` in canonical
+    order: a depth-first search in that order keeps each family larger than
+    all before it, and stops at ``bound`` clauses, which none can exceed."""
+    masks = [var_mask(c) for c in pool]
+    best: list[int] = []
+    chosen: list[int] = []
+
+    def grow(start: int, used: int) -> bool:
+        for i in range(start, len(pool)):
+            if len(chosen) + len(pool) - i <= len(best):
+                return False        # the rest of the pool cannot beat best
+            if not masks[i] & used:
+                chosen.append(i)
+                if len(chosen) > len(best):
+                    best[:] = chosen
+                if len(best) == bound or grow(i + 1, used | masks[i]):
+                    return True
+                chosen.pop()
+        return False
+
+    grow(0, 0)
+    return [pool[i] for i in best]
 
 
 def attempt_reset(coll: DisjointCollection, removed: Iterable[Clause],

@@ -12,13 +12,12 @@ Levels are expanded in three phases:
 * ``free`` stage: the live clause whose positive literals rank first by the
   key (width, variables): smallest residual width, then lexicographic.
 
-Structural checks during the controlled stage can discover strictly larger
-disjoint families; they are raised as reset signals, the affected collection
-is grown, and the attempt restarts.  The base and twomark collections reset
-this way.  The onemark collection never does: it is greedily maximal over the
-once-marked clauses F1, so no F1 clause is disjoint from it, and a free-stage
-clause that would witness a larger onemark family would be exactly such a
-clause.
+Structural checks during the controlled stage can discover a disjoint family
+strictly larger than the base collection; it is raised as a reset signal, the
+base is grown, and the attempt restarts.  The other collections never reset.
+The onemark collection is greedily maximal over the once-marked clauses F1,
+and a free-stage witness of a larger one would be an F1 clause disjoint from
+it.  The twomark collection is a maximum disjoint family of its pool F2R.
 
 The checks rest on one premise: the base collection is maximal over the
 monotone width-3 clauses (``greedy_maximal`` builds it, each base reset
@@ -43,7 +42,7 @@ from typing import Sequence
 from .cnf import Clause, Formula
 from .errors import InternalInvariantError
 from .matching import (BASE, ONEMARK, TWOMARK, DisjointCollection,
-                       greedy_maximal, var_mask)
+                       greedy_maximal, maximum_family, var_mask)
 
 FREE = "free"
 
@@ -57,18 +56,6 @@ class BaseResetSignal(Exception):
         super().__init__(reason)
         self.removed = list(removed)
         self.added = list(added)
-        self.reason = reason
-
-
-class TwomarkResetSignal(Exception):
-    """Internal control flow: a disjoint family larger than the twomark
-    collection of ``profile`` was found."""
-
-    def __init__(self, profile: StageProfile, family: Sequence[Clause],
-                 reason: str):
-        super().__init__(reason)
-        self.profile = profile
-        self.family = list(family)  # replacement collection, pairwise disjoint
         self.reason = reason
 
 
@@ -91,8 +78,9 @@ class StageProfile:
     Level i of the base collection is split, relative to u0's path, into the
     path label p_i and the sibling pair X_i.  V1 holds the levels whose X-pair
     feeds the onemark collection; VB the rest.  The twomark collection is a
-    maximal disjoint family among the twice-marked clauses that reuse an X
-    variable from a V1 level.
+    maximum disjoint family of F2R, the twice-marked clauses that reuse an X
+    variable of a V1 level.  That variable is the level's X-hat, so a disjoint
+    family takes one clause at most per level of VR: m'_R <= m_R.
     """
 
     n: int
@@ -164,18 +152,17 @@ def _var(bit: int) -> int:
 
 
 def build_stage_profile(f: Formula, base: DisjointCollection,
-                        path_labels: Sequence[int],
-                        cr_keep: Sequence[Clause] = (), *,
+                        path_labels: Sequence[int], *,
                         index: MonotoneIndex | None = None) -> StageProfile:
     """Compute the controlled-stage profile for the node reached along
     ``path_labels`` (one label per base level).
 
-    Raises a reset signal whenever the classification uncovers a disjoint
-    family that beats one of the maintained collections.  ``cr_keep`` seeds
-    the twomark collection after a twomark reset.  The onemark collection C1
-    is greedily maximal over F1 and never reset, so it takes no keep: a
-    free-stage clause of mass 5/2 (one variable marked once, two unmarked)
-    would lie in F1 and be disjoint from C1, which maximality rules out.
+    Raises a base reset signal whenever the classification uncovers a
+    disjoint family that beats the base collection.  The onemark collection
+    C1 is greedily maximal over F1: a free-stage clause of mass 5/2 (one
+    variable marked once, two unmarked) would lie in F1 and be disjoint from
+    C1.  The twomark collection C_R is the first maximum disjoint family of
+    F2R in canonical order; its search stops at m_R clauses.
     ``index`` is ``monotone_index(f)``, built here when the caller has none.
 
     Membership is decided on variable bitmasks: ``q0`` (path labels), ``X``
@@ -273,7 +260,7 @@ def build_stage_profile(f: Formula, base: DisjointCollection,
         else:
             f2b.append(c)
 
-    cr = greedy_maximal(f2r, TWOMARK, keep=cr_keep)
+    cr = DisjointCollection(maximum_family(f2r, len(vr_levels)), TWOMARK)
     cr_level = {}
     for c in cr.members:
         lv = next(x_index[v] for v in c if 1 << v & v1_x_mask)

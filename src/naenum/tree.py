@@ -18,7 +18,7 @@ from typing import Iterator
 import numpy as np
 
 from .selection import FREE, StageProfile, node_mass
-from .matching import TWOMARK
+from .matching import ONEMARK, TWOMARK
 
 
 @dataclass
@@ -198,7 +198,8 @@ def check_invariants(tree: DebugTree) -> list[str]:
     the shoot weight floor 3t - n on depth-t shoots, per-mark mass ceilings,
     the twomark-stage shape (a designated falsifying edge, effective width at
     most 2, mass at most 3/2), the 9/4 mass ceiling for once-marked free-stage
-    nodes on the controlled route, and the per-shoot heavy-clause budget.
+    nodes on the controlled route, the per-shoot heavy-clause budget, and the
+    marks rule (1 marked child per onemark node, 2 per twomark, never falling).
     """
     bad: list[str] = []
     n, t = tree.n, tree.t
@@ -206,7 +207,8 @@ def check_invariants(tree: DebugTree) -> list[str]:
     light: list[tuple[int, int]] = []   # (leaf id, shoot weight) under 3t - n
 
     def walk(u: TreeNode, path_marker_ids: set[int], heavy: int,
-             budget: int | None, weight: int):   # weight of the root shoot to u
+             budget: int | None, weight: int,    # weight of the root shoot to u
+             floor: int):    # marked child edges of the last onemark/twomark node
         if u.depth == t and u.leaf_kind is not None and weight < 3 * t - n:
             light.append((u.id, weight))
         if u.children:
@@ -223,6 +225,12 @@ def check_invariants(tree: DebugTree) -> list[str]:
                     bad.append(f"node {u.id}: twomark node effective width > 2")
                 if m > Fraction(3, 2):
                     bad.append(f"node {u.id}: twomark node mass {m} > 3/2")
+            if u.stage in (ONEMARK, TWOMARK):
+                if j != (1 if u.stage == ONEMARK else 2):
+                    bad.append(f"node {u.id}: {j} marked child edges at a {u.stage} node")
+                if j < floor:
+                    bad.append(f"node {u.id}: marked child edges fall from {floor} to {j}")
+                floor = j
             if u.stage == FREE and tree.route == "controlled" and j == 1:
                 if m > Fraction(9, 4):
                     bad.append(f"node {u.id}: once-marked free node mass {m} > 9/4")
@@ -242,8 +250,8 @@ def check_invariants(tree: DebugTree) -> list[str]:
             if shared and not k.falsifying:
                 bad.append(f"edge into {k.id}: marker {sorted(shared)[0]} shared "
                            f"with an ancestor edge but child not falsified")
-            walk(k, path_marker_ids | set(k.markers), heavy, budget, weight)
+            walk(k, path_marker_ids | set(k.markers), heavy, budget, weight, floor)
 
-    walk(tree.root, set(), 0, None, 0)
+    walk(tree.root, set(), 0, None, 0, 0)
     bad += [f"leaf {i}: shoot weight {w} < {3*t-n}" for i, w in sorted(light)]
     return bad

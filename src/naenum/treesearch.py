@@ -75,8 +75,8 @@ from .errors import (BudgetExceeded, InputNotClosed, InternalInvariantError,
 from .matching import (BASE, ONEMARK, TWOMARK, DisjointCollection,
                        attempt_reset, greedy_maximal, var_mask)
 from .selection import (FREE, BaseResetSignal, StageProfile, TwomarkContext,
-                        TwomarkResetSignal, branch_on_t0, build_stage_profile,
-                        monotone_index, node_mass, twomark_context)
+                        branch_on_t0, build_stage_profile, monotone_index,
+                        node_mass, twomark_context)
 from .tree import DebugTree, SurvivalKernel, TreeNode, psi_exact
 
 PROFILE_CAP = 512
@@ -150,7 +150,7 @@ class SearchStats:
     solutions_emitted: int = 0
     route: str = ""
     t0: int = 0
-    # ONEMARK is always 0 (C1 never resets); kept so the JSON shape holds
+    # ONEMARK and TWOMARK stay 0 (neither resets); kept for the JSON shape
     resets: dict = field(default_factory=lambda: {BASE: 0, ONEMARK: 0, TWOMARK: 0})
     reset_events: list = field(default_factory=list)
     profiles_truncated: bool = False
@@ -239,8 +239,6 @@ class _Engine:
         self._index_clauses(f)
 
         self.base = base if base is not None else greedy_maximal(self.mono3, BASE)
-        # the twomark collection a reset grew, per depth-t0 path of this base
-        self.cr_keeps: dict[tuple[int, ...], tuple[Clause, ...]] = {}
         self.stats = SearchStats()
         # the solutions in emission order, or None to count them only
         self.buffer: list[tuple[int, ...]] | None = [] if collect else None
@@ -304,13 +302,9 @@ class _Engine:
     def run(self, prefix: Sequence[int] = ()) -> None:
         """Search until one attempt finishes without a reset.
 
-        There is one reset protocol: every reset signal unwinds to here, the
-        collection it names is grown, and the attempt restarts at the root.
-        A base reset grows the base collection and drops every twomark keep,
-        which was grown against the old base.  A twomark reset grows the
-        twomark collection of one depth-t0 node and keeps it for that node's
-        path, where the next attempt's profile starts from it.  Each reset
-        strictly grows a disjoint collection, so the loop ends.
+        Only the base collection resets: a base reset signal unwinds to
+        here, the base is grown, and the attempt restarts at the root.  Each
+        reset strictly grows the base, so the loop ends.
 
         With a ``prefix`` (one label per base level, as the parallel driver
         hands out) only the subtree under that path is searched; sibling
@@ -337,8 +331,6 @@ class _Engine:
                             if self.buffer is not None:
                                 self.buffer.append(tuple(sorted(self.path)))
                 break
-            except TwomarkResetSignal as sig:
-                self._apply_twomark_reset(sig)
             except BaseResetSignal as sig:
                 if prefix:
                     raise
@@ -366,19 +358,7 @@ class _Engine:
         if event is None:
             raise InternalInvariantError(
                 f"base reset did not grow the collection: {sig.reason}")
-        # a keep may hold clauses outside the new base's twomark pool
-        self.cr_keeps.clear()
         self.stats.resets[BASE] += 1
-        self.stats.reset_events.append({**event.as_dict(), "reason": sig.reason})
-
-    def _apply_twomark_reset(self, sig: TwomarkResetSignal) -> None:
-        prof = sig.profile
-        event = attempt_reset(prof.cr, list(prof.cr.members), sig.family,
-                              extend_from=prof.f2r)
-        if event is None:
-            raise InternalInvariantError(f"twomark reset did not grow: {sig.reason}")
-        self.cr_keeps[prof.p] = tuple(prof.cr.members)
-        self.stats.resets[TWOMARK] += 1
         self.stats.reset_events.append({**event.as_dict(), "reason": sig.reason})
 
     # ------------------------------------------------------------------
@@ -514,9 +494,7 @@ class _Engine:
 
     def _run_u0(self, depth: int, Q: int, P: int, U: int, L: int,
                 node_id: int) -> None:
-        path = tuple(self.path[:depth])
-        prof = build_stage_profile(self.f, self.base, path,
-                                   self.cr_keeps.get(path, ()),
+        prof = build_stage_profile(self.f, self.base, self.path[:depth],
                                    index=self.mono3_index)
         self._node(depth, Q, P, U, L, _Frame(prof, None, ()), node_id)
         self._record_profile(prof)
@@ -596,9 +574,10 @@ class _Engine:
         r = [c for c in heavies if c in prof.f2r]
         b = [c for c in heavies if c in prof.f2b]
         if len(r) + fr.k2.ell > prof.m_r_prime:
-            raise TwomarkResetSignal(
-                prof, list(fr.k2.clauses) + r,
-                f"{len(r)} heavy twomark-pool clauses on one shoot")
+            # the plan's clauses and the pool heavies: a disjoint F2R family
+            raise InternalInvariantError(
+                f"{fr.k2.ell + len(r)} disjoint twomark-pool clauses on one shoot, "
+                f"but the maximum twomark collection holds {prof.m_r_prime}")
         if len(b) > prof.m_b:
             t_side = [prof.base.members[i] for i in prof.v1]
             raise BaseResetSignal(

@@ -65,8 +65,8 @@ def structure_reset_instance() -> Formula:
 
 def heavy_overflow_instance() -> Formula:
     """At the depth-t0 path (1, 4) the twice-marked pool F2R holds the
-    disjoint pair (3, 8, 12), (6, 9, 11), which the greedy twomark collection
-    [(3, 7, 11)] misses.  Its tau = 4 ends every shoot in the onemark or
+    disjoint pair (3, 8, 12), (6, 9, 11), which a greedy twomark collection,
+    [(3, 7, 11)], misses.  Its tau = 4 ends every shoot in the onemark or
     twomark stage, so the search never meets that pair as heavy clauses."""
     from naenum import negation_closure
 
@@ -85,11 +85,30 @@ def heavy_reset_instance() -> Formula:
 def twomark_reset_instance() -> Formula:
     """``heavy_overflow_instance()`` plus clauses that lift tau to 6 and are
     all hit on the shoot (1, 4, 7, 10).  Below it the free stage meets the
-    disjoint pool pair (3, 8, 12), (6, 9, 11) as heavy clauses, and the
-    twomark collection at the depth-t0 path (1, 4) grows from 1 to 2."""
+    disjoint pool pair (3, 8, 12), (6, 9, 11) as heavy clauses: a twomark
+    collection of one clause at the depth-t0 path (1, 4) would overflow its
+    heavy budget there, and the maximum one, which holds the pair, does not."""
     from naenum import negation_closure
 
     return negation_closure(Formula.of(14, [
         (1, 2, 3), (4, 5, 6), (2, 7, 8), (5, 9, 10),
         (3, 7, 11), (3, 8, 12), (6, 9, 11),
         (1, 5), (1, 13), (4, 5), (5, 7), (5, 10, 11), (7, 14)]))
+
+
+def disjoint_union(*fs: Formula) -> Formula:
+    """The formulas side by side: each one's variables are shifted past those
+    of the formulas before it.  Its tau is the sum of theirs, and its
+    weight-tau solutions are the unions of one weight-tau solution per side."""
+    n, clauses = 0, []
+    for f in fs:
+        clauses += [[l + n if l > 0 else l - n for l in c] for c in f.clauses]
+        n += f.n
+    return Formula.of(n, clauses)
+
+
+def relabel(f: Formula, perm) -> Formula:
+    """``f`` with variable v renamed ``perm[v - 1]`` and every sign kept;
+    ``perm`` is a permutation of 1..n."""
+    return Formula.of(f.n, [[perm[abs(l) - 1] * (1 if l > 0 else -1) for l in c]
+                            for c in f.clauses])

@@ -3,11 +3,15 @@
 ``build_stage_profile`` below is the set-and-tuple implementation that the
 bitmask builder in ``naenum.selection`` replaced, kept verbatim (with the
 greedy collection builder it called) so the differential tests can compare
-the two on every depth-t0 path.  Do not edit it to follow the package.
+the two on every depth-t0 path.  Do not edit it to follow the package.  The
+one contract change since: the twomark collection is a maximum disjoint
+family of F2R, the first in canonical order, which ``maximum_family`` finds
+by exhaustive search, with no twomark keep.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from naenum.cnf import Clause, Formula, clause_vars
@@ -32,16 +36,27 @@ def greedy_maximal(candidates: Iterable[Clause], tag: str = BASE,
     return DisjointCollection(members, tag)
 
 
+def maximum_family(pool: Iterable[Clause], tag: str) -> DisjointCollection:
+    """The first pairwise-disjoint combination of sorted(pool), trying the
+    largest size first: the first maximum family in canonical order."""
+    pool = sorted(set(pool))
+    for r in range(len(pool), 0, -1):
+        for combo in combinations(pool, r):
+            vs = [v for c in combo for v in clause_vars(c)]
+            if len(vs) == len(set(vs)):
+                return DisjointCollection(list(combo), tag)
+    return DisjointCollection([], tag)
+
+
 def build_stage_profile(f: Formula, base: DisjointCollection,
                         path_labels: Sequence[int],
-                        c1_keep: Sequence[Clause] = (),
-                        cr_keep: Sequence[Clause] = ()) -> StageProfile:
+                        c1_keep: Sequence[Clause] = ()) -> StageProfile:
     """Compute the controlled-stage profile for the node reached along
     ``path_labels`` (one label per base level).
 
     Raises a reset signal whenever the classification uncovers a disjoint
-    family that beats one of the maintained collections.  ``c1_keep`` and
-    ``cr_keep`` seed the collections after such resets.
+    family that beats one of the maintained collections.  ``c1_keep`` seeds
+    the onemark collection.
     """
     t0 = len(base)
     if len(path_labels) != t0:
@@ -133,7 +148,7 @@ def build_stage_profile(f: Formula, base: DisjointCollection,
                     "twice-marked clause disjoint from the base collection")
             f2b.append(c)
 
-    cr = greedy_maximal(f2r, TWOMARK, keep=cr_keep)
+    cr = maximum_family(f2r, TWOMARK)
     cr_level = {}
     for c in cr.members:
         lv = next(x_index[v] for v in clause_vars(c)

@@ -3,8 +3,9 @@ from hypothesis import given, settings, strategies as st
 
 from naenum import DisjointCollection, attempt_reset, greedy_maximal
 from naenum.errors import InternalInvariantError
-from naenum.matching import BASE
+from naenum.matching import BASE, maximum_family
 from oracles import is_maximal
+import reference_profile
 
 
 def test_greedy_examples():
@@ -24,6 +25,27 @@ def test_greedy_is_maximal(cands):
     for c in coll.members:
         assert not used & set(c)
         used.update(c)
+
+
+def test_maximum_family_examples():
+    # greedy keeps (1, 2, 3) alone; the maximum family is the other two
+    assert maximum_family([(1, 2, 3), (1, 4, 5), (2, 6, 7)], 3) == [(1, 4, 5), (2, 6, 7)]
+    # pairwise meeting clauses: the first one in canonical order
+    assert maximum_family([(1, 2, 3), (1, 4, 5), (2, 4, 6)], 3) == [(1, 2, 3)]
+    # the search stops at the bound, here at greedy's first family
+    assert maximum_family([(1, 2, 3), (1, 4, 5), (2, 6, 7)], 1) == [(1, 2, 3)]
+    assert maximum_family([], 0) == []
+
+
+@given(st.lists(st.tuples(st.integers(1, 12), st.integers(1, 12), st.integers(1, 12))
+                .map(lambda t: tuple(sorted(set(t)))).filter(lambda c: len(c) == 3),
+                max_size=9, unique=True).map(sorted))
+@settings(max_examples=150, deadline=None)
+def test_maximum_family_matches_exhaustive_search(pool):
+    want = reference_profile.maximum_family(pool, BASE).members
+    assert maximum_family(pool, len(pool)) == want
+    # the size of a maximum family is a valid bound, and changes nothing
+    assert maximum_family(pool, len(want)) == want
 
 
 def test_reset_grows_collection():

@@ -6,7 +6,8 @@ from naenum import (Formula, branch_on_t0, build_stage_profile,
                     disjoint_stage, maj, negation_closure, twomark_context)
 from naenum.cnf import clause_vars
 from naenum.errors import InternalInvariantError
-from naenum.selection import BaseResetSignal, TwomarkResetSignal, node_mass
+from naenum.matching import TWOMARK, DisjointCollection
+from naenum.selection import BaseResetSignal, node_mass
 from corpus import (collision_reset_instance, heavy_overflow_instance,
                     structure_reset_instance)
 
@@ -125,28 +126,30 @@ def test_structure_reset_signal():
 
 
 def test_heavy_overflow_yields_twomark_reset():
-    # f2r hides a disjoint pair the greedy twomark collection missed; two such
+    # f2r holds the disjoint pair (3, 8, 12), (6, 9, 11), which a greedy
+    # twomark collection misses.  Given such a collection by hand, the two
     # clauses heavy on one shoot with an empty twomark plan overflow budget 1
+    # and witness a larger family: no maximum collection lets that happen
     f = heavy_overflow_instance()
     base, t0 = disjoint_stage(f)
     assert base.members == [(1, 2, 3), (4, 5, 6)] and t0 == 2
     prof = build_stage_profile(f, base, (1, 4))
-    assert prof.cr.members == [(3, 7, 11)] and prof.m_r_prime == 1
     assert set(prof.f2r) == {(3, 7, 11), (3, 8, 12), (6, 9, 11)}
+    prof.cr = DisjointCollection([(3, 7, 11)], TWOMARK)
+    prof.cr_level = {(3, 7, 11): 0}
+    assert prof.m_r_prime == 1
 
-    from naenum.matching import attempt_reset
     from naenum.treesearch import OrderingSource, _Engine, _Frame
 
     eng = _Engine(f, f.n // 2, OrderingSource.fixed(), base=base)
     eng.t0 = t0
     k2 = twomark_context(prof, frozenset())
+    assert k2.ell == 0 and k2.heavy_budget == 1
     fr = _Frame(prof, k2, ((3, 8, 12),))
-    with pytest.raises(TwomarkResetSignal) as ei:
+    with pytest.raises(InternalInvariantError,
+                       match="2 disjoint twomark-pool clauses on one shoot, "
+                             "but the maximum twomark collection holds 1"):
         eng._heavy_overflow(fr, (6, 9, 11))
-    event = attempt_reset(prof.cr, list(prof.cr.members), ei.value.family,
-                          extend_from=prof.f2r)
-    assert event is not None and event.new_size == 2
-    assert prof.cr.members == [(3, 8, 12), (6, 9, 11)]
 
 
 def test_twice_marked_pool_covers_every_end_of_onemark_node(corpus500):

@@ -5,7 +5,7 @@ import pytest
 from naenum import (Formula, brute_force, build_debug_tree, check_invariants,
                     effective_width, export_lines, maj, mass, negation_closure,
                     psi_exact, random_negation_closed)
-from naenum.matching import TWOMARK
+from naenum.matching import ONEMARK, TWOMARK
 from naenum.selection import FREE
 from naenum.tree import marked_child_count
 from oracles import psi_of_node, shoot_stats, sigma_edge, simplify
@@ -172,6 +172,29 @@ def test_check_invariants_flags_twomark_shape():
         "twomark node lacks a marked falsifying edge"]
     assert "twomark node effective width > 2" in _twomark_flags(unfalsify_all)
     assert _twomark_flags(free_one_falsifying_edge) == ["twomark node mass 2 > 3/2"]
+
+
+def test_check_invariants_flags_the_marks_rule():
+    # nodes with the same number of markings appear consecutively in the
+    # controlled stage: one marked child edge per onemark node, two per
+    # twomark node, so the count never falls along a path
+    f = random_negation_closed(11, 11, seed=8)
+    tree = build_debug_tree(f, brute_force(f).tau)
+    assert check_invariants(tree) == []
+    # a onemark node u whose unmarked child k is a onemark node too
+    u, k = next((u, k) for u in tree.nodes if u.stage == ONEMARK
+                for k in tree.child_nodes(u) if not k.markers and k.stage == ONEMARK)
+    assert marked_child_count(tree, u) == marked_child_count(tree, k) == 1
+    k.markers = (u.id,)
+    flagged = check_invariants(tree)
+    assert f"node {u.id}: 2 marked child edges at a onemark node" in flagged
+    assert f"node {k.id}: marked child edges fall from 2 to 1" in flagged
+    assert not any(v.startswith(f"node {k.id}: 1 marked") for v in flagged)
+
+    tree = _controlled_tree()
+    w = next(w for w in tree.nodes if w.stage == TWOMARK and w.children)
+    next(c for c in tree.child_nodes(w) if c.markers).markers = ()
+    assert f"node {w.id}: 1 marked child edges at a twomark node" in check_invariants(tree)
 
 
 def test_check_invariants_flags_once_marked_free_mass():

@@ -20,7 +20,7 @@ from naenum import (BudgetExceeded, DisjointCollection, Formula,
 from naenum import treesearch
 from naenum.cli import main as cli_main
 from naenum.matching import ONEMARK
-from naenum.selection import TwomarkContext, TwomarkResetSignal
+from naenum.selection import TwomarkContext
 from naenum.treesearch import _DRAW_LIMIT, _PERMS, _Engine
 from corpus import (collision_reset_instance, heavy_overflow_instance,
                     heavy_reset_instance, structure_reset_instance,
@@ -130,96 +130,32 @@ def test_heavy_reset_instance_overflows_into_one_base_reset():
 
 def test_twomark_reset_instance_restarts_the_attempt():
     # a free-stage shoot below the depth-t0 path (1, 4) meets two disjoint
-    # heavy clauses of the twomark pool; the twomark collection there grows
-    # and the attempt restarts, under every ordering and in every driver
+    # heavy clauses of the twomark pool.  A greedy twomark collection there
+    # holds one clause, (3, 7, 11); the maximum one holds both, so no attempt
+    # restarts, under every ordering and in every driver
     f = twomark_reset_instance()
     assert brute_force(f).tau == 6
     expect = list(brute_force(f, t=6).weight_t_solutions)
     assert len(expect) == 18
-    event = {"stage": "twomark", "old_size": 1, "new_size": 2,
-             "witness": [[3, 8, 12], [6, 9, 11]],
-             "reason": "2 heavy twomark-pool clauses on one shoot"}
+    no_reset = {"base": 0, "onemark": 0, "twomark": 0}
     for ordering in [OrderingSource.fixed()] + [OrderingSource.random(s)
                                                 for s in range(20)]:
         sols, stats = collect_solutions(f, 6, ordering)
         assert sorted(sols) == expect
-        assert stats.resets == {"base": 0, "onemark": 0, "twomark": 1}
-        assert stats.reset_events == [event]
+        assert stats.resets == no_reset and stats.reset_events == []
+        at_u0 = [p for p in stats.profiles if p["q_u0"] == [1, 4]]
+        assert [p["m_r_prime"] for p in at_u0] == [2]
     tree = build_debug_tree(f, 6)
     assert check_invariants(tree) == []
-    assert tree.stats.reset_events == [event]
+    assert tree.stats.resets == no_reset
     sols, stats = collect_solutions(f, 6, parallel=2)
-    assert sorted(sols) == expect and stats.reset_events == [event]
-
-
-def test_base_reset_drops_the_twomark_keeps():
-    # a twomark reset at the depth-t0 path (1, 4), then a base reset: the
-    # twomark collection kept for (1, 4) was grown against the old base's
-    # pool, so it must not seed any profile of the new base
-    f = negation_closure(Formula.of(14, [
-        (1, 2, 3), (4, 5, 6), (2, 7, 8), (5, 9, 10), (3, 7, 11), (3, 8, 12),
-        (6, 9, 11), (1, 8, 11), (1, 12, 14), (1, 13), (2, 10, 14), (4, 14)]))
-    eng = _Engine(f, 6, OrderingSource.fixed())
-    eng.run()
-    assert [e["stage"] for e in eng.stats.reset_events] == ["twomark", "base"]
-    assert eng.cr_keeps == {}
-    assert sorted(eng.buffer) == list(brute_force(f, t=6).weight_t_solutions)
-
-
-def _inject_twomark_reset(monkeypatch) -> None:
-    """The first profile built at the depth-t0 path (1, 4) of
-    ``heavy_overflow_instance()`` raises a twomark reset that hands over the
-    disjoint pair its pool hides; every later build is the real one."""
-    real = treesearch.build_stage_profile
-    raised = []
-
-    def build(f, base, path, *args, **kw):
-        prof = real(f, base, path, *args, **kw)
-        if tuple(path) == (1, 4) and not raised:
-            raised.append(prof)
-            raise TwomarkResetSignal(prof, [(3, 8, 12), (6, 9, 11)], "injected")
-        return prof
-
-    monkeypatch.setattr(treesearch, "build_stage_profile", build)
-
-
-def test_twomark_reset_restarts_the_attempt(monkeypatch):
-    f = heavy_overflow_instance()
-    expect = list(brute_force(f, t=4).weight_t_solutions)
-    assert len(expect) == 20
-    event = {"stage": "twomark", "old_size": 1, "new_size": 2,
-             "witness": [[3, 8, 12], [6, 9, 11]], "reason": "injected"}
-    for ordering in (OrderingSource.fixed(), OrderingSource.random(7)):
-        _inject_twomark_reset(monkeypatch)
-        sols, stats = collect_solutions(f, 4, ordering)
-        assert sorted(sols) == expect
-        assert stats.resets == {"base": 0, "onemark": 0, "twomark": 1}
-        assert stats.reset_events == [event]
-        # the restarted attempt builds the profile at (1, 4) from the keep
-        at_u0 = [p for p in stats.profiles if p["q_u0"] == [1, 4]]
-        assert at_u0[-1]["m_r_prime"] == 2
-
-    _inject_twomark_reset(monkeypatch)
-    tree = build_debug_tree(f, 4)
-    assert tree.stats.resets["twomark"] == 1
-    assert check_invariants(tree) == []
-    assert psi_exact(tree) == Fraction(105, 2)
-
-    # the parallel driver's worker settles a twomark reset itself
-    task = (f, 4, OrderingSource.fixed(), tuple(disjoint_stage(f)[0].members),
-            (1, 4))
-    monkeypatch.undo()
-    clean = treesearch._subtree_worker(task)
-    _inject_twomark_reset(monkeypatch)
-    res = treesearch._subtree_worker(task)
-    assert res[0] == "ok" and res[2]["resets"]["twomark"] == 1
-    assert res[1] == clean[1] and clean[2]["resets"]["twomark"] == 0
-    # the restarted prefix walk marks each base level's labels once again
-    eng = _Engine(f, 4, OrderingSource.fixed())
-    _inject_twomark_reset(monkeypatch)
-    eng.run((1, 4))
-    assert eng.stats.resets["twomark"] == 1
-    assert eng.label_cnt[1:] == [1] * 6 + [0] * 7
+    assert sorted(sols) == expect and stats.resets == no_reset
+    # heavy_overflow_instance() has the same pool at (1, 4); its debug tree
+    # takes the maximum collection there at once
+    tree = build_debug_tree(heavy_overflow_instance(), 4)
+    assert check_invariants(tree) == [] and psi_exact(tree) == Fraction(105, 2)
+    assert tree.stats.resets == no_reset
+    assert [p["m_r_prime"] for p in tree.stats.profiles if p["q_u0"] == [1, 4]] == [2]
 
 
 def test_heavy_overflow_without_a_witness_is_an_invariant_failure(monkeypatch):
@@ -365,6 +301,24 @@ def test_parallel_reset_instance():
     seq, s1 = collect_solutions(f, t)
     par, s2 = collect_solutions(f, t, parallel=2)
     assert seq == par and s2.resets["base"] >= 1
+
+
+def test_subtree_workers_in_process_rebuild_the_sequential_run():
+    # the parallel driver's workers, run in this process: their solution
+    # lists, one per disjoint-stage prefix in search order, concatenate to
+    # the sequential run's emission order
+    f = heavy_overflow_instance()
+    for ordering in (OrderingSource.fixed(), OrderingSource.random(7)):
+        eng = _Engine(f, 4, ordering)
+        prefixes, _ = treesearch._valid_prefixes(eng, len(eng.base))
+        assert len(prefixes) > 1
+        base = tuple(eng.base.members)
+        sols = []
+        for prefix in prefixes:
+            status, buf, _ = treesearch._subtree_worker((f, 4, ordering, base, prefix))
+            assert status == "ok"
+            sols += buf
+        assert sols == collect_solutions(f, 4, ordering)[0]
 
 
 RESET_INSTANCES = (collision_reset_instance, structure_reset_instance,
