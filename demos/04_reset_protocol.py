@@ -5,9 +5,10 @@ greedily-maximal base collection and lets its own structural checks act as
 improving oracles: whenever a check would fail, it hands over a strictly
 larger disjoint family, the base is replaced and re-extended, and the attempt
 restarts.  Each reset grows the base by at least one clause, so there are at
-most n of them.  The twomark collection of each depth-t0 node is a maximum
-family of a pool that holds one disjoint clause at most per level, so it
-never resets.
+most n of them.  Only the base resets: the onemark collection is greedily
+maximal, and the twomark collection of each depth-t0 node is a maximum family
+of a pool that holds one disjoint clause at most per level.  A collection is
+a sorted tuple of pairwise variable-disjoint clauses.
 """
 
 import naenum as ne
@@ -15,8 +16,8 @@ import naenum as ne
 # two once-marked clauses sit on both spare variables of one base clause with
 # disjoint tails; swapping them in for that clause grows the base collection
 f = ne.negation_closure(ne.Formula.of(8, [(1, 2, 3), (2, 4, 5), (3, 6, 7)]))
-base, t0 = ne.disjoint_stage(f)
-print(f"greedy base collection: {base.members} (size {t0})")
+base = ne.greedy_maximal(f.monotone_clauses(3))
+print(f"greedy base collection: {list(base)} (size {len(base)})")
 
 tau = ne.brute_force(f).tau
 sols, stats = ne.collect_solutions(f, tau)

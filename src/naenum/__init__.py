@@ -11,12 +11,11 @@ from .errors import (BudgetExceeded, DimacsError, InputNotClosed,
                      ParameterError, PreconditionViolated, TautologyError,
                      WidthError)
 from .generators import GenSpec, ksat_to_naesat, maj, random_negation_closed
-from .matching import (DisjointCollection, ResetEvent, attempt_reset,
-                       greedy_maximal)
+from .matching import attempt_reset, greedy_maximal
 from .oracle import (OracleReport, VerifyReport, brute_force,
                      nae_solutions_direct, verify_enumeration)
 from .selection import (StageProfile, TwomarkContext, branch_on_t0,
-                        build_stage_profile, disjoint_stage, twomark_context)
+                        build_stage_profile, twomark_context)
 from .treesearch import (ExhaustiveReport, OrderingSource, SearchStats,
                          build_debug_tree, collect_solutions, count_solutions,
                          enumerate_all_orderings, enumerate_solutions)

@@ -12,12 +12,15 @@ Levels are expanded in three phases:
 * ``free`` stage: the live clause whose positive literals rank first by the
   key (width, variables): smallest residual width, then lexicographic.
 
-Structural checks during the controlled stage can discover a disjoint family
-strictly larger than the base collection; it is raised as a reset signal, the
-base is grown, and the attempt restarts.  The other collections never reset.
-The onemark collection is greedily maximal over the once-marked clauses F1,
-and a free-stage witness of a larger one would be an F1 clause disjoint from
-it.  The twomark collection is a maximum disjoint family of its pool F2R.
+Each collection is a sorted tuple of pairwise variable-disjoint clauses
+(``matching``), and only the base resets.  Structural checks during the
+controlled stage can discover a disjoint family strictly larger than the base
+collection; it is raised as a reset signal, the base is grown, and the
+attempt restarts.  The onemark collection is greedily maximal over the
+once-marked clauses F1, and a free-stage witness of a larger one would be an
+F1 clause disjoint from it.  The twomark collection is a maximum disjoint
+family of its pool F2R.  The stage tags live here: ``BASE``, ``ONEMARK``,
+``TWOMARK`` and ``FREE``.
 
 The checks rest on one premise: the base collection is maximal over the
 monotone width-3 clauses (``greedy_maximal`` builds it, each base reset
@@ -41,9 +44,13 @@ from typing import Sequence
 
 from .cnf import Clause, Formula
 from .errors import InternalInvariantError
-from .matching import (BASE, ONEMARK, TWOMARK, DisjointCollection,
-                       greedy_maximal, maximum_family, var_mask)
+from .matching import greedy_maximal, maximum_family, var_mask
 
+# Stage tags, by what the stage expands with: the pairwise-disjoint prefix,
+# once-marked clauses, twice-marked width-reduced clauses, the free pick.
+BASE = "base"
+ONEMARK = "onemark"
+TWOMARK = "twomark"
 FREE = "free"
 
 
@@ -57,12 +64,6 @@ class BaseResetSignal(Exception):
         self.removed = list(removed)
         self.added = list(added)
         self.reason = reason
-
-
-def disjoint_stage(f: Formula) -> tuple[DisjointCollection, int]:
-    """Greedily-maximal disjoint collection of monotone width-3 clauses."""
-    coll = greedy_maximal(f.monotone_clauses(3), BASE)
-    return coll, len(coll)
 
 
 def branch_on_t0(t0: int, n: int) -> str:
@@ -85,22 +86,19 @@ class StageProfile:
 
     n: int
     t0: int
-    base: DisjointCollection
+    base: tuple[Clause, ...]
     q_u0: frozenset[int]
     p: tuple[int, ...]                    # path label per base level
-    x_pairs: tuple[tuple[int, int], ...]  # sibling pair per base level
     x_index: dict[int, int]               # X variable -> base level
     f1: tuple[Clause, ...]
-    c1: DisjointCollection                # onemark collection, |c1| = t1
+    c1: tuple[Clause, ...]                # onemark collection, |c1| = t1
     c1_levels: tuple[int, ...]            # base level per c1 member, aligned
     x_tilde: dict[int, int]               # level in V1 -> X var used by c1
     x_hat: dict[int, int]                 # level in V1 -> the other X var
-    y_index: dict[int, int]               # tail var of a c1 clause -> level
     v1: tuple[int, ...]
-    vb: tuple[int, ...]
     f2r: tuple[Clause, ...]
     f2b: tuple[Clause, ...]
-    cr: DisjointCollection                # twomark collection, |cr| = m'_R
+    cr: tuple[Clause, ...]                # twomark collection, |cr| = m'_R
     cr_level: dict[Clause, int]           # twomark clause -> its V1 level
     vr: tuple[int, ...]
     vr_prime: tuple[int, ...]
@@ -151,7 +149,7 @@ def _var(bit: int) -> int:
     return bit.bit_length() - 1
 
 
-def build_stage_profile(f: Formula, base: DisjointCollection,
+def build_stage_profile(f: Formula, base: tuple[Clause, ...],
                         path_labels: Sequence[int], *,
                         index: MonotoneIndex | None = None) -> StageProfile:
     """Compute the controlled-stage profile for the node reached along
@@ -182,7 +180,7 @@ def build_stage_profile(f: Formula, base: DisjointCollection,
     x_index: dict[int, int] = {}
     q0_mask = x_mask = 0
     # collection members are monotone: each clause is its own variable tuple
-    for i, (c, lab) in enumerate(zip(base.members, path_labels)):
+    for i, (c, lab) in enumerate(zip(base, path_labels)):
         if lab not in c:
             raise InternalInvariantError("path label not in base clause")
         rest = tuple(v for v in c if v != lab)
@@ -196,7 +194,7 @@ def build_stage_profile(f: Formula, base: DisjointCollection,
     # exactly one marked variable at u0, live at u0
     f1 = tuple(c for c, m in index
                if not m & q0_mask and (m & x_mask).bit_count() == 1)
-    c1 = greedy_maximal(f1, ONEMARK)
+    c1 = greedy_maximal(f1)
 
     x_tilde: dict[int, int] = {}
     x_hat: dict[int, int] = {}
@@ -204,14 +202,14 @@ def build_stage_profile(f: Formula, base: DisjointCollection,
     c1_of_level: dict[int, Clause] = {}
     c1_levels: list[int] = []
     c1_mask = v1_x_mask = 0
-    for c in c1.members:
+    for c in c1:
         xs = [v for v in c if v in x_index]
         i = x_index[xs[0]]
         c1_levels.append(i)
         if i in c1_of_level:
             # two onemark clauses on the same sibling pair with disjoint
             # tails: swapping them in for base level i grows the base family
-            raise BaseResetSignal([base.members[i]], [c1_of_level[i], c],
+            raise BaseResetSignal([base[i]], [c1_of_level[i], c],
                                   f"onemark clauses on both X variables of level {i}")
         c1_of_level[i] = c
         x_tilde[i] = xs[0]
@@ -222,7 +220,6 @@ def build_stage_profile(f: Formula, base: DisjointCollection,
             if v != xs[0]:
                 y_index[v] = i
     v1 = tuple(sorted(c1_of_level))
-    vb = tuple(i for i in range(t0) if i not in c1_of_level)
 
     # marking multiplicity at the end of the onemark stage: a clause is
     # twice-marked when two of its variables are marked once and none twice.
@@ -243,7 +240,7 @@ def build_stage_profile(f: Formula, base: DisjointCollection,
             lo = v1_x & -v1_x
             i, j = sorted((x_index[_var(lo)], x_index[_var(v1_x ^ lo)]))
             raise BaseResetSignal(
-                [base.members[i], base.members[j]],
+                [base[i], base[j]],
                 [c1_of_level[i], c1_of_level[j], c],
                 f"twice-marked clause spans the X pairs of levels {i} and {j}")
         if v1_x:
@@ -252,7 +249,7 @@ def build_stage_profile(f: Formula, base: DisjointCollection,
                 j = y_index[_var(marked ^ v1_x)]
                 if j != i:
                     raise BaseResetSignal(
-                        [base.members[i]], [c1_of_level[i], c],
+                        [base[i]], [c1_of_level[i], c],
                         f"twice-marked clause pairs level {i} with a tail of level {j}")
             # the second mark is on a VB sibling pair or on level i's tail
             f2r.append(c)
@@ -260,16 +257,16 @@ def build_stage_profile(f: Formula, base: DisjointCollection,
         else:
             f2b.append(c)
 
-    cr = DisjointCollection(maximum_family(f2r, len(vr_levels)), TWOMARK)
+    cr = maximum_family(f2r, len(vr_levels))
     cr_level = {}
-    for c in cr.members:
+    for c in cr:
         lv = next(x_index[v] for v in c if 1 << v & v1_x_mask)
         cr_level[c] = lv
     vr = tuple(sorted(vr_levels))
     vr_prime = tuple(sorted(cr_level.values()))
-    return StageProfile(f.n, t0, base, q0, tuple(p), tuple(x_pairs), x_index,
-                        f1, c1, tuple(c1_levels), x_tilde, x_hat, y_index, v1,
-                        vb, tuple(f2r), tuple(f2b), cr, cr_level, vr, vr_prime)
+    return StageProfile(f.n, t0, base, q0, tuple(p), x_index, f1, c1,
+                        tuple(c1_levels), x_tilde, x_hat, v1, tuple(f2r),
+                        tuple(f2b), cr, cr_level, vr, vr_prime)
 
 
 @dataclass(frozen=True)
@@ -288,7 +285,7 @@ def twomark_context(profile: StageProfile, took_marked: frozenset[int]) -> Twoma
     """``took_marked``: base levels whose onemark edge on the path used the
     marked X variable.  The twomark stage replays the matching collection
     clauses; its length equals the overlap with the collection's levels."""
-    clauses = tuple(c for c in profile.cr.members
+    clauses = tuple(c for c in profile.cr
                     if profile.cr_level[c] in took_marked)
     fals = tuple(profile.x_hat[profile.cr_level[c]] for c in clauses)
     ell = len(clauses)

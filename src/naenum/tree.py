@@ -17,8 +17,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .selection import FREE, StageProfile, node_mass
-from .matching import ONEMARK, TWOMARK
+from .selection import FREE, ONEMARK, TWOMARK, StageProfile, node_mass
 
 
 @dataclass

@@ -49,11 +49,12 @@ controlled-stage profile read it, so a depth-t0 node's profile is built from
 mask tests rather than a fresh scan of the formula.  The index lives only as
 long as the engine.
 
-The base collection is maximal over that index (``greedy_maximal`` builds
-it, each base reset re-extends it), so below depth t0, where every base
-variable is marked, no width-3 expansion is unmarked: it is a monotone
-width-3 clause, which meets a base variable.  Under debug assertions each
-attempt checks this premise once against the index's masks.
+The base collection, a sorted tuple of clauses and the only collection that
+resets, is maximal over that index (``greedy_maximal`` builds it, each base
+reset re-extends it), so below depth t0, where every base variable is
+marked, no width-3 expansion is unmarked: it is a monotone width-3 clause,
+which meets a base variable.  Under debug assertions each attempt checks
+this premise once against the index's masks.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -72,11 +74,11 @@ import numpy as np
 from .cnf import Clause, Formula, is_negation_closed
 from .errors import (BudgetExceeded, InputNotClosed, InternalInvariantError,
                      ParameterError, PreconditionViolated, WidthError)
-from .matching import (BASE, ONEMARK, TWOMARK, DisjointCollection,
-                       attempt_reset, greedy_maximal, var_mask)
-from .selection import (FREE, BaseResetSignal, StageProfile, TwomarkContext,
-                        branch_on_t0, build_stage_profile, monotone_index,
-                        node_mass, twomark_context)
+from .matching import attempt_reset, check_disjoint, greedy_maximal, var_mask
+from .selection import (BASE, FREE, ONEMARK, TWOMARK, BaseResetSignal,
+                        StageProfile, TwomarkContext, branch_on_t0,
+                        build_stage_profile, monotone_index, node_mass,
+                        twomark_context)
 from .tree import DebugTree, SurvivalKernel, TreeNode, psi_exact
 
 PROFILE_CAP = 512
@@ -218,7 +220,7 @@ class _Engine:
     def __init__(self, f: Formula, t: int, ordering: OrderingSource,
                  *, debug_assertions: bool | None = None,
                  record: bool = False, collect: bool = True,
-                 base: DisjointCollection | None = None):
+                 base: Sequence[Clause] | None = None):
         t = validate_engine_input(f, t)
         self.f = f
         self.n = f.n
@@ -238,7 +240,8 @@ class _Engine:
         self.has_empty_clause = any(len(c) == 0 for c in f.clauses)
         self._index_clauses(f)
 
-        self.base = base if base is not None else greedy_maximal(self.mono3, BASE)
+        self.base = (greedy_maximal(self.mono3) if base is None
+                     else check_disjoint(base))
         self.stats = SearchStats()
         # the solutions in emission order, or None to count them only
         self.buffer: list[tuple[int, ...]] | None = [] if collect else None
@@ -283,7 +286,7 @@ class _Engine:
     def _begin_attempt(self) -> None:
         self.t0 = len(self.base)
         if self.debug_assertions:
-            used = sum(map(var_mask, self.base.members))    # disjoint members
+            used = sum(map(var_mask, self.base))    # disjoint members
             if any(not m & used for _, m in self.mono3_index):
                 raise InternalInvariantError("base collection is not maximal")
         self.route = branch_on_t0(self.t0, self.n)
@@ -344,7 +347,7 @@ class _Engine:
         this base: a label of each level, none falsifying."""
         Q, P, U, L = 0, self.live0, self.unit0, 0
         for depth, x in enumerate(prefix):
-            labels = self.base.members[depth]
+            labels = self.base[depth]
             order = self._order_children(depth, labels)
             L |= sum(1 << y for y in order[:order.index(x)])
             for y in labels:
@@ -353,13 +356,16 @@ class _Engine:
         return Q, P, U, L
 
     def _apply_base_reset(self, sig: BaseResetSignal) -> None:
-        event = attempt_reset(self.base, sig.removed, sig.added,
-                              extend_from=self.mono3)
-        if event is None:
+        grown = attempt_reset(self.base, sig.removed, sig.added, self.mono3)
+        if grown is None:
             raise InternalInvariantError(
                 f"base reset did not grow the collection: {sig.reason}")
         self.stats.resets[BASE] += 1
-        self.stats.reset_events.append({**event.as_dict(), "reason": sig.reason})
+        self.stats.reset_events.append({
+            "stage": BASE, "old_size": len(self.base), "new_size": len(grown),
+            "witness": [list(c) for c in sorted(sig.added)],
+            "reason": sig.reason})
+        self.base = grown
 
     # ------------------------------------------------------------------
     # recursion: one frame per tree level
@@ -397,13 +403,13 @@ class _Engine:
         # clauses come from the monotone index, so each is its own label tuple
         stage, fals_var = FREE, None
         if depth < self.t0:
-            labels, stage = self.base.members[depth], BASE
+            labels, stage = self.base[depth], BASE
         elif fr is not None:
             prof = fr.prof
             k = depth - self.t0
             t1 = prof.t1
             if k < t1:
-                labels, stage = prof.c1.members[k], ONEMARK
+                labels, stage = prof.c1[k], ONEMARK
             else:
                 if fr.k2 is None:
                     # the base levels whose onemark edge on the path is X-tilde
@@ -579,9 +585,9 @@ class _Engine:
                 f"{fr.k2.ell + len(r)} disjoint twomark-pool clauses on one shoot, "
                 f"but the maximum twomark collection holds {prof.m_r_prime}")
         if len(b) > prof.m_b:
-            t_side = [prof.base.members[i] for i in prof.v1]
+            t_side = [prof.base[i] for i in prof.v1]
             raise BaseResetSignal(
-                list(prof.base.members), b + t_side,
+                list(prof.base), b + t_side,
                 f"{len(b)} disjoint heavy clauses outside the twomark pool")
         raise InternalInvariantError(
             f"heavy budget {fr.k2.heavy_budget} exceeded without a witness: "
@@ -604,6 +610,7 @@ def enumerate_solutions(f: Formula, t: int,
     The search recurses one interpreter frame per tree level above the
     leaves; a t too deep for the recursion limit raises ``ParameterError``."""
     ordering = ordering or OrderingSource.fixed()
+    parallel = as_int(parallel, "parallel")
     try:
         if parallel > 1:
             return _parallel_enumerate(f, t, ordering, sink, parallel)
@@ -727,8 +734,7 @@ def enumerate_all_orderings(f: Formula, t: int, budget: int = 10 ** 6,
 
 
 def _subtree_worker(args):
-    f, t, ordering, base_members, prefix = args
-    base = DisjointCollection(list(base_members), BASE)
+    f, t, ordering, base, prefix = args
     eng = _Engine(f, t, ordering, base=base)
     try:
         eng.run(prefix)
@@ -750,7 +756,7 @@ def _valid_prefixes(eng: _Engine, depth_limit: int) -> tuple[list[tuple[int, ...
         if depth == depth_limit:
             prefixes.append(tuple(eng.path[:depth]))
             return
-        labels = eng.base.members[depth]
+        labels = eng.base[depth]
         for x in eng._order_children(depth, labels):
             if U >> x & 1:
                 falsified += 1
@@ -775,10 +781,12 @@ def _parallel_enumerate(f: Formula, t: int, ordering: OrderingSource,
             # reset nothing and a fresh engine builds its base
             return enumerate_solutions(f, t, ordering, sink)
         prefixes, falsified = _valid_prefixes(master, depth)
-        tasks = [(f, t, ordering, tuple(master.base.members), p) for p in prefixes]
+        tasks = [(f, t, ordering, master.base, p) for p in prefixes]
         reset = None
         results = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # the fork start method launches every worker on the first submit
+        size = min(workers, len(tasks) or 1, os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=size) as pool:
             for res in pool.map(_subtree_worker, tasks):
                 results.append(res)
         for res in results:

@@ -3,17 +3,18 @@
 The package does not use these: the engine keeps the residual formula as
 bitmasks, keeps disjoint collections maximal by construction and reads
 survival off marks along a path.  The tests use them to check those fast
-paths against direct definitions.
+paths against direct definitions.  ``disjoint_stage`` is shorthand for the
+base collection that the search starts from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from naenum.cnf import Formula, _clause_key, clause_vars
-from naenum.matching import DisjointCollection
+from naenum.cnf import Clause, Formula, _clause_key, clause_vars
+from naenum.matching import greedy_maximal
 from naenum.tree import DebugTree, TreeNode
 
 
@@ -29,9 +30,16 @@ def simplify(f: Formula, ones: Iterable[int]) -> Formula:
     return Formula(f.n, tuple(sorted(set(out), key=lambda c: (len(c), _clause_key(c)))))
 
 
-def is_maximal(coll: DisjointCollection, candidates: Iterable[tuple[int, ...]]) -> bool:
-    used = coll.variables()
-    return all(set(clause_vars(c)) & used for c in set(candidates) - set(coll.members))
+def disjoint_stage(f: Formula) -> tuple[tuple[Clause, ...], int]:
+    """The greedily-maximal base collection of ``f``'s monotone width-3
+    clauses, and its size t0."""
+    base = greedy_maximal(f.monotone_clauses(3))
+    return base, len(base)
+
+
+def is_maximal(coll: Sequence[Clause], candidates: Iterable[Clause]) -> bool:
+    used = {v for c in coll for v in clause_vars(c)}
+    return all(set(clause_vars(c)) & used for c in set(candidates) - set(coll))
 
 
 @dataclass(frozen=True)

@@ -7,17 +7,49 @@ the two on every depth-t0 path.  Do not edit it to follow the package.  The
 one contract change since: the twomark collection is a maximum disjoint
 family of F2R, the first in canonical order, which ``maximum_family`` finds
 by exhaustive search, with no twomark keep.
+
+The package's collections are sorted tuples of clauses.  This copy keeps the
+collection class it was written against, ``DisjointCollection``: it wraps
+the base tuple it is given in one, and hands ``StageProfile`` tuples.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
 from naenum.cnf import Clause, Formula, clause_vars
 from naenum.errors import InternalInvariantError
-from naenum.matching import BASE, ONEMARK, TWOMARK, DisjointCollection
-from naenum.selection import BaseResetSignal, StageProfile
+from naenum.selection import (BASE, ONEMARK, TWOMARK, BaseResetSignal,
+                              StageProfile)
+
+
+@dataclass
+class DisjointCollection:
+    """Ordered list of pairwise variable-disjoint clauses.
+
+    The order is the expansion order of tree levels, so it is kept canonical
+    (sorted) for reproducibility."""
+
+    members: list[Clause]
+    universe_tag: str = BASE
+
+    def __post_init__(self):
+        seen: set[int] = set()
+        for c in self.members:
+            vs = set(clause_vars(c))
+            if vs & seen:
+                raise InternalInvariantError(
+                    f"{self.universe_tag}: clauses not pairwise "
+                    f"variable-disjoint: {self.members}")
+            seen |= vs
+
+    def __len__(self) -> int:
+        return len(self.members)
+
+    def variables(self) -> frozenset[int]:
+        return frozenset(v for c in self.members for v in clause_vars(c))
 
 
 def greedy_maximal(candidates: Iterable[Clause], tag: str = BASE,
@@ -48,7 +80,7 @@ def maximum_family(pool: Iterable[Clause], tag: str) -> DisjointCollection:
     return DisjointCollection([], tag)
 
 
-def build_stage_profile(f: Formula, base: DisjointCollection,
+def build_stage_profile(f: Formula, base: Sequence[Clause],
                         path_labels: Sequence[int],
                         c1_keep: Sequence[Clause] = ()) -> StageProfile:
     """Compute the controlled-stage profile for the node reached along
@@ -58,6 +90,7 @@ def build_stage_profile(f: Formula, base: DisjointCollection,
     family that beats one of the maintained collections.  ``c1_keep`` seeds
     the onemark collection.
     """
+    base = DisjointCollection(list(base), BASE)
     t0 = len(base)
     if len(path_labels) != t0:
         raise InternalInvariantError("path does not cover the disjoint prefix")
@@ -101,7 +134,6 @@ def build_stage_profile(f: Formula, base: DisjointCollection,
             if v != xs[0]:
                 y_index[v] = i
     v1 = tuple(sorted(c1_of_level))
-    vb = tuple(i for i in range(t0) if i not in c1_of_level)
     c1_levels = tuple(x_index[next(v for v in clause_vars(c) if v in x_index)]
                       for c in c1.members)
 
@@ -158,6 +190,7 @@ def build_stage_profile(f: Formula, base: DisjointCollection,
                             if v in x_index and x_index[v] in c1_of_level)
                        for c in f2r}))
     vr_prime = tuple(sorted(cr_level.values()))
-    return StageProfile(f.n, t0, base, q0, tuple(p), tuple(x_pairs), x_index,
-                        f1, c1, c1_levels, x_tilde, x_hat, y_index, v1, vb,
-                        tuple(f2r), tuple(f2b), cr, cr_level, vr, vr_prime)
+    return StageProfile(f.n, t0, tuple(base.members), q0, tuple(p), x_index,
+                        f1, tuple(c1.members), c1_levels, x_tilde, x_hat, v1,
+                        tuple(f2r), tuple(f2b), tuple(cr.members), cr_level,
+                        vr, vr_prime)

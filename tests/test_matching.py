@@ -1,17 +1,19 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from naenum import DisjointCollection, attempt_reset, greedy_maximal
+from naenum import attempt_reset, greedy_maximal
 from naenum.errors import InternalInvariantError
-from naenum.matching import BASE, maximum_family
+from naenum.matching import check_disjoint, maximum_family
 from oracles import is_maximal
 import reference_profile
 
 
 def test_greedy_examples():
-    assert greedy_maximal([(1, 2, 3)]).members == [(1, 2, 3)]
-    assert greedy_maximal([(1, 2, 3), (1, 4, 5)]).members == [(1, 2, 3)]
-    assert greedy_maximal([(1, 2, 3), (4, 5, 6)]).members == [(1, 2, 3), (4, 5, 6)]
+    assert greedy_maximal([(1, 2, 3)]) == ((1, 2, 3),)
+    assert greedy_maximal([(1, 2, 3), (1, 4, 5)]) == ((1, 2, 3),)
+    assert greedy_maximal([(1, 2, 3), (4, 5, 6)]) == ((1, 2, 3), (4, 5, 6))
+    # the keep seeds the collection, and the result is sorted
+    assert greedy_maximal([(1, 2, 3)], keep=[(4, 5, 6)]) == ((1, 2, 3), (4, 5, 6))
 
 
 @given(st.lists(st.tuples(st.integers(1, 16), st.integers(1, 16), st.integers(1, 16))
@@ -22,19 +24,19 @@ def test_greedy_is_maximal(cands):
     coll = greedy_maximal(cands)
     assert is_maximal(coll, cands)
     used = set()
-    for c in coll.members:
+    for c in coll:
         assert not used & set(c)
         used.update(c)
 
 
 def test_maximum_family_examples():
     # greedy keeps (1, 2, 3) alone; the maximum family is the other two
-    assert maximum_family([(1, 2, 3), (1, 4, 5), (2, 6, 7)], 3) == [(1, 4, 5), (2, 6, 7)]
+    assert maximum_family([(1, 2, 3), (1, 4, 5), (2, 6, 7)], 3) == ((1, 4, 5), (2, 6, 7))
     # pairwise meeting clauses: the first one in canonical order
-    assert maximum_family([(1, 2, 3), (1, 4, 5), (2, 4, 6)], 3) == [(1, 2, 3)]
+    assert maximum_family([(1, 2, 3), (1, 4, 5), (2, 4, 6)], 3) == ((1, 2, 3),)
     # the search stops at the bound, here at greedy's first family
-    assert maximum_family([(1, 2, 3), (1, 4, 5), (2, 6, 7)], 1) == [(1, 2, 3)]
-    assert maximum_family([], 0) == []
+    assert maximum_family([(1, 2, 3), (1, 4, 5), (2, 6, 7)], 1) == ((1, 2, 3),)
+    assert maximum_family([], 0) == ()
 
 
 @given(st.lists(st.tuples(st.integers(1, 12), st.integers(1, 12), st.integers(1, 12))
@@ -42,7 +44,7 @@ def test_maximum_family_examples():
                 max_size=9, unique=True).map(sorted))
 @settings(max_examples=150, deadline=None)
 def test_maximum_family_matches_exhaustive_search(pool):
-    want = reference_profile.maximum_family(pool, BASE).members
+    want = tuple(reference_profile.maximum_family(pool, "base").members)
     assert maximum_family(pool, len(pool)) == want
     # the size of a maximum family is a valid bound, and changes nothing
     assert maximum_family(pool, len(want)) == want
@@ -50,41 +52,39 @@ def test_maximum_family_matches_exhaustive_search(pool):
 
 def test_reset_grows_collection():
     coll = greedy_maximal([(1, 2, 3)])
-    event = attempt_reset(coll, [(1, 2, 3)], [(1, 4, 5), (2, 6, 7)])
-    assert event is not None
-    assert event.old_size == 1 and event.new_size == 2
-    assert coll.members == [(1, 4, 5), (2, 6, 7)]
+    grown = attempt_reset(coll, [(1, 2, 3)], [(1, 4, 5), (2, 6, 7)], ())
+    assert grown == ((1, 4, 5), (2, 6, 7))
+    assert coll == ((1, 2, 3),)          # the old collection is unchanged
 
 
 def test_reset_noop_cases():
     coll = greedy_maximal([(1, 2, 3)])
-    assert attempt_reset(coll, [], []) is None
-    assert attempt_reset(coll, [(1, 2, 3)], [(4, 5, 6)]) is None
+    assert attempt_reset(coll, [], [], ()) is None
+    assert attempt_reset(coll, [(1, 2, 3)], [(4, 5, 6)], ()) is None
 
 
 def test_reset_rejects_overlapping_witness():
     coll = greedy_maximal([(1, 2, 3)])
     with pytest.raises(InternalInvariantError):
-        attempt_reset(coll, [], [(3, 4, 5), (5, 6, 7)])
+        attempt_reset(coll, [], [(3, 4, 5), (5, 6, 7)], ())
 
 
 def test_reset_rejects_removing_a_non_member():
     coll = greedy_maximal([(1, 2, 3)])
     with pytest.raises(InternalInvariantError, match="non-member"):
-        attempt_reset(coll, [(4, 5, 6)], [(7, 8, 9), (10, 11, 12)])
-    assert coll.members == [(1, 2, 3)]
+        attempt_reset(coll, [(4, 5, 6)], [(7, 8, 9), (10, 11, 12)], ())
 
 
 def test_reset_extends_greedily():
     pool = [(1, 2, 3), (1, 4, 5), (2, 6, 7), (8, 9, 10)]
     coll = greedy_maximal(pool)
-    assert coll.members == [(1, 2, 3), (8, 9, 10)]
-    event = attempt_reset(coll, [(1, 2, 3)], [(1, 4, 5), (2, 6, 7)],
-                          extend_from=pool)
-    assert event.new_size == 3
-    assert is_maximal(coll, pool)
+    assert coll == ((1, 2, 3), (8, 9, 10))
+    grown = attempt_reset(coll, [(1, 2, 3)], [(1, 4, 5), (2, 6, 7)], pool)
+    assert grown == ((1, 4, 5), (2, 6, 7), (8, 9, 10))
+    assert is_maximal(grown, pool)
 
 
 def test_collection_validates_disjointness():
+    assert check_disjoint([(1, 2, 3), (4, 5, 6)]) == ((1, 2, 3), (4, 5, 6))
     with pytest.raises(InternalInvariantError):
-        DisjointCollection([(1, 2, 3), (3, 4, 5)], BASE)
+        check_disjoint([(1, 2, 3), (3, 4, 5)])

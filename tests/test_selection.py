@@ -2,14 +2,14 @@ from itertools import combinations
 
 import pytest
 
-from naenum import (Formula, branch_on_t0, build_stage_profile,
-                    disjoint_stage, maj, negation_closure, twomark_context)
+from naenum import (Formula, branch_on_t0, build_stage_profile, maj,
+                    negation_closure, twomark_context)
 from naenum.cnf import clause_vars
 from naenum.errors import InternalInvariantError
-from naenum.matching import TWOMARK, DisjointCollection
 from naenum.selection import BaseResetSignal, node_mass
 from corpus import (collision_reset_instance, heavy_overflow_instance,
                     structure_reset_instance)
+from oracles import disjoint_stage
 
 
 def _max_disjoint_size(clauses):
@@ -53,9 +53,9 @@ def test_branch_on_t0():
 def test_profile_fields_on_handbuilt_instance():
     f = negation_closure(Formula.of(12, [(1, 2, 3), (2, 4, 5), (3, 4, 6)]))
     base, t0 = disjoint_stage(f)
-    assert base.members == [(1, 2, 3)] and t0 == 1
+    assert base == ((1, 2, 3),) and t0 == 1
     prof = build_stage_profile(f, base, (1,))
-    assert prof.c1.members == [(2, 4, 5)]
+    assert prof.c1 == ((2, 4, 5),)
     assert prof.t1 == 1 and prof.m_b == 0
     assert prof.x_tilde == {0: 2} and prof.x_hat == {0: 3}
     assert prof.f2r == ((3, 4, 6),) and prof.f2b == ()
@@ -72,7 +72,7 @@ def test_profile_identity_on_corpus(corpus500):
         base, t0 = disjoint_stage(f)
         if branch_on_t0(t0, f.n) != "controlled" or t0 == 0:
             continue
-        path = tuple(clause_vars(c)[0] for c in base.members)
+        path = tuple(clause_vars(c)[0] for c in base)
         try:
             prof = build_stage_profile(f, base, path)
         except BaseResetSignal:
@@ -108,7 +108,7 @@ def test_profile_path_must_follow_the_base():
 def test_collision_reset_signal():
     f = collision_reset_instance()
     base, t0 = disjoint_stage(f)
-    assert base.members == [(1, 2, 3)]
+    assert base == ((1, 2, 3),)
     with pytest.raises(BaseResetSignal) as ei:
         build_stage_profile(f, base, (1,))
     assert set(ei.value.added) == {(2, 4, 5), (3, 6, 7)}
@@ -118,7 +118,7 @@ def test_collision_reset_signal():
 def test_structure_reset_signal():
     f = structure_reset_instance()
     base, t0 = disjoint_stage(f)
-    assert base.members == [(1, 8, 9), (4, 10, 11)]
+    assert base == ((1, 8, 9), (4, 10, 11))
     with pytest.raises(BaseResetSignal) as ei:
         build_stage_profile(f, base, (1, 4))
     assert (5, 7, 9) in ei.value.added and (2, 3, 8) in ei.value.added
@@ -132,10 +132,10 @@ def test_heavy_overflow_yields_twomark_reset():
     # and witness a larger family: no maximum collection lets that happen
     f = heavy_overflow_instance()
     base, t0 = disjoint_stage(f)
-    assert base.members == [(1, 2, 3), (4, 5, 6)] and t0 == 2
+    assert base == ((1, 2, 3), (4, 5, 6)) and t0 == 2
     prof = build_stage_profile(f, base, (1, 4))
     assert set(prof.f2r) == {(3, 7, 11), (3, 8, 12), (6, 9, 11)}
-    prof.cr = DisjointCollection([(3, 7, 11)], TWOMARK)
+    prof.cr = ((3, 7, 11),)
     prof.cr_level = {(3, 7, 11): 0}
     assert prof.m_r_prime == 1
 
@@ -173,7 +173,7 @@ def test_twice_marked_pool_covers_every_end_of_onemark_node(corpus500):
                 continue
             q = set(tree.q_of(u))
             pool = set(prof.f2r) | set(prof.f2b)
-            c1_vars = prof.c1.variables()
+            c1_vars = {v for c in prof.c1 for v in clause_vars(c)}
             for c in f.monotone_clauses(3):
                 vs = clause_vars(c)
                 if set(vs) & q:

@@ -5,8 +5,7 @@ import pytest
 from naenum import (Formula, brute_force, build_debug_tree, check_invariants,
                     effective_width, export_lines, maj, mass, negation_closure,
                     psi_exact, random_negation_closed)
-from naenum.matching import ONEMARK, TWOMARK
-from naenum.selection import FREE
+from naenum.selection import FREE, ONEMARK, TWOMARK
 from naenum.tree import marked_child_count
 from oracles import psi_of_node, shoot_stats, sigma_edge, simplify
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 import random
 import re
 import tracemalloc
@@ -9,22 +10,22 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from naenum import (BudgetExceeded, DisjointCollection, Formula,
+from naenum import (BudgetExceeded, Formula,
                     InputNotClosed, InternalInvariantError, OrderingSource,
                     ParameterError, PreconditionViolated, WidthError,
                     brute_force, build_debug_tree, check_invariants,
-                    collect_solutions, count_solutions, disjoint_stage,
+                    collect_solutions, count_solutions,
                     enumerate_all_orderings, enumerate_solutions, maj,
                     negation_closure, psi_exact, random_negation_closed,
                     verify_enumeration)
 from naenum import treesearch
 from naenum.cli import main as cli_main
-from naenum.matching import ONEMARK
 from naenum.selection import TwomarkContext
 from naenum.treesearch import _DRAW_LIMIT, _PERMS, _Engine
 from corpus import (collision_reset_instance, heavy_overflow_instance,
                     heavy_reset_instance, structure_reset_instance,
                     twomark_reset_instance)
+from oracles import disjoint_stage
 
 
 @pytest.mark.parametrize("n,count", [(4, 6), (8, 36), (12, 216)])
@@ -187,8 +188,8 @@ def test_mass_five_halves_node_is_an_invariant_failure(monkeypatch):
 
     def dropped(*args, **kw):
         prof = real(*args, **kw)
-        assert prof.c1.members == [(2, 4, 7)]
-        prof.c1 = DisjointCollection(prof.c1.members[:-1], ONEMARK)
+        assert prof.c1 == ((2, 4, 7),)
+        prof.c1 = prof.c1[:-1]
         prof.c1_levels = prof.c1_levels[:-1]
         built.append(prof)
         return prof
@@ -303,6 +304,42 @@ def test_parallel_reset_instance():
     assert seq == par and s2.resets["base"] >= 1
 
 
+def test_parallel_pool_is_capped_at_the_core_count(monkeypatch):
+    # the fork start method launches every worker on the first submit, so
+    # the pool never outgrows the cores or the tasks, whatever the caller
+    # asks for.  The stub pool runs the workers in this process: no process
+    # starts, and a worker's base reset reaches the driver.
+    import concurrent.futures
+
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    f = collision_reset_instance()
+    t = brute_force(f).tau
+    sols, stats = collect_solutions(f, t, parallel=10 ** 6)
+    assert sols == collect_solutions(f, t)[0]
+    assert stats.resets["base"] == 1
+    assert len(sizes) == 2 and all(1 <= s <= os.cpu_count() for s in sizes)
+
+
+def test_parallel_must_be_an_integer():
+    with pytest.raises(ParameterError, match="parallel=1.5 is not an integer"):
+        collect_solutions(negation_closure(maj(4, 3)), 2, parallel=1.5)
+
+
 def test_subtree_workers_in_process_rebuild_the_sequential_run():
     # the parallel driver's workers, run in this process: their solution
     # lists, one per disjoint-stage prefix in search order, concatenate to
@@ -312,7 +349,7 @@ def test_subtree_workers_in_process_rebuild_the_sequential_run():
         eng = _Engine(f, 4, ordering)
         prefixes, _ = treesearch._valid_prefixes(eng, len(eng.base))
         assert len(prefixes) > 1
-        base = tuple(eng.base.members)
+        base = eng.base
         sols = []
         for prefix in prefixes:
             status, buf, _ = treesearch._subtree_worker((f, 4, ordering, base, prefix))
@@ -692,6 +729,6 @@ def test_non_maximal_base_is_an_invariant_failure():
     # base maximality is the premise that rules out an unmarked width-3
     # expansion below the base levels; each attempt checks it
     f = negation_closure(maj(8, 3))
-    base = DisjointCollection([(1, 2, 3)])
+    base = ((1, 2, 3),)
     with pytest.raises(InternalInvariantError, match="base collection is not maximal"):
         _Engine(f, 4, OrderingSource.fixed(), base=base).run()

@@ -66,6 +66,19 @@ def test_union_solutions_are_the_product_of_the_sides(name):
                                     "twomark": 0}
 
 
+def test_corpus_unions_with_a_reset_instance(corpus500):
+    # every 25th corpus instance beside the collision instance: each of these
+    # unions, n = 14..22, reaches a base reset under both orderings
+    g = collision_reset_instance()
+    for f, _ in corpus500[::25]:
+        u = disjoint_union(f, g)
+        tau, want = _product(f, g)
+        for ordering in ORDERINGS:
+            sols, stats = collect_solutions(u, tau, ordering)
+            assert sorted(sols) == want, (f, ordering)
+            assert stats.resets["base"] >= 1, (f, ordering)
+
+
 @pytest.mark.parametrize("make", RESET_INSTANCES, ids=lambda g: g.__name__)
 def test_relabelling_maps_the_solution_set(make):
     f = make()

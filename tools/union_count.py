@@ -1,0 +1,42 @@
+"""Count the closure of maj(24,3) united with ``twomark_reset_instance()``.
+
+The union (``disjoint_union`` in tests/corpus.py) has n = 38 and tau = 12 + 6
+= 18.  Its weight-18 solutions are the pairs of one weight-tau solution per
+side, so the count must be 6^6 * 18 = 839,808.  The search runs in count mode
+with debug assertions off; the script prints the count, the work and the time.
+
+    python tools/union_count.py     # exit 1 unless the count is 839,808
+"""
+
+from __future__ import annotations
+
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+
+from naenum import count_solutions, maj, negation_closure  # noqa: E402
+from corpus import disjoint_union, twomark_reset_instance  # noqa: E402
+
+T = 18
+EXPECT = 6 ** 6 * 18
+
+
+def main() -> int:
+    f = disjoint_union(negation_closure(maj(24, 3)), twomark_reset_instance())
+    start = time.perf_counter()
+    count, stats = count_solutions(f, T, debug_assertions=False)
+    elapsed = time.perf_counter() - start
+    print(f"n = {f.n}, t = {T}: {count:,} solutions, "
+          f"{stats.nodes_visited:,} nodes, {stats.route} route, t0 = {stats.t0}, "
+          f"{stats.resets['base']} base resets, {elapsed:.1f} s")
+    if count != EXPECT:
+        print(f"expected {EXPECT:,} solutions", file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
