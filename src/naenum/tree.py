@@ -5,6 +5,12 @@ The search engine normally keeps only path-local state; this module holds the
 fully expanded tree it can optionally record (small n only), the per-node
 accounting (marks, mass, effective width), the exact survival value psi, the
 survival kernel over sibling orderings and the structural invariant sweep.
+
+psi and the sweep's mass ceilings are computed in integers: a sum of 2^-marks
+is held as a numerator over 2^top, top the largest mark count in the sum, and
+a ceiling is compared by cross-multiplication.  A ``Fraction`` is built once
+for psi, and for the sweep only to word a violation.  Each edge's path comes
+from one top-down table of path tuples, not from a walk to the root.
 """
 
 from __future__ import annotations
@@ -97,12 +103,15 @@ def marked_child_count(tree: DebugTree, u: TreeNode) -> int:
 
 def psi_exact(tree: DebugTree) -> Fraction:
     """Exact expected surviving-leaf count: sum over depth-t non-falsified
-    leaves of the product of edge survival probabilities along the path."""
-    marks = [0] * len(tree.nodes)
-    for u in tree.nodes[1:]:            # a parent's id is below its children's
-        marks[u.id] = marks[u.parent] + u.marks
-    return sum((Fraction(1, 2 ** marks[u.id]) for u in tree.leaves()
-                if u.leaf_kind == "viable"), start=Fraction(0))
+    leaves of the product of edge survival probabilities along the path,
+    summed in integers over 2^top, top the most marks on such a path."""
+    nodes = tree.nodes
+    marks = [0] * len(nodes)
+    for u in nodes[1:]:                 # a parent's id is below its children's
+        marks[u.id] = marks[u.parent] + len(u.markers)
+    viable = [marks[u.id] for u in nodes if u.leaf_kind == "viable"]
+    top = max(viable, default=0)
+    return Fraction(sum(1 << (top - m) for m in viable), 1 << top)
 
 
 def edge_constraints(tree: DebugTree) -> list[list[tuple[int, int, int]]]:
@@ -112,11 +121,13 @@ def edge_constraints(tree: DebugTree) -> list[list[tuple[int, int, int]]]:
     each same-label child is placed after its path child."""
     nodes = tree.nodes
     cons: list[list[tuple[int, int, int]]] = [[] for _ in nodes]
-    for v in nodes[1:]:
+    paths = [(0,)] * len(nodes)         # node ids from the root, top-down
+    for v in nodes[1:]:                 # a parent's id is below its children's
+        path = paths[v.id] = paths[v.parent] + (v.id,)
         for w_id in v.markers:
             w = nodes[w_id]
             x_child = next(c for c in w.children if nodes[c].label == v.label)
-            cons[v.id].append((w_id, x_child, tree.path_ids(v)[w.depth + 1]))
+            cons[v.id].append((w_id, x_child, path[w.depth + 1]))
     return cons
 
 
@@ -201,56 +212,65 @@ def check_invariants(tree: DebugTree) -> list[str]:
     marks rule (1 marked child per onemark node, 2 per twomark, never falling).
     """
     bad: list[str] = []
-    n, t = tree.n, tree.t
+    n, t, nodes = tree.n, tree.t, tree.nodes
+    controlled = tree.route == "controlled"
 
     light: list[tuple[int, int]] = []   # (leaf id, shoot weight) under 3t - n
 
-    def walk(u: TreeNode, path_marker_ids: set[int], heavy: int,
+    def walk(u: TreeNode, path_markers: frozenset[int], heavy: int,
              budget: int | None, weight: int,    # weight of the root shoot to u
              floor: int):    # marked child edges of the last onemark/twomark node
         if u.depth == t and u.leaf_kind is not None and weight < 3 * t - n:
             light.append((u.id, weight))
-        if u.children:
-            m = mass(tree, u)
-            j = marked_child_count(tree, u)
-            if m > Fraction(6 - j, 2):
-                bad.append(f"node {u.id}: {j}-marked mass {m} > {Fraction(6-j,2)}")
-            if u.depth >= tree.t0 and len(u.children) == 3 and j == 0:
-                bad.append(f"node {u.id}: width-3 expansion at depth {u.depth} unmarked")
-            if u.stage == TWOMARK:
-                if not any(k.falsifying and k.marks > 0 for k in tree.child_nodes(u)):
-                    bad.append(f"node {u.id}: twomark node lacks a marked falsifying edge")
-                if effective_width(tree, u) > 2:
-                    bad.append(f"node {u.id}: twomark node effective width > 2")
-                if m > Fraction(3, 2):
-                    bad.append(f"node {u.id}: twomark node mass {m} > 3/2")
-            if u.stage in (ONEMARK, TWOMARK):
-                if j != (1 if u.stage == ONEMARK else 2):
-                    bad.append(f"node {u.id}: {j} marked child edges at a {u.stage} node")
-                if j < floor:
-                    bad.append(f"node {u.id}: marked child edges fall from {floor} to {j}")
-                floor = j
-            if u.stage == FREE and tree.route == "controlled" and j == 1:
-                if m > Fraction(9, 4):
-                    bad.append(f"node {u.id}: once-marked free node mass {m} > 9/4")
+        if not u.children:
+            return
+        kids = [nodes[i] for i in u.children]
+        marks = [len(k.markers) for k in kids]
+        j = len(marks) - marks.count(0)
+        # the mass is num / 2^top: the ceilings are compared as integers
+        top = max(marks)
+        num = sum(1 << (top - m) for k, m in zip(kids, marks) if not k.falsifying)
+        if 2 * num > (6 - j) << top:
+            bad.append(f"node {u.id}: {j}-marked mass {Fraction(num, 1 << top)} "
+                       f"> {Fraction(6 - j, 2)}")
+        if u.depth >= tree.t0 and len(kids) == 3 and j == 0:
+            bad.append(f"node {u.id}: width-3 expansion at depth {u.depth} unmarked")
+        if u.stage == TWOMARK:
+            if not any(k.falsifying and k.markers for k in kids):
+                bad.append(f"node {u.id}: twomark node lacks a marked falsifying edge")
+            if sum(1 for k in kids if not k.falsifying) > 2:
+                bad.append(f"node {u.id}: twomark node effective width > 2")
+            if 2 * num > 3 << top:
+                bad.append(f"node {u.id}: twomark node mass "
+                           f"{Fraction(num, 1 << top)} > 3/2")
+        if u.stage in (ONEMARK, TWOMARK):
+            if j != (1 if u.stage == ONEMARK else 2):
+                bad.append(f"node {u.id}: {j} marked child edges at a {u.stage} node")
+            if j < floor:
+                bad.append(f"node {u.id}: marked child edges fall from {floor} to {j}")
+            floor = j
+        if u.stage == FREE and controlled and j == 1 and 4 * num > 9 << top:
+            bad.append(f"node {u.id}: once-marked free node mass "
+                       f"{Fraction(num, 1 << top)} > 9/4")
         if u.heavy_budget is not None:
             budget = u.heavy_budget
             heavy = 0
-        if u.stage == FREE and tree.route == "controlled" and u.children:
-            kids = tree.child_nodes(u)
-            if (len(kids) == 3 and not any(k.falsifying for k in kids)
-                    and sorted(k.marks for k in kids) == [0, 1, 1]):
-                heavy += 1
-                if budget is not None and heavy > budget:
-                    bad.append(f"node {u.id}: heavy count {heavy} exceeds budget {budget}")
-        weight += marked_child_count(tree, u) + 3 - len(u.children)
-        for k in tree.child_nodes(u):
-            shared = set(k.markers) & path_marker_ids
-            if shared and not k.falsifying:
-                bad.append(f"edge into {k.id}: marker {sorted(shared)[0]} shared "
-                           f"with an ancestor edge but child not falsified")
-            walk(k, path_marker_ids | set(k.markers), heavy, budget, weight, floor)
+        if (u.stage == FREE and controlled and len(kids) == 3
+                and not any(k.falsifying for k in kids) and sorted(marks) == [0, 1, 1]):
+            heavy += 1
+            if budget is not None and heavy > budget:
+                bad.append(f"node {u.id}: heavy count {heavy} exceeds budget {budget}")
+        weight += j + 3 - len(kids)
+        for k in kids:
+            below = path_markers    # an unmarked edge shares its parent's set
+            if k.markers:
+                shared = path_markers.intersection(k.markers)
+                if shared and not k.falsifying:
+                    bad.append(f"edge into {k.id}: marker {min(shared)} shared "
+                               f"with an ancestor edge but child not falsified")
+                below = path_markers.union(k.markers)
+            walk(k, below, heavy, budget, weight, floor)
 
-    walk(tree.root, set(), 0, None, 0, 0)
+    walk(tree.root, frozenset(), 0, None, 0, 0)
     bad += [f"leaf {i}: shoot weight {w} < {3*t-n}" for i, w in sorted(light)]
     return bad

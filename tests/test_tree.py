@@ -2,9 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from naenum import (Formula, brute_force, build_debug_tree, check_invariants,
-                    effective_width, export_lines, maj, mass, negation_closure,
-                    psi_exact, random_negation_closed)
+from naenum import (DebugTree, Formula, TreeNode, brute_force, build_debug_tree,
+                    check_invariants, effective_width, export_lines, maj, mass,
+                    negation_closure, psi_exact, random_negation_closed)
 from naenum.selection import FREE, ONEMARK, TWOMARK
 from naenum.tree import marked_child_count
 from oracles import psi_of_node, shoot_stats, sigma_edge, simplify
@@ -244,3 +244,81 @@ def test_check_invariants_reports_light_shoots_last_in_leaf_order(f, t):
     flagged = check_invariants(tree)
     assert light and flagged[len(flagged) - len(light):] == light
     assert not any("shoot weight" in v for v in flagged[:len(flagged) - len(light)])
+
+
+def _star(kids, stage=None, route="free") -> DebugTree:
+    """A root of ``stage`` over one depth-1 leaf per (mark count, falsifying)
+    pair in ``kids``; the markers are ids outside the tree.  t0 = 1, and the
+    shoot floor 3t - n is far below every shoot."""
+    nodes = [TreeNode(0, 0, None, None, (), False, stage, list(range(1, len(kids) + 1)))]
+    for i, (m, fals) in enumerate(kids, 1):
+        nodes.append(TreeNode(i, 1, 0, i, tuple(range(100, 100 + m)), fals,
+                              leaf_kind="falsified" if fals else "viable"))
+    return DebugTree(n=10, t=1, route=route, t0=1, nodes=nodes)
+
+
+def _mass_of(kids) -> Fraction:
+    return sum((Fraction(1, 2 ** m) for m, fals in kids if not fals), Fraction(0))
+
+
+LIVE, DEAD = False, True
+
+
+@pytest.mark.parametrize("j, at, above", [
+    (0, [(0, LIVE)] * 3, [(0, LIVE)] * 4),
+    (1, [(0, LIVE), (0, LIVE), (1, LIVE)], [(0, LIVE)] * 3 + [(61, LIVE)]),
+    (2, [(0, LIVE), (0, LIVE), (61, DEAD), (1, DEAD)],
+     [(0, LIVE), (0, LIVE), (61, LIVE), (1, DEAD)]),
+    (3, [(0, LIVE), (1, LIVE), (61, DEAD), (1, DEAD)],
+     [(0, LIVE), (1, LIVE), (61, LIVE), (1, DEAD)])])
+def test_marked_mass_ceiling_at_its_boundary(j, at, above):
+    # a mass of exactly (6 - j)/2 passes, and the next one above it does not,
+    # also when a child carries 61 marks
+    assert _mass_of(at) == Fraction(6 - j, 2) < _mass_of(above)
+    assert check_invariants(_star(at)) == []
+    assert check_invariants(_star(above)) == [
+        f"node 0: {j}-marked mass {_mass_of(above)} > {Fraction(6 - j, 2)}"]
+
+
+def test_twomark_mass_ceiling_at_its_boundary():
+    for at in ([(0, LIVE), (1, LIVE), (1, DEAD)], [(0, LIVE), (1, LIVE), (61, DEAD)]):
+        assert _mass_of(at) == Fraction(3, 2)
+        assert check_invariants(_star(at, TWOMARK)) == []
+    above = [(0, LIVE), (1, LIVE), (61, LIVE), (1, DEAD)]
+    assert (f"node 0: twomark node mass {Fraction(3, 2) + Fraction(1, 2 ** 61)} > 3/2"
+            in check_invariants(_star(above, TWOMARK)))
+
+
+def test_once_marked_free_mass_ceiling_at_its_boundary():
+    # with one marked child of three, 9/4 and 5/2 are adjacent masses
+    at = [(0, LIVE), (0, LIVE), (2, LIVE)]
+    assert check_invariants(_star(at, FREE, "controlled")) == []
+    above = [(0, LIVE), (0, LIVE), (1, LIVE)]
+    assert check_invariants(_star(above, FREE, "controlled")) == [
+        "node 0: once-marked free node mass 5/2 > 9/4"]
+    # the ceiling holds on the controlled route only
+    assert check_invariants(_star(above, FREE)) == []
+
+
+def test_shared_marker_message_names_the_smallest():
+    tree = _star([(2, LIVE)])
+    tree.nodes[1].leaf_kind, tree.nodes[1].children = None, [2]
+    tree.nodes.append(TreeNode(2, 2, 1, 1, (101, 100), False, leaf_kind="viable"))
+    assert check_invariants(tree) == [
+        "edge into 2: marker 100 shared with an ancestor edge but child not falsified"]
+
+
+def test_psi_exact_without_viable_leaves():
+    tree = _star([(0, DEAD), (1, DEAD)])
+    assert psi_exact(tree) == 0 and type(psi_exact(tree)) is Fraction
+
+
+def test_psi_exact_with_more_than_sixty_marks():
+    # marks add up along the path: 30 on an edge and 40 below it
+    tree = _star([(0, LIVE), (61, LIVE), (30, LIVE), (2, DEAD)])
+    assert psi_exact(tree) == 1 + Fraction(1, 2 ** 61) + Fraction(1, 2 ** 30)
+    mid = tree.nodes[3]
+    mid.leaf_kind, mid.children = None, [5, 6]
+    tree.nodes += [TreeNode(5, 2, 3, 1, tuple(range(200, 240)), False, leaf_kind="viable"),
+                   TreeNode(6, 2, 3, 2, (), True, leaf_kind="falsified")]
+    assert psi_exact(tree) == 1 + Fraction(1, 2 ** 61) + Fraction(1, 2 ** 70)
