@@ -19,8 +19,9 @@ collection; it is raised as a reset signal, the base is grown, and the
 attempt restarts.  The onemark collection is greedily maximal over the
 once-marked clauses F1, and a free-stage witness of a larger one would be an
 F1 clause disjoint from it.  The twomark collection is a maximum disjoint
-family of its pool F2R.  The stage tags live here: ``BASE``, ``ONEMARK``,
-``TWOMARK`` and ``FREE``.
+family of its pool F2R.  ``twomark_context`` reads a path's twomark plan off
+its onemark labels: each level that took X-tilde replays its C_R clause.  The
+stage tags live here: ``BASE``, ``ONEMARK``, ``TWOMARK`` and ``FREE``.
 
 The checks rest on one premise: the base collection is maximal over the
 monotone width-3 clauses (``greedy_maximal`` builds it, each base reset
@@ -39,7 +40,6 @@ sibling pairs and the onemark collection.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
 from .cnf import Clause, Formula
@@ -84,11 +84,9 @@ class StageProfile:
     family takes one clause at most per level of VR: m'_R <= m_R.
     """
 
-    n: int
     t0: int
     base: tuple[Clause, ...]
     q_u0: frozenset[int]
-    p: tuple[int, ...]                    # path label per base level
     x_index: dict[int, int]               # X variable -> base level
     f1: tuple[Clause, ...]
     c1: tuple[Clause, ...]                # onemark collection, |c1| = t1
@@ -175,7 +173,6 @@ def build_stage_profile(f: Formula, base: tuple[Clause, ...],
     if index is None:
         index = monotone_index(f)
     q0 = frozenset(path_labels)
-    p: list[int] = []
     x_pairs: list[tuple[int, int]] = []
     x_index: dict[int, int] = {}
     q0_mask = x_mask = 0
@@ -184,7 +181,6 @@ def build_stage_profile(f: Formula, base: tuple[Clause, ...],
         if lab not in c:
             raise InternalInvariantError("path label not in base clause")
         rest = tuple(v for v in c if v != lab)
-        p.append(lab)
         x_pairs.append(rest)
         q0_mask |= 1 << lab
         for v in rest:
@@ -228,9 +224,8 @@ def build_stage_profile(f: Formula, base: tuple[Clause, ...],
     once = x_mask ^ c1_mask
     skip = q0_mask | (x_mask & c1_mask)
 
-    f2r: list[Clause] = []
+    f2r_level: dict[Clause, int] = {}     # F2R clause -> its V1 level
     f2b: list[Clause] = []
-    vr_levels: set[int] = set()
     for c, m in index:
         marked = m & once
         if m & skip or marked.bit_count() != 2:
@@ -252,21 +247,18 @@ def build_stage_profile(f: Formula, base: tuple[Clause, ...],
                         [base[i]], [c1_of_level[i], c],
                         f"twice-marked clause pairs level {i} with a tail of level {j}")
             # the second mark is on a VB sibling pair or on level i's tail
-            f2r.append(c)
-            vr_levels.add(i)
+            f2r_level[c] = i
         else:
             f2b.append(c)
 
-    cr = maximum_family(f2r, len(vr_levels))
-    cr_level = {}
-    for c in cr:
-        lv = next(x_index[v] for v in c if 1 << v & v1_x_mask)
-        cr_level[c] = lv
-    vr = tuple(sorted(vr_levels))
+    f2r = tuple(f2r_level)
+    vr = tuple(sorted(set(f2r_level.values())))
+    cr = maximum_family(f2r, len(vr))
+    cr_level = {c: f2r_level[c] for c in cr}
     vr_prime = tuple(sorted(cr_level.values()))
-    return StageProfile(f.n, t0, base, q0, tuple(p), x_index, f1, c1,
-                        tuple(c1_levels), x_tilde, x_hat, v1, tuple(f2r),
-                        tuple(f2b), cr, cr_level, vr, vr_prime)
+    return StageProfile(t0, base, q0, x_index, f1, c1, tuple(c1_levels),
+                        x_tilde, x_hat, v1, f2r, tuple(f2b), cr, cr_level, vr,
+                        vr_prime)
 
 
 @dataclass(frozen=True)
@@ -281,20 +273,16 @@ class TwomarkContext:
     heavy_budget: int
 
 
-def twomark_context(profile: StageProfile, took_marked: frozenset[int]) -> TwomarkContext:
-    """``took_marked``: base levels whose onemark edge on the path used the
-    marked X variable.  The twomark stage replays the matching collection
-    clauses; its length equals the overlap with the collection's levels."""
-    clauses = tuple(c for c in profile.cr
-                    if profile.cr_level[c] in took_marked)
+def twomark_context(profile: StageProfile, onemark_labels: Sequence[int]) -> TwomarkContext:
+    """The plan below an end-of-onemark node whose path entered
+    ``onemark_labels`` at the t1 onemark levels, one label per C1 member in
+    order.  A level took X-tilde when its label is that level's X-tilde
+    variable; the twomark stage replays the collection clauses of those
+    levels, so its length is their overlap with the collection's levels."""
+    took = {lvl for lvl, x in zip(profile.c1_levels, onemark_labels)
+            if x == profile.x_tilde[lvl]}
+    clauses = tuple(c for c in profile.cr if profile.cr_level[c] in took)
     fals = tuple(profile.x_hat[profile.cr_level[c]] for c in clauses)
     ell = len(clauses)
     budget = profile.m_r_prime + profile.m_b - ell
     return TwomarkContext(clauses, fals, ell, budget)
-
-
-def node_mass(kids: Sequence[tuple[int, int, bool]]) -> Fraction:
-    """Expected surviving children: sum of 2^-marks over non-falsifying child
-    edges.  ``kids`` holds (label, mark count, falsifying) triples."""
-    return sum((Fraction(1, 2 ** m) for _, m, fals in kids if not fals),
-               start=Fraction(0))

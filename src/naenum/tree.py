@@ -23,7 +23,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .selection import FREE, ONEMARK, TWOMARK, StageProfile, node_mass
+from .selection import FREE, ONEMARK, TWOMARK, StageProfile
 
 
 @dataclass
@@ -94,7 +94,8 @@ def effective_width(tree: DebugTree, u: TreeNode) -> int:
 
 def mass(tree: DebugTree, u: TreeNode) -> Fraction:
     """Expected number of surviving children given the node survives."""
-    return node_mass([(k.label, k.marks, k.falsifying) for k in tree.child_nodes(u)])
+    return sum((Fraction(1, 2 ** k.marks) for k in tree.child_nodes(u)
+                if not k.falsifying), start=Fraction(0))
 
 
 def marked_child_count(tree: DebugTree, u: TreeNode) -> int:

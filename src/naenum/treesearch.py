@@ -26,8 +26,9 @@ tree.  A count keeps no solution list; its exactly-once check keys each
 solution on its ``Q`` mask.
 Below a depth-t0 node on the controlled route a ``_Frame`` adds the stage
 profile, the twomark plan and the shoot's heavy clauses; the plan's one input
-from the path, which onemark edges took their X-tilde variable, is read off
-the path labels.
+from the path is the labels entered at the onemark levels, which
+``selection.twomark_context`` reads.  The stage checks read the label mark
+counters and the falsifying mask ``U`` directly.
 
 Random sibling orderings come from a counter-based stream (splitmix64 as a
 path hash, after Salmon et al., SC 2011): a node's order is a function of the
@@ -77,8 +78,7 @@ from .errors import (BudgetExceeded, InputNotClosed, InternalInvariantError,
 from .matching import attempt_reset, check_disjoint, greedy_maximal, var_mask
 from .selection import (BASE, FREE, ONEMARK, TWOMARK, BaseResetSignal,
                         StageProfile, TwomarkContext, branch_on_t0,
-                        build_stage_profile, monotone_index, node_mass,
-                        twomark_context)
+                        build_stage_profile, monotone_index, twomark_context)
 from .tree import DebugTree, SurvivalKernel, TreeNode, psi_exact
 
 PROFILE_CAP = 512
@@ -412,11 +412,7 @@ class _Engine:
                 labels, stage = prof.c1[k], ONEMARK
             else:
                 if fr.k2 is None:
-                    # the base levels whose onemark edge on the path is X-tilde
-                    took = frozenset(
-                        lvl for lvl, x in zip(prof.c1_levels, self.path[self.t0:depth])
-                        if x == prof.x_tilde[lvl])
-                    k2 = twomark_context(prof, took)
+                    k2 = twomark_context(prof, self.path[self.t0:depth])
                     prof.ell_histogram[k2.ell] = prof.ell_histogram.get(k2.ell, 0) + 1
                     fr = _Frame(prof, k2, fr.heavies)
                     if record:
@@ -536,27 +532,27 @@ class _Engine:
 
     def _stage_checks(self, labels: tuple[int, ...], stage: str,
                       fals_var: int | None, U: int, fr: _Frame) -> _Frame:
-        kids = [(x, self.label_cnt[x], bool(U >> x & 1)) for x in labels]
+        if stage == ONEMARK or (stage == TWOMARK and not self.debug_assertions):
+            return fr
+        cnt = self.label_cnt
+        live = [x for x in labels if not U >> x & 1]
         if stage == TWOMARK:
-            if not self.debug_assertions:
-                return fr
-            des = next(((m, f) for x, m, f in kids if x == fals_var), None)
-            if des is None or not des[1]:
+            if fals_var not in labels or not U >> fals_var & 1:
                 raise InternalInvariantError(
                     f"twomark clause {labels}: designated edge {fals_var} not falsifying")
-            width = sum(1 for _, _, f in kids if not f)
-            if width > 2:
+            if len(live) > 2:
                 raise InternalInvariantError(
-                    f"twomark clause {labels}: effective width {width} > 2")
-            mass = node_mass(kids)
-            if mass > Fraction(3, 2):
+                    f"twomark clause {labels}: effective width {len(live)} > 2")
+            # the mass is num / 2^top: the ceiling is compared as integers
+            marks = [cnt[x] for x in live]
+            top = max(marks, default=0)
+            num = sum(1 << top - m for m in marks)
+            if 2 * num > 3 << top:
                 raise InternalInvariantError(
-                    f"twomark clause {labels}: mass {mass} > 3/2")
-            return fr
-        if stage == FREE:
-            marked = [(x, m) for x, m, f in kids if m > 0]
-            clean3 = len(kids) == 3 and not any(f for _, _, f in kids)
-            if clean3 and len(marked) == 1 and marked[0][1] == 1:
+                    f"twomark clause {labels}: mass {Fraction(num, 1 << top)} > 3/2")
+        elif len(live) == 3:
+            marks = sorted(cnt[x] for x in live)
+            if marks == [0, 0, 1]:
                 # Unreachable while C1 is maximal over F1.  The clause is
                 # monotone and live, so it avoids the path labels q0; the
                 # base collection is maximal, so it meets an X variable,
@@ -565,13 +561,12 @@ class _Engine:
                 # are unmarked: the clause lies in F1 and is disjoint from
                 # C1's variables, contradicting C1 = greedy_maximal(F1).
                 raise InternalInvariantError(
-                    f"once-marked free-stage clause {tuple(labels)} of mass "
+                    f"once-marked free-stage clause {labels} of mass "
                     f"5/2: the onemark collection is not maximal")
-            if clean3 and len(marked) == 2 and all(m == 1 for _, m in marked):
-                clause = tuple(labels)
+            if marks == [0, 1, 1]:
                 if len(fr.heavies) >= fr.k2.heavy_budget:
-                    self._heavy_overflow(fr, clause)
-                fr = _Frame(fr.prof, fr.k2, fr.heavies + (clause,))
+                    self._heavy_overflow(fr, labels)
+                fr = _Frame(fr.prof, fr.k2, fr.heavies + (labels,))
         return fr
 
     def _heavy_overflow(self, fr: _Frame, clause: Clause) -> None:

@@ -11,6 +11,12 @@ by exhaustive search, with no twomark keep.
 The package's collections are sorted tuples of clauses.  This copy keeps the
 collection class it was written against, ``DisjointCollection``: it wraps
 the base tuple it is given in one, and hands ``StageProfile`` tuples.
+``StageProfile`` has since dropped its ``n`` and ``p`` fields, so this copy no
+longer passes them.
+
+``took_marked`` and ``twomark_context`` below are the twomark plan as it was
+before ``naenum.selection.twomark_context`` took the onemark labels: the
+engine worked out which levels took X-tilde and passed that set.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from typing import Iterable, Sequence
 from naenum.cnf import Clause, Formula, clause_vars
 from naenum.errors import InternalInvariantError
 from naenum.selection import (BASE, ONEMARK, TWOMARK, BaseResetSignal,
-                              StageProfile)
+                              StageProfile, TwomarkContext)
 
 
 @dataclass
@@ -190,7 +196,27 @@ def build_stage_profile(f: Formula, base: Sequence[Clause],
                             if v in x_index and x_index[v] in c1_of_level)
                        for c in f2r}))
     vr_prime = tuple(sorted(cr_level.values()))
-    return StageProfile(f.n, t0, tuple(base.members), q0, tuple(p), x_index,
+    return StageProfile(t0, tuple(base.members), q0, x_index,
                         f1, tuple(c1.members), c1_levels, x_tilde, x_hat, v1,
                         tuple(f2r), tuple(f2b), tuple(cr.members), cr_level,
                         vr, vr_prime)
+
+
+def took_marked(prof: StageProfile, onemark_labels: Sequence[int]) -> frozenset[int]:
+    """The engine's former comprehension: the base levels whose onemark edge
+    on the path is X-tilde."""
+    return frozenset(
+        lvl for lvl, x in zip(prof.c1_levels, onemark_labels)
+        if x == prof.x_tilde[lvl])
+
+
+def twomark_context(profile: StageProfile, took_marked: frozenset[int]) -> TwomarkContext:
+    """``took_marked``: base levels whose onemark edge on the path used the
+    marked X variable.  The twomark stage replays the matching collection
+    clauses; its length equals the overlap with the collection's levels."""
+    clauses = tuple(c for c in profile.cr
+                    if profile.cr_level[c] in took_marked)
+    fals = tuple(profile.x_hat[profile.cr_level[c]] for c in clauses)
+    ell = len(clauses)
+    budget = profile.m_r_prime + profile.m_b - ell
+    return TwomarkContext(clauses, fals, ell, budget)

@@ -1,5 +1,7 @@
 """Differential tests: the bitmask stage-profile builder against the frozen
-scan-based reference in ``reference_profile.py``, on every depth-t0 path."""
+scan-based reference in ``reference_profile.py``, on every depth-t0 path, and
+the label-based twomark plan against the frozen took-based one, at every
+end-of-onemark node of controlled debug trees."""
 
 from dataclasses import fields
 from itertools import product
@@ -7,12 +9,13 @@ from itertools import product
 from hypothesis import given, settings, strategies as st
 
 import naenum.treesearch as treesearch
-from naenum import (Formula, brute_force, build_stage_profile,
-                    collect_solutions, negation_closure,
-                    random_negation_closed)
+from naenum import (Formula, brute_force, build_debug_tree,
+                    build_stage_profile, collect_solutions, negation_closure,
+                    random_negation_closed, twomark_context)
 from naenum.selection import BaseResetSignal, StageProfile, monotone_index
 from corpus import (collision_reset_instance, heavy_overflow_instance,
-                    structure_reset_instance)
+                    heavy_reset_instance, structure_reset_instance,
+                    twomark_reset_instance)
 from oracles import disjoint_stage, is_maximal
 import reference_profile
 
@@ -154,3 +157,44 @@ def test_engine_profiles_match_reference(corpus500, monkeypatch):
         sols, _ = collect_solutions(f, rep.tau)
         assert sorted(sols) == list(rep.gamma)
     assert len(calls) > 1500 and all("index" in kw for kw in calls), len(calls)
+
+
+def _twomark_plans_match(f: Formula) -> int:
+    """Compare ``twomark_context`` on each end-of-onemark node's onemark
+    labels with the frozen plan on the levels the engine's former
+    comprehension found; returns the number of nodes compared."""
+    tree = build_debug_tree(f, brute_force(f).tau)
+    if tree.route != "controlled":
+        return 0
+    by_q = {prof.q_u0: prof for prof in tree.profiles}
+    done = 0
+    for u in tree.nodes:
+        if u.depth < tree.t0 or u.falsifying:
+            continue
+        q = tree.q_of(u)
+        prof = by_q.get(frozenset(q[:tree.t0]))
+        if prof is None:        # a depth-t0 leaf builds no profile
+            assert u.depth == tree.t0 == tree.t
+            continue
+        if u.depth != tree.t0 + prof.t1:
+            continue
+        labels = q[tree.t0:]
+        want = reference_profile.twomark_context(
+            prof, reference_profile.took_marked(prof, labels))
+        assert twomark_context(prof, labels) == want, (f, q)
+        # the engine set the plan's budget on every expanded such node
+        assert u.heavy_budget == (want.heavy_budget if u.children else None)
+        done += 1
+    return done
+
+
+def test_twomark_plans_match_reference_on_corpus(corpus500):
+    assert sum(_twomark_plans_match(f) for f, _ in corpus500 if f.n <= 16) > 3000
+
+
+def test_twomark_plans_match_reference_on_reset_instances():
+    # the collision and structure instances end on the free route
+    done = [_twomark_plans_match(instance()) for instance in (
+        collision_reset_instance, structure_reset_instance,
+        heavy_overflow_instance, heavy_reset_instance, twomark_reset_instance)]
+    assert done[:2] == [0, 0] and min(done[2:]) > 0, done

@@ -6,7 +6,7 @@ from naenum import (Formula, branch_on_t0, build_stage_profile, maj,
                     negation_closure, twomark_context)
 from naenum.cnf import clause_vars
 from naenum.errors import InternalInvariantError
-from naenum.selection import BaseResetSignal, node_mass
+from naenum.selection import BaseResetSignal
 from corpus import (collision_reset_instance, heavy_overflow_instance,
                     structure_reset_instance)
 from oracles import disjoint_stage
@@ -88,8 +88,9 @@ def test_twomark_context_lengths():
     f = negation_closure(Formula.of(12, [(1, 2, 3), (2, 4, 5), (3, 4, 6)]))
     base, _ = disjoint_stage(f)
     prof = build_stage_profile(f, base, (1,))
-    on = twomark_context(prof, frozenset({0}))
-    off = twomark_context(prof, frozenset())
+    assert prof.c1 == ((2, 4, 5),) and prof.x_tilde == {0: 2}
+    on = twomark_context(prof, (2,))        # the onemark edge took X-tilde
+    off = twomark_context(prof, (4,))
     assert on.ell == 1 and on.clauses == ((3, 4, 6),) and on.fals_vars == (3,)
     assert on.heavy_budget == 0
     assert off.ell == 0 and off.heavy_budget == 1
@@ -143,7 +144,7 @@ def test_heavy_overflow_yields_twomark_reset():
 
     eng = _Engine(f, f.n // 2, OrderingSource.fixed(), base=base)
     eng.t0 = t0
-    k2 = twomark_context(prof, frozenset())
+    k2 = twomark_context(prof, (7, 9))      # neither onemark edge took X-tilde
     assert k2.ell == 0 and k2.heavy_budget == 1
     fr = _Frame(prof, k2, ((3, 8, 12),))
     with pytest.raises(InternalInvariantError,
@@ -184,11 +185,3 @@ def test_twice_marked_pool_covers_every_end_of_onemark_node(corpus500):
                     assert c in pool
                     checked += 1
     assert checked >= 100
-
-
-def test_node_mass():
-    from fractions import Fraction
-    kids = [(1, 0, False), (2, 1, False), (3, 1, False)]
-    assert node_mass(kids) == 2
-    assert node_mass([(1, 0, False)] * 3) == 3
-    assert node_mass([(1, 1, False), (2, 2, False), (3, 0, True)]) == Fraction(3, 4)

@@ -264,6 +264,14 @@ def _mass_of(kids) -> Fraction:
 LIVE, DEAD = False, True
 
 
+def test_mass_on_hand_built_nodes():
+    for kids, want in (([(0, LIVE), (1, LIVE), (1, LIVE)], 2),
+                       ([(0, LIVE)] * 3, 3),
+                       ([(1, LIVE), (2, LIVE), (0, DEAD)], Fraction(3, 4))):
+        tree = _star(kids)
+        assert mass(tree, tree.root) == want, kids
+
+
 @pytest.mark.parametrize("j, at, above", [
     (0, [(0, LIVE)] * 3, [(0, LIVE)] * 4),
     (1, [(0, LIVE), (0, LIVE), (1, LIVE)], [(0, LIVE)] * 3 + [(61, LIVE)]),

@@ -20,8 +20,9 @@ from naenum import (BudgetExceeded, Formula,
                     verify_enumeration)
 from naenum import treesearch
 from naenum.cli import main as cli_main
-from naenum.selection import TwomarkContext
-from naenum.treesearch import _DRAW_LIMIT, _PERMS, _Engine
+from naenum.selection import (TWOMARK, TwomarkContext, build_stage_profile,
+                              twomark_context)
+from naenum.treesearch import _DRAW_LIMIT, _PERMS, _Engine, _Frame
 from corpus import (collision_reset_instance, heavy_overflow_instance,
                     heavy_reset_instance, structure_reset_instance,
                     twomark_reset_instance)
@@ -159,6 +160,42 @@ def test_twomark_reset_instance_restarts_the_attempt():
     assert [p["m_r_prime"] for p in tree.stats.profiles if p["q_u0"] == [1, 4]] == [2]
 
 
+def _twomark_check(cnt: dict, U: int, labels=(3, 8, 12), fals_var=3,
+                   debug_assertions=None):
+    """``_stage_checks`` of a twomark node of ``heavy_overflow_instance()``
+    below the path (1, 4, 2, 5), with the label mark counts and the
+    falsifying mask set by hand."""
+    f = heavy_overflow_instance()
+    base, _ = disjoint_stage(f)
+    prof = build_stage_profile(f, base, (1, 4))
+    k2 = twomark_context(prof, (2, 5))      # both onemark edges took X-tilde
+    assert k2.clauses[0] == (3, 8, 12) and k2.fals_vars[0] == 3
+    eng = _Engine(f, 4, OrderingSource.fixed(), base=base,
+                  debug_assertions=debug_assertions)
+    eng.label_cnt = [cnt.get(v, 0) for v in range(f.n + 1)]
+    fr = _Frame(prof, k2, ())
+    assert eng._stage_checks(labels, TWOMARK, fals_var, U, fr) is fr
+
+
+def test_twomark_guards_fire_on_their_violations():
+    # at the boundary: live marks 0 and 1 carry mass exactly 3/2, and the
+    # falsifying child's marks do not count
+    _twomark_check({3: 2, 8: 1}, 1 << 3)
+    _twomark_check({3: 61, 8: 0, 12: 1}, 1 << 3)
+    with pytest.raises(InternalInvariantError, match="designated edge 3 not falsifying"):
+        _twomark_check({3: 2, 8: 1}, 0)
+    with pytest.raises(InternalInvariantError, match="designated edge 7 not falsifying"):
+        _twomark_check({3: 2, 8: 1}, 1 << 3 | 1 << 7, fals_var=7)
+    # a twomark clause has width 3, so a falsifying designated edge leaves
+    # two live children at most; only a wider label tuple shows this guard
+    with pytest.raises(InternalInvariantError, match="effective width 3 > 2"):
+        _twomark_check({3: 2, 8: 1, 11: 1, 12: 1}, 1 << 3, labels=(3, 8, 11, 12))
+    with pytest.raises(InternalInvariantError, match=r"\(3, 8, 12\): mass 2 > 3/2"):
+        _twomark_check({3: 2}, 1 << 3)
+    # the guards are debug assertions
+    _twomark_check({3: 2}, 0, debug_assertions=False)
+
+
 def test_heavy_overflow_without_a_witness_is_an_invariant_failure(monkeypatch):
     # random_negation_closed(10, 12, seed=21): with every heavy budget cut by
     # one, a shoot overflows on a single heavy clause outside the twomark
@@ -166,8 +203,8 @@ def test_heavy_overflow_without_a_witness_is_an_invariant_failure(monkeypatch):
     f = random_negation_closed(10, 12, seed=21)
     real = treesearch.twomark_context
 
-    def cut(prof, took):
-        k2 = real(prof, took)
+    def cut(prof, onemark_labels):
+        k2 = real(prof, onemark_labels)
         return TwomarkContext(k2.clauses, k2.fals_vars, k2.ell,
                               k2.heavy_budget - 1)
 

@@ -26,7 +26,11 @@ of its name or holds a string literal equal to it (``getattr``, dict keys).
 Stores, including augmented ones such as ``x.count += 1``, are not reads.
 Matching is by name only, so a field is read as soon as any class's field
 or attribute of that name is: ``TreeNode.ell`` would count as read through
-``TwomarkContext.ell``.  An unread field may be allowed by an entry
+``TwomarkContext.ell``.  The same goes for unrelated string literals and for
+readers that are only tests: a field named ``n`` passes through ``Formula.n``,
+one named ``p`` through a ``"p"`` literal such as a DIMACS header tag, and a
+field that only a test's name list mentions passes although no program code
+reads it.  An unread field may be allowed by an entry
 
     <file> :: <class> :: field <name> :: <reason>
 """
