@@ -7,8 +7,9 @@ recurrences pointwise, crossovers between the closed forms sit exactly on
 their stated boundaries, and scaling the per-node certificates by the
 3^t0 prefix count never exceeds 6^(n/4) over any feasible profile.
 
-All of it is checked in exact arithmetic: rationals, extended by sqrt(6)
-where half-integer exponents of 27/8 appear.
+All of it is checked in exact arithmetic.  Each value is a rational r, or
+r*sqrt(6) where an odd power of sqrt(27/8) appears (``QSqrt6``); two values
+compare by their squares.
 """
 
 from naenum.analysis import (QSqrt6, dp_m_large, f_large, global_bound_check,

@@ -10,10 +10,9 @@ not a definition.
 Every form is read one way: its square is 2^a 3^b 5^c, with (a, b, c) linear
 in (w, d, h) and read off the definition once (``_square_exponents``).  At a
 point the exponents become an integer pair P/Q for the claim kernel and,
-through a square root, the exact value the public functions (``g*_large``,
-``f_large``, ``g*_small``, ``f_small``, ``f_small_alt_case3``) return: a
-Fraction, or b*sqrt(6) in the quadratic extension Q[sqrt(6)] when the
-half-integer power of 27/8 is odd.
+through a square root, the exact value the public functions return: a
+Fraction from ``g*_large`` and ``f_large``, and from ``g*_small``, ``f_small``
+and ``f_small_alt_case3`` a ``QSqrt6``, r or r*sqrt(6) with r a Fraction.
 
 The claim grids never build those values.  Every closed form and DP entry is
 nonnegative, so comparing two of them is comparing their squares; the DP
@@ -28,7 +27,6 @@ functions return.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -43,79 +41,41 @@ from .treesearch import (DEBUG_TREE_MAX_N, OrderingSource, as_int,
                          build_debug_tree, surviving_leaves)
 
 
-def _numeric(op):
-    """Binary QSqrt6 operator: coerce the other operand (a QSqrt6, a rational
-    or a finite float) or return NotImplemented for anything else."""
-
-    def method(self, other):
-        if not isinstance(other, QSqrt6):
-            if not (isinstance(other, numbers.Rational)
-                    or (isinstance(other, float) and math.isfinite(other))):
-                return NotImplemented
-            other = QSqrt6(other)
-        return op(self, other)
-
-    return method
-
-
+@dataclass(frozen=True)
 class QSqrt6:
-    """Exact a + b*sqrt(6) with rational a, b.  Supports ring operations and
-    total ordering (signs resolved by squaring, never by floating point).
-    Equal to, and hashed like, the rational a when b = 0; mixed with a
-    non-number, every operator returns NotImplemented."""
+    """Exact r, or r*sqrt(6) when ``root6``, with r a nonnegative rational.
+    Closed under products; ordered by squares, exact as none is negative."""
 
-    __slots__ = ("a", "b")
+    r: Fraction
+    root6: bool = False
 
-    def __init__(self, a=0, b=0):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
+    def __post_init__(self):
+        object.__setattr__(self, "r", Fraction(self.r))
+        if self.r < 0:
+            raise ParameterError(f"QSqrt6 needs r >= 0, got {self.r}")
+        object.__setattr__(self, "root6", self.root6 and self.r != 0)
 
-    @classmethod
-    def of(cls, x) -> "QSqrt6":
-        return x if isinstance(x, QSqrt6) else cls(x)
+    def _square(self) -> Fraction:
+        return self.r * self.r * (6 if self.root6 else 1)
 
-    __add__ = __radd__ = _numeric(lambda x, y: QSqrt6(x.a + y.a, x.b + y.b))
-    __sub__ = _numeric(lambda x, y: QSqrt6(x.a - y.a, x.b - y.b))
-    __rsub__ = _numeric(lambda x, y: y - x)
-    __mul__ = __rmul__ = _numeric(lambda x, y: QSqrt6(x.a * y.a + 6 * x.b * y.b,
-                                                      x.a * y.b + x.b * y.a))
+    def __mul__(self, other: QSqrt6) -> QSqrt6:
+        six = 6 if self.root6 and other.root6 else 1
+        return QSqrt6(six * self.r * other.r, self.root6 != other.root6)
 
-    def __neg__(self):
-        return QSqrt6(-self.a, -self.b)
+    def __le__(self, other: QSqrt6) -> bool:
+        return self._square() <= other._square()
 
-    def sign(self) -> int:
-        a, b = self.a, self.b
-        if a == 0 and b == 0:
-            return 0
-        if a >= 0 and b >= 0:
-            return 1
-        if a <= 0 and b <= 0:
-            return -1
-        if a > 0:  # b < 0: positive iff a^2 > 6 b^2
-            return 1 if a * a > 6 * b * b else (0 if a * a == 6 * b * b else -1)
-        return 1 if 6 * b * b > a * a else (0 if a * a == 6 * b * b else -1)
-
-    __eq__ = _numeric(lambda x, y: (x - y).sign() == 0)
-    __lt__ = _numeric(lambda x, y: (x - y).sign() < 0)
-    __le__ = _numeric(lambda x, y: (x - y).sign() <= 0)
-    __gt__ = _numeric(lambda x, y: (x - y).sign() > 0)
-    __ge__ = _numeric(lambda x, y: (x - y).sign() >= 0)
-
-    def __hash__(self):
-        return hash(self.a) if self.b == 0 else hash((self.a, self.b))
+    def __lt__(self, other: QSqrt6) -> bool:
+        return self._square() < other._square()
 
     def __float__(self):
-        return float(self.a) + float(self.b) * math.sqrt(6)
+        return float(self.r) * math.sqrt(6) if self.root6 else float(self.r)
 
     def __repr__(self):
-        if self.b == 0:
-            return f"{self.a}"
-        return f"{self.a} + {self.b}*sqrt(6)"
+        return f"0 + {self.r}*sqrt(6)" if self.root6 else str(self.r)
 
     def as_json(self):
-        if self.b == 0:
-            return str(self.a)
-        return f"{self.a}+{self.b}*sqrt(6)"
+        return f"0+{self.r}*sqrt(6)" if self.root6 else str(self.r)
 
 
 # ----------------------------------------------------------------------
@@ -179,7 +139,7 @@ def _value(exps, w: int, d: int, h: int = 0):
 
     The square is 2^e2 3^e3 5^e5 and the value its root.  Only sqrt(27/8)
     makes e2 and e3 odd, and then both are, while e5 is always even: the
-    value is a Fraction, or b*sqrt(6) with b = 2^((e2-1)/2) 3^((e3-1)/2)
+    value is a Fraction, or r*sqrt(6) with r = 2^((e2-1)/2) 3^((e3-1)/2)
     5^(e5/2) when e2 is odd."""
     if d < 0:
         raise ParameterError("d must be nonnegative")
@@ -188,7 +148,7 @@ def _value(exps, w: int, d: int, h: int = 0):
     e2, e3, e5 = (exps[k] * w + exps[k + 1] * d + exps[k + 2] * h
                   for k in (0, 3, 6))
     v = Fraction(*_square_pair(e2 // 2, e3 // 2, e5 // 2))
-    return QSqrt6(0, v) if e2 % 2 else v
+    return QSqrt6(v, True) if e2 % 2 else v
 
 
 def _large_case(w: int, d: int) -> int:
@@ -206,7 +166,8 @@ def _small_case(w: int, d: int, h: int) -> int:
 
 
 def _small(i: int, w: int, d: int, h: int) -> QSqrt6:
-    return QSqrt6.of(_value(_SMALL_EXPONENTS[i], w, d, h))
+    v = _value(_SMALL_EXPONENTS[i], w, d, h)
+    return v if isinstance(v, QSqrt6) else QSqrt6(v)
 
 
 def f_large(w: int, d: int) -> Fraction:
@@ -325,13 +286,9 @@ class BoundTable:
     grid: dict
 
     def csv_lines(self) -> list[str]:
-        if self.kind == "large":
-            head = ["w,d,value"]
-            rows = [f"{w},{d},{v}" for (w, d), v in sorted(self.grid.items())]
-        else:
-            head = ["w,d,h,value"]
-            rows = [f"{w},{d},{h},{v}" for (w, d, h), v in sorted(self.grid.items())]
-        return head + rows
+        head = "w,d,value" if self.kind == "large" else "w,d,h,value"
+        return [head] + [",".join(map(str, (*key, v)))
+                         for key, v in sorted(self.grid.items())]
 
 
 _WMIN = -3  # low end of the public DP tables
@@ -496,7 +453,7 @@ class NodeCertificate:
     regime: str              # "inner" (I < n), "boundary" (I = n), "outer"
 
     def scaled(self) -> QSqrt6:
-        return QSqrt6(Fraction(3) ** self.t0) * self.value
+        return QSqrt6(3 ** self.t0 * self.value.r, self.value.root6)
 
     def as_dict(self) -> dict:
         return {"n": self.n, "t0": self.t0, "t1": self.t1,
@@ -530,7 +487,9 @@ def n_of_u0(n: int, t0: int, t1: int, m_r_prime: int, m_b: int) -> NodeCertifica
     # ceiling apply; which one is uniform over the terms and decided by the
     # regime index (both agree when I = n, where w = 3d - h exactly)
     case = g3_small if i_value <= n else g4_small
-    total = QSqrt6(0)
+    # w - d - h = t0 - m'_R - m_B at every term, so all terms' F have one
+    # shape (G4 has no sqrt(27/8)): sum the r parts, carry the one flag
+    total, root6 = Fraction(0), False
     terms = []
     for i in range(m_r_prime + 1):
         w = half - 2 * i - t1
@@ -538,11 +497,12 @@ def n_of_u0(n: int, t0: int, t1: int, m_r_prime: int, m_b: int) -> NodeCertifica
         h = m_r_prime + m_b - i
         coef = (Fraction(math.comb(m_r_prime, i)) * Fraction(3, 8) ** i)
         fv = case(w, d, h)
-        total = total + QSqrt6(coef) * fv
+        total += coef * fv.r
+        root6 = fv.root6
         terms.append({"i": i, "w": w, "d": d, "h": h,
                       "coef": str(coef), "F": fv.as_json()})
     scale = Fraction(5, 2) ** t1 * Fraction(4, 5) ** m_r_prime
-    value = QSqrt6(scale) * total
+    value = QSqrt6(scale * total, root6)
     return NodeCertificate(n, t0, t1, m_r_prime, m_b, terms, value,
                            i_value, regime)
 

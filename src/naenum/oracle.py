@@ -140,7 +140,6 @@ class OracleReport:
 
     n: int
     tau: int | None
-    min_sat_weight: int | None
     gamma: tuple[tuple[int, ...], ...]
     gamma_count: int
     t: int | None = None
@@ -158,10 +157,10 @@ def brute_force(f: Formula, t: int | None = None) -> OracleReport:
     _require_small(f)
     tau, at_tau, at_t = _scan(f, False, t)
     if tau is None:
-        return OracleReport(f.n, None, None, (), 0, t, ())
+        return OracleReport(f.n, None, (), 0, t, ())
     gamma = _tuples(at_tau, f.n)
     sols = () if t is None else gamma if t == tau else _tuples(at_t, f.n)
-    return OracleReport(f.n, tau, tau, gamma, len(gamma), t, sols)
+    return OracleReport(f.n, tau, gamma, len(gamma), t, sols)
 
 
 def nae_solutions_direct(f: Formula, t: int) -> tuple[tuple[int, ...], ...]:

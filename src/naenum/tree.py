@@ -123,12 +123,14 @@ def edge_constraints(tree: DebugTree) -> list[list[tuple[int, int, int]]]:
     nodes = tree.nodes
     cons: list[list[tuple[int, int, int]]] = [[] for _ in nodes]
     paths = [(0,)] * len(nodes)         # node ids from the root, top-down
+    same: dict[int, dict[int, int]] = {}    # marker id -> {label: child id}
     for v in nodes[1:]:                 # a parent's id is below its children's
         path = paths[v.id] = paths[v.parent] + (v.id,)
         for w_id in v.markers:
             w = nodes[w_id]
-            x_child = next(c for c in w.children if nodes[c].label == v.label)
-            cons[v.id].append((w_id, x_child, path[w.depth + 1]))
+            if w_id not in same:
+                same[w_id] = {nodes[c].label: c for c in w.children}
+            cons[v.id].append((w_id, same[w_id][v.label], path[w.depth + 1]))
     return cons
 
 

@@ -540,10 +540,9 @@ class _Engine:
             if fals_var not in labels or not U >> fals_var & 1:
                 raise InternalInvariantError(
                     f"twomark clause {labels}: designated edge {fals_var} not falsifying")
-            if len(live) > 2:
-                raise InternalInvariantError(
-                    f"twomark clause {labels}: effective width {len(live)} > 2")
-            # the mass is num / 2^top: the ceiling is compared as integers
+            # width <= 3 and a falsifying designated edge leave at most two
+            # live children.  The mass is num / 2^top: the ceiling is
+            # compared as integers
             marks = [cnt[x] for x in live]
             top = max(marks, default=0)
             num = sum(1 << top - m for m in marks)

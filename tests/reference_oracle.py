@@ -3,7 +3,9 @@
 ``brute_force`` and ``nae_solutions_direct`` below are the implementations
 that the split-half bitset kernel in ``naenum.oracle`` replaced, kept verbatim
 (with the helpers they called) so the differential tests can compare the two
-reports field by field.  Do not edit it to follow the package.
+reports field by field.  Do not edit it to follow the package, except
+where it builds the package's ``OracleReport``: those two calls follow its
+fields.
 """
 
 from __future__ import annotations
@@ -90,13 +92,13 @@ def brute_force(f: Formula, t: int | None = None) -> OracleReport:
     _require_small(f)
     masks, weights = _scan(f, _sat_pred)
     if masks.size == 0:
-        return OracleReport(f.n, None, None, (), 0, t, ())
+        return OracleReport(f.n, None, (), 0, t, ())
     tau = int(weights.min())
     gamma = tuple(sorted(_mask_to_vars(int(m)) for m in masks[weights == tau]))
     sols = ()
     if t is not None:
         sols = tuple(sorted(_mask_to_vars(int(m)) for m in masks[weights == t]))
-    return OracleReport(f.n, tau, tau, gamma, len(gamma), t, sols)
+    return OracleReport(f.n, tau, gamma, len(gamma), t, sols)
 
 
 def nae_solutions_direct(f: Formula, t: int) -> tuple[tuple[int, ...], ...]:

@@ -21,59 +21,64 @@ from naenum.treesearch import DEBUG_TREE_MAX_N
 # ---------------------------------------------------------------- numbers
 
 def test_qsqrt6_arithmetic():
-    x = QSqrt6(1, 1)
-    assert x * x == QSqrt6(7, 2)
-    assert (x - x).sign() == 0
-    assert QSqrt6(0, 1) * QSqrt6(0, 1) == QSqrt6(6)
+    # the two shapes are closed under products: r*sqrt(6) * s*sqrt(6) = 6rs
+    half, root = QSqrt6(Fraction(1, 2)), QSqrt6(Fraction(2, 3), True)
+    assert half * half == QSqrt6(Fraction(1, 4))
+    assert half * root == root * half == QSqrt6(Fraction(1, 3), True)
+    assert root * root == QSqrt6(Fraction(8, 3))
 
 
 def test_qsqrt6_ordering_near_sqrt6():
-    root6 = QSqrt6(0, 1)
-    assert QSqrt6(Fraction(49, 20)) > root6      # 2.45 > sqrt(6)
-    assert QSqrt6(Fraction(22, 9)) < root6       # 2.444.. < sqrt(6)
-    assert root6 > 0 and -root6 < 0
+    root6 = QSqrt6(1, True)
+    assert QSqrt6(Fraction(49, 20)) > root6 > QSqrt6(Fraction(22, 9))
+    assert QSqrt6(Fraction(22, 9)) <= root6 <= QSqrt6(Fraction(49, 20))
+    assert root6 <= root6 and not root6 < root6
 
 
-def _root_power(e: int):
+def _root_power(e: int) -> QSqrt6:
     """(27/8)^(e/2) as the evaluator reads it off its square exponents."""
     exps = analysis._square_exponents(((analysis._ROOT_27_8, (1, 0, 0)),))
-    return analysis._value(exps, e, 0)
+    return _lift(analysis._value(exps, e, 0))
+
+
+def _lift(v) -> QSqrt6:
+    return v if isinstance(v, QSqrt6) else QSqrt6(v)
 
 
 def test_sqrt_27_8_square():
     v = _root_power(1)
-    assert v == QSqrt6(0, Fraction(3, 4))
+    assert v == QSqrt6(Fraction(3, 4), True)
     assert v * v == QSqrt6(Fraction(27, 8))
 
 
-def test_qsqrt6_hash_agrees_with_equal_numbers():
-    assert QSqrt6(6) == 6 and hash(QSqrt6(6)) == hash(6)
-    assert len({QSqrt6(6), 6}) == 1
-    assert hash(QSqrt6(Fraction(1, 2))) == hash(Fraction(1, 2)) == hash(0.5)
-    assert len({QSqrt6(1, 1), QSqrt6(Fraction(2, 2), 1)}) == 1
+def test_qsqrt6_equality_and_hash_come_from_fields():
+    assert QSqrt6(Fraction(2, 4), True) == QSqrt6(Fraction(1, 2), True)
+    assert len({QSqrt6(3), QSqrt6(Fraction(6, 2)), QSqrt6(3, True)}) == 2
+    # zero has one form, so equal values have equal fields
+    assert QSqrt6(0, True) == QSqrt6(0) and repr(QSqrt6(0, True)) == "0"
+    assert QSqrt6(6) != 6
 
 
-def test_qsqrt6_non_numbers_are_not_implemented():
-    x = QSqrt6(1)
-    assert (x == None) is False  # noqa: E711
-    assert x != "x" and "x" != x
-    assert x == 1.0 and x != float("nan")
-    for op in (lambda: x < "x", lambda: x >= None, lambda: x + "x",
-               lambda: None * x, lambda: "x" - x):
-        with pytest.raises(TypeError):
-            op()
+def test_qsqrt6_refuses_negative_r():
+    # comparing squares would order negative values wrongly
+    for root6 in (False, True):
+        with pytest.raises(ParameterError, match="r >= 0, got -1/2"):
+            QSqrt6(Fraction(-1, 2), root6)
 
 
 def test_qsqrt6_repr():
-    assert repr(QSqrt6(Fraction(3, 2))) == "3/2"
-    assert repr(QSqrt6(1, -2)) == "1 + -2*sqrt(6)"
+    v = QSqrt6(Fraction(3, 2))
+    assert (repr(v), v.as_json(), float(v)) == ("3/2", "3/2", 1.5)
+    v = QSqrt6(Fraction(3, 4), True)
+    assert (repr(v), v.as_json()) == ("0 + 3/4*sqrt(6)", "0+3/4*sqrt(6)")
+    assert float(v) == 0.75 * 6 ** 0.5
 
 
 @pytest.mark.parametrize("e", range(-6, 7))
 def test_pow_half_consistency(e):
-    v = QSqrt6.of(_root_power(e))
+    v = _root_power(e)
     assert v * v == QSqrt6(Fraction(27, 8) ** e)
-    assert v > 0
+    assert v.r > 0 and v.root6 == (e % 2 == 1)
     assert v == R(e)
 
 
@@ -127,17 +132,17 @@ P = Fraction
 def R(e: int) -> QSqrt6:
     """(27/8)^(e/2), with sqrt(27/8) = 3*sqrt(6)/4."""
     k, odd = divmod(e, 2)
-    return QSqrt6(P(27, 8) ** k) * (QSqrt6(0, P(3, 4)) if odd else 1)
+    return QSqrt6(P(27, 8) ** k) * QSqrt6(P(3, 4) if odd else 1, bool(odd))
 
 
 LITERAL_FORMS = {
     g1_large: lambda w, d, h: P(5, 2) ** (2 * d - w) * P(2) ** (w - d),
     g2_large: lambda w, d, h: P(2) ** (3 * d - w) * P(3, 2) ** (w - 2 * d),
-    g1_small: lambda w, d, h: P(9, 4) ** d,
-    g2_small: lambda w, d, h: P(9, 4) ** (2 * d - w) * P(2) ** (w - d),
+    g1_small: lambda w, d, h: QSqrt6(P(9, 4) ** d),
+    g2_small: lambda w, d, h: QSqrt6(P(9, 4) ** (2 * d - w) * P(2) ** (w - d)),
     g3_small: lambda w, d, h: (QSqrt6(P(9, 4) ** (2 * d - w) * P(2) ** h)
                                * R(w - d - h)),
-    g4_small: lambda w, d, h: P(2) ** (3 * d - w) * P(3, 2) ** (w - 2 * d),
+    g4_small: lambda w, d, h: QSqrt6(P(2) ** (3 * d - w) * P(3, 2) ** (w - 2 * d)),
     f_small_alt_case3: lambda w, d, h: (QSqrt6(P(2) ** h * P(3, 2) ** (w - 2 * d))
                                         * R(3 * d - w - h)),
 }
@@ -145,9 +150,9 @@ GRID = [(w, d, h) for d in range(9) for w in range(-3, 17) for h in range(9)]
 
 
 def _square(v) -> Fraction:
-    sq = QSqrt6.of(v) * v
-    assert sq.b == 0
-    return sq.a
+    sq = _lift(v) * _lift(v)
+    assert not sq.root6
+    return sq.r
 
 
 def test_closed_forms_match_literal_formulas():
@@ -326,6 +331,22 @@ def test_certificate_term_inequalities():
             cert = n_of_u0(n, *prof)
             for term in cert.terms:
                 assert term["d"] + term["h"] <= term["w"]
+
+
+def test_certificate_terms_share_one_shape():
+    # w - d - h = t0 - m'_R - m_B at every term, so every term's F is r or
+    # every one is r*sqrt(6): n_of_u0 sums the r parts under one flag
+    shapes = set()
+    for n in range(8, 25, 2):
+        for prof in feasible_profiles(n):
+            cert = n_of_u0(n, *prof)
+            t0, _, m_r, m_b = prof
+            assert {t["w"] - t["d"] - t["h"] for t in cert.terms} == {t0 - m_r - m_b}
+            terms = {t["F"].endswith("*sqrt(6)") for t in cert.terms}
+            assert terms == {cert.value.root6}, (n, prof)
+            assert cert.scaled() == QSqrt6(3 ** t0) * cert.value
+            shapes |= terms
+    assert shapes == {False, True}
 
 
 def test_certificate_boundary_regime_forms_agree():

@@ -13,7 +13,7 @@ import reference_oracle
 
 
 def _assert_python_ints(rep):
-    for name in ("n", "tau", "min_sat_weight", "gamma_count", "t"):
+    for name in ("n", "tau", "gamma_count", "t"):
         value = getattr(rep, name)
         assert value is None or type(value) is int, name
     for sols in (rep.gamma, rep.weight_t_solutions):

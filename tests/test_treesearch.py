@@ -160,8 +160,7 @@ def test_twomark_reset_instance_restarts_the_attempt():
     assert [p["m_r_prime"] for p in tree.stats.profiles if p["q_u0"] == [1, 4]] == [2]
 
 
-def _twomark_check(cnt: dict, U: int, labels=(3, 8, 12), fals_var=3,
-                   debug_assertions=None):
+def _twomark_check(cnt: dict, U: int, fals_var=3, debug_assertions=None):
     """``_stage_checks`` of a twomark node of ``heavy_overflow_instance()``
     below the path (1, 4, 2, 5), with the label mark counts and the
     falsifying mask set by hand."""
@@ -174,7 +173,7 @@ def _twomark_check(cnt: dict, U: int, labels=(3, 8, 12), fals_var=3,
                   debug_assertions=debug_assertions)
     eng.label_cnt = [cnt.get(v, 0) for v in range(f.n + 1)]
     fr = _Frame(prof, k2, ())
-    assert eng._stage_checks(labels, TWOMARK, fals_var, U, fr) is fr
+    assert eng._stage_checks((3, 8, 12), TWOMARK, fals_var, U, fr) is fr
 
 
 def test_twomark_guards_fire_on_their_violations():
@@ -186,10 +185,6 @@ def test_twomark_guards_fire_on_their_violations():
         _twomark_check({3: 2, 8: 1}, 0)
     with pytest.raises(InternalInvariantError, match="designated edge 7 not falsifying"):
         _twomark_check({3: 2, 8: 1}, 1 << 3 | 1 << 7, fals_var=7)
-    # a twomark clause has width 3, so a falsifying designated edge leaves
-    # two live children at most; only a wider label tuple shows this guard
-    with pytest.raises(InternalInvariantError, match="effective width 3 > 2"):
-        _twomark_check({3: 2, 8: 1, 11: 1, 12: 1}, 1 << 3, labels=(3, 8, 11, 12))
     with pytest.raises(InternalInvariantError, match=r"\(3, 8, 12\): mass 2 > 3/2"):
         _twomark_check({3: 2}, 1 << 3)
     # the guards are debug assertions
