@@ -19,9 +19,10 @@ nonnegative, so comparing two of them is comparing their squares; the DP
 recurrences run bottom-up by depth on integers, 2^d * M(w,d) (factors 5, 4, 3)
 and 4^d * M(w,d,h) (factors 9, 8, 7, 6).  Each <= in the grid loop is one
 cross-multiplication of ints; = between closed forms is equality of their
-pairs, which are in lowest terms.  Nothing is decided by floats.  Fractions
-appear only in the public values and the ``BoundTable`` values the public DP
-functions return.
+pairs, which are in lowest terms.  A small-grid form whose square has no h
+term is squared once per (w, d), not once per (w, d, h).  Nothing is decided
+by floats.  Fractions appear only in the public values and the
+``BoundTable`` values the public DP functions return.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 
 from .cnf import Formula
 from .errors import ParameterError
-from .tree import SurvivalKernel
+from .tree import SurvivalKernel, column_counts
 from .treesearch import (DEBUG_TREE_MAX_N, OrderingSource, as_int,
                          build_debug_tree, surviving_leaves)
 
@@ -350,9 +351,11 @@ def _multi_check(report, points: Iterable, preds, names) -> None:
     witnesses: list[tuple | None] = [None] * len(names)
     for p in points:
         count += 1
-        for i, ok in enumerate(preds(*p)):
-            if witnesses[i] is None and not ok:
-                witnesses[i] = p
+        oks = preds(*p)
+        if not all(oks):
+            for i, ok in enumerate(oks):
+                if witnesses[i] is None and not ok:
+                    witnesses[i] = p
     for name, w in zip(names, witnesses):
         report.checks.append(ClaimCheck(name, w is None, count, w))
 
@@ -402,20 +405,37 @@ def verify_appendix_claims(grid2_w: tuple[int, int] = (-3, 60),
     pts3 = ((w, d, h) for d in range(grid3_d + 1)
             for w in range(w3lo, w3hi + 1) for h in range(grid3_h + 1))
 
+    # a form with no h term is squared once per (w, d), the others per point;
+    # h varies fastest, so only the current (w, d) is kept
+    h_forms = [(i, e) for i, e in enumerate(_SMALL_EXPONENTS) if any(e[2::3])]
+    wd = wd_squares = None
+
     def small_all(w, d, h):
+        nonlocal wd, wd_squares
         n2, s = rows3[d][w - lo3][h] ** 2, 16 ** d    # M^2 = (4^d M)^2 / 16^d
-        *gg, alt = _squares(_SMALL_EXPONENTS, w, d, h)
+        if wd != (w, d):
+            wd, wd_squares = (w, d), _squares(_SMALL_EXPONENTS, w, d)
+        sq = wd_squares[:]
+        for i, (a2w, a2d, a2h, a3w, a3d, a3h, a5w, a5d, a5h) in h_forms:
+            sq[i] = _square_pair(a2w * w + a2d * d + a2h * h,
+                                 a3w * w + a3d * d + a3h * h,
+                                 a5w * w + a5d * d + a5h * h)
+        *gg, alt = sq
         (p1, q1), (p2, q2), (p3, q3), (p4, q4) = gg
         ff = fp, fq = gg[_small_case(w, d, h)]
-        # squares are in lowest terms, so = is tuple equality
-        return (all(n2 * q <= p * s for p, q in gg),
+        # squares are in lowest terms, so = is tuple equality; the four
+        # comparisons with the G_i are written out, as a generator per point
+        # took three times as long
+        return (n2 * q1 <= p1 * s and n2 * q2 <= p2 * s
+                and n2 * q3 <= p3 * s and n2 * q4 <= p4 * s,
                 n2 * fq <= fp * s,
                 ((p1 * q2 <= p2 * q1) == (w <= d)) and ((gg[0] == gg[1]) == (w == d)),
                 ((p2 * q3 <= p3 * q2) == (w <= d + h))
                 and ((gg[1] == gg[2]) == (w == d + h)),
                 ((p3 * q4 <= p4 * q3) == (w <= 3 * d - h))
                 and ((gg[2] == gg[3]) == (w == 3 * d - h)),
-                h > d or (ff in gg and all(fp * q <= p * fq for p, q in gg)),
+                h > d or (ff in gg and fp * q1 <= p1 * fq and fp * q2 <= p2 * fq
+                          and fp * q3 <= p3 * fq and fp * q4 <= p4 * fq),
                 ff in gg,
                 not d + h <= w <= 3 * d - h or ff == alt)
 
@@ -626,5 +646,6 @@ def _tree_survival_samples(f: Formula, t: int, samples: int, seed: int,
         b = min(batch, samples - done)
         # every group's k! divides 3! = 6, so the remainder is exactly uniform
         codes = rng.integers(0, 6, size=(len(kernel.orders), b), dtype=np.uint8)
-        out[done:done + b] = kernel.run(codes % kernel.orders[:, None])[1].sum(axis=0)
+        alive = kernel.run(codes % kernel.orders[:, None])[1]
+        out[done:done + b] = column_counts(alive, b)
     return out

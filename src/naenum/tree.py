@@ -5,6 +5,8 @@ The search engine normally keeps only path-local state; this module holds the
 fully expanded tree it can optionally record (small n only), the per-node
 accounting (marks, mass, effective width), the exact survival value psi, the
 survival kernel over sibling orderings and the structural invariant sweep.
+The kernel keeps its per-edge flags packed, one bit per ordering and 8
+orderings to a byte; ``row_counts`` and ``column_counts`` count them.
 
 psi and the sweep's mass ceilings are computed in integers: a sum of 2^-marks
 is held as a numerator over 2^top, top the largest mark count in the sum, and
@@ -149,7 +151,8 @@ class SurvivalKernel:
     ``itertools.permutations(range(k))``, the order they are explored in.
     ``run`` takes a (groups, columns) code array, one joint ordering per
     column.  Each edge's ok flag is evaluated once, from its marker
-    constraints; "alive" is propagated top-down by depth."""
+    constraints, and packed 8 orderings to a byte; "alive" is propagated
+    top-down by depth on the packed bytes."""
 
     def __init__(self, tree: DebugTree):
         nodes = tree.nodes
@@ -179,15 +182,38 @@ class SurvivalKernel:
         self.viable = np.flatnonzero([u.leaf_kind == "viable" for u in nodes])
 
     def run(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(ok, alive): ``ok[v, j]``, the edge into node v passes its marker
-        constraints in ordering j; ``alive[i, j]``, each edge to ``viable[i]`` does."""
-        ok = np.ones((self.size, codes.shape[1]), dtype=bool)
+        """(ok, alive), packed: bit j % 8 of byte j // 8 of ``ok[v]`` is set
+        iff the edge into node v passes its marker constraints in ordering j,
+        and of ``alive[i]`` iff each edge to ``viable[i]`` does.  The padding
+        bits of the last byte are 0."""
+        columns = codes.shape[1]
+        ok = np.empty((self.size, (columns + 7) // 8), dtype=np.uint8)
+        ok[:] = np.packbits(np.ones(columns, dtype=bool), bitorder="little")
         hit = (self.con_bits[..., None] >> codes[self.con_group]) & 1
-        ok[self.con_edges] &= np.bitwise_and.reduce(hit, axis=0).view(bool)
+        ok[self.con_edges] = np.packbits(np.bitwise_and.reduce(hit, axis=0),
+                                         axis=1, bitorder="little")
         alive = ok.copy()
         for ids, parents in self.levels:
             alive[ids] &= alive[parents]
         return ok, alive[self.viable]
+
+
+# set bits of each byte value
+_POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None],
+                          axis=1).sum(axis=1, dtype=np.uint8)
+
+
+def row_counts(packed: np.ndarray) -> np.ndarray:
+    """Set bits per row of a packed ``SurvivalKernel.run`` matrix: per edge,
+    the orderings it survives."""
+    return _POPCOUNT[packed].sum(axis=1, dtype=np.int64)
+
+
+def column_counts(packed: np.ndarray, columns: int) -> np.ndarray:
+    """Set bits per ordering of a packed ``SurvivalKernel.run`` matrix with
+    ``columns`` orderings: per ordering, the surviving leaves of ``alive``."""
+    return np.unpackbits(packed, axis=1, count=columns,
+                         bitorder="little").sum(axis=0, dtype=np.int64)
 
 
 def export_lines(tree: DebugTree) -> list[str]:

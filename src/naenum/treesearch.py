@@ -42,7 +42,10 @@ children draws d from its hash h: d = h, and while d >= k! * floor(2^64 / k!),
 d = splitmix64(d).  Its children, in clause-variable order, are then permuted
 by entry d mod k! of the lexicographic list itertools.permutations(range(k)):
 position i of the new order holds the child at index perm[i].  Re-mixing
-changes only d, never the hash passed to the children.
+changes only d, never the hash passed to the children.  The stream fixes
+every node's order, but a count does not compute the draws at depth t - 1:
+a depth-t leaf's siblings carry other labels, so nothing a count reports can
+observe their order.  A collect draws there, for its emission order.
 
 Each call also builds one ``monotone_index`` of the formula (its monotone
 width-3 clauses with their variable masks).  The base greedy and every
@@ -79,11 +82,12 @@ from .matching import attempt_reset, check_disjoint, greedy_maximal, var_mask
 from .selection import (BASE, FREE, ONEMARK, TWOMARK, BaseResetSignal,
                         StageProfile, TwomarkContext, branch_on_t0,
                         build_stage_profile, monotone_index, twomark_context)
-from .tree import DebugTree, SurvivalKernel, TreeNode, psi_exact
+from .tree import (DebugTree, SurvivalKernel, TreeNode, column_counts,
+                   psi_exact, row_counts)
 
 PROFILE_CAP = 512
 DEBUG_TREE_MAX_N = 24
-_ORDERING_BLOCK = 512       # joint orderings per survival-kernel call
+_ORDERING_BLOCK = 4096      # joint orderings per survival-kernel call
 
 _M64 = 2 ** 64 - 1
 
@@ -123,7 +127,12 @@ class OrderingSource:
     clause-variable order, are then permuted by entry d mod k! of the
     lexicographic list itertools.permutations(range(k)): position i of the
     new order holds the child at index perm[i].  Re-mixing changes only d,
-    never the hash passed to the children."""
+    never the hash passed to the children.
+
+    The stream fixes every node's order.  A count does not compute the draws
+    at depth t - 1, because nothing it reports can observe them: a depth-t
+    leaf's siblings carry other labels, so its outcome depends only on the
+    left labels its parent received.  A collect draws there."""
 
     kind: str = "fixed"
     seed: int = 0
@@ -229,7 +238,11 @@ class _Engine:
         if debug_assertions is None:
             debug_assertions = f.n <= 32
         self.debug_assertions = debug_assertions
-        self.random = ordering.kind == "random"
+        # nodes above this depth draw their child order; a count stops one
+        # level short, as no count observes the last level's order
+        # (OrderingSource), and the fixed order draws nowhere
+        self.draw_below = ((t if collect else t - 1) if ordering.kind == "random"
+                           else 0)
         self.hashes = [_splitmix64(ordering.seed & _M64)] + [0] * t
         self.path = [0] * t              # label entered at each depth
 
@@ -428,7 +441,7 @@ class _Engine:
 
         if record:
             self.tree_nodes[node_id].stage = stage
-        order = self._order_children(depth, labels) if self.random else labels
+        order = self._order_children(depth, labels) if depth < self.draw_below else labels
         if self.keep_marks:
             for x in labels:
                 self.label_cnt[x] += 1
@@ -514,9 +527,10 @@ class _Engine:
     # expansion
 
     def _order_children(self, depth: int, labels: tuple[int, ...]) -> Sequence[int]:
-        """The node's child order; for random orderings, also stores the
-        node's hash, which its parent's hash and the entered label fix."""
-        if not self.random:
+        """The node's child order; where it draws (above ``draw_below``), also
+        stores the node's hash, which its parent's hash and the entered label
+        fix."""
+        if depth >= self.draw_below:
             return labels
         hashes = self.hashes
         if depth:
@@ -695,10 +709,10 @@ def enumerate_all_orderings(f: Formula, t: int, budget: int = 10 ** 6,
     Refuses when the ordering product exceeds ``budget``."""
     budget = as_int(budget, "budget")
     tree = build_debug_tree(f, t)
-    kernel = SurvivalKernel(tree)
-    total = math.prod(kernel.orders.tolist())
+    total = math.prod(math.factorial(len(u.children)) for u in tree.internal())
     if total > budget:
         raise BudgetExceeded(f"{total} orderings exceed budget {budget}")
+    kernel = SurvivalKernel(tree)
     # ordering i is the code vector of i in mixed radix, so the orderings run
     # in itertools.product order: the last sibling group varies fastest
     stride = (total // np.cumprod(kernel.orders, dtype=np.int64))[:, None]
@@ -709,10 +723,10 @@ def enumerate_all_orderings(f: Formula, t: int, budget: int = 10 ** 6,
         index = np.arange(start, min(start + _ORDERING_BLOCK, total))
         codes = index // stride % kernel.orders[:, None]
         ok, alive = kernel.run(codes.astype(np.uint8))
-        survived_count += ok.sum(axis=1)
-        total_surviving += int(alive.sum())
+        survived_count += row_counts(ok)
+        total_surviving += int(row_counts(alive).sum())
         if keep_per_ordering:
-            counts.extend(alive.sum(axis=0).tolist())
+            counts.extend(column_counts(alive, len(index)).tolist())
     per_ordering = None
     if keep_per_ordering:
         perms = (itertools.permutations(tree.nodes[u].children) for u in kernel.groups)

@@ -313,6 +313,23 @@ def test_claim_kernel_detects_wrong_pieces(monkeypatch):
     assert "small: G1 <= G2 iff w <= d, equality iff w = d" not in failed
 
 
+@pytest.mark.parametrize("i, min_witness", [(0, (2, 1, 0)), (1, (-3, 1, 0)),
+                                             (2, (-3, 1, 0)), (3, (-3, 1, 0))])
+def test_claim_kernel_compares_with_each_form(monkeypatch, i, min_witness):
+    # G_i divided by 4^d: unchanged at d = 0, below M(-3, 1, 0) = 9/4 at
+    # d = 1, so the M <= G_i claim fails there first, and min(G1..G4) = F
+    # fails where F is another form.  The kernel writes out each form's
+    # comparisons, so each form is lowered in turn
+    exps = list(analysis._SMALL_EXPONENTS)
+    exps[i] = exps[i][:1] + (exps[i][1] - 4,) + exps[i][2:]     # a2d -= 4
+    monkeypatch.setattr(analysis, "_SMALL_EXPONENTS", tuple(exps))
+    rep = verify_appendix_claims(grid2_w=(-3, 4), grid2_d=2,
+                                 grid3_w=(-3, 4), grid3_d=2, grid3_h=2)
+    failed = {c.name: c.witness for c in rep.checks if not c.ok}
+    assert failed["small: M(w,d,h) <= G_i for i=1..4"] == (-3, 1, 0)
+    assert failed["small: min(G1..G4) = F on the ordered region h <= d"] == min_witness
+
+
 # ---------------------------------------------------------------- certificates
 
 def test_certificate_single_term():

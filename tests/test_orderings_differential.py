@@ -11,9 +11,9 @@ import pytest
 
 from naenum import (BudgetExceeded, brute_force, build_debug_tree,
                     enumerate_all_orderings, maj, negation_closure, psi_exact,
-                    random_negation_closed)
+                    random_negation_closed, treesearch)
 from naenum.analysis import _tree_survival_samples, estimate_psi
-from naenum.tree import SurvivalKernel
+from naenum.tree import SurvivalKernel, column_counts, row_counts
 from corpus import collision_reset_instance, structure_reset_instance
 import reference_orderings
 
@@ -56,6 +56,18 @@ def test_exhaustive_report_matches_reference_on_reset_instances():
     assert str(got.value) == str(want.value)
 
 
+def test_exhaustive_report_is_the_same_in_small_blocks(tiny_exhaustive, monkeypatch):
+    # blocks of 100 orderings: 1,296 take 13 kernel calls, each with padding
+    # bits in its last packed byte
+    monkeypatch.setattr(treesearch, "_ORDERING_BLOCK", 100)
+    swept = [(f, rep.tau) for f, rep, report in tiny_exhaustive
+             if report.orderings == 1296][:10]
+    assert len(swept) == 10
+    for f, t in swept + [(collision_reset_instance(), None)]:
+        got, _ = _assert_same_report(f, brute_force(f).tau if t is None else t)
+        assert got.orderings == 1296
+
+
 def test_kernel_counts_each_ordering_like_reference(tiny_exhaustive):
     instances = [(f, rep.tau) for f, rep, _ in tiny_exhaustive]
     instances.append((collision_reset_instance(), None))
@@ -65,8 +77,10 @@ def test_kernel_counts_each_ordering_like_reference(tiny_exhaustive):
         want = reference_orderings.enumerate_all_orderings(
             f, t, keep_per_ordering=True).per_ordering
         ok, alive = kernel.run(_all_codes(kernel))
-        assert alive.sum(axis=0).tolist() == [c for _, c in want]
-        assert ok.shape == (kernel.size, len(want))
+        assert column_counts(alive, len(want)).tolist() == [c for _, c in want]
+        # one bit per ordering, 8 to a byte
+        assert ok.shape == (kernel.size, (len(want) + 7) // 8)
+        assert alive.shape == (len(kernel.viable), (len(want) + 7) // 8)
 
 
 def _direct_count(tree, groups, codes):
@@ -98,16 +112,20 @@ def _direct_count(tree, groups, codes):
 def test_kernel_counts_random_orderings_beyond_the_budget(f):
     # too many joint orderings to sweep (the structure-reset tree's count is
     # always 27; seed 1010's takes five values; seed 1065 has 11 surviving
-    # edges with two marks each): check 200 random code vectors against a
-    # leaf-by-leaf count
+    # edges with two marks each): check 203 random code vectors against a
+    # leaf-by-leaf count.  203 is not a multiple of 8, so the last packed
+    # byte has 5 padding bits; counting every bit of a row shows they are 0
     tree = build_debug_tree(f, brute_force(f).tau)
     kernel = SurvivalKernel(tree)
     rng = np.random.default_rng(7)
-    codes = np.array([rng.integers(0, k, size=200) for k in kernel.orders],
+    codes = np.array([rng.integers(0, k, size=203) for k in kernel.orders],
                      dtype=np.uint8)
-    _, alive = kernel.run(codes)
-    assert alive.sum(axis=0).tolist() == [
-        _direct_count(tree, kernel.groups, col) for col in codes.T.tolist()]
+    ok, alive = kernel.run(codes)
+    want = [_direct_count(tree, kernel.groups, col) for col in codes.T.tolist()]
+    assert column_counts(alive, 203).tolist() == want
+    assert int(row_counts(alive).sum()) == sum(want)
+    # the root has no edge to fail: its row counts each ordering once
+    assert row_counts(ok)[0] == 203 and row_counts(ok).max() == 203
 
 
 @pytest.mark.parametrize("seed", [6, 5010])

@@ -300,6 +300,15 @@ def test_exhaustive_budget():
         enumerate_all_orderings(f, 4, budget=10 ** 6)
 
 
+def test_exhaustive_budget_refuses_before_building_the_kernel(monkeypatch):
+    def unbuilt(tree):
+        raise AssertionError("kernel built for a refused sweep")
+
+    monkeypatch.setattr(treesearch, "SurvivalKernel", unbuilt)
+    with pytest.raises(BudgetExceeded, match="orderings exceed budget 1000"):
+        enumerate_all_orderings(negation_closure(maj(8, 3)), 4, budget=1000)
+
+
 def test_exhaustive_mean_bound_on_maj4():
     f = negation_closure(maj(4, 3))
     report = enumerate_all_orderings(f, 2)
@@ -414,6 +423,29 @@ def test_count_matches_enumerate(corpus500):
                 sols, stats = collect_solutions(f, t, ordering, debug_assertions=debug)
                 assert count == len(sols)
                 assert cstats.as_dict() == stats.as_dict()
+
+
+def test_count_draws_no_last_level_order(monkeypatch):
+    # a depth-t leaf's siblings carry other labels, so its outcome does not
+    # depend on their order: a count draws no order at depth t - 1, while a
+    # collect draws one there for its emission order, and both search the
+    # same tree
+    f = negation_closure(maj(8, 3))
+    real = _Engine._order_children
+    depths = []
+    monkeypatch.setattr(_Engine, "_order_children",
+                        lambda eng, depth, labels: depths.append(depth)
+                        or real(eng, depth, labels))
+    for seed in (1, 2, 5, 11):
+        ordering = OrderingSource.random(seed)
+        depths.clear()
+        _, cstats = count_solutions(f, 4, ordering)
+        counted = list(depths)
+        depths.clear()
+        _, stats = collect_solutions(f, 4, ordering)
+        assert set(counted) == {0, 1, 2} and set(depths) == {0, 1, 2, 3}
+        assert counted == [d for d in depths if d != 3]
+        assert cstats.as_dict() == stats.as_dict()
 
 
 def test_count_keeps_no_solution_buffer():

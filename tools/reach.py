@@ -5,9 +5,10 @@ never executes, and the record fields that no code reads.
     python tools/reach.py --all    # also print the allowed ones
 
 The suite runs in this process under ``sys.settrace``, traced only inside
-``src/naenum``; test outcomes are ignored (tracing slows every test, so
-timing gates may fail).  Code that the suite runs in subprocesses is not
-followed.  A statement is unreached when none of its executable lines ran.
+``src/naenum``.  The ids of the tests that fail under the trace are printed,
+but they do not set the exit code: tracing slows every test, so timing gates
+may fail, and tracemalloc also counts the tracer's allocations.  Code that
+the suite runs in subprocesses is not followed.  A statement is unreached when none of its executable lines ran.
 ``tools/reach_allow.txt`` lists the statements that may stay unreached, one
 per line as
 
@@ -124,8 +125,10 @@ def _unread_fields() -> list[tuple[str, str, int, str]]:
     return out
 
 
-def _trace_suite(pytest_args: list[str]) -> dict[str, set[int]]:
+def _trace_suite(pytest_args: list[str]) -> tuple[dict[str, set[int]], list[str]]:
+    """Lines run per file of ``src/naenum``, and the ids of failed tests."""
     files = {str(p): set() for p in PKG.glob("*.py")}
+    failed: list[str] = []
     need: dict = {}
 
     def local_for(seen: set[int]):
@@ -157,6 +160,11 @@ def _trace_suite(pytest_args: list[str]) -> dict[str, set[int]]:
         def pytest_runtest_setup(item):
             sys.settrace(tracer)
 
+        @staticmethod
+        def pytest_runtest_logreport(report):
+            if report.failed and report.nodeid not in failed:
+                failed.append(report.nodeid)
+
     import pytest
 
     sys.path.insert(0, str(SRC))
@@ -170,7 +178,7 @@ def _trace_suite(pytest_args: list[str]) -> dict[str, set[int]]:
     finally:
         sys.settrace(None)
         threading.settrace(None)
-    return files
+    return files, failed
 
 
 def _read_allow() -> list[tuple[str, str, str, str]]:
@@ -195,7 +203,7 @@ def main(argv=None) -> int:
                              "--continue-on-collection-errors", str(ROOT / "tests")])
     args = ap.parse_args(argv)
     allow = _read_allow()
-    hits = _trace_suite(args.pytest_args)
+    hits, failed = _trace_suite(args.pytest_args)
 
     unreached = []                  # (file, function, first line, statement)
     for path in sorted(hits):
@@ -232,6 +240,9 @@ def main(argv=None) -> int:
         if e not in used:
             print(f"stale allow entry: {SEP.join(e[:3])}")
     print(f"{bad} unreached statements or unread fields not in {ALLOW.name}")
+    print(f"{len(failed)} tests failed under the trace (not counted in the exit code)")
+    for nodeid in failed:
+        print(f"failed under trace: {nodeid}")
     return 1 if bad else 0
 
 
