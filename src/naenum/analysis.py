@@ -644,8 +644,9 @@ def _tree_survival_samples(f: Formula, t: int, samples: int, seed: int,
     out = np.empty(samples, dtype=np.int64)
     for done in range(0, samples, batch):
         b = min(batch, samples - done)
-        # every group's k! divides 3! = 6, so the remainder is exactly uniform
+        # the kernel reads code c as c mod k!, which is exactly uniform on
+        # a group's k! orders as k! divides 3! = 6
         codes = rng.integers(0, 6, size=(len(kernel.orders), b), dtype=np.uint8)
-        alive = kernel.run(codes % kernel.orders[:, None])[1]
+        alive = kernel.run(codes)[1]
         out[done:done + b] = column_counts(alive, b)
     return out

@@ -7,9 +7,24 @@ entry: bit j is set when the half-assignment makes some literal of clause j
 true.  An assignment satisfies the formula iff the OR of its two halves'
 entries has every clause bit set.  The not-all-equal scan adds table words
 for "some literal false" (the same literal sets with the roles of 1 and 0
-swapped), which must come out full too.  The combine runs over row blocks of
-the high x low grid no larger than 4 MiB, weights come from per-half
-popcounts, and the hits become sorted solution tuples through a bit matrix.
+swapped), which must come out full too.
+
+The combine pairs low entries with the distinct high signatures only, as
+high entries with one table column pair alike: the high half of
+``maj(24, 3)`` has 216 of them among its 4,096 entries.  It tests every
+(signature, low entry) pair in blocks of at most 512 KiB.  A signature keeps
+its high entries' least weight and a bitmask of their weights, so a block
+finds the least satisfying weight, lowers the running tau to it, and keeps
+only the satisfying pairs with a high entry that brings the weight to tau
+or t.  The kept pairs expand to assignment masks through an index of the
+high entries by (signature, weight), so no array holds assignments of other
+weights.  The masks of one weight become sorted tuples after one sort: two
+sorted tuples of one size first differ at the least element of their
+symmetric difference, the earlier tuple holds it, and after reversing the
+bits of the masks it is their highest differing bit.  Tuple order is thus
+descending order of the bit-reversed masks, and each tuple's variables are
+its mask's set bits, peeled off lowest first.  (Sets of different sizes
+break the argument: a tuple precedes its extensions.)
 
 Independent of the search engine by construction: the tables are built from
 the clause literals alone, with no clause-selection, tree or collection code
@@ -28,9 +43,15 @@ from .cnf import Formula, nae_check
 from .errors import OracleRefused
 
 MAX_ORACLE_VARS = 24
-_BLOCK = 1 << 19        # uint64 entries per combine block (4 MiB)
+# uint64 entries per combine block (512 KiB).  On a 2-core VM, 4 MiB blocks
+# made scans of random 3-CNF at n = 24 10-40% slower, and as a block's size
+# follows the signature count, they left glibc holding up to 5 MB of freed heap
+_BLOCK = 1 << 16
 _WORD = 64
 _UNSAT = 0xFF           # above any weight, n <= 24
+# each byte value with its 8 bits in reverse order
+_REV8 = np.packbits(np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1),
+                    axis=1, bitorder="little").ravel().astype(np.int64)
 
 
 def _clause_sets(f: Formula) -> tuple[list[int], list[int]]:
@@ -81,6 +102,7 @@ def _scan(f: Formula, nae: bool,
     "some literal false" words.
     """
     low = (f.n + 1) // 2
+    high = f.n - low
     words = max(1, -(-len(f.clauses) // _WORD))
     pos, neg = _clause_sets(f)
     packed = _pack(pos + neg + [(1 << len(f.clauses)) - 1], words)
@@ -91,46 +113,81 @@ def _scan(f: Formula, nae: bool,
     lo = _half_table(one[:low], zero[:low])
     hi = _half_table(one[low:], zero[low:])
     pc = _popcounts(low)
+    # the distinct high columns, compared as one byte string each: high row
+    # i has signature sig[:, inv[i]]
+    cols = np.ascontiguousarray(hi.T)
+    _, first, inv = np.unique(cols.view(f"V{cols.itemsize * len(hi)}").ravel(),
+                              return_index=True, return_inverse=True)
+    sig = hi[:, first]
+    # the high rows by (signature s, weight w): those of key s * (high + 1)
+    # + w are order[start[key]:start[key] + count[key]]; pc covers the high
+    # rows' weights too, as high <= low
+    key = inv * (high + 1) + pc[:hi.shape[1]]
+    order = np.argsort(key)
+    count = np.bincount(key, minlength=sig.shape[1] * (high + 1))
+    start = np.cumsum(count) - count
+    has = count.reshape(-1, high + 1) > 0
+    wmin = np.argmax(has, axis=1).astype(np.uint8)     # least weight of s
+    wbits = (has << np.arange(high + 1, dtype=np.uint16)).sum(
+        axis=1, dtype=np.uint16)                        # bit w: s has weight w
     want_t = t is not None and 0 <= t <= f.n
     tau = None
-    masks, weights = [], []
+    kept = []                       # pairs s << low | l that reach tau or t
     rows = max(1, _BLOCK >> low)
-    for r0 in range(0, hi.shape[1], rows):
-        block = hi[:, r0:r0 + rows, None]
+    for r0 in range(0, sig.shape[1], rows):
+        block = sig[:, r0:r0 + rows, None]
+        r1 = r0 + block.shape[1]
         ok = (lo[0] | block[0]) == full[0]
         for k in range(1, full.size):
             ok &= (lo[k] | block[k]) == full[k]
-        weight = pc[r0:r0 + block.shape[1], None] + pc
-        least = int(np.min(weight, where=ok, initial=_UNSAT))
+        least = int(np.min(wmin[r0:r1, None] + pc, where=ok, initial=_UNSAT))
         if least == _UNSAT:
             continue
         tau = least if tau is None else min(tau, least)
-        keep = weight == tau
-        if want_t:
-            keep |= weight == t
-        hits = np.flatnonzero(keep & ok)
-        masks.append(hits + (r0 << low))
-        weights.append(weight.ravel()[hits])
+        # bit w of target[l]: a high row of weight w brings l to tau or t;
+        # a right shift never widens, so any dtype numpy picks holds it
+        target = np.uint32((1 << tau) | (1 << t if want_t else 0)) >> pc
+        ok &= (wbits[r0:r1, None] & target.astype(np.uint16)) != 0
+        kept.append(np.flatnonzero(ok) + (r0 << low))
     if tau is None:
         empty = np.zeros(0, dtype=np.int64)
         return None, empty, empty
-    masks, weights = np.concatenate(masks), np.concatenate(weights)
-    at_t = masks[weights == t] if want_t else masks[:0]
-    return tau, masks[weights == tau], at_t
+    kept = np.concatenate(kept)
+    s, l = kept >> low, kept & ((1 << low) - 1)
+
+    def at(weight: int) -> np.ndarray:
+        """Masks of the given weight: each kept pair with every high row of
+        its signature and of the weight that the low entry leaves."""
+        w = weight - pc[l].astype(np.int64)
+        fits = (w >= 0) & (w <= high)
+        k = s[fits] * (high + 1) + w[fits]
+        c = count[k]
+        i = np.repeat(start[k] - np.cumsum(c) + c, c) + np.arange(c.sum())
+        return order[i] << low | np.repeat(l[fits], c)
+
+    return tau, at(tau), at(t) if want_t else kept[:0]
 
 
 def _tuples(masks: np.ndarray, n: int) -> tuple[tuple[int, ...], ...]:
-    """Sorted variable tuples of assignment masks that share one weight."""
+    """Sorted variable tuples of assignment masks that share one weight:
+    the masks in descending bit-reversed order, each read off lowest bit
+    first (the module docstring gives the argument)."""
     if masks.size == 0:
         return ()
-    bits = np.unpackbits(masks.astype("<u4").view(np.uint8).reshape(-1, 4),
-                         axis=1, count=n, bitorder="little")
-    _, cols = np.nonzero(bits)
-    cols += 1
-    columns = cols.reshape(masks.size, -1).T
-    if columns.size == 0:
-        return ((),)
-    return tuple(zip(*columns[:, np.lexsort(columns[::-1])].tolist()))
+    masks = _reverse(np.sort(_reverse(masks, n))[::-1], n)
+    columns = []
+    for _ in range(int(masks[0]).bit_count()):
+        bit = masks & -masks
+        columns.append(np.frexp(bit)[1].tolist())     # 2^k -> k + 1
+        masks ^= bit
+    return tuple(zip(*columns)) if columns else ((),)
+
+
+def _reverse(masks: np.ndarray, n: int) -> np.ndarray:
+    """The masks with their n low bits in reverse order."""
+    rev = (_REV8[masks & 0xFF] << 16 | _REV8[masks >> 8 & 0xFF] << 8
+           | _REV8[masks >> 16])
+    return rev >> (MAX_ORACLE_VARS - n)
 
 
 @dataclass

@@ -136,8 +136,10 @@ def edge_constraints(tree: DebugTree) -> list[list[tuple[int, int, int]]]:
     return cons
 
 
-# _AFTER[k][i][j] bit c: code c of k <= 3 siblings puts child i after child j
-_AFTER = {k: [[sum(1 << c for c, p in enumerate(itertools.permutations(range(k)))
+# _AFTER[k][i][j] bit c, c < 6: code c of k <= 3 siblings puts child i after
+# child j, where code c means order c mod k!, as k! divides 6
+_AFTER = {k: [[sum(1 << c for c, p in enumerate(itertools.islice(
+                   itertools.cycle(itertools.permutations(range(k))), 6))
                    if p.index(i) > p.index(j)) for j in range(k)] for i in range(k)]
           for k in (1, 2, 3)}
 
@@ -150,9 +152,11 @@ class SurvivalKernel:
     node; its code, in [0, ``orders[g]`` = k!), indexes
     ``itertools.permutations(range(k))``, the order they are explored in.
     ``run`` takes a (groups, columns) code array, one joint ordering per
-    column.  Each edge's ok flag is evaluated once, from its marker
-    constraints, and packed 8 orderings to a byte; "alive" is propagated
-    top-down by depth on the packed bytes."""
+    column; it reads a code c in [0, 6) as code c mod k!, so a code drawn
+    uniformly from [0, 6) is uniform on every group's orders.  Each edge's
+    ok flag is evaluated once, from its marker constraints, and packed 8
+    orderings to a byte; "alive" is propagated top-down by depth on the
+    packed bytes."""
 
     def __init__(self, tree: DebugTree):
         nodes = tree.nodes

@@ -226,6 +226,15 @@ def validate_engine_input(f: Formula, t: int) -> int:
 
 
 class _Engine:
+    # every attribute an engine sets, so instances carry no __dict__; a new
+    # attribute needs its name here
+    __slots__ = ("f", "n", "t", "record", "debug_assertions", "draw_below",
+                 "hashes", "path", "mono3_index", "mono3", "has_empty_clause",
+                 "pick", "wake_by", "fals_by", "live0", "unit0", "keep_by",
+                 "base", "stats", "buffer", "t0", "route", "_seen",
+                 "discarded_leaves", "tree_nodes", "tree_profiles",
+                 "keep_marks", "label_cnt", "label_nodes")
+
     def __init__(self, f: Formula, t: int, ordering: OrderingSource,
                  *, debug_assertions: bool | None = None,
                  record: bool = False, collect: bool = True,

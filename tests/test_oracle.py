@@ -1,5 +1,8 @@
 import hashlib
+import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 import naenum.oracle as oracle
@@ -95,3 +98,35 @@ def test_nae_cross_check_reports_nae_check_failure(monkeypatch):
     assert oracle.nae_oracle_cross_check(f, 2)
     monkeypatch.setattr(oracle, "nae_check", lambda g, s: s != (1, 2))
     assert oracle.nae_oracle_cross_check(f, 2) is False
+
+
+@pytest.mark.parametrize("n", range(1, 25))
+def test_tuples_match_sorted_sets(n):
+    # masks of one weight, drawn at random plus the weight's least and
+    # greatest mask, come out as the sorted tuples of their set bits
+    rng = random.Random(n)
+    for w in {0, 1, n // 2, n - 1, n}:
+        sets = {tuple(sorted(rng.sample(range(1, n + 1), w))) for _ in range(300)}
+        sets |= {tuple(range(1, w + 1)), tuple(range(n - w + 1, n + 1))}
+        masks = np.array([sum(1 << (v - 1) for v in s) for s in sets],
+                         dtype=np.int64)
+        got = oracle._tuples(masks, n)
+        assert got == tuple(sorted(sets)), (n, w)
+        assert all(type(v) is int for s in got for v in s)
+    assert oracle._tuples(np.zeros(0, dtype=np.int64), n) == ()
+
+
+def test_brute_force_maj24_peak_memory():
+    # 22,031,048 B is the peak of the scan that tested every pair of half
+    # assignments (Python 3.11, numpy 2.4); the distinct-signature scan
+    # peaked at 12.7 MB there, about half of it the report's 46,656 tuples
+    f = maj(24, 3)
+    brute_force(maj(8, 3), 4)
+    tracemalloc.start()
+    try:
+        rep = brute_force(f, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.tau == 12 and rep.gamma_count == 6 ** 6
+    assert peak <= 22_031_048, peak

@@ -7,6 +7,7 @@ from dataclasses import fields
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import naenum.oracle as oracle
 from naenum import (Formula, OracleReport, brute_force, maj,
                     nae_solutions_direct, negation_closure)
 import reference_oracle
@@ -77,9 +78,10 @@ def _exact_count(n, m, seed, negative):
 
 
 @pytest.mark.parametrize("m", [0, 63, 64, 65, 129, 200])
-@pytest.mark.parametrize("n", [12, 13])
+@pytest.mark.parametrize("n", [12, 13, 15])
 @pytest.mark.parametrize("negative", [0.0, 0.3])
 def test_word_boundary_clause_counts(n, m, negative):
+    # one to four words; at odd n the low half holds one variable more
     f = _exact_count(n, m, seed=1000 * n + m, negative=negative)
     assert len(f.clauses) == m
     _check(f, n // 2)
@@ -98,3 +100,63 @@ def test_closure_of_maj20_matches_reference():
     rep = _assert_same(f, 10)
     assert rep.tau == 10 and rep.gamma_count == 6 ** 5
     assert rep.weight_t_solutions is rep.gamma
+
+
+def _distinct_high_signatures(f):
+    """The number of distinct clause sets that the assignments of the high
+    floor(n/2) variables make some literal true in."""
+    low = (f.n + 1) // 2
+    sigs = set()
+    for a in range(1 << (f.n - low)):
+        value = {low + 1 + i: a >> i & 1 for i in range(f.n - low)}
+        sigs.add(frozenset(j for j, c in enumerate(f.clauses)
+                           if any(value.get(abs(l)) == (l > 0) for l in c)))
+    return len(sigs)
+
+
+@pytest.mark.parametrize("n", [4, 8, 12, 16, 20])
+@pytest.mark.parametrize("closed", [False, True])
+def test_repeated_signatures_match_reference(n, closed):
+    # from n = 8 on, block-majority halves repeat their signatures: many
+    # high rows share one, with different weights, so one pair expands to
+    # several rows
+    f = negation_closure(maj(n, 3)) if closed else maj(n, 3)
+    if n >= 8:
+        assert _distinct_high_signatures(f) < 1 << (f.n - (f.n + 1) // 2)
+    rep = _assert_same(f, None)
+    for t in (rep.tau, rep.tau - 1, rep.tau + 1, 3):
+        _assert_same(f, t)
+    assert nae_solutions_direct(f, n // 2) == \
+        reference_oracle.nae_solutions_direct(f, n // 2)
+
+
+def _random_3cnf(n, m, seed):
+    rng = random.Random(seed)
+    return Formula.of(n, [[-v if rng.random() < 0.5 else v
+                           for v in rng.sample(range(1, n + 1), 3)]
+                          for _ in range(m)])
+
+
+@pytest.mark.parametrize("n, m, seed", [(12, 16, 4), (14, 20, 4), (16, 24, 28),
+                                        (16, 28, 0)])
+def test_distinct_signatures_with_dense_solutions_match_reference(n, m, seed):
+    # every high row has its own signature, and satisfying assignments
+    # spread over many weights, so each block keeps only the pairs that
+    # reach the running tau or t
+    f = _random_3cnf(n, m, seed)
+    assert _distinct_high_signatures(f) == 1 << (n - (n + 1) // 2)
+    satisfying = reference_oracle._scan(f, reference_oracle._sat_pred)[0].size
+    _check(f, n // 2)
+    rep = _assert_same(f, n // 2)
+    assert satisfying > 3 * (rep.gamma_count + len(rep.weight_t_solutions))
+
+
+@pytest.mark.parametrize("block", [1, 1 << 8])
+def test_small_blocks_match_reference(block, monkeypatch):
+    # one or a few signatures per block: tau falls from block to block, and
+    # pairs kept for an earlier, larger tau must not reach the report
+    monkeypatch.setattr(oracle, "_BLOCK", block)
+    for seed in range(12):
+        _check(_random_formula(10 + seed % 5, 12 + seed, 0.3, seed), 5)
+    _check(negation_closure(maj(12, 3)), 6)
+    _check(_random_3cnf(16, 28, 0), 8)

@@ -1,12 +1,14 @@
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from naenum import (DebugTree, Formula, TreeNode, brute_force, build_debug_tree,
                     check_invariants, effective_width, export_lines, maj, mass,
                     negation_closure, psi_exact, random_negation_closed)
 from naenum.selection import FREE, ONEMARK, TWOMARK
-from naenum.tree import marked_child_count
+from naenum.tree import _AFTER, SurvivalKernel, marked_child_count, row_counts
 from oracles import psi_of_node, shoot_stats, sigma_edge, simplify
 
 
@@ -330,3 +332,29 @@ def test_psi_exact_with_more_than_sixty_marks():
     tree.nodes += [TreeNode(5, 2, 3, 1, tuple(range(200, 240)), False, leaf_kind="viable"),
                    TreeNode(6, 2, 3, 2, (), True, leaf_kind="falsified")]
     assert psi_exact(tree) == 1 + Fraction(1, 2 ** 61) + Fraction(1, 2 ** 70)
+
+
+def test_after_bits_repeat_with_period_k_factorial():
+    for k, table in _AFTER.items():
+        period = math.factorial(k)
+        for row in table:
+            for bits in row:
+                assert bits < 1 << 6
+                assert all(bits >> c & 1 == bits >> (c % period) & 1
+                           for c in range(6)), (k, bits)
+
+
+def test_survival_kernel_reads_codes_mod_k_factorial():
+    # two- and three-child groups both carry marker constraints here, and a
+    # code c in [0, 6) must act as c mod k! on each; 203 columns leave
+    # padding bits in the last packed byte
+    f = negation_closure(Formula.of(7, [(6, 4), (7, 3), (5, 3), (5, 4), (5, 6, 2)]))
+    kernel = SurvivalKernel(build_debug_tree(f, brute_force(f).tau))
+    constrained = kernel.orders[kernel.con_group[kernel.con_bits != 0xFF]]
+    assert {2, 6} <= set(constrained.tolist())
+    codes = np.random.default_rng(3).integers(0, 6, size=(len(kernel.orders), 203),
+                                              dtype=np.uint8)
+    got = kernel.run(codes)
+    want = kernel.run(codes % kernel.orders[:, None])
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert row_counts(got[1]).sum() > 0

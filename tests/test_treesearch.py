@@ -796,3 +796,13 @@ def test_non_maximal_base_is_an_invariant_failure():
     base = ((1, 2, 3),)
     with pytest.raises(InternalInvariantError, match="base collection is not maximal"):
         _Engine(f, 4, OrderingSource.fixed(), base=base).run()
+
+
+def test_engine_instances_carry_no_dict():
+    # every attribute an engine sets is a slot, and every slot is set
+    f = negation_closure(maj(8, 3))
+    for kw in ({}, {"record": True}, {"collect": False}):
+        eng = _Engine(f, 4, OrderingSource.random(1), **kw)
+        eng.run()
+        assert not hasattr(eng, "__dict__")
+        assert all(hasattr(eng, name) for name in _Engine.__slots__)

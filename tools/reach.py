@@ -7,8 +7,11 @@ never executes, and the record fields that no code reads.
 The suite runs in this process under ``sys.settrace``, traced only inside
 ``src/naenum``.  The ids of the tests that fail under the trace are printed,
 but they do not set the exit code: tracing slows every test, so timing gates
-may fail, and tracemalloc also counts the tracer's allocations.  Code that
-the suite runs in subprocesses is not followed.  A statement is unreached when none of its executable lines ran.
+may fail, and tracemalloc also counts the tracer's allocations.  Each such
+test is run once more, untraced, in a fresh interpreter, and printed as
+"tracer-only" when it passes there.  Code that the suite runs in
+subprocesses is not followed.  A statement is unreached when none of its
+executable lines ran.
 ``tools/reach_allow.txt`` lists the statements that may stay unreached, one
 per line as
 
@@ -41,6 +44,7 @@ from __future__ import annotations
 import argparse
 import ast
 import os
+import subprocess
 import sys
 import threading
 from pathlib import Path
@@ -181,6 +185,14 @@ def _trace_suite(pytest_args: list[str]) -> tuple[dict[str, set[int]], list[str]
     return files, failed
 
 
+def _passes_untraced(nodeid: str) -> bool:
+    """Whether the test passes in a fresh interpreter without the trace."""
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p",
+                          "no:cacheprovider", nodeid], cwd=ROOT,
+                         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    return run.returncode == 0
+
+
 def _read_allow() -> list[tuple[str, str, str, str]]:
     entries = []
     for n, raw in enumerate(ALLOW.read_text().splitlines(), start=1):
@@ -242,7 +254,10 @@ def main(argv=None) -> int:
     print(f"{bad} unreached statements or unread fields not in {ALLOW.name}")
     print(f"{len(failed)} tests failed under the trace (not counted in the exit code)")
     for nodeid in failed:
-        print(f"failed under trace: {nodeid}")
+        if _passes_untraced(nodeid):
+            print(f"tracer-only (passes untraced): {nodeid}")
+        else:
+            print(f"failed under trace and untraced: {nodeid}")
     return 1 if bad else 0
 
 
