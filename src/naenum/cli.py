@@ -72,6 +72,17 @@ def _sol_line(sol: tuple[int, ...], n: int, bitstring: bool) -> str:
     return " ".join(str(v) for v in sol)
 
 
+def _read_sol_line(line: str, n: int) -> tuple[int, ...]:
+    """A line of either format ``_sol_line`` writes.  One token of exactly n
+    characters from {0,1} is a bitstring: read as a variable index, it would
+    exceed n when n >= 2, and at n = 1 both readings agree.  The empty line
+    is the empty solution."""
+    tokens = line.split()
+    if len(tokens) == 1 and len(tokens[0]) == n and set(tokens[0]) <= {"0", "1"}:
+        return tuple(i for i, bit in enumerate(tokens[0], start=1) if bit == "1")
+    return tuple(int(v) for v in tokens)
+
+
 def cmd_gen(args) -> int:
     if args.family == "maj":
         f = maj(args.n, args.k)
@@ -173,8 +184,8 @@ def cmd_verify(args) -> int:
     t = _resolve_t(args, f)
     if args.solutions:
         with open(args.solutions, "r", encoding="ascii") as fh:
-            emitted = [tuple(int(v) for v in line.split())
-                       for line in fh if line.strip()]
+            emitted = [_read_sol_line(line, f.n)
+                       for line in fh.read().splitlines()]
     else:
         emitted, _ = collect_solutions(
             f, t, OrderingSource.random(args.seed) if args.seed is not None

@@ -195,11 +195,9 @@ class OracleReport:
     """Exact answers for one formula: transversal number, the set of
     minimum-size transversals, and (optionally) the weight-t solution set."""
 
-    n: int
     tau: int | None
     gamma: tuple[tuple[int, ...], ...]
     gamma_count: int
-    t: int | None = None
     weight_t_solutions: tuple[tuple[int, ...], ...] = ()
 
 
@@ -214,10 +212,10 @@ def brute_force(f: Formula, t: int | None = None) -> OracleReport:
     _require_small(f)
     tau, at_tau, at_t = _scan(f, False, t)
     if tau is None:
-        return OracleReport(f.n, None, (), 0, t, ())
+        return OracleReport(None, (), 0, ())
     gamma = _tuples(at_tau, f.n)
     sols = () if t is None else gamma if t == tau else _tuples(at_t, f.n)
-    return OracleReport(f.n, tau, gamma, len(gamma), t, sols)
+    return OracleReport(tau, gamma, len(gamma), sols)
 
 
 def nae_solutions_direct(f: Formula, t: int) -> tuple[tuple[int, ...], ...]:

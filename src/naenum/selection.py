@@ -87,8 +87,6 @@ class StageProfile:
     t0: int
     base: tuple[Clause, ...]
     q_u0: frozenset[int]
-    x_index: dict[int, int]               # X variable -> base level
-    f1: tuple[Clause, ...]
     c1: tuple[Clause, ...]                # onemark collection, |c1| = t1
     c1_levels: tuple[int, ...]            # base level per c1 member, aligned
     x_tilde: dict[int, int]               # level in V1 -> X var used by c1
@@ -99,7 +97,6 @@ class StageProfile:
     cr: tuple[Clause, ...]                # twomark collection, |cr| = m'_R
     cr_level: dict[Clause, int]           # twomark clause -> its V1 level
     vr: tuple[int, ...]
-    vr_prime: tuple[int, ...]
     ell_histogram: dict[int, int] = field(default_factory=dict)
 
     @property
@@ -254,11 +251,9 @@ def build_stage_profile(f: Formula, base: tuple[Clause, ...],
     f2r = tuple(f2r_level)
     vr = tuple(sorted(set(f2r_level.values())))
     cr = maximum_family(f2r, len(vr))
-    cr_level = {c: f2r_level[c] for c in cr}
-    vr_prime = tuple(sorted(cr_level.values()))
-    return StageProfile(t0, base, q0, x_index, f1, c1, tuple(c1_levels),
-                        x_tilde, x_hat, v1, f2r, tuple(f2b), cr, cr_level, vr,
-                        vr_prime)
+    return StageProfile(t0, base, q0, c1, tuple(c1_levels), x_tilde, x_hat,
+                        v1, f2r, tuple(f2b), cr, {c: f2r_level[c] for c in cr},
+                        vr)
 
 
 @dataclass(frozen=True)

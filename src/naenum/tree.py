@@ -39,7 +39,6 @@ class TreeNode:
     stage: str | None = None        # stage of the clause expanding this node
     children: list[int] = field(default_factory=list)
     leaf_kind: str | None = None    # None (internal) | "falsified" | "viable"
-    is_transversal: bool = False
     heavy_budget: int | None = None  # set on end-of-onemark nodes
 
     @property

@@ -33,19 +33,11 @@ counters and the falsifying mask ``U`` directly.
 Random sibling orderings come from a counter-based stream (splitmix64 as a
 path hash, after Salmon et al., SC 2011): a node's order is a function of the
 seed and its path labels alone, computed from its parent's hash in a few
-integer operations.  The stream, exactly: splitmix64(z) adds
-0x9E3779B97F4A7C15 to z, then does z ^= z >> 30, z *= 0xBF58476D1CE4E5B9,
-z ^= z >> 27, z *= 0x94D049BB133111EB and z ^= z >> 31, all modulo 2^64.  The
-root's hash is splitmix64(seed mod 2^64), and the child entered through label
-x gets splitmix64(h ^ x), where h is its parent's hash.  A node with k
-children draws d from its hash h: d = h, and while d >= k! * floor(2^64 / k!),
-d = splitmix64(d).  Its children, in clause-variable order, are then permuted
-by entry d mod k! of the lexicographic list itertools.permutations(range(k)):
-position i of the new order holds the child at index perm[i].  Re-mixing
-changes only d, never the hash passed to the children.  The stream fixes
-every node's order, but a count does not compute the draws at depth t - 1:
-a depth-t leaf's siblings carry other labels, so nothing a count reports can
-observe their order.  A collect draws there, for its emission order.
+integer operations.  The ``OrderingSource`` docstring gives the stream
+exactly.  The stream fixes every node's order, but a count does not compute
+the draws at depth t - 1: a depth-t leaf's siblings carry other labels, so
+nothing a count reports can observe their order.  A collect draws there, for
+its emission order.
 
 Each call also builds one ``monotone_index`` of the formula (its monotone
 width-3 clauses with their variable masks).  The base greedy and every
@@ -352,7 +344,6 @@ class _Engine:
                         self.tree_nodes[0].leaf_kind = "viable"
                         if not P:
                             self.stats.solutions_emitted += 1
-                            self.tree_nodes[0].is_transversal = True
                             if self.buffer is not None:
                                 self.buffer.append(tuple(sorted(self.path)))
                 break
@@ -488,8 +479,6 @@ class _Engine:
                     stats.leaves_visited += 1
                     if not Px:
                         stats.solutions_emitted += 1
-                        if record:
-                            self.tree_nodes[child_id].is_transversal = True
                         key = Qx
                         if buf is not None:
                             key = tuple(sorted(path))

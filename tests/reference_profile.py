@@ -11,8 +11,8 @@ by exhaustive search, with no twomark keep.
 The package's collections are sorted tuples of clauses.  This copy keeps the
 collection class it was written against, ``DisjointCollection``: it wraps
 the base tuple it is given in one, and hands ``StageProfile`` tuples.
-``StageProfile`` has since dropped its ``n`` and ``p`` fields, so this copy no
-longer passes them.
+``StageProfile`` has since dropped its ``n``, ``p``, ``x_index``, ``f1`` and
+``vr_prime`` fields, so this copy no longer passes them.
 
 ``took_marked`` and ``twomark_context`` below are the twomark plan as it was
 before ``naenum.selection.twomark_context`` took the onemark labels: the
@@ -196,10 +196,10 @@ def build_stage_profile(f: Formula, base: Sequence[Clause],
                             if v in x_index and x_index[v] in c1_of_level)
                        for c in f2r}))
     vr_prime = tuple(sorted(cr_level.values()))
-    return StageProfile(t0, tuple(base.members), q0, x_index,
-                        f1, tuple(c1.members), c1_levels, x_tilde, x_hat, v1,
+    return StageProfile(t0, tuple(base.members), q0,
+                        tuple(c1.members), c1_levels, x_tilde, x_hat, v1,
                         tuple(f2r), tuple(f2b), tuple(cr.members), cr_level,
-                        vr, vr_prime)
+                        vr)
 
 
 def took_marked(prof: StageProfile, onemark_labels: Sequence[int]) -> frozenset[int]:

@@ -163,6 +163,39 @@ def test_verify_solutions_file_mismatch(maj4, tmp_path, capsys):
     assert doc["duplicates"] == 1 and doc["missing"] == 4
 
 
+def test_verify_reads_what_enumerate_writes(maj4, tmp_path, capsys):
+    # the closure of maj(4,3) at t = 2, and the empty solution of a formula
+    # without clauses at t = 0, round-trip through --solutions in both formats
+    empty3 = tmp_path / "empty3.cnf"
+    empty3.write_text("p cnf 3 0\n")
+    sols = tmp_path / "sols.txt"
+    for path, t, closure, bits, lines in (
+            (maj4, 2, ["--closure"], [], ["1 2", "1 3", "1 4", "2 3", "2 4", "3 4"]),
+            (maj4, 2, ["--closure"], ["--bitstring"],
+             ["1100", "1010", "1001", "0110", "0101", "0011"]),
+            (empty3, 0, [], [], [""]),
+            (empty3, 0, [], ["--bitstring"], ["000"])):
+        code, _, _ = run_cli(["enumerate", "--t", str(t), *closure, *bits,
+                              "--solutions", str(sols), str(path)], capsys)
+        assert code == 0 and sols.read_text().splitlines() == lines
+        code, out, _ = run_cli(["verify", "--t", str(t), *closure,
+                                "--solutions", str(sols), str(path)], capsys)
+        doc = json.loads(out.strip())
+        assert code == 0 and doc["passed"] is True, (path, bits, doc)
+
+
+def test_verify_reads_bitstrings_and_empty_lines(maj4, tmp_path, capsys):
+    # a wrong bitstring and a blank line (the empty solution) both count
+    sols = tmp_path / "sols.txt"
+    sols.write_text("1100\n1010\n1001\n0110\n0101\n0111\n\n")
+    code, out, _ = run_cli(["verify", "--closure", "--t", "2",
+                            "--solutions", str(sols), maj4], capsys)
+    doc = json.loads(out.strip())
+    assert code == 5
+    assert (doc["missing"], doc["unexpected"], doc["duplicates"]) == (1, 2, 0)
+    assert doc["first_mismatch"] == "missing: (3, 4)"
+
+
 def test_verify_nae(maj4, capsys):
     code, out, _ = run_cli(["verify", "--nae", maj4], capsys)
     assert code == 0 and json.loads(out.strip())["passed"] is True

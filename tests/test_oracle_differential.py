@@ -14,7 +14,7 @@ import reference_oracle
 
 
 def _assert_python_ints(rep):
-    for name in ("n", "tau", "gamma_count", "t"):
+    for name in ("tau", "gamma_count"):
         value = getattr(rep, name)
         assert value is None or type(value) is int, name
     for sols in (rep.gamma, rep.weight_t_solutions):

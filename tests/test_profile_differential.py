@@ -99,9 +99,9 @@ def test_onemark_collection_is_maximal(corpus500, monkeypatch):
     # base-label path and on every profile the engine builds
     built = []
 
-    def recorded(*args, **kw):
-        prof = build_stage_profile(*args, **kw)
-        built.append(prof)
+    def recorded(f, *args, **kw):
+        prof = build_stage_profile(f, *args, **kw)
+        built.append((f, prof))
         return prof
 
     monkeypatch.setattr(treesearch, "build_stage_profile", recorded)
@@ -114,10 +114,19 @@ def test_onemark_collection_is_maximal(corpus500, monkeypatch):
             for path in product(*base):
                 prof = _outcome(build_stage_profile, f, base, path)
                 if isinstance(prof, StageProfile):
-                    built.append(prof)
+                    built.append((f, prof))
         collect_solutions(f, brute_force(f).tau)
     assert len(built) > 6000, len(built)
-    assert all(is_maximal(prof.c1, prof.f1) for prof in built)
+    assert all(is_maximal(prof.c1, _f1(f, prof)) for f, prof in built)
+
+
+def _f1(f: Formula, prof: StageProfile) -> list:
+    """F1 at u0, recomputed from its definition: the monotone width-3
+    clauses that avoid the path labels and hold exactly one X variable, a
+    variable of the base collection off the path."""
+    x_vars = {v for c in prof.base for v in c} - prof.q_u0
+    return [c for c in f.monotone_clauses(3)
+            if not prof.q_u0 & set(c) and len(x_vars & set(c)) == 1]
 
 
 @st.composite

@@ -60,7 +60,7 @@ def test_profile_fields_on_handbuilt_instance():
     assert prof.x_tilde == {0: 2} and prof.x_hat == {0: 3}
     assert prof.f2r == ((3, 4, 6),) and prof.f2b == ()
     assert prof.m_r == 1 and prof.m_i == 0 and prof.m_r_prime == 1
-    assert prof.vr_prime == (0,)
+    assert tuple(sorted(prof.cr_level.values())) == (0,)     # V_R'
     assert prof.i_value == 3 * 1 + 2 * 1 + 1 + 0
     # the identity m_B + m_R + m_I = t0
     assert prof.m_b + prof.m_r + prof.m_i == prof.t0
@@ -174,12 +174,13 @@ def test_twice_marked_pool_covers_every_end_of_onemark_node(corpus500):
                 continue
             q = set(tree.q_of(u))
             pool = set(prof.f2r) | set(prof.f2b)
+            x_vars = {v for c in prof.base for v in clause_vars(c)} - prof.q_u0
             c1_vars = {v for c in prof.c1 for v in clause_vars(c)}
             for c in f.monotone_clauses(3):
                 vs = clause_vars(c)
                 if set(vs) & q:
                     continue
-                counts = sorted((1 if v in prof.x_index else 0)
+                counts = sorted((1 if v in x_vars else 0)
                                 + (1 if v in c1_vars else 0) for v in vs)
                 if counts == [0, 1, 1]:
                     assert c in pool

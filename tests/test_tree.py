@@ -6,7 +6,8 @@ import pytest
 
 from naenum import (DebugTree, Formula, TreeNode, brute_force, build_debug_tree,
                     check_invariants, effective_width, export_lines, maj, mass,
-                    negation_closure, psi_exact, random_negation_closed)
+                    negation_closure, psi_exact, random_negation_closed,
+                    satisfies)
 from naenum.selection import FREE, ONEMARK, TWOMARK
 from naenum.tree import _AFTER, SurvivalKernel, marked_child_count, row_counts
 from oracles import psi_of_node, shoot_stats, sigma_edge, simplify
@@ -19,7 +20,7 @@ def test_single_clause_tree():
     assert [tree.nodes[c].label for c in root.children] == [1, 2, 3]
     assert all(tree.nodes[c].markers == () for c in root.children)
     assert all(tree.nodes[c].leaf_kind == "viable" for c in root.children)
-    assert all(tree.nodes[c].is_transversal for c in root.children)
+    assert all(satisfies(f, tree.q_of(tree.nodes[c])) for c in root.children)
     assert mass(tree, root) == 3
     st = shoot_stats(tree, root, tree.nodes[root.children[0]])
     assert st.weight == 0 and st.defect == 0

@@ -1,17 +1,21 @@
 """Reach audit: list the statements of ``src/naenum`` that the tier-1 suite
-never executes, and the record fields that no code reads.
+never executes, and the record fields that no program code reads.
 
     python tools/reach.py          # exit 1 if one is found and not allowed
     python tools/reach.py --all    # also print the allowed ones
 
 The suite runs in this process under ``sys.settrace``, traced only inside
-``src/naenum``.  The ids of the tests that fail under the trace are printed,
-but they do not set the exit code: tracing slows every test, so timing gates
-may fail, and tracemalloc also counts the tracer's allocations.  Each such
-test is run once more, untraced, in a fresh interpreter, and printed as
-"tracer-only" when it passes there.  Code that the suite runs in
-subprocesses is not followed.  A statement is unreached when none of its
-executable lines ran.
+``src/naenum``.  Code that the suite runs in subprocesses is not followed.
+A statement is unreached when none of its executable lines ran.
+
+The run also fails when the audit saw only part of the suite: when pytest
+stops short of running it (a usage or internal error, no tests), or when a
+test or a test module fails both under the trace and untraced.  Each test
+that fails under the trace is run once more, untraced, in a fresh
+interpreter; one that passes there is printed as "tracer-only" and does not
+count, because tracing slows every test, so timing gates may fail, and
+tracemalloc also counts the tracer's allocations.
+
 ``tools/reach_allow.txt`` lists the statements that may stay unreached, one
 per line as
 
@@ -23,37 +27,42 @@ are keyed by text rather than line number, so edits elsewhere in a file do
 not stale the list.  Every entry needs a reason.  Entries that match no
 unreached statement are reported as stale but do not fail the run.
 
-The field audit lists every field of a dataclass or ``NamedTuple`` declared
-in ``src/naenum`` that nothing reads.  A field counts as read if some file
-under ``src/``, ``tests/``, ``demos/`` or ``perfbench/`` loads an attribute
-of its name or holds a string literal equal to it (``getattr``, dict keys).
-Stores, including augmented ones such as ``x.count += 1``, are not reads.
-Matching is by name only, so a field is read as soon as any class's field
-or attribute of that name is: ``TreeNode.ell`` would count as read through
-``TwomarkContext.ell``.  The same goes for unrelated string literals and for
-readers that are only tests: a field named ``n`` passes through ``Formula.n``,
-one named ``p`` through a ``"p"`` literal such as a DIMACS header tag, and a
-field that only a test's name list mentions passes although no program code
-reads it.  An unread field may be allowed by an entry
+The field audit watches reads.  For the run, ``__getattribute__`` of every
+dataclass and ``NamedTuple`` declared in ``src/naenum`` is wrapped, and a
+field counts as read once code in a file of ``src/naenum`` reads it from an
+instance, by attribute or ``getattr``.  Reads by tests, demos, the standard
+library and the ``__repr__``/``__eq__`` that ``dataclasses`` generates do not
+count, nor do stores, including the load that an augmented store such as
+``x.count += 1`` makes first.  A ``NamedTuple`` field read only by index or
+unpacking is not seen.  The original ``__getattribute__`` is put back after
+the run, or as soon as every field of the class has been read.  An unread
+field may be allowed by an entry
 
     <file> :: <class> :: field <name> :: <reason>
+
+whose reason names the field's reader outside ``src/``.
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
+import contextlib
+import dataclasses
+import dis
+import functools
+import importlib
 import os
 import subprocess
 import sys
 import threading
 from pathlib import Path
+from typing import Iterable, Iterator
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 PKG = SRC / "naenum"
 ALLOW = Path(__file__).resolve().parent / "reach_allow.txt"
-READERS = ("src", "tests", "demos", "perfbench")
 SEP = " :: "
 
 
@@ -100,37 +109,97 @@ def _statements(tree: ast.Module) -> tuple[dict[int, int], dict[int, str]]:
     return start, func
 
 
-def _is_record(cls: ast.ClassDef) -> bool:
-    """A ``@dataclass`` (with or without arguments) or a ``NamedTuple``."""
-    marks = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
-    names = {getattr(m, "id", getattr(m, "attr", None)) for m in marks + cls.bases}
-    return bool(names & {"dataclass", "NamedTuple"})
+def own_fields(cls: type) -> tuple[str, ...]:
+    """The fields that a dataclass or ``NamedTuple`` declares itself."""
+    if dataclasses.is_dataclass(cls):
+        own = vars(cls).get("__annotations__", {})
+        return tuple(f.name for f in dataclasses.fields(cls) if f.name in own)
+    if issubclass(cls, tuple) and hasattr(cls, "_fields"):
+        return cls._fields
+    return ()
 
 
-def _unread_fields() -> list[tuple[str, str, int, str]]:
-    """(file, class, line, ``field <name>``) per record field of
-    ``src/naenum`` whose name nothing reads."""
-    read: set[str] = set()
-    for top in READERS:
-        for path in (ROOT / top).rglob("*.py"):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                    read.add(node.attr)
-                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                    read.add(node.value)
-    out = []
-    for path in sorted(PKG.glob("*.py")):
-        for cls in ast.walk(ast.parse(path.read_text())):
-            if isinstance(cls, ast.ClassDef) and _is_record(cls):
-                out += [(path.name, cls.name, st.lineno, f"field {st.target.id}")
-                        for st in cls.body if isinstance(st, ast.AnnAssign)
-                        and isinstance(st.target, ast.Name)
-                        and st.target.id not in read]
-    return out
+def record_classes(modules: Iterable) -> list[type]:
+    """The dataclasses and ``NamedTuple`` classes declared in ``modules``."""
+    return [obj for mod in modules for obj in vars(mod).values()
+            if isinstance(obj, type) and obj.__module__ == mod.__name__
+            and own_fields(obj)]
 
 
-def _trace_suite(pytest_args: list[str]) -> tuple[dict[str, set[int]], list[str]]:
-    """Lines run per file of ``src/naenum``, and the ids of failed tests."""
+@functools.cache
+def _augmented_loads(code) -> frozenset[int]:
+    """Offsets of the attribute loads in ``code`` that an augmented store
+    (``x.f += 1``: copy ``x``, load ``f``, ..., store ``f``) makes."""
+    ins = list(dis.get_instructions(code))
+    stored = {i.argval for i in ins if i.opname == "STORE_ATTR"}
+    return frozenset(b.offset for a, b in zip(ins, ins[1:])
+                     if b.opname == "LOAD_ATTR" and b.argval in stored
+                     and (a.opname, a.arg) in (("COPY", 1), ("DUP_TOP", None)))
+
+
+@contextlib.contextmanager
+def watch_reads(classes: Iterable[type],
+                directory: str | os.PathLike) -> Iterator[set[tuple[type, str]]]:
+    """Yield the set of (declaring class, field) that code in files under
+    ``directory`` reads from instances of ``classes`` while the block runs.
+
+    Each class gets a ``__getattribute__`` that records such a read and
+    then defers to the one the class had; the originals are put back on
+    exit, or for a class as soon as each of its fields has been read."""
+    classes = list(classes)
+    prefix = os.path.join(os.fspath(directory), "")
+    reads: set[tuple[type, str]] = set()
+    saved = {cls: (vars(cls).get("__getattribute__"), cls.__getattribute__)
+             for cls in classes}
+
+    def restore(cls: type) -> None:
+        own, _ = saved.pop(cls)
+        if own is None:
+            delattr(cls, "__getattribute__")
+        else:
+            cls.__getattribute__ = own
+
+    def wrap(cls: type, orig):
+        # field name -> the watched class in the MRO that declares it
+        owner = {name: base for base in reversed(cls.__mro__)
+                 if base in saved for name in own_fields(base)}
+
+        def __getattribute__(self, name):
+            decl = owner.get(name)
+            if decl is not None and (decl, name) not in reads:
+                caller = sys._getframe(1)
+                code = caller.f_code
+                if (code.co_filename.startswith(prefix)
+                        and caller.f_lasti not in _augmented_loads(code)):
+                    reads.add((decl, name))
+                    if cls in saved and all((base, f) in reads
+                                            for f, base in owner.items()):
+                        restore(cls)
+            return orig(self, name)
+
+        return __getattribute__
+
+    for cls in classes:
+        cls.__getattribute__ = wrap(cls, saved[cls][1])
+    try:
+        yield reads
+    finally:
+        for cls in list(saved):
+            restore(cls)
+
+
+def _field_lines(path: Path) -> dict[tuple[str, str], int]:
+    """(class, field) -> line of the field's annotation in ``path``."""
+    return {(cls.name, st.target.id): st.lineno
+            for cls in ast.walk(ast.parse(path.read_text()))
+            if isinstance(cls, ast.ClassDef) for st in cls.body
+            if isinstance(st, ast.AnnAssign) and isinstance(st.target, ast.Name)}
+
+
+def _trace_suite(pytest_args: list[str]):
+    """Lines run per file of ``src/naenum``, the ids of failed tests and
+    test modules, pytest's exit code, the record classes of ``src/naenum``
+    and the (class, field) pairs that its code read."""
     files = {str(p): set() for p in PKG.glob("*.py")}
     failed: list[str] = []
     need: dict = {}
@@ -169,6 +238,8 @@ def _trace_suite(pytest_args: list[str]) -> tuple[dict[str, set[int]], list[str]
             if report.failed and report.nodeid not in failed:
                 failed.append(report.nodeid)
 
+        pytest_collectreport = pytest_runtest_logreport
+
     import pytest
 
     sys.path.insert(0, str(SRC))
@@ -178,11 +249,15 @@ def _trace_suite(pytest_args: list[str]) -> tuple[dict[str, set[int]], list[str]
     threading.settrace(tracer)
     sys.settrace(tracer)
     try:
-        pytest.main(pytest_args, plugins=[Rearm()])
+        # imported under the trace, so their module-level statements count
+        classes = record_classes(importlib.import_module(f"naenum.{p.stem}")
+                                 for p in sorted(PKG.glob("*.py")))
+        with watch_reads(classes, PKG) as reads:
+            code = pytest.main(pytest_args, plugins=[Rearm()])
     finally:
         sys.settrace(None)
         threading.settrace(None)
-    return files, failed
+    return files, failed, int(code), classes, reads
 
 
 def _passes_untraced(nodeid: str) -> bool:
@@ -209,13 +284,13 @@ def _read_allow() -> list[tuple[str, str, str, str]]:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--all", action="store_true",
-                    help="print allowed unreached statements too")
+                    help="print the allowed statements and fields too")
     ap.add_argument("pytest_args", nargs="*",
                     default=["-q", "-p", "no:cacheprovider",
                              "--continue-on-collection-errors", str(ROOT / "tests")])
     args = ap.parse_args(argv)
     allow = _read_allow()
-    hits, failed = _trace_suite(args.pytest_args)
+    hits, failed, code, classes, reads = _trace_suite(args.pytest_args)
 
     unreached = []                  # (file, function, first line, statement)
     for path in sorted(hits):
@@ -234,7 +309,13 @@ def main(argv=None) -> int:
                 unreached.append((Path(path).name, func.get(first, "<module>"),
                                   first, stmt))
 
-    unread = _unread_fields()
+    unread = []                     # (file, class, line, "field <name>")
+    for cls in classes:
+        path = Path(sys.modules[cls.__module__].__file__)
+        lines = _field_lines(path)
+        unread += [(path.name, cls.__qualname__,
+                    lines.get((cls.__name__, name), 0), f"field {name}")
+                   for name in own_fields(cls) if (cls, name) not in reads]
     used = set()
     bad = 0
     print(f"\n{len(unreached)} unreached statements and {len(unread)} unread "
@@ -252,11 +333,15 @@ def main(argv=None) -> int:
         if e not in used:
             print(f"stale allow entry: {SEP.join(e[:3])}")
     print(f"{bad} unreached statements or unread fields not in {ALLOW.name}")
-    print(f"{len(failed)} tests failed under the trace (not counted in the exit code)")
+    if code not in (0, 1):          # 1: some test failed, dealt with below
+        bad += 1
+        print(f"pytest stopped with exit code {code}: the suite did not run through")
+    print(f"{len(failed)} tests failed under the trace")
     for nodeid in failed:
         if _passes_untraced(nodeid):
             print(f"tracer-only (passes untraced): {nodeid}")
         else:
+            bad += 1
             print(f"failed under trace and untraced: {nodeid}")
     return 1 if bad else 0
 
