@@ -19,7 +19,7 @@ from .selection import (StageProfile, TwomarkContext, branch_on_t0,
 from .treesearch import (ExhaustiveReport, OrderingSource, SearchStats,
                          build_debug_tree, collect_solutions, count_solutions,
                          enumerate_all_orderings, enumerate_solutions)
-from .tree import (DebugTree, TreeNode, check_invariants, effective_width,
-                   export_lines, mass, psi_exact)
+from .tree import (DebugTree, TreeNode, check_invariants, export_lines,
+                   psi_exact)
 
 __version__ = "0.1.0"

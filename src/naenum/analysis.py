@@ -11,7 +11,7 @@ Every form is read one way: its square is 2^a 3^b 5^c, with (a, b, c) linear
 in (w, d, h) and read off the definition once (``_square_exponents``).  At a
 point the exponents become an integer pair P/Q for the claim kernel and,
 through a square root, the exact value the public functions return: a
-Fraction from ``g*_large`` and ``f_large``, and from ``g*_small``, ``f_small``
+Fraction from ``g_large`` and ``f_large``, and from ``g_small``, ``f_small``
 and ``f_small_alt_case3`` a ``QSqrt6``, r or r*sqrt(6) with r a Fraction.
 
 The claim grids never build those values.  Every closed form and DP entry is
@@ -135,21 +135,20 @@ _LARGE_EXPONENTS = tuple(map(_square_exponents, _LARGE_FORMS))
 _SMALL_EXPONENTS = tuple(map(_square_exponents, _SMALL_FORMS + (_SMALL_ALT_CASE3,)))
 
 
-def _value(exps, w: int, d: int, h: int = 0):
+def _value(exps, w: int, d: int, h: int = 0) -> QSqrt6:
     """Exact value at (w,d,h) of the form with square exponents ``exps``.
 
     The square is 2^e2 3^e3 5^e5 and the value its root.  Only sqrt(27/8)
     makes e2 and e3 odd, and then both are, while e5 is always even: the
-    value is a Fraction, or r*sqrt(6) with r = 2^((e2-1)/2) 3^((e3-1)/2)
-    5^(e5/2) when e2 is odd."""
+    value is r, or r*sqrt(6) with r = 2^((e2-1)/2) 3^((e3-1)/2) 5^(e5/2)
+    when e2 is odd."""
     if d < 0:
         raise ParameterError("d must be nonnegative")
     if h < 0:
         raise ParameterError("h must be nonnegative")
     e2, e3, e5 = (exps[k] * w + exps[k + 1] * d + exps[k + 2] * h
                   for k in (0, 3, 6))
-    v = Fraction(*_square_pair(e2 // 2, e3 // 2, e5 // 2))
-    return QSqrt6(v, True) if e2 % 2 else v
+    return QSqrt6(Fraction(*_square_pair(e2 // 2, e3 // 2, e5 // 2)), e2 % 2 == 1)
 
 
 def _large_case(w: int, d: int) -> int:
@@ -166,51 +165,37 @@ def _small_case(w: int, d: int, h: int) -> int:
     return 2 if w <= 3 * d - h else 3
 
 
-def _small(i: int, w: int, d: int, h: int) -> QSqrt6:
-    v = _value(_SMALL_EXPONENTS[i], w, d, h)
-    return v if isinstance(v, QSqrt6) else QSqrt6(v)
+def g_large(i: int, w: int, d: int) -> Fraction:
+    """G_i(w,d) of the two-case ceiling, i in 1..2; neither has a
+    sqrt(27/8), so the value is rational."""
+    if i not in (1, 2):
+        raise ParameterError(f"g_large needs i in 1..2, got {i}")
+    return _value(_LARGE_EXPONENTS[i - 1], w, d).r
 
 
 def f_large(w: int, d: int) -> Fraction:
     """Survival-value ceiling for a depth-d subtree whose every root-to-leaf
     shoot weighs at least w, when every node has a marked edge."""
-    return _value(_LARGE_EXPONENTS[_large_case(w, d)], w, d)
+    return g_large(_large_case(w, d) + 1, w, d)
 
 
-def g1_large(w: int, d: int) -> Fraction:
-    return _value(_LARGE_EXPONENTS[0], w, d)
-
-
-def g2_large(w: int, d: int) -> Fraction:
-    return _value(_LARGE_EXPONENTS[1], w, d)
+def g_small(i: int, w: int, d: int, h: int) -> QSqrt6:
+    """G_i(w,d,h) of the four-case ceiling, i in 1..4."""
+    if i not in (1, 2, 3, 4):
+        raise ParameterError(f"g_small needs i in 1..4, got {i}")
+    return _value(_SMALL_EXPONENTS[i - 1], w, d, h)
 
 
 def f_small(w: int, d: int, h: int) -> QSqrt6:
     """Four-case ceiling with the extra parameter h bounding, per shoot, the
     twice-marked full-mass nodes ("heavy" nodes)."""
-    return _small(_small_case(w, d, h), w, d, h)
+    return g_small(_small_case(w, d, h) + 1, w, d, h)
 
 
 def f_small_alt_case3(w: int, d: int, h: int) -> QSqrt6:
     """The algebraically equal second form of the third case; asserted equal
     to the first as a self-test."""
-    return _small(4, w, d, h)
-
-
-def g1_small(w: int, d: int, h: int) -> QSqrt6:
-    return _small(0, w, d, h)
-
-
-def g2_small(w: int, d: int, h: int) -> QSqrt6:
-    return _small(1, w, d, h)
-
-
-def g3_small(w: int, d: int, h: int) -> QSqrt6:
-    return _small(2, w, d, h)
-
-
-def g4_small(w: int, d: int, h: int) -> QSqrt6:
-    return _small(3, w, d, h)
+    return _value(_SMALL_EXPONENTS[4], w, d, h)
 
 
 # ----------------------------------------------------------------------
@@ -506,7 +491,7 @@ def n_of_u0(n: int, t0: int, t1: int, m_r_prime: int, m_b: int) -> NodeCertifica
     # every term satisfies d + h <= w, so only the last two cases of the
     # ceiling apply; which one is uniform over the terms and decided by the
     # regime index (both agree when I = n, where w = 3d - h exactly)
-    case = g3_small if i_value <= n else g4_small
+    case = 3 if i_value <= n else 4
     # w - d - h = t0 - m'_R - m_B at every term, so all terms' F have one
     # shape (G4 has no sqrt(27/8)): sum the r parts, carry the one flag
     total, root6 = Fraction(0), False
@@ -516,7 +501,7 @@ def n_of_u0(n: int, t0: int, t1: int, m_r_prime: int, m_b: int) -> NodeCertifica
         d = half - t0 - t1 - i
         h = m_r_prime + m_b - i
         coef = (Fraction(math.comb(m_r_prime, i)) * Fraction(3, 8) ** i)
-        fv = case(w, d, h)
+        fv = g_small(case, w, d, h)
         total += coef * fv.r
         root6 = fv.root6
         terms.append({"i": i, "w": w, "d": d, "h": h,

@@ -46,7 +46,7 @@ def _log(msg: str) -> None:
 def _read_formula(path: str) -> Formula:
     if path == "-":
         return parse_dimacs(sys.stdin.read())
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "rb") as fh:
         return parse_dimacs(fh.read())
 
 

@@ -197,8 +197,11 @@ class OracleReport:
 
     tau: int | None
     gamma: tuple[tuple[int, ...], ...]
-    gamma_count: int
     weight_t_solutions: tuple[tuple[int, ...], ...] = ()
+
+    @property
+    def gamma_count(self) -> int:
+        return len(self.gamma)
 
 
 def _require_small(f: Formula) -> None:
@@ -212,10 +215,10 @@ def brute_force(f: Formula, t: int | None = None) -> OracleReport:
     _require_small(f)
     tau, at_tau, at_t = _scan(f, False, t)
     if tau is None:
-        return OracleReport(None, (), 0, ())
+        return OracleReport(None, (), ())
     gamma = _tuples(at_tau, f.n)
     sols = () if t is None else gamma if t == tau else _tuples(at_t, f.n)
-    return OracleReport(tau, gamma, len(gamma), sols)
+    return OracleReport(tau, gamma, sols)
 
 
 def nae_solutions_direct(f: Formula, t: int) -> tuple[tuple[int, ...], ...]:

@@ -2,11 +2,11 @@
 and structural invariant sweeps.
 
 The search engine normally keeps only path-local state; this module holds the
-fully expanded tree it can optionally record (small n only), the per-node
-accounting (marks, mass, effective width), the exact survival value psi, the
-survival kernel over sibling orderings and the structural invariant sweep.
-The kernel keeps its per-edge flags packed, one bit per ordering and 8
-orderings to a byte; ``row_counts`` and ``column_counts`` count them.
+fully expanded tree it can optionally record (small n only), the exact
+survival value psi, the survival kernel over sibling orderings and the
+structural invariant sweep.  The kernel keeps its per-edge flags packed, one
+bit per ordering and 8 orderings to a byte; ``row_counts`` and
+``column_counts`` count them.
 
 psi and the sweep's mass ceilings are computed in integers: a sum of 2^-marks
 is held as a numerator over 2^top, top the largest mark count in the sum, and
@@ -84,23 +84,6 @@ class DebugTree:
 
     def internal(self) -> Iterator[TreeNode]:
         return (u for u in self.nodes if u.children)
-
-
-def effective_width(tree: DebugTree, u: TreeNode) -> int:
-    """Children that actually need exploring: clause width at the node minus
-    its falsifying child edges."""
-    kids = tree.child_nodes(u)
-    return len(kids) - sum(1 for k in kids if k.falsifying)
-
-
-def mass(tree: DebugTree, u: TreeNode) -> Fraction:
-    """Expected number of surviving children given the node survives."""
-    return sum((Fraction(1, 2 ** k.marks) for k in tree.child_nodes(u)
-                if not k.falsifying), start=Fraction(0))
-
-
-def marked_child_count(tree: DebugTree, u: TreeNode) -> int:
-    return sum(1 for k in tree.child_nodes(u) if k.marks > 0)
 
 
 def psi_exact(tree: DebugTree) -> Fraction:

@@ -92,13 +92,13 @@ def brute_force(f: Formula, t: int | None = None) -> OracleReport:
     _require_small(f)
     masks, weights = _scan(f, _sat_pred)
     if masks.size == 0:
-        return OracleReport(None, (), 0, ())
+        return OracleReport(None, (), ())
     tau = int(weights.min())
     gamma = tuple(sorted(_mask_to_vars(int(m)) for m in masks[weights == tau]))
     sols = ()
     if t is not None:
         sols = tuple(sorted(_mask_to_vars(int(m)) for m in masks[weights == t]))
-    return OracleReport(tau, gamma, len(gamma), sols)
+    return OracleReport(tau, gamma, sols)
 
 
 def nae_solutions_direct(f: Formula, t: int) -> tuple[tuple[int, ...], ...]:

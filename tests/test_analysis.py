@@ -1,6 +1,7 @@
 import sys
 import time
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,9 +11,8 @@ from naenum import (Formula, brute_force, enumerate_all_orderings, maj,
 from naenum import analysis
 from naenum.analysis import (QSqrt6, ClaimReport, dp_m_large, dp_m_small,
                              estimate_psi, f_large, f_small,
-                             f_small_alt_case3, feasible_profiles, g1_large,
-                             g1_small, g2_large, g2_small, g3_small, g4_small,
-                             global_bound_check, n_of_u0,
+                             f_small_alt_case3, feasible_profiles, g_large,
+                             g_small, global_bound_check, n_of_u0,
                              verify_appendix_claims)
 from naenum.errors import ParameterError
 from naenum.treesearch import DEBUG_TREE_MAX_N
@@ -112,15 +112,24 @@ def test_f_small_case3_forms_agree():
 
 def test_f_rejects_negative_depth():
     # every public closed form, not only the two piecewise ceilings
-    for fn in (f_large, g1_large, g2_large):
+    for fn in (f_large, partial(g_large, 1), partial(g_large, 2)):
         with pytest.raises(ParameterError, match="d must be nonnegative"):
             fn(1, -1)
-    for fn in (f_small, g1_small, g2_small, g3_small, g4_small,
-               f_small_alt_case3):
+    for fn in (f_small, f_small_alt_case3,
+               *(partial(g_small, i) for i in range(1, 5))):
         with pytest.raises(ParameterError, match="d must be nonnegative"):
             fn(1, -1, 0)
         with pytest.raises(ParameterError, match="h must be nonnegative"):
             fn(1, 1, -1)
+
+
+def test_closed_forms_reject_a_bad_index():
+    for i in (0, 3):
+        with pytest.raises(ParameterError, match="g_large needs i in 1..2"):
+            g_large(i, 1, 1)
+    for i in (0, 5):
+        with pytest.raises(ParameterError, match="g_small needs i in 1..4"):
+            g_small(i, 1, 1, 0)
 
 
 # The closed forms restated independently of their one definition in
@@ -135,17 +144,19 @@ def R(e: int) -> QSqrt6:
     return QSqrt6(P(27, 8) ** k) * QSqrt6(P(3, 4) if odd else 1, bool(odd))
 
 
-LITERAL_FORMS = {
-    g1_large: lambda w, d, h: P(5, 2) ** (2 * d - w) * P(2) ** (w - d),
-    g2_large: lambda w, d, h: P(2) ** (3 * d - w) * P(3, 2) ** (w - 2 * d),
-    g1_small: lambda w, d, h: QSqrt6(P(9, 4) ** d),
-    g2_small: lambda w, d, h: QSqrt6(P(9, 4) ** (2 * d - w) * P(2) ** (w - d)),
-    g3_small: lambda w, d, h: (QSqrt6(P(9, 4) ** (2 * d - w) * P(2) ** h)
-                               * R(w - d - h)),
-    g4_small: lambda w, d, h: QSqrt6(P(2) ** (3 * d - w) * P(3, 2) ** (w - 2 * d)),
-    f_small_alt_case3: lambda w, d, h: (QSqrt6(P(2) ** h * P(3, 2) ** (w - 2 * d))
-                                        * R(3 * d - w - h)),
-}
+# G1, G2 of the two-case ceiling
+LARGE_LITERALS = (
+    lambda w, d: P(5, 2) ** (2 * d - w) * P(2) ** (w - d),
+    lambda w, d: P(2) ** (3 * d - w) * P(3, 2) ** (w - 2 * d),
+)
+# G1..G4 of the four-case ceiling, then the alternate form of the third case
+SMALL_LITERALS = (
+    lambda w, d, h: QSqrt6(P(9, 4) ** d),
+    lambda w, d, h: QSqrt6(P(9, 4) ** (2 * d - w) * P(2) ** (w - d)),
+    lambda w, d, h: QSqrt6(P(9, 4) ** (2 * d - w) * P(2) ** h) * R(w - d - h),
+    lambda w, d, h: QSqrt6(P(2) ** (3 * d - w) * P(3, 2) ** (w - 2 * d)),
+    lambda w, d, h: QSqrt6(P(2) ** h * P(3, 2) ** (w - 2 * d)) * R(3 * d - w - h),
+)
 GRID = [(w, d, h) for d in range(9) for w in range(-3, 17) for h in range(9)]
 
 
@@ -157,12 +168,12 @@ def _square(v) -> Fraction:
 
 def test_closed_forms_match_literal_formulas():
     for w, d, h in GRID:
-        for fn, literal in LITERAL_FORMS.items():
-            args = (w, d) if fn in (g1_large, g2_large) else (w, d, h)
-            assert fn(*args) == literal(w, d, h), (fn.__name__, w, d, h)
-        gl = (g1_large(w, d), g2_large(w, d))
+        gl = [g_large(i, w, d) for i in (1, 2)]
+        assert gl == [literal(w, d) for literal in LARGE_LITERALS], (w, d)
         assert f_large(w, d) == (gl[0] if w <= 2 * d else gl[1])
-        gs = [fn(w, d, h) for fn in (g1_small, g2_small, g3_small, g4_small)]
+        gs = [g_small(i, w, d, h) for i in (1, 2, 3, 4)]
+        assert gs + [f_small_alt_case3(w, d, h)] == [
+            literal(w, d, h) for literal in SMALL_LITERALS], (w, d, h)
         case = 0 if w <= d else 1 if w <= d + h else 2 if w <= 3 * d - h else 3
         assert f_small(w, d, h) == gs[case]
 
@@ -179,15 +190,12 @@ def test_kernel_squares_match_public_values():
     rows3 = analysis._dp_small_rows(lo, 16, 8, 8)
     for w, d, h in GRID:
         g1, g2 = analysis._squares(analysis._LARGE_EXPONENTS, w, d)
-        lit1, lit2 = (_square(LITERAL_FORMS[fn](w, d, h))
-                      for fn in (g1_large, g2_large))
+        lit1, lit2 = (_square(literal(w, d)) for literal in LARGE_LITERALS)
         assert (Fraction(*g1), Fraction(*g2)) == (lit1, lit2)
         fl = (g1, g2)[analysis._large_case(w, d)]
         assert Fraction(*fl) == (lit1 if w <= 2 * d else lit2)
         *gs, alt = analysis._squares(analysis._SMALL_EXPONENTS, w, d, h)
-        lits = [_square(LITERAL_FORMS[fn](w, d, h))
-                for fn in (g1_small, g2_small, g3_small, g4_small,
-                           f_small_alt_case3)]
+        lits = [_square(literal(w, d, h)) for literal in SMALL_LITERALS]
         assert [Fraction(*pair) for pair in gs + [alt]] == lits, (w, d, h)
         fs = gs[analysis._small_case(w, d, h)]
         case = 0 if w <= d else 1 if w <= d + h else 2 if w <= 3 * d - h else 3
@@ -374,7 +382,7 @@ def test_certificate_boundary_regime_forms_agree():
         if cert.regime == "boundary":
             for term in cert.terms:
                 w, d, h = term["w"], term["d"], term["h"]
-                assert g3_small(w, d, h) == g4_small(w, d, h)
+                assert g_small(3, w, d, h) == g_small(4, w, d, h)
             found += 1
     assert found
 

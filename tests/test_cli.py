@@ -90,6 +90,21 @@ def test_enumerate_width_error(tmp_path, capsys):
     assert code == 3
 
 
+def test_enumerate_reads_a_file_with_a_utf8_comment(maj4, tmp_path, capsys):
+    path = tmp_path / "comment.cnf"
+    path.write_bytes("c généré\n".encode() + Path(maj4).read_bytes())
+    code, out, _ = run_cli(["enumerate", "--t", "2", "--closure", "--mode",
+                            "count", str(path)], capsys)
+    assert code == 0 and json.loads(out)["count"] == 6
+
+
+def test_enumerate_stray_byte_in_a_clause_is_an_input_error(tmp_path, capsys):
+    bad = tmp_path / "stray.cnf"
+    bad.write_bytes(b"p cnf 3 1\n1 \xff 2 3 0\n")
+    code, _, err = run_cli(["enumerate", "--t", "1", str(bad)], capsys)
+    assert code == 3 and "bad token" in err and "line 2" in err
+
+
 def test_enumerate_precondition_exit(maj4, capsys):
     code, _, err = run_cli(["enumerate", "--t", "3", "--closure", maj4], capsys)
     assert code == 2

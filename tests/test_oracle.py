@@ -13,14 +13,15 @@ from naenum import (Formula, OracleRefused, brute_force, maj,
 # sha256 of repr(report), recorded with the chunked per-clause scan that the
 # split-half kernel replaced; pins the benchmark's n = 24 instance without a
 # reference run.  Re-recorded when the report lost its ``min_sat_weight``
-# field, and again when it lost ``n`` and ``t``, copies of the arguments: the
+# field, again when it lost ``n`` and ``t``, copies of the arguments, and
+# again when ``gamma_count``, always ``len(gamma)``, became a property: the
 # old digests are those of these reprs with the fields put back.
 GOLDEN_REPORTS = [
     pytest.param(lambda: brute_force(maj(24, 3), 12),
-                 "f9a49b2d12cd0687587fdcf3b584baa4e5606fbf32b00e7590f4a0c5a5960edd",
+                 "0f8cc36591dea3df5871bc39733c71b2eb5bcb30ed8319745db427c5bdfcd23a",
                  id="maj24-t12"),
     pytest.param(lambda: brute_force(negation_closure(maj(16, 3)), 8),
-                 "5b60390faef8ea3bb4c2f68566ca22eef81ea16c40265af3348659dc9122b3bc",
+                 "7feb6cdd13136d819c860a1613c20a103b8ff9c0731c2f23c4b0c1f521645f47",
                  id="closure-maj16-t8"),
 ]
 

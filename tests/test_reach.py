@@ -1,18 +1,23 @@
-"""The field-read recorder of ``tools/reach.py``, on a throwaway module whose
-directory is the watched one."""
+"""The field-read and call recorders of ``tools/reach.py``, on a throwaway
+module whose directory or file is the watched one."""
 
+import contextlib
 import importlib.util
 import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 MODULE = """\
+import argparse
 from dataclasses import dataclass
 from typing import NamedTuple
+
+import numpy as np
 
 
 @dataclass
@@ -50,6 +55,66 @@ def bump_c(r):
 
 def read_sub(s):
     return s.b + s.d
+
+
+def helper():
+    return 1
+
+
+def calls_helper():
+    return helper()
+
+
+def only_the_test_calls():
+    return 2
+
+
+def convert(text):
+    return int(text)
+
+
+def parse(argv):
+    ap = argparse.ArgumentParser()
+    ap.add_argument("--x", type=convert)
+    return ap.parse_args(argv).x
+
+
+def double(x):
+    return 2 * x
+
+
+def doubled(xs):
+    return np.vectorize(double)(xs).tolist()
+
+
+class Box:
+    def __eq__(self, other):
+        return True
+
+    @property
+    def size(self):
+        return 3
+
+    def unused(self):
+        return 4
+
+
+def box_size(box):
+    return box.size
+
+
+@dataclass
+class Span:
+    lo: int
+    hi: int
+
+    @property
+    def width(self):
+        return self.hi - self.lo
+
+
+def span_width(span):
+    return span.width
 """
 
 
@@ -77,7 +142,7 @@ def mod(tmp_path):
 
 def test_records_reads_from_watched_code_only(reach, mod, tmp_path):
     classes = reach.record_classes([mod])
-    assert set(classes) == {mod.Rec, mod.Sub, mod.Pair}
+    assert set(classes) == {mod.Rec, mod.Sub, mod.Pair, mod.Span}
     assert reach.own_fields(mod.Sub) == ("d",)
     r, p = mod.Rec(1), mod.Pair(2, 3)
     with reach.watch_reads(classes, tmp_path) as reads:
@@ -118,3 +183,61 @@ def test_a_read_outside_the_watched_directory_does_not_count(reach, mod, tmp_pat
     with reach.watch_reads([mod.Rec], tmp_path / "elsewhere") as reads:
         mod.read_a(mod.Rec(1))
     assert reads == set()
+
+
+@contextlib.contextmanager
+def calls(reach, path):
+    """The code objects of ``path`` that its own code calls in the block."""
+    called = set()
+    previous = sys.gettrace()
+    sys.settrace(reach.make_tracer({str(path): set()}, called))
+    try:
+        yield called
+    finally:
+        sys.settrace(previous)
+
+
+def test_records_calls_from_watched_code_only(reach, mod, tmp_path):
+    path = tmp_path / "records.py"
+    with calls(reach, path) as called:
+        assert mod.helper() == 1                        # the test's own call
+        assert mod.only_the_test_calls() == 2
+        assert mod.Box() == mod.Box()                   # a dunder
+        assert mod.Box().size == 3
+        assert np.vectorize(mod.double)([1]).tolist() == [2]
+    assert called == set()
+    with calls(reach, path) as called:
+        assert mod.calls_helper() == 1                  # counts for helper
+        assert mod.parse(["--x", "5"]) == 5             # argparse calls convert
+        assert mod.doubled([1, 2]) == [2, 4]            # numpy calls double
+        assert mod.box_size(mod.Box()) == 3             # a decorated def
+    assert {code.co_name for code in called} == {"helper", "convert", "double",
+                                                 "size"}
+
+
+def test_a_property_read_through_the_field_wrapper_counts(reach, mod, tmp_path):
+    with reach.watch_reads([mod.Span], tmp_path) as reads:
+        with calls(reach, tmp_path / "records.py") as called:
+            assert mod.span_width(mod.Span(2, 7)) == 5
+    assert {code.co_name for code in called} == {"width"}
+    assert reads == {(mod.Span, "lo"), (mod.Span, "hi")}
+
+
+def test_reports_each_def_that_watched_code_never_called(reach, mod, tmp_path):
+    path = tmp_path / "records.py"
+    with calls(reach, path) as called:
+        mod.calls_helper()
+        mod.only_the_test_calls()
+        mod.parse(["--x", "5"])
+        mod.box_size(mod.Box())
+        assert mod.Box() == mod.Box()
+    report = reach.uncalled_defs(str(path), called)
+    assert [(where, name) for where, _, name in report] == [
+        ("<module>", f"def {name}") for name in (
+            "read_a", "read_x_by_name", "store_b", "bump_c", "read_sub",
+            "calls_helper", "only_the_test_calls", "parse", "double",
+            "doubled")] + [
+        ("Box", "def unused"), ("<module>", "def box_size"),
+        ("Span", "def width"), ("<module>", "def span_width")]
+    lines = path.read_text().splitlines()
+    assert all(lines[line - 1].lstrip().startswith(name) for _, line, name in report)

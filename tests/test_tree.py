@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from naenum import (DebugTree, Formula, TreeNode, brute_force, build_debug_tree,
-                    check_invariants, effective_width, export_lines, maj, mass,
-                    negation_closure, psi_exact, random_negation_closed,
-                    satisfies)
+                    check_invariants, export_lines, maj, negation_closure,
+                    psi_exact, random_negation_closed, satisfies)
 from naenum.selection import FREE, ONEMARK, TWOMARK
-from naenum.tree import _AFTER, SurvivalKernel, marked_child_count, row_counts
+from naenum.tree import _AFTER, SurvivalKernel, row_counts
 from oracles import psi_of_node, shoot_stats, sigma_edge, simplify
+from reference_tree import effective_width, marked_child_count, mass
 
 
 def test_single_clause_tree():

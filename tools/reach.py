@@ -1,5 +1,6 @@
 """Reach audit: list the statements of ``src/naenum`` that the tier-1 suite
-never executes, and the record fields that no program code reads.
+never executes, the record fields that no program code reads, and the
+functions that no program code calls.
 
     python tools/reach.py          # exit 1 if one is found and not allowed
     python tools/reach.py --all    # also print the allowed ones
@@ -41,6 +42,24 @@ field may be allowed by an entry
     <file> :: <class> :: field <name> :: <reason>
 
 whose reason names the field's reader outside ``src/``.
+
+The call audit watches calls, in the same traced run.  A function's code
+object counts as called once a call into it comes from code in a file of
+``src/naenum``.  The caller is found by walking up from the called frame
+past frames of installed code (the standard library and site-packages) and
+generated ones such as ``<string>``, so a callback that ``argparse`` runs
+for ``cli.main`` counts, and past the field audit's wrappers, so a property
+of a watched class counts too.  A call that a test makes, directly or
+through installed code, does not count.  A generator counts where it is
+first resumed, not where it is made.  Every named ``def`` of ``src/naenum``
+not so called is reported: methods, properties and nested functions alike,
+but no dunder method, as protocol code calls those.  Functions are keyed by
+file and first line, which a decorated function's code object takes from
+its first decorator.  An uncalled function may be allowed by an entry
+
+    <file> :: <class, enclosing function or <module>> :: def <name> :: <reason>
+
+whose reason names the function's caller outside ``src/``.
 """
 
 from __future__ import annotations
@@ -55,6 +74,7 @@ import importlib
 import os
 import subprocess
 import sys
+import sysconfig
 import threading
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -64,6 +84,9 @@ SRC = ROOT / "src"
 PKG = SRC / "naenum"
 ALLOW = Path(__file__).resolve().parent / "reach_allow.txt"
 SEP = " :: "
+# the standard library and site-packages
+_INSTALLED = tuple({os.path.join(sysconfig.get_paths()[k], "")
+                    for k in ("stdlib", "platstdlib", "purelib", "platlib")})
 
 
 def _code_lines(code) -> set[int]:
@@ -196,33 +219,80 @@ def _field_lines(path: Path) -> dict[tuple[str, str], int]:
             if isinstance(st, ast.AnnAssign) and isinstance(st.target, ast.Name)}
 
 
-def _trace_suite(pytest_args: list[str]):
-    """Lines run per file of ``src/naenum``, the ids of failed tests and
-    test modules, pytest's exit code, the record classes of ``src/naenum``
-    and the (class, field) pairs that its code read."""
-    files = {str(p): set() for p in PKG.glob("*.py")}
-    failed: list[str] = []
-    need: dict = {}
+def _passes_through(filename: str) -> bool:
+    """Whether the call audit looks past a frame of this file for the
+    caller: installed code, generated code (``<string>``, frozen modules)
+    and this file, whose ``__getattribute__`` wrappers run a property's
+    getter."""
+    return (filename.startswith("<") or filename.startswith(_INSTALLED)
+            or filename == __file__)
 
-    def local_for(seen: set[int]):
+
+def make_tracer(files: dict[str, set[int]], called: set):
+    """A global trace function for ``sys.settrace``.  In code of a file in
+    ``files`` it adds each line that runs to the file's set, and it adds the
+    code object to ``called`` once a call into it comes from code of those
+    files, through any installed and generated frames.  Each file has one
+    local trace function, made here."""
+    need: dict = {}     # code object -> [its lines, called yet]: one lookup a call
+
+    def line_recorder(seen: set[int]):
         def local(frame, event, arg):
             if event == "line":
                 seen.add(frame.f_lineno)
             return local
         return local
 
+    local_of = {path: line_recorder(seen) for path, seen in files.items()}
+
     def tracer(frame, event, arg):
         code = frame.f_code
-        seen = files.get(code.co_filename)
-        if seen is None:
+        local = local_of.get(code.co_filename)
+        if local is None:
             return None
-        lines = need.get(code)
-        if lines is None:
-            lines = need[code] = {l for _, _, l in code.co_lines()
-                                  if l and l != code.co_firstlineno}
-        if lines <= seen:           # every line of this code object already ran
+        entry = need.get(code)
+        if entry is None:
+            entry = need[code] = [{l for _, _, l in code.co_lines()
+                                   if l and l != code.co_firstlineno}, False]
+        if not entry[1]:
+            caller = frame.f_back
+            while caller is not None and _passes_through(caller.f_code.co_filename):
+                caller = caller.f_back
+            if caller is not None and caller.f_code.co_filename in files:
+                entry[1] = True
+                called.add(code)
+        if entry[0] <= files[code.co_filename]:   # every line already ran
             return None
-        return local_for(seen)
+        return local
+
+    return tracer
+
+
+def uncalled_defs(path: str, called: Iterable) -> list[tuple[str, int, str]]:
+    """(enclosing class, function or ``<module>``, line, ``def <name>``), in
+    line order, for each named function of the file ``path``, dunder methods
+    aside, whose code object is not in ``called``."""
+    firsts = {code.co_firstlineno for code in called if code.co_filename == path}
+    tree = ast.parse(Path(path).read_text())
+    _, func = _statements(tree)
+    defs = [node for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))]
+    return [(func[node.lineno], node.lineno, f"def {node.name}")
+            for node in sorted(defs, key=lambda node: node.lineno)
+            if min([node.lineno] + [d.lineno for d in node.decorator_list])
+            not in firsts]
+
+
+def _trace_suite(pytest_args: list[str]):
+    """Lines run per file of ``src/naenum``, the code objects that its code
+    called, the ids of failed tests and test modules, pytest's exit code,
+    the record classes of ``src/naenum`` and the (class, field) pairs that
+    its code read."""
+    files = {str(p): set() for p in PKG.glob("*.py")}
+    called: set = set()
+    failed: list[str] = []
+    tracer = make_tracer(files, called)
 
     class Rearm:
         """A RecursionError raised inside the trace function switches
@@ -257,7 +327,7 @@ def _trace_suite(pytest_args: list[str]):
     finally:
         sys.settrace(None)
         threading.settrace(None)
-    return files, failed, int(code), classes, reads
+    return files, called, failed, int(code), classes, reads
 
 
 def _passes_untraced(nodeid: str) -> bool:
@@ -284,16 +354,18 @@ def _read_allow() -> list[tuple[str, str, str, str]]:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--all", action="store_true",
-                    help="print the allowed statements and fields too")
+                    help="print the allowed statements, fields and functions too")
     ap.add_argument("pytest_args", nargs="*",
                     default=["-q", "-p", "no:cacheprovider",
                              "--continue-on-collection-errors", str(ROOT / "tests")])
     args = ap.parse_args(argv)
     allow = _read_allow()
-    hits, failed, code, classes, reads = _trace_suite(args.pytest_args)
+    hits, called, failed, code, classes, reads = _trace_suite(args.pytest_args)
 
     unreached = []                  # (file, function, first line, statement)
+    uncalled = []                   # (file, enclosing, line, "def <name>")
     for path in sorted(hits):
+        uncalled += [(Path(path).name, *d) for d in uncalled_defs(path, called)]
         src = Path(path).read_text()
         start, func = _statements(ast.parse(src))
         text = src.splitlines()
@@ -318,9 +390,9 @@ def main(argv=None) -> int:
                    for name in own_fields(cls) if (cls, name) not in reads]
     used = set()
     bad = 0
-    print(f"\n{len(unreached)} unreached statements and {len(unread)} unread "
-          f"fields in src/naenum")
-    for name, fn, line, stmt in unreached + unread:
+    print(f"\n{len(unreached)} unreached statements, {len(unread)} unread "
+          f"fields and {len(uncalled)} uncalled functions in src/naenum")
+    for name, fn, line, stmt in unreached + unread + uncalled:
         key = next((e for e in allow if e[:3] == (name, fn, stmt)), None)
         if key is None:
             bad += 1
@@ -332,7 +404,8 @@ def main(argv=None) -> int:
     for e in allow:
         if e not in used:
             print(f"stale allow entry: {SEP.join(e[:3])}")
-    print(f"{bad} unreached statements or unread fields not in {ALLOW.name}")
+    print(f"{bad} unreached statements, unread fields or uncalled functions "
+          f"not in {ALLOW.name}")
     if code not in (0, 1):          # 1: some test failed, dealt with below
         bad += 1
         print(f"pytest stopped with exit code {code}: the suite did not run through")
