@@ -9,7 +9,8 @@ their stated boundaries, and scaling the per-node certificates by the
 
 All of it is checked in exact arithmetic.  Each value is a rational r, or
 r*sqrt(6) where an odd power of sqrt(27/8) appears (``QSqrt6``); two values
-compare by their squares.
+compare by their squares, and ``as_json()`` writes one, as 27/8 or
+0+3/4*sqrt(6).
 """
 
 from naenum.analysis import (QSqrt6, dp_m_large, f_large, global_bound_check,
@@ -30,8 +31,8 @@ for check in rep.checks:
 print("\nper-profile certificates at n = 8:")
 for prof in ((2, 0, 0, 0), (2, 0, 0, 2), (1, 1, 1, 0)):
     cert = n_of_u0(8, *prof)
-    print(f"  t0,t1,m'R,mB = {prof}: N = {cert.value}  I = {cert.i_value} "
-          f"({cert.regime})  3^t0 N = {cert.scaled()} "
+    print(f"  t0,t1,m'R,mB = {prof}: N = {cert.value.as_json()}  I = {cert.i_value} "
+          f"({cert.regime})  3^t0 N = {cert.scaled().as_json()} "
           f"{'<=' if cert.scaled() <= QSqrt6(36) else '>'} 36")
 
 print("\nglobal sweeps:")

@@ -44,8 +44,8 @@ from .treesearch import (DEBUG_TREE_MAX_N, OrderingSource, as_int,
 
 @dataclass(frozen=True)
 class QSqrt6:
-    """Exact r, or r*sqrt(6) when ``root6``, with r a nonnegative rational.
-    Closed under products; ordered by squares, exact as none is negative."""
+    """Exact r, or r*sqrt(6) when ``root6``, with r a nonnegative rational;
+    ``as_json()`` writes it.  Ordered by squares, exact as none is negative."""
 
     r: Fraction
     root6: bool = False
@@ -59,10 +59,6 @@ class QSqrt6:
     def _square(self) -> Fraction:
         return self.r * self.r * (6 if self.root6 else 1)
 
-    def __mul__(self, other: QSqrt6) -> QSqrt6:
-        six = 6 if self.root6 and other.root6 else 1
-        return QSqrt6(six * self.r * other.r, self.root6 != other.root6)
-
     def __le__(self, other: QSqrt6) -> bool:
         return self._square() <= other._square()
 
@@ -71,9 +67,6 @@ class QSqrt6:
 
     def __float__(self):
         return float(self.r) * math.sqrt(6) if self.root6 else float(self.r)
-
-    def __repr__(self):
-        return f"0 + {self.r}*sqrt(6)" if self.root6 else str(self.r)
 
     def as_json(self):
         return f"0+{self.r}*sqrt(6)" if self.root6 else str(self.r)
@@ -576,6 +569,8 @@ def global_bound_check(ns_large: Sequence[int] = tuple(range(8, 65, 4)),
 # ----------------------------------------------------------------------
 # survival-value estimation
 
+_SAMPLE_BATCH = 256     # tree samples per kernel call; the seeded draws depend on it
+
 
 @dataclass
 class PsiEstimate:
@@ -620,15 +615,15 @@ def estimate_psi(f: Formula, t: int, samples: int, seed: int,
     return PsiEstimate(mean, se, samples, method)
 
 
-def _tree_survival_samples(f: Formula, t: int, samples: int, seed: int,
-                           batch: int = 256) -> np.ndarray:
+def _tree_survival_samples(f: Formula, t: int, samples: int,
+                           seed: int) -> np.ndarray:
     """Per sample, one permutation code per sibling group, uniform on [0, k!);
     the survival kernel counts the viable leaves whose path survives it."""
     kernel = SurvivalKernel(build_debug_tree(f, t))
     rng = np.random.default_rng(seed % 2 ** 64)
     out = np.empty(samples, dtype=np.int64)
-    for done in range(0, samples, batch):
-        b = min(batch, samples - done)
+    for done in range(0, samples, _SAMPLE_BATCH):
+        b = min(_SAMPLE_BATCH, samples - done)
         # the kernel reads code c as c mod k!, which is exactly uniform on
         # a group's k! orders as k! divides 3! = 6
         codes = rng.integers(0, 6, size=(len(kernel.orders), b), dtype=np.uint8)

@@ -72,15 +72,23 @@ def _sol_line(sol: tuple[int, ...], n: int, bitstring: bool) -> str:
     return " ".join(str(v) for v in sol)
 
 
-def _read_sol_line(line: str, n: int) -> tuple[int, ...]:
-    """A line of either format ``_sol_line`` writes.  One token of exactly n
-    characters from {0,1} is a bitstring: read as a variable index, it would
-    exceed n when n >= 2, and at n = 1 both readings agree.  The empty line
-    is the empty solution."""
-    tokens = line.split()
-    if len(tokens) == 1 and len(tokens[0]) == n and set(tokens[0]) <= {"0", "1"}:
-        return tuple(i for i, bit in enumerate(tokens[0], start=1) if bit == "1")
-    return tuple(int(v) for v in tokens)
+def _read_solutions(path: str, n: int) -> list[tuple[int, ...]]:
+    """The solutions of a file of either format ``_sol_line`` writes, read
+    as bytes, one a line.  One token of exactly n characters from {0,1} is a
+    bitstring: read as a variable index, it would exceed n when n >= 2, and
+    at n = 1 both readings agree.  The empty line is the empty solution."""
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
+    sols = []
+    for lineno, raw in enumerate(lines, start=1):
+        tokens = raw.decode("ascii", errors="replace").split()
+        if len(tokens) == 1 and len(tokens[0]) == n and set(tokens[0]) <= {"0", "1"}:
+            tokens = [str(i) for i, bit in enumerate(tokens[0], start=1) if bit == "1"]
+        for tok in tokens:
+            if not (tok.isdigit() and 1 <= int(tok) <= n):
+                raise DimacsError(f"token {tok!r} is not a variable of 1..{n}", lineno)
+        sols.append(tuple(map(int, tokens)))
+    return sols
 
 
 def cmd_gen(args) -> int:
@@ -183,9 +191,7 @@ def cmd_verify(args) -> int:
         return 0 if ok else 5
     t = _resolve_t(args, f)
     if args.solutions:
-        with open(args.solutions, "r", encoding="ascii") as fh:
-            emitted = [_read_sol_line(line, f.n)
-                       for line in fh.read().splitlines()]
+        emitted = _read_solutions(args.solutions, f.n)
     else:
         emitted, _ = collect_solutions(
             f, t, OrderingSource.random(args.seed) if args.seed is not None

@@ -144,9 +144,8 @@ def _var(bit: int) -> int:
     return bit.bit_length() - 1
 
 
-def build_stage_profile(f: Formula, base: tuple[Clause, ...],
-                        path_labels: Sequence[int], *,
-                        index: MonotoneIndex | None = None) -> StageProfile:
+def build_stage_profile(index: MonotoneIndex, base: tuple[Clause, ...],
+                        path_labels: Sequence[int]) -> StageProfile:
     """Compute the controlled-stage profile for the node reached along
     ``path_labels`` (one label per base level).
 
@@ -156,7 +155,6 @@ def build_stage_profile(f: Formula, base: tuple[Clause, ...],
     variable marked once, two unmarked) would lie in F1 and be disjoint from
     C1.  The twomark collection C_R is the first maximum disjoint family of
     F2R in canonical order; its search stops at m_R clauses.
-    ``index`` is ``monotone_index(f)``, built here when the caller has none.
 
     Membership is decided on variable bitmasks: ``q0`` (path labels), ``X``
     (sibling pairs), ``once``/``twice`` (variables marked by exactly one or by
@@ -167,8 +165,6 @@ def build_stage_profile(f: Formula, base: tuple[Clause, ...],
     t0 = len(base)
     if len(path_labels) != t0:
         raise InternalInvariantError("path does not cover the disjoint prefix")
-    if index is None:
-        index = monotone_index(f)
     q0 = frozenset(path_labels)
     x_pairs: list[tuple[int, int]] = []
     x_index: dict[int, int] = {}

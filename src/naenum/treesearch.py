@@ -63,7 +63,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -74,8 +74,8 @@ from .matching import attempt_reset, check_disjoint, greedy_maximal, var_mask
 from .selection import (BASE, FREE, ONEMARK, TWOMARK, BaseResetSignal,
                         StageProfile, TwomarkContext, branch_on_t0,
                         build_stage_profile, monotone_index, twomark_context)
-from .tree import (DebugTree, SurvivalKernel, TreeNode, column_counts,
-                   psi_exact, row_counts)
+from .tree import (DebugTree, SurvivalKernel, TreeNode, psi_exact,
+                   row_counts)
 
 PROFILE_CAP = 512
 DEBUG_TREE_MAX_N = 24
@@ -144,7 +144,7 @@ class OrderingSource:
         return cls("random", seed)
 
 
-@dataclass
+@dataclass(eq=False)
 class SearchStats:
     nodes_visited: int = 0
     leaves_visited: int = 0          # surviving depth-t leaves
@@ -170,9 +170,6 @@ class SearchStats:
             self._profiles.extend(prof.as_dict() for prof in self._unread)
             self._unread = []
         return self._profiles
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SearchStats) and self.as_dict() == other.as_dict()
 
     def as_dict(self) -> dict:
         return {"nodes_visited": self.nodes_visited,
@@ -220,7 +217,7 @@ def validate_engine_input(f: Formula, t: int) -> int:
 class _Engine:
     # every attribute an engine sets, so instances carry no __dict__; a new
     # attribute needs its name here
-    __slots__ = ("f", "n", "t", "record", "debug_assertions", "draw_below",
+    __slots__ = ("n", "t", "record", "debug_assertions", "draw_below",
                  "hashes", "path", "mono3_index", "mono3", "has_empty_clause",
                  "pick", "wake_by", "fals_by", "live0", "unit0", "keep_by",
                  "base", "stats", "buffer", "t0", "route", "_seen",
@@ -232,7 +229,6 @@ class _Engine:
                  record: bool = False, collect: bool = True,
                  base: Sequence[Clause] | None = None):
         t = validate_engine_input(f, t)
-        self.f = f
         self.n = f.n
         self.t = t
         self.record = record
@@ -507,8 +503,7 @@ class _Engine:
 
     def _run_u0(self, depth: int, Q: int, P: int, U: int, L: int,
                 node_id: int) -> None:
-        prof = build_stage_profile(self.f, self.base, self.path[:depth],
-                                   index=self.mono3_index)
+        prof = build_stage_profile(self.mono3_index, self.base, self.path[:depth])
         self._node(depth, Q, P, U, L, _Frame(prof, None, ()), node_id)
         self._record_profile(prof)
 
@@ -606,7 +601,6 @@ class _Engine:
 
 def enumerate_solutions(f: Formula, t: int,
                         ordering: OrderingSource | None = None,
-                        sink: Callable[[tuple[int, ...]], None] | None = None,
                         *, debug_assertions: bool | None = None,
                         parallel: int = 1) -> SearchStats:
     """Emit every weight-t satisfying assignment of a negation-closed 3-CNF
@@ -615,26 +609,27 @@ def enumerate_solutions(f: Formula, t: int,
 
     The search recurses one interpreter frame per tree level above the
     leaves; a t too deep for the recursion limit raises ``ParameterError``."""
+    return _run(f, t, ordering, collect=False, debug_assertions=debug_assertions,
+                parallel=parallel).stats
+
+
+def _run(f: Formula, t: int, ordering: OrderingSource | None, *, collect: bool,
+         debug_assertions: bool | None = None, parallel: int = 1) -> _Engine:
+    """The engine of a settled run, the master one when ``parallel`` > 1; a
+    search deeper than the recursion limit is refused here."""
     ordering = ordering or OrderingSource.fixed()
     parallel = as_int(parallel, "parallel")
     try:
         if parallel > 1:
-            return _parallel_enumerate(f, t, ordering, sink, parallel)
+            return _parallel_enumerate(f, t, ordering, collect, parallel)
         eng = _Engine(f, t, ordering, debug_assertions=debug_assertions,
-                      collect=sink is not None)
+                      collect=collect)
         eng.run()
     except RecursionError:
-        raise _too_deep(t) from None
-    if sink is not None:
-        for sol in eng.buffer:
-            sink(sol)
-    return eng.stats
-
-
-def _too_deep(t: int) -> ParameterError:
-    return ParameterError(
-        f"target weight t={t} needs a search deeper than the interpreter "
-        f"recursion limit {sys.getrecursionlimit()} allows")
+        raise ParameterError(
+            f"target weight t={t} needs a search deeper than the interpreter "
+            f"recursion limit {sys.getrecursionlimit()} allows") from None
+    return eng
 
 
 def surviving_leaves(f: Formula, t: int, ordering: OrderingSource,
@@ -642,28 +637,22 @@ def surviving_leaves(f: Formula, t: int, ordering: OrderingSource,
     """Surviving depth-t leaves of the search under ``ordering``, counting
     only the tree that the run settled on.  ``SearchStats.leaves_visited``
     also counts the leaves of attempts that a reset threw away."""
-    eng = _Engine(f, t, ordering, debug_assertions=debug_assertions,
-                  collect=False)
-    try:
-        eng.run()
-    except RecursionError:
-        raise _too_deep(t) from None
+    eng = _run(f, t, ordering, collect=False, debug_assertions=debug_assertions)
     return eng.stats.leaves_visited - eng.discarded_leaves
 
 
 def count_solutions(f: Formula, t: int,
                     ordering: OrderingSource | None = None,
                     **kw) -> tuple[int, SearchStats]:
-    stats = enumerate_solutions(f, t, ordering, None, **kw)
+    stats = enumerate_solutions(f, t, ordering, **kw)
     return stats.solutions_emitted, stats
 
 
 def collect_solutions(f: Formula, t: int,
                       ordering: OrderingSource | None = None,
                       **kw) -> tuple[list[tuple[int, ...]], SearchStats]:
-    out: list[tuple[int, ...]] = []
-    stats = enumerate_solutions(f, t, ordering, out.append, **kw)
-    return out, stats
+    eng = _run(f, t, ordering, collect=True, **kw)
+    return eng.buffer, eng.stats
 
 
 def build_debug_tree(f: Formula, t: int) -> DebugTree:
@@ -693,15 +682,14 @@ class ExhaustiveReport:
     edge_survival: dict[int, Fraction]   # node id of a non-falsifying edge
     predicted_psi: Fraction              # sum over viable leaves of 2^-marks
     tree: DebugTree
-    per_ordering: list[tuple[tuple, int]] | None = None
 
     @property
     def mean_surviving(self) -> Fraction:
         return Fraction(self.total_surviving, self.orderings)
 
 
-def enumerate_all_orderings(f: Formula, t: int, budget: int = 10 ** 6,
-                            keep_per_ordering: bool = False) -> ExhaustiveReport:
+def enumerate_all_orderings(f: Formula, t: int,
+                            budget: int = 10 ** 6) -> ExhaustiveReport:
     """Evaluate every joint sibling ordering of the transversal tree: exact
     per-edge survival frequencies and the exact average surviving-leaf count.
     Refuses when the ordering product exceeds ``budget``."""
@@ -716,23 +704,16 @@ def enumerate_all_orderings(f: Formula, t: int, budget: int = 10 ** 6,
     stride = (total // np.cumprod(kernel.orders, dtype=np.int64))[:, None]
     survived_count = np.zeros(len(tree.nodes), dtype=np.int64)
     total_surviving = 0
-    counts: list[int] = []      # surviving leaves per ordering, if kept
     for start in range(0, total, _ORDERING_BLOCK):
         index = np.arange(start, min(start + _ORDERING_BLOCK, total))
         codes = index // stride % kernel.orders[:, None]
         ok, alive = kernel.run(codes.astype(np.uint8))
         survived_count += row_counts(ok)
         total_surviving += int(row_counts(alive).sum())
-        if keep_per_ordering:
-            counts.extend(column_counts(alive, len(index)).tolist())
-    per_ordering = None
-    if keep_per_ordering:
-        perms = (itertools.permutations(tree.nodes[u].children) for u in kernel.groups)
-        per_ordering = list(zip(itertools.product(*perms), counts))
     edge_survival = {v.id: Fraction(int(survived_count[v.id]), total)
                      for v in tree.nodes[1:] if not v.falsifying}
     return ExhaustiveReport(total, total_surviving, edge_survival,
-                            psi_exact(tree), tree, per_ordering)
+                            psi_exact(tree), tree)
 
 
 # ----------------------------------------------------------------------
@@ -774,7 +755,7 @@ def _valid_prefixes(eng: _Engine, depth_limit: int) -> tuple[list[tuple[int, ...
 
 
 def _parallel_enumerate(f: Formula, t: int, ordering: OrderingSource,
-                        sink, workers: int) -> SearchStats:
+                        collect: bool, workers: int) -> _Engine:
     from concurrent.futures import ProcessPoolExecutor
 
     master = _Engine(f, t, ordering)
@@ -785,7 +766,7 @@ def _parallel_enumerate(f: Formula, t: int, ordering: OrderingSource,
             # only on the first pass (resets grow t0 and leave t, and an
             # empty clause ends the search at the root), so the master has
             # reset nothing and a fresh engine builds its base
-            return enumerate_solutions(f, t, ordering, sink)
+            return _run(f, t, ordering, collect=collect)
         prefixes, falsified = _valid_prefixes(master, depth)
         tasks = [(f, t, ordering, master.base, p) for p in prefixes]
         reset = None
@@ -829,7 +810,5 @@ def _parallel_enumerate(f: Formula, t: int, ordering: OrderingSource,
         if len(set(solutions)) != len(solutions):
             raise InternalInvariantError("duplicate solutions across subtrees")
         stats.solutions_emitted = len(solutions)
-        if sink is not None:
-            for s in solutions:
-                sink(s)
-        return stats
+        master.buffer = solutions if collect else None
+        return master

@@ -211,6 +211,23 @@ def test_verify_reads_bitstrings_and_empty_lines(maj4, tmp_path, capsys):
     assert doc["first_mismatch"] == "missing: (3, 4)"
 
 
+@pytest.mark.parametrize("body,message", [
+    (b"1 2\nx y\n", "line 2: token 'x' is not a variable of 1..4"),
+    (b"1 2\n1 \xc3\n", "line 2: token '\ufffd' is not a variable of 1..4"),
+    (b"1 2\n1 3\n0 7\n", "line 3: token '0' is not a variable of 1..4"),
+], ids=["not_an_integer", "not_ascii", "out_of_range"])
+def test_verify_malformed_solutions_file_is_an_input_error(maj4, tmp_path, capsys,
+                                                           body, message):
+    # a token that is no integer, a byte that is no ASCII, and a variable
+    # outside 1..n are malformed input (exit 3), not a refusal or a mismatch
+    sols = tmp_path / "sols.txt"
+    sols.write_bytes(body)
+    code, out, err = run_cli(["verify", "--closure", "--t", "2",
+                              "--solutions", str(sols), maj4], capsys)
+    assert (code, out) == (3, "")
+    assert err == f"input error: {message}\n"
+
+
 def test_verify_nae(maj4, capsys):
     code, out, _ = run_cli(["verify", "--nae", maj4], capsys)
     assert code == 0 and json.loads(out.strip())["passed"] is True

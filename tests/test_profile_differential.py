@@ -51,10 +51,8 @@ def _check_formula(f: Formula) -> int:
     index = monotone_index(f)
     done = 0
     for path in product(*base):
-        args = (f, base, path)
-        want = _outcome(reference_profile.build_stage_profile, *args)
-        _assert_same(_outcome(build_stage_profile, *args), want, (f, path))
-        _assert_same(_outcome(build_stage_profile, *args, index=index), want,
+        want = _outcome(reference_profile.build_stage_profile, f, base, path)
+        _assert_same(_outcome(build_stage_profile, index, base, path), want,
                      (f, path))
         done += 1
     return done
@@ -86,7 +84,7 @@ def test_profiles_match_reference_after_a_twomark_reset():
     assert _check_formula(f) > 0
     base, _ = disjoint_stage(f)
     want = reference_profile.build_stage_profile(f, base, (1, 4))
-    got = build_stage_profile(f, base, (1, 4), index=monotone_index(f))
+    got = build_stage_profile(monotone_index(f), base, (1, 4))
     _assert_same(got, want, (f, (1, 4)))
     assert got.f2r == ((3, 7, 11), (3, 8, 12), (6, 9, 11))
     assert want.cr == got.cr == ((3, 8, 12), (6, 9, 11))
@@ -99,9 +97,9 @@ def test_onemark_collection_is_maximal(corpus500, monkeypatch):
     # base-label path and on every profile the engine builds
     built = []
 
-    def recorded(f, *args, **kw):
-        prof = build_stage_profile(f, *args, **kw)
-        built.append((f, prof))
+    def recorded(index, base, path):
+        prof = build_stage_profile(index, base, path)
+        built.append((f, prof))         # f: the formula being searched below
         return prof
 
     monkeypatch.setattr(treesearch, "build_stage_profile", recorded)
@@ -112,7 +110,7 @@ def test_onemark_collection_is_maximal(corpus500, monkeypatch):
         base, t0 = disjoint_stage(f)
         if 3 ** t0 <= MAX_PATHS:
             for path in product(*base):
-                prof = _outcome(build_stage_profile, f, base, path)
+                prof = _outcome(build_stage_profile, monotone_index(f), base, path)
                 if isinstance(prof, StageProfile):
                     built.append((f, prof))
         collect_solutions(f, brute_force(f).tau)
@@ -147,14 +145,15 @@ def test_profiles_match_reference_on_mixed_sign_closures(f):
 
 
 def test_engine_profiles_match_reference(corpus500, monkeypatch):
-    # every profile the engine builds (with its per-call index) equals the
-    # reference's, including those rebuilt after base resets
+    # every profile the engine builds (with its per-call index of the
+    # searched formula f) equals the reference's, including those rebuilt
+    # after base resets
     calls = []
 
-    def checked(f, base, path, **kw):
-        calls.append(kw)
+    def checked(index, base, path):
+        calls.append(index == monotone_index(f))
         want = _outcome(reference_profile.build_stage_profile, f, base, path)
-        got = _outcome(build_stage_profile, f, base, path, **kw)
+        got = _outcome(build_stage_profile, index, base, path)
         _assert_same(got, want, (f, path))
         if isinstance(got, Exception):
             raise got
@@ -165,7 +164,7 @@ def test_engine_profiles_match_reference(corpus500, monkeypatch):
             collision_reset_instance(), structure_reset_instance())]:
         sols, _ = collect_solutions(f, rep.tau)
         assert sorted(sols) == list(rep.gamma)
-    assert len(calls) > 1500 and all("index" in kw for kw in calls), len(calls)
+    assert len(calls) > 1500 and all(calls), len(calls)
 
 
 def _twomark_plans_match(f: Formula) -> int:

@@ -115,6 +115,35 @@ class Span:
 
 def span_width(span):
     return span.width
+
+
+def read_via(reader, record):
+    return reader(record)
+
+
+@dataclass
+class Level:
+    v: int
+
+    def __post_init__(self):
+        self.v = abs(self.v)
+
+    def __lt__(self, other):
+        return self.v < other.v
+
+    def __add__(self, other):
+        return Level(self.v + other.v)
+
+    def __repr__(self):
+        return f"Level({self.v})"
+
+
+def total(levels):
+    return levels[0] + levels[1]
+
+
+def top(levels):
+    return max(range(len(levels)), key=levels.__getitem__)
 """
 
 
@@ -140,27 +169,56 @@ def mod(tmp_path):
     del sys.modules[mod.__name__]
 
 
+@contextlib.contextmanager
+def calls(reach, path):
+    """The code objects of ``path`` that its own code calls in the block."""
+    called = set()
+    previous = sys.gettrace()
+    sys.settrace(reach.make_tracer({str(path): set()}, called))
+    try:
+        yield called
+    finally:
+        sys.settrace(previous)
+
+
 def test_records_reads_from_watched_code_only(reach, mod, tmp_path):
     classes = reach.record_classes([mod])
-    assert set(classes) == {mod.Rec, mod.Sub, mod.Pair, mod.Span}
+    assert set(classes) == {mod.Rec, mod.Sub, mod.Pair, mod.Span, mod.Level}
     assert reach.own_fields(mod.Sub) == ("d",)
     r, p = mod.Rec(1), mod.Pair(2, 3)
-    with reach.watch_reads(classes, tmp_path) as reads:
-        assert mod.read_a(r) == 1                       # counts
-        assert mod.read_x_by_name(p) == 2               # counts
+    with calls(reach, tmp_path / "records.py") as called, \
+            reach.watch_reads(classes, tmp_path, called) as reads:
+        assert mod.read_via(mod.read_a, r) == 1                 # counts
+        assert mod.read_via(mod.read_x_by_name, p) == 2         # counts
         assert (r.b, r.c, p.y, p[1]) == (0, 0, 3, 3)    # the test's own reads
-        mod.store_b(r)                                  # a store
-        mod.bump_c(r)                                   # an augmented store
+        mod.read_via(mod.store_b, r)                    # a store
+        mod.read_via(mod.bump_c, r)                     # an augmented store
         assert (r.b, r.c) == (5, 1)
         assert repr(r) == "Rec(a=1, b=5, c=1)"          # generated code
-        assert mod.read_sub(mod.Sub(4, 2, d=6)) == 8    # b is Rec's field
+        # b is Rec's field
+        assert mod.read_via(mod.read_sub, mod.Sub(4, 2, d=6)) == 8
     assert reads == {(mod.Rec, "a"), (mod.Pair, "x"), (mod.Rec, "b"),
                      (mod.Sub, "d")}
 
 
+def test_a_read_counts_only_from_code_that_watched_code_called(reach, mod, tmp_path):
+    # read_a is code of the watched file, but while only the test calls it
+    # its read of Rec.a does not count, so the field would be reported
+    # unread; a module's top-level code counts without a caller
+    r = mod.Rec(1)
+    with calls(reach, tmp_path / "records.py") as called, \
+            reach.watch_reads([mod.Rec], tmp_path, called) as reads:
+        assert mod.read_a(r) == 1
+        assert (called, reads) == (set(), set())
+        assert mod.read_via(mod.read_a, r) == 1
+        assert reads == {(mod.Rec, "a")}
+        eval(compile("r.b", str(tmp_path / "records.py"), "eval"))
+    assert reads == {(mod.Rec, "a"), (mod.Rec, "b")}
+
+
 def test_restores_the_original_getattribute(reach, mod, tmp_path):
     classes = reach.record_classes([mod])
-    with reach.watch_reads(classes, tmp_path):
+    with reach.watch_reads(classes, tmp_path, set()):
         assert all("__getattribute__" in vars(cls) for cls in classes)
     assert all("__getattribute__" not in vars(cls) for cls in classes)
     assert mod.Rec.__getattribute__ is object.__getattribute__
@@ -168,7 +226,8 @@ def test_restores_the_original_getattribute(reach, mod, tmp_path):
 
 
 def test_a_class_is_unwrapped_once_every_field_is_read(reach, mod, tmp_path):
-    with reach.watch_reads([mod.Pair], tmp_path) as reads:
+    called = {mod.read_x_by_name.__code__}
+    with reach.watch_reads([mod.Pair], tmp_path, called) as reads:
         p = mod.Pair(2, 3)
         mod.read_x_by_name(p)
         assert "__getattribute__" in vars(mod.Pair)
@@ -180,21 +239,10 @@ def test_a_class_is_unwrapped_once_every_field_is_read(reach, mod, tmp_path):
 
 
 def test_a_read_outside_the_watched_directory_does_not_count(reach, mod, tmp_path):
-    with reach.watch_reads([mod.Rec], tmp_path / "elsewhere") as reads:
+    called = {mod.read_a.__code__}
+    with reach.watch_reads([mod.Rec], tmp_path / "elsewhere", called) as reads:
         mod.read_a(mod.Rec(1))
     assert reads == set()
-
-
-@contextlib.contextmanager
-def calls(reach, path):
-    """The code objects of ``path`` that its own code calls in the block."""
-    called = set()
-    previous = sys.gettrace()
-    sys.settrace(reach.make_tracer({str(path): set()}, called))
-    try:
-        yield called
-    finally:
-        sys.settrace(previous)
 
 
 def test_records_calls_from_watched_code_only(reach, mod, tmp_path):
@@ -216,11 +264,27 @@ def test_records_calls_from_watched_code_only(reach, mod, tmp_path):
 
 
 def test_a_property_read_through_the_field_wrapper_counts(reach, mod, tmp_path):
-    with reach.watch_reads([mod.Span], tmp_path) as reads:
-        with calls(reach, tmp_path / "records.py") as called:
-            assert mod.span_width(mod.Span(2, 7)) == 5
+    with calls(reach, tmp_path / "records.py") as called, \
+            reach.watch_reads([mod.Span], tmp_path, called) as reads:
+        assert mod.span_width(mod.Span(2, 7)) == 5
     assert {code.co_name for code in called} == {"width"}
     assert reads == {(mod.Span, "lo"), (mod.Span, "hi")}
+
+
+def test_a_dunder_counts_when_watched_code_reaches_it(reach, mod, tmp_path):
+    path = tmp_path / "records.py"
+    with calls(reach, path) as called:
+        a, b = mod.Level(-2), mod.Level(3)     # __post_init__, for the test
+        assert a < b and repr(a) == "Level(2)"
+        assert mod.Box() == mod.Box()
+    assert called == set()
+    with calls(reach, path) as called:
+        # __add__ through an operator, and __post_init__ through the
+        # generated __init__ of the Level that __add__ makes
+        assert mod.total([a, b]).v == 5
+        assert mod.top([b, a]) == 0             # max(key=...) calls __lt__
+    assert {code.co_name for code in called} == {"__add__", "__post_init__",
+                                                 "__lt__"}
 
 
 def test_reports_each_def_that_watched_code_never_called(reach, mod, tmp_path):
@@ -230,14 +294,20 @@ def test_reports_each_def_that_watched_code_never_called(reach, mod, tmp_path):
         mod.only_the_test_calls()
         mod.parse(["--x", "5"])
         mod.box_size(mod.Box())
-        assert mod.Box() == mod.Box()
+        assert mod.Box() == mod.Box()           # a dunder only the test uses
+        levels = [mod.Level(1), mod.Level(2)]
+        assert mod.total(levels).v == 3 and mod.top(levels) == 1
+        assert repr(levels[0]) == "Level(1)"    # the same
     report = reach.uncalled_defs(str(path), called)
     assert [(where, name) for where, _, name in report] == [
         ("<module>", f"def {name}") for name in (
             "read_a", "read_x_by_name", "store_b", "bump_c", "read_sub",
             "calls_helper", "only_the_test_calls", "parse", "double",
             "doubled")] + [
-        ("Box", "def unused"), ("<module>", "def box_size"),
-        ("Span", "def width"), ("<module>", "def span_width")]
+        ("Box", "def __eq__"), ("Box", "def unused"),
+        ("<module>", "def box_size"), ("Span", "def width"),
+        ("<module>", "def span_width"), ("<module>", "def read_via"),
+        ("Level", "def __repr__"), ("<module>", "def total"),
+        ("<module>", "def top")]
     lines = path.read_text().splitlines()
     assert all(lines[line - 1].lstrip().startswith(name) for _, line, name in report)

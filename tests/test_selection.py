@@ -6,7 +6,7 @@ from naenum import (Formula, branch_on_t0, build_stage_profile, maj,
                     negation_closure, twomark_context)
 from naenum.cnf import clause_vars
 from naenum.errors import InternalInvariantError
-from naenum.selection import BaseResetSignal
+from naenum.selection import BaseResetSignal, monotone_index
 from corpus import (collision_reset_instance, heavy_overflow_instance,
                     structure_reset_instance)
 from oracles import disjoint_stage
@@ -54,7 +54,7 @@ def test_profile_fields_on_handbuilt_instance():
     f = negation_closure(Formula.of(12, [(1, 2, 3), (2, 4, 5), (3, 4, 6)]))
     base, t0 = disjoint_stage(f)
     assert base == ((1, 2, 3),) and t0 == 1
-    prof = build_stage_profile(f, base, (1,))
+    prof = build_stage_profile(monotone_index(f), base, (1,))
     assert prof.c1 == ((2, 4, 5),)
     assert prof.t1 == 1 and prof.m_b == 0
     assert prof.x_tilde == {0: 2} and prof.x_hat == {0: 3}
@@ -74,7 +74,7 @@ def test_profile_identity_on_corpus(corpus500):
             continue
         path = tuple(clause_vars(c)[0] for c in base)
         try:
-            prof = build_stage_profile(f, base, path)
+            prof = build_stage_profile(monotone_index(f), base, path)
         except BaseResetSignal:
             continue
         assert prof.m_b + prof.m_r + prof.m_i == prof.t0
@@ -87,7 +87,7 @@ def test_profile_identity_on_corpus(corpus500):
 def test_twomark_context_lengths():
     f = negation_closure(Formula.of(12, [(1, 2, 3), (2, 4, 5), (3, 4, 6)]))
     base, _ = disjoint_stage(f)
-    prof = build_stage_profile(f, base, (1,))
+    prof = build_stage_profile(monotone_index(f), base, (1,))
     assert prof.c1 == ((2, 4, 5),) and prof.x_tilde == {0: 2}
     on = twomark_context(prof, (2,))        # the onemark edge took X-tilde
     off = twomark_context(prof, (4,))
@@ -101,9 +101,9 @@ def test_profile_path_must_follow_the_base():
     base, t0 = disjoint_stage(f)
     assert t0 == 2
     with pytest.raises(InternalInvariantError, match="does not cover"):
-        build_stage_profile(f, base, (1,))
+        build_stage_profile(monotone_index(f), base, (1,))
     with pytest.raises(InternalInvariantError, match="path label not in base"):
-        build_stage_profile(f, base, (1, 2))
+        build_stage_profile(monotone_index(f), base, (1, 2))
 
 
 def test_collision_reset_signal():
@@ -111,7 +111,7 @@ def test_collision_reset_signal():
     base, t0 = disjoint_stage(f)
     assert base == ((1, 2, 3),)
     with pytest.raises(BaseResetSignal) as ei:
-        build_stage_profile(f, base, (1,))
+        build_stage_profile(monotone_index(f), base, (1,))
     assert set(ei.value.added) == {(2, 4, 5), (3, 6, 7)}
     assert ei.value.removed == [(1, 2, 3)]
 
@@ -121,7 +121,7 @@ def test_structure_reset_signal():
     base, t0 = disjoint_stage(f)
     assert base == ((1, 8, 9), (4, 10, 11))
     with pytest.raises(BaseResetSignal) as ei:
-        build_stage_profile(f, base, (1, 4))
+        build_stage_profile(monotone_index(f), base, (1, 4))
     assert (5, 7, 9) in ei.value.added and (2, 3, 8) in ei.value.added
     assert ei.value.removed == [(1, 8, 9)]
 
@@ -134,7 +134,7 @@ def test_heavy_overflow_yields_twomark_reset():
     f = heavy_overflow_instance()
     base, t0 = disjoint_stage(f)
     assert base == ((1, 2, 3), (4, 5, 6)) and t0 == 2
-    prof = build_stage_profile(f, base, (1, 4))
+    prof = build_stage_profile(monotone_index(f), base, (1, 4))
     assert set(prof.f2r) == {(3, 7, 11), (3, 8, 12), (6, 9, 11)}
     prof.cr = ((3, 7, 11),)
     prof.cr_level = {(3, 7, 11): 0}

@@ -21,7 +21,8 @@ from naenum import (BudgetExceeded, Formula,
 from naenum import treesearch
 from naenum.cli import main as cli_main
 from naenum.selection import (TWOMARK, TwomarkContext, build_stage_profile,
-                              twomark_context)
+                              monotone_index, twomark_context)
+from naenum.tree import SurvivalKernel, column_counts
 from naenum.treesearch import _DRAW_LIMIT, _PERMS, _Engine, _Frame
 from corpus import (collision_reset_instance, heavy_overflow_instance,
                     heavy_reset_instance, structure_reset_instance,
@@ -166,7 +167,7 @@ def _twomark_check(cnt: dict, U: int, fals_var=3, debug_assertions=None):
     falsifying mask set by hand."""
     f = heavy_overflow_instance()
     base, _ = disjoint_stage(f)
-    prof = build_stage_profile(f, base, (1, 4))
+    prof = build_stage_profile(monotone_index(f), base, (1, 4))
     k2 = twomark_context(prof, (2, 5))      # both onemark edges took X-tilde
     assert k2.clauses[0] == (3, 8, 12) and k2.fals_vars[0] == 3
     eng = _Engine(f, 4, OrderingSource.fixed(), base=base,
@@ -317,10 +318,21 @@ def test_exhaustive_mean_bound_on_maj4():
 
 
 def test_per_ordering_records():
+    # each of the root's 6 sibling orders keeps all three leaves
+    import numpy as np
+
     f = negation_closure(Formula.of(3, [(1, 2, 3)]))
-    report = enumerate_all_orderings(f, 1, keep_per_ordering=True)
-    assert len(report.per_ordering) == 6
-    assert all(c == 3 for _, c in report.per_ordering)
+    kernel = SurvivalKernel(build_debug_tree(f, 1))
+    assert kernel.orders.tolist() == [6]
+    alive = kernel.run(np.arange(6, dtype=np.uint8)[None, :])[1]
+    assert column_counts(alive, 6).tolist() == [3] * 6
+    assert enumerate_all_orderings(f, 1).total_surviving == 18
+
+
+def _same_run(got, want) -> bool:
+    """Whether two ``collect_solutions`` results hold the same solutions in
+    the same order and the same stats."""
+    return got[0] == want[0] and got[1].as_dict() == want[1].as_dict()
 
 
 @pytest.mark.parametrize("workers", [2, 3])
@@ -334,7 +346,7 @@ def test_parallel_matches_sequential(workers):
     assert seq_stats.superfluous_skips == par_stats.superfluous_skips
     # an empty clause ends the search at the root, in either driver
     g = Formula.of(6, [(1, 2, 3), (-1, -2, -3), ()])
-    assert collect_solutions(g, 2, parallel=workers) == collect_solutions(g, 2)
+    assert _same_run(collect_solutions(g, 2, parallel=workers), collect_solutions(g, 2))
 
 
 def test_parallel_reset_instance():
@@ -742,7 +754,7 @@ def test_numpy_integer_target_weight_is_accepted():
 
     f = negation_closure(maj(4, 3))
     count, stats = count_solutions(f, np.int64(2))
-    assert count == 6 and stats == count_solutions(f, 2)[1]
+    assert count == 6 and stats.as_dict() == count_solutions(f, 2)[1].as_dict()
 
 
 @pytest.mark.parametrize("seed", [None, 2.5, "2"])
@@ -756,7 +768,7 @@ def test_numpy_integer_ordering_seed_is_accepted():
 
     f = negation_closure(maj(8, 3))
     got = collect_solutions(f, 4, OrderingSource.random(np.int64(5)))
-    assert got == collect_solutions(f, 4, OrderingSource.random(5))
+    assert _same_run(got, collect_solutions(f, 4, OrderingSource.random(5)))
 
 
 @pytest.mark.parametrize("budget", [None, 2.5])
@@ -788,7 +800,8 @@ def test_twomark_stage_without_debug_assertions():
     # the twomark shape checks are debug assertions; switching them off
     # changes nothing else
     f = twomark_reset_instance()
-    assert collect_solutions(f, 6, debug_assertions=False) == collect_solutions(f, 6)
+    assert _same_run(collect_solutions(f, 6, debug_assertions=False),
+                     collect_solutions(f, 6))
 
 
 def test_non_maximal_base_is_an_invariant_failure():

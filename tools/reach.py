@@ -30,14 +30,16 @@ unreached statement are reported as stale but do not fail the run.
 
 The field audit watches reads.  For the run, ``__getattribute__`` of every
 dataclass and ``NamedTuple`` declared in ``src/naenum`` is wrapped, and a
-field counts as read once code in a file of ``src/naenum`` reads it from an
-instance, by attribute or ``getattr``.  Reads by tests, demos, the standard
-library and the ``__repr__``/``__eq__`` that ``dataclasses`` generates do not
-count, nor do stores, including the load that an augmented store such as
-``x.count += 1`` makes first.  A ``NamedTuple`` field read only by index or
-unpacking is not seen.  The original ``__getattribute__`` is put back after
-the run, or as soon as every field of the class has been read.  An unread
-field may be allowed by an entry
+field counts as read once code that the program uses reads it from an
+instance, by attribute or ``getattr``: a function of ``src/naenum`` that the
+call audit below counts as called, or a module's top-level code there.
+Reads by tests, demos, the standard library, the ``__repr__``/``__eq__``
+that ``dataclasses`` generates and functions of ``src/naenum`` that only
+tests call do not count, nor do stores, including the load that an
+augmented store such as ``x.count += 1`` makes first.  A ``NamedTuple``
+field read only by index or unpacking is not seen.  The original
+``__getattribute__`` is put back after the run, or as soon as every field of
+the class has been read.  An unread field may be allowed by an entry
 
     <file> :: <class> :: field <name> :: <reason>
 
@@ -52,10 +54,13 @@ for ``cli.main`` counts, and past the field audit's wrappers, so a property
 of a watched class counts too.  A call that a test makes, directly or
 through installed code, does not count.  A generator counts where it is
 first resumed, not where it is made.  Every named ``def`` of ``src/naenum``
-not so called is reported: methods, properties and nested functions alike,
-but no dunder method, as protocol code calls those.  Functions are keyed by
-file and first line, which a decorated function's code object takes from
-its first decorator.  An uncalled function may be allowed by an entry
+not so called is reported: methods, properties, nested functions and dunder
+methods alike.  A dunder counts once program code reaches it through an
+operator (``a <= b``), a builtin (``float(v)``, ``max(..., key=...)``, whose
+C frames the walk does not see) or a dataclass's generated ``__init__``
+(``__post_init__``).  Functions are keyed by file and first line, which a
+decorated function's code object takes from its first decorator.  An
+uncalled function may be allowed by an entry
 
     <file> :: <class, enclosing function or <module>> :: def <name> :: <reason>
 
@@ -161,10 +166,13 @@ def _augmented_loads(code) -> frozenset[int]:
 
 
 @contextlib.contextmanager
-def watch_reads(classes: Iterable[type],
-                directory: str | os.PathLike) -> Iterator[set[tuple[type, str]]]:
+def watch_reads(classes: Iterable[type], directory: str | os.PathLike,
+                called: set) -> Iterator[set[tuple[type, str]]]:
     """Yield the set of (declaring class, field) that code in files under
-    ``directory`` reads from instances of ``classes`` while the block runs.
+    ``directory`` reads from instances of ``classes`` while the block runs,
+    where the reading code object is in ``called`` (read when the read
+    happens, so the call audit may fill it during the block) or is a
+    module's top-level code.
 
     Each class gets a ``__getattribute__`` that records such a read and
     then defers to the one the class had; the originals are put back on
@@ -193,6 +201,7 @@ def watch_reads(classes: Iterable[type],
                 caller = sys._getframe(1)
                 code = caller.f_code
                 if (code.co_filename.startswith(prefix)
+                        and (code in called or code.co_name == "<module>")
                         and caller.f_lasti not in _augmented_loads(code)):
                     reads.add((decl, name))
                     if cls in saved and all((base, f) in reads
@@ -270,14 +279,13 @@ def make_tracer(files: dict[str, set[int]], called: set):
 
 def uncalled_defs(path: str, called: Iterable) -> list[tuple[str, int, str]]:
     """(enclosing class, function or ``<module>``, line, ``def <name>``), in
-    line order, for each named function of the file ``path``, dunder methods
-    aside, whose code object is not in ``called``."""
+    line order, for each named function of the file ``path`` whose code
+    object is not in ``called``."""
     firsts = {code.co_firstlineno for code in called if code.co_filename == path}
     tree = ast.parse(Path(path).read_text())
     _, func = _statements(tree)
     defs = [node for node in ast.walk(tree)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and not (node.name.startswith("__") and node.name.endswith("__"))]
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
     return [(func[node.lineno], node.lineno, f"def {node.name}")
             for node in sorted(defs, key=lambda node: node.lineno)
             if min([node.lineno] + [d.lineno for d in node.decorator_list])
@@ -322,7 +330,7 @@ def _trace_suite(pytest_args: list[str]):
         # imported under the trace, so their module-level statements count
         classes = record_classes(importlib.import_module(f"naenum.{p.stem}")
                                  for p in sorted(PKG.glob("*.py")))
-        with watch_reads(classes, PKG) as reads:
+        with watch_reads(classes, PKG, called) as reads:
             code = pytest.main(pytest_args, plugins=[Rearm()])
     finally:
         sys.settrace(None)
