@@ -17,12 +17,18 @@ and ``f_small_alt_case3`` a ``QSqrt6``, r or r*sqrt(6) with r a Fraction.
 The claim grids never build those values.  Every closed form and DP entry is
 nonnegative, so comparing two of them is comparing their squares; the DP
 recurrences run bottom-up by depth on integers, 2^d * M(w,d) (factors 5, 4, 3)
-and 4^d * M(w,d,h) (factors 9, 8, 7, 6).  Each <= in the grid loop is one
-cross-multiplication of ints; = between closed forms is equality of their
-pairs, which are in lowest terms.  A small-grid form whose square has no h
-term is squared once per (w, d), not once per (w, d, h).  Nothing is decided
-by floats.  Fractions appear only in the public values and the
-``BoundTable`` values the public DP functions return.
+and 4^d * M(w,d,h) (factors 9, 8, 7, 6).  Two squares P/Q compare by one pair
+of cross-products of ints, whose two values give <=, >= and = alike (the
+pairs are in lowest terms).  Each product is formed where its inputs change.
+Per (w, d): the squares of the small-grid forms with no h term (G1, G2 and
+G4), their cross-products and P * 16^d (P * 4^d on the large grid).  Per
+point: the squares of G3 and, where the third-case forms are compared, of
+the alternate form, G3's cross-products with the others, and M^2 against F.
+M <= G_i follows from M <= F and F <= G_i where both hold and is compared
+directly otherwise.  A point's predicates are examined one by one only when
+their conjunction fails.  Nothing is decided by floats.  Fractions appear
+only in the public values and the ``BoundTable`` values the public DP
+functions return.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .cnf import Formula
-from .errors import ParameterError
+from .errors import InternalInvariantError, ParameterError
 from .tree import SurvivalKernel, column_counts
 from .treesearch import (DEBUG_TREE_MAX_N, OrderingSource, as_int,
                          build_debug_tree, surviving_leaves)
@@ -122,6 +128,14 @@ def _square_pair(e2: int, e3: int, e5: int) -> tuple[int, int]:
     return p, q
 
 
+def _exponents(exps, w: int, d: int, h: int = 0) -> tuple[int, int, int]:
+    """Exponents (e2, e3, e5) of the square at (w,d,h) of the form with square
+    exponents ``exps``."""
+    a2w, a2d, a2h, a3w, a3d, a3h, a5w, a5d, a5h = exps
+    return (a2w * w + a2d * d + a2h * h, a3w * w + a3d * d + a3h * h,
+            a5w * w + a5d * d + a5h * h)
+
+
 # square exponents of G1, G2 (large) and of G1..G4 plus the alternate third
 # case (small)
 _LARGE_EXPONENTS = tuple(map(_square_exponents, _LARGE_FORMS))
@@ -139,8 +153,7 @@ def _value(exps, w: int, d: int, h: int = 0) -> QSqrt6:
         raise ParameterError("d must be nonnegative")
     if h < 0:
         raise ParameterError("h must be nonnegative")
-    e2, e3, e5 = (exps[k] * w + exps[k + 1] * d + exps[k + 2] * h
-                  for k in (0, 3, 6))
+    e2, e3, e5 = _exponents(exps, w, d, h)
     return QSqrt6(Fraction(*_square_pair(e2 // 2, e3 // 2, e5 // 2)), e2 % 2 == 1)
 
 
@@ -197,10 +210,7 @@ def f_small_alt_case3(w: int, d: int, h: int) -> QSqrt6:
 
 def _squares(exps, w: int, d: int, h: int = 0) -> list[tuple[int, int]]:
     """Squares (P, Q) of the forms with square exponents ``exps`` at (w,d,h)."""
-    return [_square_pair(a2w * w + a2d * d + a2h * h,
-                         a3w * w + a3d * d + a3h * h,
-                         a5w * w + a5d * d + a5h * h)
-            for a2w, a2d, a2h, a3w, a3d, a3h, a5w, a5d, a5h in exps]
+    return [_square_pair(*_exponents(e, w, d, h)) for e in exps]
 
 
 # ----------------------------------------------------------------------
@@ -322,6 +332,20 @@ class ClaimReport:
         return {"ok": self.ok, "checks": [c.as_dict() for c in self.checks]}
 
 
+def _note_failures(witnesses: list, oks, point: tuple) -> None:
+    """Record ``point`` as the witness of each failing predicate that has
+    none yet."""
+    for i, ok in enumerate(oks):
+        if witnesses[i] is None and not ok:
+            witnesses[i] = point
+
+
+def _append_checks(report, names, count: int, witnesses) -> None:
+    """One check per claim name, failed where it has a witness."""
+    for name, w in zip(names, witnesses):
+        report.checks.append(ClaimCheck(name, w is None, count, w))
+
+
 def _multi_check(report, points: Iterable, preds, names) -> None:
     """Evaluate a tuple of predicates per point in one grid pass, recording
     each predicate's first failing point as its witness."""
@@ -331,11 +355,23 @@ def _multi_check(report, points: Iterable, preds, names) -> None:
         count += 1
         oks = preds(*p)
         if not all(oks):
-            for i, ok in enumerate(oks):
-                if witnesses[i] is None and not ok:
-                    witnesses[i] = p
-    for name, w in zip(names, witnesses):
-        report.checks.append(ClaimCheck(name, w is None, count, w))
+            _note_failures(witnesses, oks, p)
+    _append_checks(report, names, count, witnesses)
+
+
+_LARGE_CLAIMS = ("large: M(w,d) <= G1",
+                 "large: M(w,d) <= G2",
+                 "large: M(w,d) <= F",
+                 "large: min(G1,G2) = F",
+                 "large: G1 <= G2 iff w <= 2d, equality iff w = 2d")
+_SMALL_CLAIMS = ("small: M(w,d,h) <= G_i for i=1..4",
+                 "small: M(w,d,h) <= F",
+                 "small: G1 <= G2 iff w <= d, equality iff w = d",
+                 "small: G2 <= G3 iff w <= d+h, equality iff w = d+h",
+                 "small: G3 <= G4 iff w <= 3d-h, equality iff w = 3d-h",
+                 "small: min(G1..G4) = F on the ordered region h <= d",
+                 "small: F equals one of G1..G4 everywhere",
+                 "small: third-case forms agree")
 
 
 def verify_appendix_claims(grid2_w: tuple[int, int] = (-3, 60),
@@ -358,76 +394,99 @@ def verify_appendix_claims(grid2_w: tuple[int, int] = (-3, 60),
     _check_cells((w2hi - w2lo + 1) * (grid2_d + 1))
     _check_cells((w3hi - w3lo + 1) * (grid3_d + 1) * (grid3_h + 1))
     rep = ClaimReport()
-    lo2 = min(w2lo, -2)
-    rows2 = _dp_large_rows(lo2, w2hi, grid2_d)
-    pts2 = ((w, d) for d in range(grid2_d + 1) for w in range(w2lo, w2hi + 1))
-
-    def large_all(w, d):
-        n2, s = rows2[d][w - lo2] ** 2, 4 ** d        # M^2 = (2^d M)^2 / 4^d
-        gg = (p1, q1), (p2, q2) = _squares(_LARGE_EXPONENTS, w, d)
-        ff = fp, fq = gg[_large_case(w, d)]
-        return (n2 * q1 <= p1 * s, n2 * q2 <= p2 * s, n2 * fq <= fp * s,
-                ff in gg and all(fp * q <= p * fq for p, q in gg),
-                ((p1 * q2 <= p2 * q1) == (w <= 2 * d))
-                and ((gg[0] == gg[1]) == (w == 2 * d)))
-
-    _multi_check(rep, pts2, large_all,
-                 ["large: M(w,d) <= G1",
-                  "large: M(w,d) <= G2",
-                  "large: M(w,d) <= F",
-                  "large: min(G1,G2) = F",
-                  "large: G1 <= G2 iff w <= 2d, equality iff w = 2d"])
-
-    lo3 = min(w3lo, -2)
-    rows3 = _dp_small_rows(lo3, w3hi, grid3_d, grid3_h)
-    pts3 = ((w, d, h) for d in range(grid3_d + 1)
-            for w in range(w3lo, w3hi + 1) for h in range(grid3_h + 1))
-
-    # a form with no h term is squared once per (w, d), the others per point;
-    # h varies fastest, so only the current (w, d) is kept
-    h_forms = [(i, e) for i, e in enumerate(_SMALL_EXPONENTS) if any(e[2::3])]
-    wd = wd_squares = None
-
-    def small_all(w, d, h):
-        nonlocal wd, wd_squares
-        n2, s = rows3[d][w - lo3][h] ** 2, 16 ** d    # M^2 = (4^d M)^2 / 16^d
-        if wd != (w, d):
-            wd, wd_squares = (w, d), _squares(_SMALL_EXPONENTS, w, d)
-        sq = wd_squares[:]
-        for i, (a2w, a2d, a2h, a3w, a3d, a3h, a5w, a5d, a5h) in h_forms:
-            sq[i] = _square_pair(a2w * w + a2d * d + a2h * h,
-                                 a3w * w + a3d * d + a3h * h,
-                                 a5w * w + a5d * d + a5h * h)
-        *gg, alt = sq
-        (p1, q1), (p2, q2), (p3, q3), (p4, q4) = gg
-        ff = fp, fq = gg[_small_case(w, d, h)]
-        # squares are in lowest terms, so = is tuple equality; the four
-        # comparisons with the G_i are written out, as a generator per point
-        # took three times as long
-        return (n2 * q1 <= p1 * s and n2 * q2 <= p2 * s
-                and n2 * q3 <= p3 * s and n2 * q4 <= p4 * s,
-                n2 * fq <= fp * s,
-                ((p1 * q2 <= p2 * q1) == (w <= d)) and ((gg[0] == gg[1]) == (w == d)),
-                ((p2 * q3 <= p3 * q2) == (w <= d + h))
-                and ((gg[1] == gg[2]) == (w == d + h)),
-                ((p3 * q4 <= p4 * q3) == (w <= 3 * d - h))
-                and ((gg[2] == gg[3]) == (w == 3 * d - h)),
-                h > d or (ff in gg and fp * q1 <= p1 * fq and fp * q2 <= p2 * fq
-                          and fp * q3 <= p3 * fq and fp * q4 <= p4 * fq),
-                ff in gg,
-                not d + h <= w <= 3 * d - h or ff == alt)
-
-    _multi_check(rep, pts3, small_all,
-                 ["small: M(w,d,h) <= G_i for i=1..4",
-                  "small: M(w,d,h) <= F",
-                  "small: G1 <= G2 iff w <= d, equality iff w = d",
-                  "small: G2 <= G3 iff w <= d+h, equality iff w = d+h",
-                  "small: G3 <= G4 iff w <= 3d-h, equality iff w = 3d-h",
-                  "small: min(G1..G4) = F on the ordered region h <= d",
-                  "small: F equals one of G1..G4 everywhere",
-                  "small: third-case forms agree"])
+    _large_claims(rep, w2lo, w2hi, grid2_d)
+    _small_claims(rep, w3lo, w3hi, grid3_d, grid3_h)
     return rep
 
+
+def _large_claims(rep: ClaimReport, wlo: int, whi: int, dmax: int) -> None:
+    """The five large-grid claims, points (w, d) with d outermost."""
+    lo = min(wlo, -2)
+    rows = _dp_large_rows(lo, whi, dmax)
+    wit: list[tuple | None] = [None] * 5
+    for d in range(dmax + 1):
+        s, row = 4 ** d, rows[d]                    # M^2 = (2^d M)^2 / 4^d
+        for w in range(wlo, whi + 1):
+            g1, g2 = _squares(_LARGE_EXPONENTS, w, d)
+            (p1, q1), (p2, q2) = g1, g2
+            x, y = p1 * q2, p2 * q1                 # G1 <= G2 iff x <= y
+            c = _large_case(w, d)
+            fp, fq = (g1, g2)[c]
+            n2 = row[w - lo] ** 2
+            m_f = n2 * fq <= fp * s
+            f_min = x <= y if c == 0 else x >= y
+            order = x < y if w < 2 * d else x > y if w > 2 * d else x == y
+            # M <= F <= G_i gives M <= G_i
+            if not (m_f and f_min and order):
+                _note_failures(wit, (n2 * q1 <= p1 * s, n2 * q2 <= p2 * s, m_f,
+                                     f_min, order), (w, d))
+    _append_checks(rep, _LARGE_CLAIMS, (whi - wlo + 1) * (dmax + 1), wit)
+
+
+def _small_claims(rep: ClaimReport, wlo: int, whi: int, dmax: int,
+                  hmax: int) -> None:
+    """The eight small-grid claims, points (w, d, h) with d outermost and h
+    innermost.  G1, G2 and G4 must carry no h, as they are squared once per
+    (w, d); the module docstring says what else is formed per (w, d) and
+    what per point."""
+    exps = _SMALL_EXPONENTS
+    if any(any(exps[i][2::3]) for i in (0, 1, 3)):
+        raise InternalInvariantError("the claim kernel needs G1, G2 and G4 "
+                                     "free of h")
+    (a2, a3, a5), (b2, b3, b5) = exps[2][2::3], exps[4][2::3]     # h terms
+    lo = min(wlo, -2)
+    rows = _dp_small_rows(lo, whi, dmax, hmax)
+    case = _small_case
+    wit: list[tuple | None] = [None] * 8
+    for d in range(dmax + 1):
+        s, rows_d = 16 ** d, rows[d]                # M^2 = (4^d M)^2 / 16^d
+        for w in range(wlo, whi + 1):
+            g1, g2, _, g4, _ = _squares(exps, w, d)
+            (p1, q1), (p2, q2), (p4, q4) = g1, g2, g4
+            s1, s2, s4 = p1 * s, p2 * s, p4 * s
+            x12, y12 = p1 * q2, p2 * q1             # Gi <= Gj iff xij <= yij
+            x14, y14 = p1 * q4, p4 * q1
+            x24, y24 = p2 * q4, p4 * q2
+            ok12 = x12 < y12 if w < d else x12 > y12 if w > d else x12 == y12
+            # w <= d+h iff k2 <= h and w <= 3d-h iff h <= k3, so the third
+            # case's region d+h <= w <= 3d-h is h <= k_alt
+            k2, k3 = w - d, 3 * d - w
+            k_alt = min(k2, k3)
+            t2, t3, t5 = _exponents(exps[2], w, d)
+            u2, u3, u5 = _exponents(exps[4], w, d)
+            for h, m in enumerate(rows_d[w - lo]):
+                g3 = p3, q3 = _square_pair(t2 + a2 * h, t3 + a3 * h, t5 + a5 * h)
+                x23, y23 = p2 * q3, p3 * q2
+                x34, y34 = p3 * q4, p4 * q3
+                # "<= iff below the boundary, = iff on it" is one comparison
+                ok23 = x23 < y23 if k2 < h else x23 > y23 if k2 > h else x23 == y23
+                ok34 = x34 < y34 if h < k3 else x34 > y34 if h > k3 else x34 == y34
+                c = case(w, d, h)
+                if c == 0:
+                    ff, sf = g1, s1
+                    f_min = x12 <= y12 and x14 <= y14 and p1 * q3 <= p3 * q1
+                elif c == 1:
+                    ff, sf = g2, s2
+                    f_min = x12 >= y12 and x23 <= y23 and x24 <= y24
+                elif c == 2:
+                    ff, sf = g3, p3 * s
+                    f_min = x23 >= y23 and x34 <= y34 and p1 * q3 >= p3 * q1
+                else:                               # c == 3
+                    ff, sf = g4, s4
+                    f_min = x14 >= y14 and x24 >= y24 and x34 >= y34
+                n2 = m * m
+                m_f = n2 * ff[1] <= sf
+                # M <= F <= G_i gives M <= G_i; where F is not the least
+                # form, M is compared with each form
+                m_g = m_f and (f_min or (n2 * q1 <= s1 and n2 * q2 <= s2
+                                         and n2 * q3 <= p3 * s and n2 * q4 <= s4))
+                alt = h > k_alt or _square_pair(u2 + b2 * h, u3 + b3 * h,
+                                                u5 + b5 * h) == ff
+                # F is one of G1..G4 by construction, so claim 7 holds
+                if not (m_g and ok12 and ok23 and ok34 and (f_min or h > d) and alt):
+                    _note_failures(wit, (m_g, m_f, ok12, ok23, ok34, f_min or h > d,
+                                         True, alt), (w, d, h))
+    _append_checks(rep, _SMALL_CLAIMS, (whi - wlo + 1) * (dmax + 1) * (hmax + 1), wit)
 
 
 # ----------------------------------------------------------------------

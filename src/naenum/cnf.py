@@ -9,6 +9,7 @@ sorted tuple of clauses.  Formulas are immutable and safe to share.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -88,7 +89,9 @@ def parse_dimacs(text: str | bytes) -> Formula:
     clauses: list[list[int]] = []
     pending: list[int] = []
     pending_line = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # lines end at \n, \r\n or \r only: str.splitlines() also splits at form
+    # feeds and other control characters, which would misnumber the lines
+    for lineno, raw in enumerate(re.split("\r\n|\r|\n", text), start=1):
         s = raw.strip()
         if not s or s.startswith("c"):
             continue

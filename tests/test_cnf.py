@@ -76,6 +76,18 @@ def test_parse_refusals_name_the_line(text, message, line):
     assert ei.value.line == line
 
 
+@pytest.mark.parametrize("text", [
+    b"p cnf 3 1\n1 \x0c2 x 0\n", b"p cnf 3 1\n1 \x0b2 x 0\n",
+    b"p cnf 3 1\n1 \x1c2 \x1e x 0\n", "p cnf 3 1\r\n1 \x0c2 x 0\r\n",
+    "p cnf 3 1\r1 \x1d2 x 0\r",
+])
+def test_parse_counts_lines_at_line_ends_only(text):
+    # form feeds, vertical tabs and \x1c-\x1e separate tokens, not lines
+    with pytest.raises(DimacsError, match="bad token 'x'") as ei:
+        parse_dimacs(text)
+    assert ei.value.line == 2
+
+
 def test_parse_tautology_rejected():
     with pytest.raises(DimacsError):
         parse_dimacs("p cnf 3 1\n1 -1 2 0")
