@@ -253,16 +253,25 @@ def _dp_small_rows(lo: int, wmax: int, dmax: int,
     factor 9/4, 2, 7/4 or 3/2; a negative budget is worth 0.  For w <= 0 the
     largest factor 9/4 is always available, so M(w, d, h) = (9/4)^d there."""
     width = wmax - lo + 1
-    hs = range(hmax + 1)
     row = [[1 if lo + k <= 0 else 0] * (hmax + 1) for k in range(width)]
     rows = [row]
     for d in range(1, dmax + 1):
         prev = row
-        row = [[9 ** d] * (hmax + 1) for _ in range(min(-lo + 1, width))]
-        for k in range(len(row), width):
-            a, b, c = prev[k - 1], prev[k - 2], prev[k - 3]
-            row.append([max(9 * a[h], 7 * b[h], 6 * c[h], 8 * b[h - 1] if h else 0)
-                        for h in hs])
+        k0 = min(-lo + 1, width)
+        row = [[9 ** d] * (hmax + 1) for _ in range(k0)]
+        # row k from rows k - 1, k - 2 and k - 3 of the level below, a whole
+        # row at a time; s is row k - 2 one budget down.  Comparisons in
+        # place of max() halve the time
+        for a, b, c in zip(prev[k0 - 1:-1], prev[k0 - 2:], prev[k0 - 3:]):
+            cells = []
+            for x, y, z, s in zip(a, b, c, [0, *b]):
+                x, y, z, s = 9 * x, 7 * y, 6 * z, 8 * s
+                if y > x:
+                    x = y
+                if s > z:
+                    z = s
+                cells.append(z if z > x else x)
+            row.append(cells)
         rows.append(row)
     return rows
 

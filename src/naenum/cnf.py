@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import getitem
 from typing import Iterable
 
 from .errors import DimacsError, TautologyError
@@ -39,6 +40,37 @@ def clause_vars(clause: Clause) -> tuple[int, ...]:
 
 def is_monotone(clause: Clause) -> bool:
     return all(l > 0 for l in clause)
+
+
+def _byte_vars(first: int) -> tuple[tuple[int, ...], ...]:
+    """Entry b: the variables that byte value b sets, in ascending order,
+    when its bit i stands for variable first + i."""
+    table = [()]
+    for i in range(8):
+        table += [vs + (first + i,) for vs in table]
+    return tuple(table)
+
+
+# the tables of bytes 0, 1 and 2 of a mask whose bit i stands for variable
+# i + 1, built once at import
+_BYTE_VARS = tuple(_byte_vars(8 * k + 1) for k in range(3))
+
+
+def mask_tuples(masks: Iterable[int], n: int,
+                shift: int = 0) -> list[tuple[int, ...]]:
+    """The variables of each mask as an ascending tuple, where bit
+    ``v - 1 + shift`` stands for variable v of 1..n.  Each tuple is joined
+    from the tuples of the mask's bytes, read off one 256-entry table per
+    byte position."""
+    if n <= 24:
+        t0, t1, t2 = _BYTE_VARS
+        s1, s2 = shift + 8, shift + 16
+        return [t0[m >> shift & 0xFF] + t1[m >> s1 & 0xFF] + t2[m >> s2]
+                for m in masks]
+    tables = [_byte_vars(first) for first in range(1, n + 1, 8)]
+    size = len(tables)
+    return [sum(map(getitem, tables, (m >> shift).to_bytes(size, "little")), ())
+            for m in masks]
 
 
 @dataclass(frozen=True)

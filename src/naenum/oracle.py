@@ -24,14 +24,15 @@ symmetric difference, the earlier tuple holds it, and after reversing the
 bits of the masks it is their highest differing bit.  Tuple order is thus
 descending order of the bit-reversed masks.  (Sets of different sizes
 break the argument: a tuple precedes its extensions.)  Each tuple is then
-read off its mask a byte at a time: a table per byte position maps each byte
-value to the variables its set bits stand for, in ascending order, and the
-three byte tuples join into the mask's tuple.
+read off its mask a byte at a time by ``cnf.mask_tuples``: a table per byte
+position maps each byte value to the variables its set bits stand for, in
+ascending order, and the three byte tuples join into the mask's tuple.
 
 Independent of the search engine by construction: the tables are built from
 the clause literals alone, with no clause-selection, tree or collection code
-shared, and the direct NAE scan tests "some literal true and some literal
-false" on the formula as given, never on its negation closure.
+shared (the engine turns its solution masks into tuples with the same
+``cnf.mask_tuples``), and the direct NAE scan tests "some literal true and
+some literal false" on the formula as given, never on its negation closure.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .cnf import Formula, nae_check
+from .cnf import Formula, mask_tuples, nae_check
 from .errors import OracleRefused
 
 MAX_ORACLE_VARS = 24
@@ -53,17 +54,6 @@ _WORD = 64
 _UNSAT = 0xFF           # above any weight, n <= 24
 
 
-def _byte_vars(first: int) -> tuple[tuple[int, ...], ...]:
-    """Entry v: the variables that byte value v sets, in ascending order,
-    when its bit i is variable first + i."""
-    table = [()]
-    for i in range(8):
-        table += [vs + (first + i,) for vs in table]
-    return tuple(table)
-
-
-# _BYTE_VARS[k]: the table of byte k of a mask, where bit i is variable i + 1
-_BYTE_VARS = tuple(_byte_vars(8 * k + 1) for k in range(3))
 # each byte value with its 8 bits in reverse order
 _REV8 = np.packbits(np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1),
                     axis=1, bitorder="little").ravel().astype(np.int64)
@@ -188,9 +178,7 @@ def _tuples(masks: np.ndarray, n: int) -> tuple[tuple[int, ...], ...]:
     the masks in descending bit-reversed order (the module docstring gives
     the argument), each joined from the tuples of its three bytes."""
     masks = _reverse(np.sort(_reverse(masks, n))[::-1], n)
-    t0, t1, t2 = _BYTE_VARS
-    return tuple([t0[m & 0xFF] + t1[m >> 8 & 0xFF] + t2[m >> 16]
-                  for m in masks.tolist()])
+    return tuple(mask_tuples(masks.tolist(), n))
 
 
 def _reverse(masks: np.ndarray, n: int) -> np.ndarray:

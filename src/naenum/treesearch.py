@@ -18,12 +18,23 @@ returning: no trail is kept, and a reset signal unwinds any number of levels
 without repair.  Clauses are ranked by the key (width, variables) of their
 positive literals, so the free pick is the lowest set bit of ``P`` and "no
 live positive clause" is ``P == 0``.  A node steps into each child in its
-own loop and settles a depth-t child there, with no frame of its own.  Path
-labels and per-depth ordering hashes live in depth-indexed arrays that a
-child overwrites.  The label mark counters are raised and lowered around an
-expansion only where they are read: on the controlled route and in the debug
-tree.  A count keeps no solution list; its exactly-once check keys each
-solution on its ``Q`` mask.
+own loop.  Outside the debug tree, depth-t children settle in a loop of
+their own, with no frame and no path label written: its counts stay in
+locals until the loop ends, and a leaf's waking clauses are scanned only
+when none of its parent's live clauses stays live, as a leaf is a solution
+iff none stays live and none wakes.
+A non-leaf child's ``U`` is its parent's plus the unit clauses its label x
+leaves.  That addition depends only on x and on ``Q`` within ``N(x)``, the
+variables of the all-negative clauses with literal ``-x``, so each engine
+memoises it in one dict of at most ``_FALS_MEMO_CAP`` entries, cleared on a
+miss once full.  Path labels and per-depth ordering hashes live in
+depth-indexed arrays that a child overwrites.  The label mark counters are
+raised and lowered around an expansion only where they are read: on the
+controlled route and in the debug tree.  In either mode the exactly-once
+check keys each solution on its ``Q`` mask, the set of its path labels.  A
+count keeps no solution list; a collect buffers the masks and turns them
+into sorted tuples (``cnf.mask_tuples``) once the search settles and the
+check's set is dropped.
 Below a depth-t0 node on the controlled route a ``_Frame`` adds the stage
 profile, the twomark plan and the shoot's heavy clauses; the plan's one input
 from the path is the labels entered at the onemark levels, which
@@ -67,7 +78,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .cnf import Clause, Formula, is_negation_closed
+from .cnf import Clause, Formula, is_negation_closed, mask_tuples
 from .errors import (BudgetExceeded, InputNotClosed, InternalInvariantError,
                      ParameterError, PreconditionViolated, WidthError)
 from .matching import attempt_reset, check_disjoint, greedy_maximal, var_mask
@@ -80,6 +91,7 @@ from .tree import (DebugTree, SurvivalKernel, TreeNode, psi_exact,
 PROFILE_CAP = 512
 DEBUG_TREE_MAX_N = 24
 _ORDERING_BLOCK = 4096      # joint orderings per survival-kernel call
+_FALS_MEMO_CAP = 4096       # entries of an engine's falsifying-mask memo
 
 _M64 = 2 ** 64 - 1
 
@@ -219,7 +231,8 @@ class _Engine:
     # attribute needs its name here
     __slots__ = ("n", "t", "record", "debug_assertions", "draw_below",
                  "hashes", "path", "mono3_index", "mono3", "has_empty_clause",
-                 "pick", "wake_by", "fals_by", "live0", "unit0", "keep_by",
+                 "pick", "wake_by", "fals_by", "fals_vars", "fals_memo",
+                 "live0", "unit0", "keep_by",
                  "base", "stats", "buffer", "t0", "route", "_seen",
                  "discarded_leaves", "tree_nodes", "tree_profiles",
                  "keep_marks", "label_cnt", "label_nodes")
@@ -253,8 +266,9 @@ class _Engine:
         self.base = (greedy_maximal(self.mono3) if base is None
                      else check_disjoint(base))
         self.stats = SearchStats()
-        # the solutions in emission order, or None to count them only
-        self.buffer: list[tuple[int, ...]] | None = [] if collect else None
+        # the solutions in emission order, or None to count them only: their
+        # Q masks while the search runs, their sorted tuples once it settles
+        self.buffer: list | None = [] if collect else None
 
     def _index_clauses(self, f: Formula) -> None:
         """Per-variable occurrence masks and lists, in O(total literals).
@@ -271,6 +285,11 @@ class _Engine:
         # all-negative clause with literal -v
         self.wake_by: list[list[tuple[int, int, int]]] = [[] for _ in sat_by]
         self.fals_by: list[list[int]] = [[] for _ in sat_by]
+        # per v: N(v), the variables of the all-negative clauses with
+        # literal -v, and v itself above bit n, so that
+        # (Q | -1 << n + 1) & fals_vars[v] keys the falsifying-mask memo on
+        # v and Q within N(v) (see _node)
+        fals_vars = [v << f.n + 1 for v in range(f.n + 1)]
         self.live0 = self.unit0 = 0                     # P and U at the root
         for r, i in enumerate(ranked):
             bit = 1 << r
@@ -289,6 +308,9 @@ class _Engine:
                 self.unit0 |= neg if len(c) == 1 else 0
                 for l in c:
                     self.fals_by[-l].append(neg)
+                    fals_vars[-l] |= neg
+        self.fals_vars = fals_vars
+        self.fals_memo: dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # drivers
@@ -341,7 +363,7 @@ class _Engine:
                         if not P:
                             self.stats.solutions_emitted += 1
                             if self.buffer is not None:
-                                self.buffer.append(tuple(sorted(self.path)))
+                                self.buffer.append(Q)
                 break
             except BaseResetSignal as sig:
                 if prefix:
@@ -349,6 +371,15 @@ class _Engine:
                 self._apply_base_reset(sig)
         self.stats.route = self.route
         self.stats.t0 = self.t0
+        # the exactly-once set goes first, so that it and the solution
+        # tuples are never held at once
+        self._seen = None
+        buf = self.buffer
+        if buf is not None:
+            # in place, a block at a time, so that each block's masks are
+            # freed before the next block's tuples are built
+            for i in range(0, len(buf), 4096):
+                buf[i:i + 4096] = mask_tuples(buf[i:i + 4096], self.n, 1)
 
     def _walk_prefix(self, prefix: Sequence[int]) -> tuple[int, int, int, int]:
         """Masks ``Q, P, U, L`` at the end of a disjoint-stage path, with the
@@ -443,48 +474,85 @@ class _Engine:
                 self.label_cnt[x] += 1
                 if record:
                     self.label_nodes[x].append(node_id)
-        # each child's step is _step inlined; depth-t children end here
+        # each child's step is _step inlined, its U step memoised
+        keep_by, wake_by = self.keep_by, self.wake_by
         leaf = depth + 1 == self.t
-        path, keep_by, wake_by = self.path, self.keep_by, self.wake_by
-        buf, seen = self.buffer, self._seen
-        for x in order:
-            bit = 1 << x
-            child_id = self._record_child(node_id, depth, x, bool(U & bit)) if record else 0
-            if L & bit and not record:
-                stats.superfluous_skips += 1
-            elif U & bit:
-                stats.falsified_leaves += 1
-            else:
-                stats.nodes_visited += 1
-                path[depth] = x
-                Qx = Q | bit
-                Px = P & keep_by[x]
-                for neg, pos, b in wake_by[x]:
-                    if not (neg & ~Qx or pos & Qx):
-                        Px |= b
-                if not leaf:
-                    Ux = U
-                    for neg in self.fals_by[x]:
-                        rest = neg & ~Qx
-                        if not rest & (rest - 1):
-                            if not rest:
-                                raise InternalInvariantError("entered a falsified child")
-                            Ux |= rest
-                    self._node(depth + 1, Qx, Px, Ux, L, fr, child_id)
+        if leaf and not record:
+            # depth-t leaves settle here: a leaf is a solution iff no live
+            # clause stays (P & keep_by[x]) and none wakes
+            skips = falsified = visited = emitted = 0
+            buf, seen = self.buffer, self._seen
+            for x in order:
+                bit = 1 << x
+                if L & bit:
+                    skips += 1
+                elif U & bit:
+                    falsified += 1
                 else:
-                    stats.leaves_visited += 1
-                    if not Px:
-                        stats.solutions_emitted += 1
-                        key = Qx
-                        if buf is not None:
-                            key = tuple(sorted(path))
-                            buf.append(key)
-                        if seen is not None:
-                            if key in seen:
-                                raise InternalInvariantError(
-                                    f"solution {tuple(sorted(path))} emitted twice")
-                            seen.add(key)
-            L |= bit
+                    visited += 1
+                    if not P & keep_by[x]:
+                        Qx = Q | bit
+                        for neg, pos, _ in wake_by[x]:
+                            if not (neg & ~Qx or pos & Qx):
+                                break
+                        else:
+                            emitted += 1
+                            if buf is not None:
+                                buf.append(Qx)
+                            if seen is not None:
+                                if Qx in seen:
+                                    self.path[depth] = x
+                                    raise InternalInvariantError(
+                                        f"solution {tuple(sorted(self.path))} emitted twice")
+                                seen.add(Qx)
+                L |= bit
+            stats.superfluous_skips += skips
+            stats.falsified_leaves += falsified
+            stats.nodes_visited += visited
+            stats.leaves_visited += visited
+            stats.solutions_emitted += emitted
+        else:
+            path, fals_by, fals_vars = self.path, self.fals_by, self.fals_vars
+            memo, hi = self.fals_memo, -1 << self.n + 1
+            for x in order:
+                bit = 1 << x
+                child_id = self._record_child(node_id, depth, x, bool(U & bit)) if record else 0
+                if L & bit and not record:
+                    stats.superfluous_skips += 1
+                elif U & bit:
+                    stats.falsified_leaves += 1
+                else:
+                    stats.nodes_visited += 1
+                    path[depth] = x
+                    Qx = Q | bit
+                    Px = P & keep_by[x]
+                    for neg, pos, b in wake_by[x]:
+                        if not (neg & ~Qx or pos & Qx):
+                            Px |= b
+                    if not leaf:
+                        # the unit clauses x leaves depend on x and on Q
+                        # within N(x) only, so the step is memoised on both
+                        key = (Qx | hi) & fals_vars[x]
+                        add = memo.get(key)
+                        if add is None:
+                            add = 0
+                            for neg in fals_by[x]:
+                                rest = neg & ~Qx
+                                if not rest & (rest - 1):
+                                    if not rest:
+                                        raise InternalInvariantError("entered a falsified child")
+                                    add |= rest
+                            if len(memo) >= _FALS_MEMO_CAP:
+                                memo.clear()
+                            memo[key] = add
+                        self._node(depth + 1, Qx, Px, U | add, L, fr, child_id)
+                    else:       # a depth-t leaf of the debug tree
+                        stats.leaves_visited += 1
+                        if not Px:
+                            stats.solutions_emitted += 1
+                            if self.buffer is not None:
+                                self.buffer.append(Qx)
+                L |= bit
         if self.keep_marks:
             for x in labels:
                 self.label_cnt[x] -= 1

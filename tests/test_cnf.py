@@ -1,9 +1,12 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from naenum import (DimacsError, Formula, TautologyError, canonical_clause,
                     is_negation_closed, nae_check, negation_closure,
                     parse_dimacs, satisfies)
+from naenum.cnf import mask_tuples
 from oracles import simplify
 
 
@@ -212,3 +215,15 @@ def test_nae_check_examples():
     assert nae_check(f, {1})
     assert not nae_check(f, {1, 2, 3})
     assert nae_check(Formula.of(3, []), {2})
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 23, 24, 25, 31, 40, 70])
+def test_mask_tuples_match_sorted_sets(n):
+    # bit v - 1 + shift stands for variable v; up to 24 variables the
+    # tuples join three byte tables, past that one table per byte
+    rng = random.Random(n)
+    sets = [tuple(sorted(rng.sample(range(1, n + 1), rng.randint(0, n))))
+            for _ in range(200)] + [(), tuple(range(1, n + 1))]
+    for shift in (0, 1, 5):
+        masks = [sum(1 << v - 1 + shift for v in s) for s in sets]
+        assert mask_tuples(masks, n, shift) == sets, (n, shift)

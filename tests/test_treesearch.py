@@ -28,6 +28,7 @@ from corpus import (collision_reset_instance, heavy_overflow_instance,
                     heavy_reset_instance, structure_reset_instance,
                     twomark_reset_instance)
 from oracles import disjoint_stage
+from test_engine_golden import _generator as golden_generator
 
 
 @pytest.mark.parametrize("n,count", [(4, 6), (8, 36), (12, 216)])
@@ -510,6 +511,51 @@ def test_node_masks_match_step(corpus500, monkeypatch):
                 assert (Q, P, U) == masks, (f, t, path)
 
 
+def test_falsifying_mask_memo_cleared_on_every_miss_changes_nothing(monkeypatch):
+    # a memo of one entry is cleared on every miss, so almost every step
+    # recomputes its falsifying mask; counts, solution lists and stats stay
+    # those of the default memo on every golden instance and reset instance
+    cases = [(f, t) for _, f, t in golden_generator().instances()] + [
+        (f, brute_force(f).tau) for f in (g() for g in RESET_INSTANCES)]
+    orderings = (OrderingSource.fixed(), OrderingSource.random(0),
+                 OrderingSource.random(1))
+
+    def runs():
+        out = []
+        for f, t in cases:
+            for ordering in orderings:
+                count, cstats = count_solutions(f, t, ordering)
+                sols, stats = collect_solutions(f, t, ordering)
+                assert count == len(sols)
+                out.append((sols, cstats.as_dict(), stats.as_dict()))
+        return out
+
+    default = runs()
+    monkeypatch.setattr(treesearch, "_FALS_MEMO_CAP", 1)
+    assert runs() == default
+
+
+def test_falsifying_mask_memo_stays_within_its_cap(monkeypatch):
+    # maj(16,3) has more (label, Q within the label's clauses) patterns than
+    # the cap of 8; the memo is cleared on a miss once full, so no node ever
+    # sees it larger than the cap
+    f = negation_closure(maj(16, 3))
+    eng = _Engine(f, 8, OrderingSource.fixed(), collect=False)
+    eng.run()
+    assert len(eng.fals_memo) > 8
+    monkeypatch.setattr(treesearch, "_FALS_MEMO_CAP", 8)
+    real = _Engine._node
+    sizes = []
+
+    def node(eng, *args):
+        sizes.append(len(eng.fals_memo))
+        real(eng, *args)
+
+    monkeypatch.setattr(_Engine, "_node", node)
+    assert count_solutions(f, 8)[0] == 1296
+    assert max(sizes) == 8
+
+
 def test_entering_a_falsified_child_is_an_invariant_failure():
     # with the unit clause (-1) missing from U at the root, the search steps
     # through label 1 of the clause (1), which falsifies it
@@ -707,10 +753,14 @@ def test_deep_path_chain_finishes():
     # the default limit.  The odd and the even variables are the two
     # solutions, one root-to-leaf path each; every other child edge is
     # falsified.
-    count, stats = count_solutions(negation_closure(_path_chain(800)), 400)
+    f = negation_closure(_path_chain(800))
+    count, stats = count_solutions(f, 400)
     assert count == 2
     assert stats.nodes_visited == 2 * 400 + 1
     assert stats.falsified_leaves == 798
+    # a collect past 24 variables reads its masks off 100 byte tables
+    sols, _ = collect_solutions(f, 400)
+    assert sorted(sols) == [tuple(range(1, 801, 2)), tuple(range(2, 801, 2))]
 
 
 def test_too_deep_search_is_refused(tmp_path, capsys):
