@@ -30,9 +30,12 @@ for n in (4, 8, 12):
 # repeats.  At n=4: nine viable leaves collapse to six distinct solutions.
 f = ne.negation_closure(ne.maj(4, 3))
 tree = ne.build_debug_tree(f, 2)
-viable = [u for u in tree.leaves() if u.leaf_kind == "viable"]
+ones = [()] * len(tree.nodes)       # per node, the edge labels from the root
+for u in tree.nodes[1:]:            # a parent's id is below its children's
+    ones[u.id] = ones[u.parent] + (u.label,)
+viable = [u for u in tree.nodes if u.leaf_kind == "viable"]
 print(f"\nfull tree at n=4: {len(viable)} viable leaves, "
-      f"{len(set(tuple(sorted(tree.q_of(u))) for u in viable))} distinct solutions")
+      f"{len(set(tuple(sorted(ones[u.id])) for u in viable))} distinct solutions")
 _, stats = ne.count_solutions(f, 2)
 print(f"pruned search visits {stats.leaves_visited} leaves "
       f"and skips {stats.superfluous_skips} superfluous edges")

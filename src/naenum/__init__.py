@@ -3,9 +3,9 @@
 bound calculators and brute-force oracles that machine-check the method's
 structural claims at desk scale."""
 
-from .cnf import (Clause, Formula, canonical_clause, clause_vars,
-                  is_monotone, is_negation_closed, nae_check,
-                  negation_closure, parse_dimacs, satisfies)
+from .cnf import (Clause, Formula, canonical_clause, is_monotone,
+                  is_negation_closed, nae_check, negation_closure,
+                  parse_dimacs)
 from .errors import (BudgetExceeded, DimacsError, InputNotClosed,
                      InternalInvariantError, NaenumError, OracleRefused,
                      ParameterError, PreconditionViolated, TautologyError,

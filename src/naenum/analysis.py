@@ -11,8 +11,8 @@ Every form is read one way: its square is 2^a 3^b 5^c, with (a, b, c) linear
 in (w, d, h) and read off the definition once (``_square_exponents``).  At a
 point the exponents become an integer pair P/Q for the claim kernel and,
 through a square root, the exact value the public functions return: a
-Fraction from ``g_large`` and ``f_large``, and from ``g_small``, ``f_small``
-and ``f_small_alt_case3`` a ``QSqrt6``, r or r*sqrt(6) with r a Fraction.
+Fraction from ``g_large`` and ``f_large``, and a ``QSqrt6`` from ``g_small``
+and ``f_small``, r or r*sqrt(6) with r a Fraction.
 
 The claim grids never build those values.  Every closed form and DP entry is
 nonnegative, so comparing two of them is comparing their squares; the DP
@@ -196,12 +196,6 @@ def f_small(w: int, d: int, h: int) -> QSqrt6:
     """Four-case ceiling with the extra parameter h bounding, per shoot, the
     twice-marked full-mass nodes ("heavy" nodes)."""
     return g_small(_small_case(w, d, h) + 1, w, d, h)
-
-
-def f_small_alt_case3(w: int, d: int, h: int) -> QSqrt6:
-    """The algebraically equal second form of the third case; asserted equal
-    to the first as a self-test."""
-    return _value(_SMALL_EXPONENTS[4], w, d, h)
 
 
 # ----------------------------------------------------------------------

@@ -34,10 +34,6 @@ def canonical_clause(literals: Iterable[int]) -> Clause:
     return tuple(lits)
 
 
-def clause_vars(clause: Clause) -> tuple[int, ...]:
-    return tuple(abs(l) for l in clause)
-
-
 def is_monotone(clause: Clause) -> bool:
     return all(l > 0 for l in clause)
 
@@ -193,16 +189,6 @@ def is_negation_closed(f: Formula) -> bool:
             return negation_closure(f) == f
         prev = key
     return True
-
-
-def _clause_sat(c: Clause, on: set[int]) -> bool:
-    return any((l > 0 and l in on) or (l < 0 and -l not in on) for l in c)
-
-
-def satisfies(f: Formula, ones: Iterable[int]) -> bool:
-    """Does the 0/1 assignment with ones exactly on ``ones`` satisfy ``f``?"""
-    on = set(ones)
-    return all(_clause_sat(c, on) for c in f.clauses)
 
 
 def nae_check(f: Formula, ones: Iterable[int]) -> bool:

@@ -60,28 +60,6 @@ class DebugTree:
     def root(self) -> TreeNode:
         return self.nodes[0]
 
-    def child_nodes(self, u: TreeNode) -> list[TreeNode]:
-        return [self.nodes[i] for i in u.children]
-
-    def path_ids(self, v: TreeNode) -> list[int]:
-        out = []
-        node: TreeNode | None = v
-        while node is not None:
-            out.append(node.id)
-            node = self.nodes[node.parent] if node.parent is not None else None
-        return out[::-1]
-
-    def q_of(self, v: TreeNode) -> tuple[int, ...]:
-        labels = []
-        node = v
-        while node.parent is not None:
-            labels.append(node.label)
-            node = self.nodes[node.parent]
-        return tuple(labels[::-1])
-
-    def leaves(self) -> Iterator[TreeNode]:
-        return (u for u in self.nodes if u.leaf_kind is not None)
-
     def internal(self) -> Iterator[TreeNode]:
         return (u for u in self.nodes if u.children)
 

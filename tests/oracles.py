@@ -5,17 +5,68 @@ bitmasks, keeps disjoint collections maximal by construction and reads
 survival off marks along a path.  The tests use them to check those fast
 paths against direct definitions.  ``disjoint_stage`` is shorthand for the
 base collection that the search starts from.
+
+``clause_vars`` and ``satisfies`` read clauses and assignments directly;
+``child_nodes``, ``path_ids``, ``q_of`` and ``leaves`` walk a ``DebugTree``
+through its nodes' ``children`` and ``parent`` links; and
+``f_small_alt_case3`` is the algebraically equal second form of the
+four-case ceiling's third case, which the claim kernel compares on squares.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from naenum.cnf import Clause, Formula, _clause_key, clause_vars
+from naenum import analysis
+from naenum.cnf import Clause, Formula, _clause_key
 from naenum.matching import greedy_maximal
 from naenum.tree import DebugTree, TreeNode
+
+
+def clause_vars(clause: Clause) -> tuple[int, ...]:
+    return tuple(abs(l) for l in clause)
+
+
+def satisfies(f: Formula, ones: Iterable[int]) -> bool:
+    """Does the 0/1 assignment with ones exactly on ``ones`` satisfy ``f``?"""
+    on = set(ones)
+    return all(any((l > 0 and l in on) or (l < 0 and -l not in on) for l in c)
+               for c in f.clauses)
+
+
+def child_nodes(tree: DebugTree, u: TreeNode) -> list[TreeNode]:
+    return [tree.nodes[i] for i in u.children]
+
+
+def path_ids(tree: DebugTree, v: TreeNode) -> list[int]:
+    """Node ids from the root down to ``v``."""
+    out = []
+    node: TreeNode | None = v
+    while node is not None:
+        out.append(node.id)
+        node = tree.nodes[node.parent] if node.parent is not None else None
+    return out[::-1]
+
+
+def q_of(tree: DebugTree, v: TreeNode) -> tuple[int, ...]:
+    """The edge labels from the root down to ``v``: the variables set to 1."""
+    labels = []
+    node = v
+    while node.parent is not None:
+        labels.append(node.label)
+        node = tree.nodes[node.parent]
+    return tuple(labels[::-1])
+
+
+def leaves(tree: DebugTree) -> Iterator[TreeNode]:
+    return (u for u in tree.nodes if u.leaf_kind is not None)
+
+
+def f_small_alt_case3(w: int, d: int, h: int) -> analysis.QSqrt6:
+    """The algebraically equal second form of the third case."""
+    return analysis._value(analysis._SMALL_EXPONENTS[4], w, d, h)
 
 
 def simplify(f: Formula, ones: Iterable[int]) -> Formula:
@@ -55,7 +106,7 @@ class ShootStats:
 def shoot_stats(tree: DebugTree, top: TreeNode, bottom: TreeNode) -> ShootStats:
     """Stats over the shoot from ``top`` to its descendant ``bottom``: the path
     edges plus all child edges of path nodes other than ``bottom``."""
-    path = tree.path_ids(bottom)
+    path = path_ids(tree, bottom)
     if top.id not in path:
         raise ValueError("top is not an ancestor of bottom")
     path = path[path.index(top.id):]
@@ -64,7 +115,7 @@ def shoot_stats(tree: DebugTree, top: TreeNode, bottom: TreeNode) -> ShootStats:
     for nid in path[:-1]:
         node = tree.nodes[nid]
         defect += 3 - len(node.children)
-        marked += sum(1 for k in tree.child_nodes(node) if k.marks > 0)
+        marked += sum(1 for k in child_nodes(tree, node) if k.marks > 0)
     return ShootStats(marked, defect)
 
 
@@ -82,4 +133,4 @@ def psi_of_node(tree: DebugTree, u: TreeNode) -> Fraction:
     if u.leaf_kind == "falsified":
         return Fraction(0)
     return sum((sigma_edge(k) * psi_of_node(tree, k)
-                for k in tree.child_nodes(u)), start=Fraction(0))
+                for k in child_nodes(tree, u)), start=Fraction(0))

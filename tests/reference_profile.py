@@ -12,7 +12,8 @@ The package's collections are sorted tuples of clauses.  This copy keeps the
 collection class it was written against, ``DisjointCollection``: it wraps
 the base tuple it is given in one, and hands ``StageProfile`` tuples.
 ``StageProfile`` has since dropped its ``n``, ``p``, ``x_index``, ``f1`` and
-``vr_prime`` fields, so this copy no longer passes them.
+``vr_prime`` fields, so this copy no longer passes them.  ``clause_vars``
+left the package and now comes from ``oracles``.
 
 ``took_marked`` and ``twomark_context`` below are the twomark plan as it was
 before ``naenum.selection.twomark_context`` took the onemark labels: the
@@ -25,10 +26,11 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from naenum.cnf import Clause, Formula, clause_vars
+from naenum.cnf import Clause, Formula
 from naenum.errors import InternalInvariantError
 from naenum.selection import (BASE, ONEMARK, TWOMARK, BaseResetSignal,
                               StageProfile, TwomarkContext)
+from oracles import clause_vars
 
 
 @dataclass

@@ -4,7 +4,9 @@
 implementations that the integer ones in ``naenum.tree`` replaced, kept
 verbatim (with the per-node helpers and the ``node_mass`` they called) so the
 differential tests can compare the two on real and tampered trees.  Do not
-edit them to follow the package.
+edit them to follow the package.  The tree walks they call, ``child_nodes``,
+``path_ids`` and ``leaves``, were ``DebugTree`` methods and now come from
+``oracles``.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from typing import Sequence
 
 from naenum.selection import FREE, ONEMARK, TWOMARK
 from naenum.tree import DebugTree, TreeNode
+from oracles import child_nodes, leaves, path_ids
 
 
 def node_mass(kids: Sequence[tuple[int, int, bool]]) -> Fraction:
@@ -26,17 +29,17 @@ def node_mass(kids: Sequence[tuple[int, int, bool]]) -> Fraction:
 def effective_width(tree: DebugTree, u: TreeNode) -> int:
     """Children that actually need exploring: clause width at the node minus
     its falsifying child edges."""
-    kids = tree.child_nodes(u)
+    kids = child_nodes(tree, u)
     return len(kids) - sum(1 for k in kids if k.falsifying)
 
 
 def mass(tree: DebugTree, u: TreeNode) -> Fraction:
     """Expected number of surviving children given the node survives."""
-    return node_mass([(k.label, k.marks, k.falsifying) for k in tree.child_nodes(u)])
+    return node_mass([(k.label, k.marks, k.falsifying) for k in child_nodes(tree, u)])
 
 
 def marked_child_count(tree: DebugTree, u: TreeNode) -> int:
-    return sum(1 for k in tree.child_nodes(u) if k.marks > 0)
+    return sum(1 for k in child_nodes(tree, u) if k.marks > 0)
 
 
 def psi_exact(tree: DebugTree) -> Fraction:
@@ -45,7 +48,7 @@ def psi_exact(tree: DebugTree) -> Fraction:
     marks = [0] * len(tree.nodes)
     for u in tree.nodes[1:]:            # a parent's id is below its children's
         marks[u.id] = marks[u.parent] + u.marks
-    return sum((Fraction(1, 2 ** marks[u.id]) for u in tree.leaves()
+    return sum((Fraction(1, 2 ** marks[u.id]) for u in leaves(tree)
                 if u.leaf_kind == "viable"), start=Fraction(0))
 
 
@@ -60,7 +63,7 @@ def edge_constraints(tree: DebugTree) -> list[list[tuple[int, int, int]]]:
         for w_id in v.markers:
             w = nodes[w_id]
             x_child = next(c for c in w.children if nodes[c].label == v.label)
-            cons[v.id].append((w_id, x_child, tree.path_ids(v)[w.depth + 1]))
+            cons[v.id].append((w_id, x_child, path_ids(tree, v)[w.depth + 1]))
     return cons
 
 
@@ -95,7 +98,7 @@ def check_invariants(tree: DebugTree) -> list[str]:
             if u.depth >= tree.t0 and len(u.children) == 3 and j == 0:
                 bad.append(f"node {u.id}: width-3 expansion at depth {u.depth} unmarked")
             if u.stage == TWOMARK:
-                if not any(k.falsifying and k.marks > 0 for k in tree.child_nodes(u)):
+                if not any(k.falsifying and k.marks > 0 for k in child_nodes(tree, u)):
                     bad.append(f"node {u.id}: twomark node lacks a marked falsifying edge")
                 if effective_width(tree, u) > 2:
                     bad.append(f"node {u.id}: twomark node effective width > 2")
@@ -114,14 +117,14 @@ def check_invariants(tree: DebugTree) -> list[str]:
             budget = u.heavy_budget
             heavy = 0
         if u.stage == FREE and tree.route == "controlled" and u.children:
-            kids = tree.child_nodes(u)
+            kids = child_nodes(tree, u)
             if (len(kids) == 3 and not any(k.falsifying for k in kids)
                     and sorted(k.marks for k in kids) == [0, 1, 1]):
                 heavy += 1
                 if budget is not None and heavy > budget:
                     bad.append(f"node {u.id}: heavy count {heavy} exceeds budget {budget}")
         weight += marked_child_count(tree, u) + 3 - len(u.children)
-        for k in tree.child_nodes(u):
+        for k in child_nodes(tree, u):
             shared = set(k.markers) & path_marker_ids
             if shared and not k.falsifying:
                 bad.append(f"edge into {k.id}: marker {sorted(shared)[0]} shared "

@@ -11,11 +11,12 @@ from naenum import (Formula, brute_force, enumerate_all_orderings, maj,
 from naenum import analysis
 from naenum.analysis import (QSqrt6, ClaimReport, dp_m_large, dp_m_small,
                              estimate_psi, f_large, f_small,
-                             f_small_alt_case3, feasible_profiles, g_large,
-                             g_small, global_bound_check, n_of_u0,
+                             feasible_profiles, g_large, g_small,
+                             global_bound_check, n_of_u0,
                              verify_appendix_claims)
 from naenum.errors import ParameterError
 from naenum.treesearch import DEBUG_TREE_MAX_N
+from oracles import f_small_alt_case3
 
 
 # ---------------------------------------------------------------- numbers

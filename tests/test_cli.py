@@ -134,6 +134,20 @@ def test_enumerate_psi_mode(maj4, capsys):
     assert doc["psi"]["mean"] == 6.0
 
 
+def test_enumerate_psi_mode_engine_matches_tree(maj4, capsys):
+    # every sibling order of maj(4,3)'s closure at t=2 keeps its six
+    # solutions, so both estimators read exactly 6 from every sample
+    docs = {}
+    for method in ("tree", "engine"):
+        code, out, _ = run_cli(["enumerate", "--t", "2", "--closure", "--mode",
+                                "psi", "--psi-method", method, "--samples", "16",
+                                "--seed", "1", maj4], capsys)
+        assert code == 0
+        docs[method] = json.loads(out.strip())["psi"]
+    assert docs["engine"]["method"] == "engine"
+    assert docs["engine"]["mean"] == docs["tree"]["mean"] == 6.0
+
+
 def test_enumerate_psi_mode_refuses_zero_samples(maj4, capsys):
     code, out, err = run_cli(["enumerate", "--t", "2", "--closure", "--mode",
                               "psi", "--samples", "0", maj4], capsys)
@@ -261,6 +275,22 @@ def test_bound_claims_small_grid(capsys):
     code, out, _ = run_cli(["bound", "--verify-claims", "--grid", "6"], capsys)
     assert code == 0
     assert json.loads(out.strip())["claims"]["ok"] is True
+
+
+def test_bound_failing_claim_exits_5(capsys, monkeypatch):
+    from naenum import analysis
+
+    # the alternate third-case form with one more factor 2^h: it no longer
+    # agrees with G3, and that is the one claim that fails
+    exps = list(analysis._SMALL_EXPONENTS)
+    exps[4] = exps[4][:2] + (exps[4][2] + 1,) + exps[4][3:]
+    monkeypatch.setattr(analysis, "_SMALL_EXPONENTS", tuple(exps))
+    code, out, _ = run_cli(["bound", "--verify-claims", "--grid", "6"], capsys)
+    assert code == 5
+    claims = json.loads(out.strip())["claims"]
+    assert claims["ok"] is False
+    assert [(c["name"], c["witness"]) for c in claims["checks"] if not c["ok"]] \
+        == [("small: third-case forms agree", [2, 1, 1])]
 
 
 def test_bound_refuses_empty(capsys):

@@ -5,9 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from naenum import (DimacsError, Formula, TautologyError, canonical_clause,
                     is_negation_closed, nae_check, negation_closure,
-                    parse_dimacs, satisfies)
+                    parse_dimacs)
 from naenum.cnf import mask_tuples
-from oracles import simplify
+from oracles import satisfies, simplify
 
 
 # ---------------------------------------------------------------- strategies

@@ -17,6 +17,7 @@ from naenum.analysis import _tree_survival_samples, estimate_psi
 from naenum.tree import SurvivalKernel, column_counts, row_counts
 from naenum.treesearch import ExhaustiveReport
 from corpus import collision_reset_instance, structure_reset_instance
+from oracles import leaves, path_ids
 import reference_orderings
 
 
@@ -106,10 +107,10 @@ def _direct_count(tree, groups, codes):
         order = list(itertools.permutations(nodes[u].children))[code]
         rank.update((c, pos) for pos, c in enumerate(order))
     count = 0
-    for leaf in tree.leaves():
+    for leaf in leaves(tree):
         if leaf.leaf_kind != "viable":
             continue
-        path = tree.path_ids(leaf)
+        path = path_ids(tree, leaf)
         survives = True
         for v in path[1:]:
             for w in nodes[v].markers:

@@ -16,7 +16,7 @@ from naenum.selection import BaseResetSignal, StageProfile, monotone_index
 from corpus import (collision_reset_instance, heavy_overflow_instance,
                     heavy_reset_instance, structure_reset_instance,
                     twomark_reset_instance)
-from oracles import disjoint_stage, is_maximal
+from oracles import disjoint_stage, is_maximal, q_of
 import reference_profile
 
 MAX_PATHS = 729  # 3^t0 for t0 <= 6
@@ -179,7 +179,7 @@ def _twomark_plans_match(f: Formula) -> int:
     for u in tree.nodes:
         if u.depth < tree.t0 or u.falsifying:
             continue
-        q = tree.q_of(u)
+        q = q_of(tree, u)
         prof = by_q.get(frozenset(q[:tree.t0]))
         if prof is None:        # a depth-t0 leaf builds no profile
             assert u.depth == tree.t0 == tree.t

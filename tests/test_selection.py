@@ -4,12 +4,11 @@ import pytest
 
 from naenum import (Formula, branch_on_t0, build_stage_profile, maj,
                     negation_closure, twomark_context)
-from naenum.cnf import clause_vars
 from naenum.errors import InternalInvariantError
 from naenum.selection import BaseResetSignal, monotone_index
 from corpus import (collision_reset_instance, heavy_overflow_instance,
                     structure_reset_instance)
-from oracles import disjoint_stage
+from oracles import clause_vars, disjoint_stage, q_of
 
 
 def _max_disjoint_size(clauses):
@@ -168,11 +167,11 @@ def test_twice_marked_pool_covers_every_end_of_onemark_node(corpus500):
             anc = u
             while anc.depth > tree.t0:
                 anc = tree.nodes[anc.parent]
-            prof = by_q.get(frozenset(tree.q_of(anc)))
+            prof = by_q.get(frozenset(q_of(tree, anc)))
             if prof is None or u.depth != prof.t0 + prof.t1 \
                     or u.leaf_kind == "falsified":
                 continue
-            q = set(tree.q_of(u))
+            q = set(q_of(tree, u))
             pool = set(prof.f2r) | set(prof.f2b)
             x_vars = {v for c in prof.base for v in clause_vars(c)} - prof.q_u0
             c1_vars = {v for c in prof.c1 for v in clause_vars(c)}

@@ -6,10 +6,11 @@ import pytest
 
 from naenum import (DebugTree, Formula, TreeNode, brute_force, build_debug_tree,
                     check_invariants, export_lines, maj, negation_closure,
-                    psi_exact, random_negation_closed, satisfies)
+                    psi_exact, random_negation_closed)
 from naenum.selection import FREE, ONEMARK, TWOMARK
 from naenum.tree import _AFTER, SurvivalKernel, row_counts
-from oracles import psi_of_node, shoot_stats, sigma_edge, simplify
+from oracles import (child_nodes, leaves, path_ids, psi_of_node, q_of,
+                     satisfies, shoot_stats, sigma_edge, simplify)
 from reference_tree import effective_width, marked_child_count, mass
 
 
@@ -20,7 +21,7 @@ def test_single_clause_tree():
     assert [tree.nodes[c].label for c in root.children] == [1, 2, 3]
     assert all(tree.nodes[c].markers == () for c in root.children)
     assert all(tree.nodes[c].leaf_kind == "viable" for c in root.children)
-    assert all(satisfies(f, tree.q_of(tree.nodes[c])) for c in root.children)
+    assert all(satisfies(f, q_of(tree, tree.nodes[c])) for c in root.children)
     assert mass(tree, root) == 3
     st = shoot_stats(tree, root, tree.nodes[root.children[0]])
     assert st.weight == 0 and st.defect == 0
@@ -31,7 +32,7 @@ def test_marking_counts_on_maj4():
     tree = build_debug_tree(f, 2)
     # the root's labels 1,2,3 mark any same-labeled edge one level down
     marks = sorted(tree.nodes[c].marks
-                   for u in tree.child_nodes(tree.root)
+                   for u in child_nodes(tree, tree.root)
                    for c in u.children)
     assert marks.count(1) == 6 and marks.count(0) == 3
 
@@ -42,7 +43,7 @@ def test_falsifying_edges_match_unit_clauses(corpus500):
         tree = build_debug_tree(f, rep.tau)
         for u in tree.nodes:
             if u.leaf_kind == "falsified" and u.parent is not None:
-                parent_q = tree.q_of(tree.nodes[u.parent])
+                parent_q = q_of(tree, tree.nodes[u.parent])
                 residual = simplify(f, parent_q)
                 assert (-u.label,) in residual.clauses
                 seen += 1
@@ -60,7 +61,7 @@ def test_defect_counts_width_two_expansions():
     defects = [3 - len(u.children) for u in tree.internal()]
     assert any(d >= 1 for d in defects)
     assert check_invariants(tree) == []
-    for leaf in tree.leaves():
+    for leaf in leaves(tree):
         if leaf.depth == tree.t:
             st = shoot_stats(tree, tree.root, leaf)
             assert st.weight >= 3 * tree.t - tree.n
@@ -122,8 +123,8 @@ def test_check_invariants_flags_tampering():
     tree = build_debug_tree(f, 2)
     # erase the marks below one depth-1 node: a width-3 expansion past the
     # disjoint prefix may never be unmarked
-    victim = tree.child_nodes(tree.root)[0]
-    for c in tree.child_nodes(victim):
+    victim = child_nodes(tree, tree.root)[0]
+    for c in child_nodes(tree, victim):
         c.markers = ()
     flagged = check_invariants(tree)
     assert any("unmarked" in v for v in flagged)
@@ -149,7 +150,7 @@ def _twomark_flags(edit) -> list[str]:
     first twomark node: two marked falsifying edges and one unmarked live one."""
     tree = _controlled_tree()
     u = next(u for u in tree.nodes if u.stage == TWOMARK and u.children)
-    kids = tree.child_nodes(u)
+    kids = child_nodes(tree, u)
     assert sorted((k.falsifying, k.marks) for k in kids) == [(False, 0), (True, 1), (True, 1)]
     edit(kids)
     return [v.split(": ", 1)[1] for v in check_invariants(tree)
@@ -185,7 +186,7 @@ def test_check_invariants_flags_the_marks_rule():
     assert check_invariants(tree) == []
     # a onemark node u whose unmarked child k is a onemark node too
     u, k = next((u, k) for u in tree.nodes if u.stage == ONEMARK
-                for k in tree.child_nodes(u) if not k.markers and k.stage == ONEMARK)
+                for k in child_nodes(tree, u) if not k.markers and k.stage == ONEMARK)
     assert marked_child_count(tree, u) == marked_child_count(tree, k) == 1
     k.markers = (u.id,)
     flagged = check_invariants(tree)
@@ -195,15 +196,15 @@ def test_check_invariants_flags_the_marks_rule():
 
     tree = _controlled_tree()
     w = next(w for w in tree.nodes if w.stage == TWOMARK and w.children)
-    next(c for c in tree.child_nodes(w) if c.markers).markers = ()
+    next(c for c in child_nodes(tree, w) if c.markers).markers = ()
     assert f"node {w.id}: 1 marked child edges at a twomark node" in check_invariants(tree)
 
 
 def test_check_invariants_flags_once_marked_free_mass():
     tree = _controlled_tree()
     u = next(u for u in tree.nodes if u.stage == FREE and len(u.children) == 3
-             and all(k.marks == 1 and not k.falsifying for k in tree.child_nodes(u)))
-    for k in tree.child_nodes(u)[1:]:
+             and all(k.marks == 1 and not k.falsifying for k in child_nodes(tree, u)))
+    for k in child_nodes(tree, u)[1:]:
         k.markers = ()
     assert f"node {u.id}: once-marked free node mass 5/2 > 9/4" in check_invariants(tree)
 
@@ -236,13 +237,13 @@ def test_check_invariants_reports_light_shoots_last_in_leaf_order(f, t):
     # raise the weight floor 3t - n to t and erase every mark below the
     # root's first child: some depth-t shoots fall under the floor
     tree.n = 2 * t
-    victim = tree.child_nodes(tree.root)[0]
+    victim = child_nodes(tree, tree.root)[0]
     for u in tree.nodes:
-        if victim.id in tree.path_ids(u)[1:-1]:
+        if victim.id in path_ids(tree, u)[1:-1]:
             u.markers = ()
     floor = 3 * tree.t - tree.n
     light = [f"leaf {leaf.id}: shoot weight {st.weight} < {floor}"
-             for leaf in tree.leaves() if leaf.depth == tree.t
+             for leaf in leaves(tree) if leaf.depth == tree.t
              and (st := shoot_stats(tree, tree.root, leaf)).weight < floor]
     flagged = check_invariants(tree)
     assert light and flagged[len(flagged) - len(light):] == light

@@ -17,7 +17,7 @@ from naenum import (BudgetExceeded, Formula,
                     collect_solutions, count_solutions,
                     enumerate_all_orderings, enumerate_solutions, maj,
                     negation_closure, psi_exact, random_negation_closed,
-                    satisfies, verify_enumeration)
+                    verify_enumeration)
 from naenum import treesearch
 from naenum.cli import main as cli_main
 from naenum.selection import (TWOMARK, TwomarkContext, build_stage_profile,
@@ -27,7 +27,7 @@ from naenum.treesearch import _DRAW_LIMIT, _PERMS, _Engine, _Frame
 from corpus import (collision_reset_instance, heavy_overflow_instance,
                     heavy_reset_instance, structure_reset_instance,
                     twomark_reset_instance)
-from oracles import disjoint_stage
+from oracles import disjoint_stage, leaves, q_of, satisfies
 from test_engine_golden import _generator as golden_generator
 
 
@@ -68,7 +68,7 @@ def test_precondition_detected():
 def test_pruning_vs_full_tree_on_maj4():
     f = negation_closure(maj(4, 3))
     tree = build_debug_tree(f, 2)
-    viable = [u for u in tree.leaves() if u.leaf_kind == "viable"]
+    viable = [u for u in leaves(tree) if u.leaf_kind == "viable"]
     assert len(viable) == 9          # repeated transversals in the full tree
     _, stats = count_solutions(f, 2)
     assert stats.leaves_visited == 6  # pruned to one leaf per transversal
@@ -264,14 +264,14 @@ def test_leftmost_leaf_property():
                     superf = True
                     break
             alive[u.id] = alive[u.parent] and not superf and not u.falsifying
-            if alive[u.id] and satisfies(f, tree.q_of(u)):
-                q = tuple(sorted(tree.q_of(u)))
+            if alive[u.id] and satisfies(f, q_of(tree, u)):
+                q = tuple(sorted(q_of(tree, u)))
                 assert q not in leftmost, "second surviving leaf for a solution"
                 leftmost[q] = u.id
         # every full-tree leaf of that solution set lies at or right of it
         for u in tree.nodes[1:]:
-            if satisfies(f, tree.q_of(u)):
-                q = tuple(sorted(tree.q_of(u)))
+            if satisfies(f, q_of(tree, u)):
+                q = tuple(sorted(q_of(tree, u)))
                 assert leftmost[q] <= u.id
 
 

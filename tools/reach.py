@@ -46,15 +46,22 @@ the class has been read.  An unread field may be allowed by an entry
 whose reason names the field's reader outside ``src/``.
 
 The call audit watches calls, in the same traced run.  A function's code
-object counts as called once a call into it comes from code in a file of
-``src/naenum``.  The caller is found by walking up from the called frame
-past frames of installed code (the standard library and site-packages) and
-generated ones such as ``<string>``, so a callback that ``argparse`` runs
-for ``cli.main`` counts, and past the field audit's wrappers, so a property
-of a watched class counts too.  A call that a test makes, directly or
-through installed code, does not count.  A generator counts where it is
-first resumed, not where it is made.  Every named ``def`` of ``src/naenum``
-not so called is reported: methods, properties, nested functions and dunder
+object counts as called once a call into it comes from code of
+``src/naenum`` that counts itself: a function already counted as called, or
+a root.  The roots are each module's top-level code and ``cli.main``, the
+console script's entry point.  So a call from a function that only tests
+call does not count, nor does one from a helper that only such functions
+call.  The caller is found by walking up from the called frame past frames
+of installed code (the standard library and site-packages) and generated
+ones such as ``<string>``, so a callback that ``argparse`` runs for
+``cli.main`` counts, and past the field audit's wrappers, so a property of a
+watched class counts too.  A call that a test makes, directly or through
+installed code, does not count.  A generator counts where it is first
+resumed, not where it is made.  Before each test the run empties every
+``functools`` cache among the top-level names of the modules of
+``src/naenum``, so a call that an earlier test's result would answer still
+enters the cached function.  Every named ``def`` of ``src/naenum`` not so
+called is reported: methods, properties, nested functions and dunder
 methods alike.  A dunder counts once program code reaches it through an
 operator (``a <= b``), a builtin (``float(v)``, ``max(..., key=...)``, whose
 C frames the walk does not see) or a dataclass's generated ``__init__``
@@ -201,7 +208,7 @@ def watch_reads(classes: Iterable[type], directory: str | os.PathLike,
                 caller = sys._getframe(1)
                 code = caller.f_code
                 if (code.co_filename.startswith(prefix)
-                        and (code in called or code.co_name == "<module>")
+                        and credited(code, called)
                         and caller.f_lasti not in _augmented_loads(code)):
                     reads.add((decl, name))
                     if cls in saved and all((base, f) in reads
@@ -237,12 +244,28 @@ def _passes_through(filename: str) -> bool:
             or filename == __file__)
 
 
+def credited(code, called) -> bool:
+    """Whether calls and reads made by ``code`` count: it is in ``called``
+    or is a module's top-level code."""
+    return code in called or code.co_name == "<module>"
+
+
+def clear_caches(modules: Iterable) -> None:
+    """Empty every ``functools`` cache among the top-level names of
+    ``modules``, so the next call of a cached function enters its frame."""
+    for mod in modules:
+        for obj in vars(mod).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+
+
 def make_tracer(files: dict[str, set[int]], called: set):
     """A global trace function for ``sys.settrace``.  In code of a file in
     ``files`` it adds each line that runs to the file's set, and it adds the
     code object to ``called`` once a call into it comes from code of those
-    files, through any installed and generated frames.  Each file has one
-    local trace function, made here."""
+    files that is ``credited``, through any installed and generated frames.
+    The roots go into ``called`` beforehand.  Each file has one local trace
+    function, made here."""
     need: dict = {}     # code object -> [its lines, called yet]: one lookup a call
 
     def line_recorder(seen: set[int]):
@@ -267,7 +290,8 @@ def make_tracer(files: dict[str, set[int]], called: set):
             caller = frame.f_back
             while caller is not None and _passes_through(caller.f_code.co_filename):
                 caller = caller.f_back
-            if caller is not None and caller.f_code.co_filename in files:
+            if (caller is not None and caller.f_code.co_filename in files
+                    and credited(caller.f_code, called)):
                 entry[1] = True
                 called.add(code)
         if entry[0] <= files[code.co_filename]:   # every line already ran
@@ -300,15 +324,19 @@ def _trace_suite(pytest_args: list[str]):
     files = {str(p): set() for p in PKG.glob("*.py")}
     called: set = set()
     failed: list[str] = []
+    modules: list = []
     tracer = make_tracer(files, called)
 
     class Rearm:
         """A RecursionError raised inside the trace function switches
         tracing off (tests that exhaust the recursion limit do this), so
-        tracing is switched back on before every test."""
+        tracing is switched back on before every test.  The package's
+        caches are emptied first: a call that an earlier test's result
+        answers would not enter the cached function's frame."""
 
         @staticmethod
         def pytest_runtest_setup(item):
+            clear_caches(modules)
             sys.settrace(tracer)
 
         @staticmethod
@@ -328,8 +356,10 @@ def _trace_suite(pytest_args: list[str]):
     sys.settrace(tracer)
     try:
         # imported under the trace, so their module-level statements count
-        classes = record_classes(importlib.import_module(f"naenum.{p.stem}")
-                                 for p in sorted(PKG.glob("*.py")))
+        modules += [importlib.import_module(f"naenum.{p.stem}")
+                    for p in sorted(PKG.glob("*.py"))]
+        called.add(sys.modules["naenum.cli"].main.__code__)     # the root
+        classes = record_classes(modules)
         with watch_reads(classes, PKG, called) as reads:
             code = pytest.main(pytest_args, plugins=[Rearm()])
     finally:
