@@ -118,6 +118,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    if args.parallel < 1:       # refused in every mode, not only the search
+        raise ParameterError(f"parallel={args.parallel} is below 1")
     f = _read_formula(args.file)
     if args.closure:
         f = negation_closure(f)

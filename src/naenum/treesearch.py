@@ -35,11 +35,12 @@ check keys each solution on its ``Q`` mask, the set of its path labels.  A
 count keeps no solution list; a collect buffers the masks and turns them
 into sorted tuples (``cnf.mask_tuples``) once the search settles and the
 check's set is dropped.
-Below a depth-t0 node on the controlled route a ``_Frame`` adds the stage
-profile, the twomark plan and the shoot's heavy clauses; the plan's one input
-from the path is the labels entered at the onemark levels, which
-``selection.twomark_context`` reads.  The stage checks read the label mark
-counters and the falsifying mask ``U`` directly.
+The controlled stage keeps its state on the engine, as the path does: the
+depth-t0 node u0 builds the stage profile into ``prof``, an end-of-onemark
+node the twomark plan into ``k2`` from the labels of the onemark levels
+(``selection.twomark_context``), and a heavy free-stage clause sits on
+``heavies`` while its node's children are expanded.  The stage checks read
+the label mark counters and the falsifying mask ``U`` directly.
 
 Random sibling orderings come from a counter-based stream (splitmix64 as a
 path hash, after Salmon et al., SC 2011): a node's order is a function of the
@@ -74,7 +75,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -196,15 +197,6 @@ class SearchStats:
                 "profiles_truncated": self.profiles_truncated}
 
 
-class _Frame(NamedTuple):
-    """Path-local controlled-stage state below one depth-t0 node, shared by
-    a child unless the child sets the twomark plan or adds a heavy clause."""
-
-    prof: StageProfile
-    k2: TwomarkContext | None        # set at the end-of-onemark node
-    heavies: tuple[Clause, ...]      # heavy free-stage clauses on the shoot
-
-
 def as_int(value, what: str) -> int:
     """``value`` as an int: numpy integers are accepted, ``None``, floats and
     strings raise ``ParameterError``."""
@@ -235,7 +227,8 @@ class _Engine:
                  "live0", "unit0", "keep_by",
                  "base", "stats", "buffer", "t0", "route", "_seen",
                  "discarded_leaves", "tree_nodes", "tree_profiles",
-                 "keep_marks", "label_cnt", "label_nodes")
+                 "keep_marks", "label_cnt", "label_nodes",
+                 "prof", "k2", "heavies")
 
     def __init__(self, f: Formula, t: int, ordering: OrderingSource,
                  *, debug_assertions: bool | None = None,
@@ -333,6 +326,10 @@ class _Engine:
         self.keep_marks = self.record or self.route == "controlled"
         self.label_cnt = [0] * (self.n + 1)
         self.label_nodes: list[list[int]] = [[] for _ in range(self.n + 1)]
+        # below u0: its profile, the twomark plan, the shoot's heavy clauses
+        self.prof: StageProfile | None = None
+        self.k2: TwomarkContext | None = None
+        self.heavies: list[Clause] = []
 
     def run(self, prefix: Sequence[int] = ()) -> None:
         """Search until one attempt finishes without a reset.
@@ -356,7 +353,7 @@ class _Engine:
                     self.stats.nodes_visited += 1
                     Q, P, U, L = self._walk_prefix(prefix)
                     if len(prefix) < self.t:
-                        self._node(len(prefix), Q, P, U, L, None, 0)
+                        self._node(len(prefix), Q, P, U, L, 0)
                     else:       # the root is a leaf: t = 0 or a full prefix
                         self.stats.leaves_visited += 1
                         self.tree_nodes[0].leaf_kind = "viable"
@@ -428,43 +425,42 @@ class _Engine:
         return Q, P, U
 
     def _node(self, depth: int, Q: int, P: int, U: int, L: int,
-              fr: _Frame | None, node_id: int) -> None:
+              node_id: int) -> None:
         stats = self.stats
         record = self.record
         if not P:
             raise PreconditionViolated(
                 f"{sorted(self.path[:depth])} is a transversal of weight "
                 f"{depth} < t={self.t}")
-        if fr is None and depth == self.t0 and self.route == "controlled":
-            self._run_u0(depth, Q, P, U, L, node_id)
-            return
         # stage selection: base levels, then (below u0) the onemark clauses,
         # the twomark plan, and the free pick; base, onemark and twomark
         # clauses come from the monotone index, so each is its own label tuple
-        stage, fals_var = FREE, None
+        heavy = False
         if depth < self.t0:
             labels, stage = self.base[depth], BASE
-        elif fr is not None:
-            prof = fr.prof
+        elif self.route != "controlled":
+            labels, stage = self.pick[(P & -P).bit_length() - 1], FREE
+        else:
             k = depth - self.t0
-            t1 = prof.t1
-            if k < t1:
+            if not k:
+                self.prof = build_stage_profile(self.mono3_index, self.base, self.path[:depth])
+            prof = self.prof
+            j = k - len(prof.c1)
+            if j < 0:
                 labels, stage = prof.c1[k], ONEMARK
             else:
-                if fr.k2 is None:
-                    k2 = twomark_context(prof, self.path[self.t0:depth])
+                if not j:
+                    self.k2 = k2 = twomark_context(prof, self.path[self.t0:depth])
                     prof.ell_histogram[k2.ell] = prof.ell_histogram.get(k2.ell, 0) + 1
-                    fr = _Frame(prof, k2, fr.heavies)
                     if record:
                         self.tree_nodes[node_id].heavy_budget = k2.heavy_budget
-                j = k - t1
-                if j < fr.k2.ell:
-                    labels, stage = fr.k2.clauses[j], TWOMARK
-                    fals_var = fr.k2.fals_vars[j]
-        if stage == FREE:
-            labels = self.pick[(P & -P).bit_length() - 1]
-        if fr is not None:
-            fr = self._stage_checks(labels, stage, fals_var, U, fr)
+                k2 = self.k2
+                if j < k2.ell:
+                    labels, stage = k2.clauses[j], TWOMARK
+                    self._stage_checks(labels, stage, k2.fals_vars[j], U)
+                else:
+                    labels, stage = self.pick[(P & -P).bit_length() - 1], FREE
+                    heavy = len(labels) == 3 and self._stage_checks(labels, stage, None, U)
 
         if record:
             self.tree_nodes[node_id].stage = stage
@@ -545,7 +541,7 @@ class _Engine:
                             if len(memo) >= _FALS_MEMO_CAP:
                                 memo.clear()
                             memo[key] = add
-                        self._node(depth + 1, Qx, Px, U | add, L, fr, child_id)
+                        self._node(depth + 1, Qx, Px, U | add, L, child_id)
                     else:       # a depth-t leaf of the debug tree
                         stats.leaves_visited += 1
                         if not Px:
@@ -558,6 +554,15 @@ class _Engine:
                 self.label_cnt[x] -= 1
                 if record:
                     self.label_nodes[x].pop()
+            if heavy:
+                self.heavies.pop()
+            if depth == self.t0 and self.route == "controlled":
+                if record:
+                    self.tree_profiles.append(self.prof)
+                if len(stats._unread) < PROFILE_CAP:
+                    stats._unread.append(self.prof)
+                else:
+                    stats.profiles_truncated = True
 
     def _record_child(self, node_id: int, depth: int, x: int, fals: bool) -> int:
         child_id = len(self.tree_nodes)
@@ -568,21 +573,6 @@ class _Engine:
         self.tree_nodes.append(child)
         self.tree_nodes[node_id].children.append(child_id)
         return child_id
-
-    def _run_u0(self, depth: int, Q: int, P: int, U: int, L: int,
-                node_id: int) -> None:
-        prof = build_stage_profile(self.mono3_index, self.base, self.path[:depth])
-        self._node(depth, Q, P, U, L, _Frame(prof, None, ()), node_id)
-        self._record_profile(prof)
-
-    def _record_profile(self, prof: StageProfile) -> None:
-        if self.record:
-            self.tree_profiles.append(prof)
-        kept = self.stats._unread
-        if len(kept) < PROFILE_CAP:
-            kept.append(prof)
-        else:
-            self.stats.profiles_truncated = True
 
     # ------------------------------------------------------------------
     # expansion
@@ -606,52 +596,58 @@ class _Engine:
         return pick[d % len(pick)](labels)
 
     def _stage_checks(self, labels: tuple[int, ...], stage: str,
-                      fals_var: int | None, U: int, fr: _Frame) -> _Frame:
-        if stage == ONEMARK or (stage == TWOMARK and not self.debug_assertions):
-            return fr
+                      fals_var: int | None, U: int) -> bool:
+        """Guards of a twomark node, or of a width-3 free-stage clause, below
+        u0; True iff the free-stage clause is heavy and went onto ``heavies``."""
         cnt = self.label_cnt
-        live = [x for x in labels if not U >> x & 1]
         if stage == TWOMARK:
+            if not self.debug_assertions:
+                return False
             if fals_var not in labels or not U >> fals_var & 1:
                 raise InternalInvariantError(
                     f"twomark clause {labels}: designated edge {fals_var} not falsifying")
             # width <= 3 and a falsifying designated edge leave at most two
             # live children.  The mass is num / 2^top: the ceiling is
             # compared as integers
-            marks = [cnt[x] for x in live]
+            marks = [cnt[x] for x in labels if not U >> x & 1]
             top = max(marks, default=0)
             num = sum(1 << top - m for m in marks)
             if 2 * num > 3 << top:
                 raise InternalInvariantError(
                     f"twomark clause {labels}: mass {Fraction(num, 1 << top)} > 3/2")
-        elif len(live) == 3:
-            marks = sorted(cnt[x] for x in live)
-            if marks == [0, 0, 1]:
-                # Unreachable while C1 is maximal over F1.  The clause is
-                # monotone and live, so it avoids the path labels q0; the
-                # base collection is maximal, so it meets an X variable,
-                # which carries a base mark.  That X variable is its only
-                # marked one and is marked once, and its two other variables
-                # are unmarked: the clause lies in F1 and is disjoint from
-                # C1's variables, contradicting C1 = greedy_maximal(F1).
-                raise InternalInvariantError(
-                    f"once-marked free-stage clause {labels} of mass "
-                    f"5/2: the onemark collection is not maximal")
-            if marks == [0, 1, 1]:
-                if len(fr.heavies) >= fr.k2.heavy_budget:
-                    self._heavy_overflow(fr, labels)
-                fr = _Frame(fr.prof, fr.k2, fr.heavies + (labels,))
-        return fr
+            return False
+        x, y, z = labels            # a free-stage clause of width 3
+        a, b, c = cnt[x], cnt[y], cnt[z]
+        # live with marks (0, 0, 1) or (0, 1, 1): none above 1, sum 1 or 2
+        if U & (1 << x | 1 << y | 1 << z) or (a | b | c) > 1:
+            return False
+        if a + b + c == 1:
+            # Unreachable while C1 is maximal over F1.  The clause is
+            # monotone and live, so it avoids the path labels q0; the
+            # base collection is maximal, so it meets an X variable,
+            # which carries a base mark.  That X variable is its only
+            # marked one and is marked once, and its two other variables
+            # are unmarked: the clause lies in F1 and is disjoint from
+            # C1's variables, contradicting C1 = greedy_maximal(F1).
+            raise InternalInvariantError(
+                f"once-marked free-stage clause {labels} of mass "
+                f"5/2: the onemark collection is not maximal")
+        if a + b + c != 2:
+            return False
+        if len(self.heavies) >= self.k2.heavy_budget:
+            self._heavy_overflow(labels)
+        self.heavies.append(labels)
+        return True
 
-    def _heavy_overflow(self, fr: _Frame, clause: Clause) -> None:
-        prof = fr.prof
-        heavies = fr.heavies + (clause,)
+    def _heavy_overflow(self, clause: Clause) -> None:
+        prof, k2 = self.prof, self.k2
+        heavies = self.heavies + [clause]
         r = [c for c in heavies if c in prof.f2r]
         b = [c for c in heavies if c in prof.f2b]
-        if len(r) + fr.k2.ell > prof.m_r_prime:
+        if len(r) + k2.ell > prof.m_r_prime:
             # the plan's clauses and the pool heavies: a disjoint F2R family
             raise InternalInvariantError(
-                f"{fr.k2.ell + len(r)} disjoint twomark-pool clauses on one shoot, "
+                f"{k2.ell + len(r)} disjoint twomark-pool clauses on one shoot, "
                 f"but the maximum twomark collection holds {prof.m_r_prime}")
         if len(b) > prof.m_b:
             t_side = [prof.base[i] for i in prof.v1]
@@ -659,7 +655,7 @@ class _Engine:
                 list(prof.base), b + t_side,
                 f"{len(b)} disjoint heavy clauses outside the twomark pool")
         raise InternalInvariantError(
-            f"heavy budget {fr.k2.heavy_budget} exceeded without a witness: "
+            f"heavy budget {k2.heavy_budget} exceeded without a witness: "
             f"{len(r)} pool heavies, {len(b)} outside")
 
 
@@ -687,6 +683,8 @@ def _run(f: Formula, t: int, ordering: OrderingSource | None, *, collect: bool,
     search deeper than the recursion limit is refused here."""
     ordering = ordering or OrderingSource.fixed()
     parallel = as_int(parallel, "parallel")
+    if parallel < 1:
+        raise ParameterError(f"parallel={parallel} is below 1")
     try:
         if parallel > 1:
             return _parallel_enumerate(f, t, ordering, collect, parallel)

@@ -177,6 +177,16 @@ def test_enumerate_parallel(maj4, capsys):
         assert sa[key] == sb[key]
 
 
+def test_enumerate_refuses_parallel_below_one(maj4, capsys):
+    # in every mode, also those that never search with the parallel driver
+    for mode in (["--mode", "count"], ["--mode", "psi"],
+                 ["--exhaustive-orderings"]):
+        for k in ("0", "-3"):
+            code, out, err = run_cli(["enumerate", "--t", "2", "--closure",
+                                      *mode, "--parallel", k, maj4], capsys)
+            assert code == 4 and out == "" and f"parallel={k} is below 1" in err
+
+
 def test_verify_engine_pass(maj4, capsys):
     code, out, _ = run_cli(["verify", "--closure", maj4], capsys)
     assert code == 0 and json.loads(out.strip())["passed"] is True

@@ -139,17 +139,17 @@ def test_heavy_overflow_yields_twomark_reset():
     prof.cr_level = {(3, 7, 11): 0}
     assert prof.m_r_prime == 1
 
-    from naenum.treesearch import OrderingSource, _Engine, _Frame
+    from naenum.treesearch import OrderingSource, _Engine
 
     eng = _Engine(f, f.n // 2, OrderingSource.fixed(), base=base)
     eng.t0 = t0
     k2 = twomark_context(prof, (7, 9))      # neither onemark edge took X-tilde
     assert k2.ell == 0 and k2.heavy_budget == 1
-    fr = _Frame(prof, k2, ((3, 8, 12),))
+    eng.prof, eng.k2, eng.heavies = prof, k2, [(3, 8, 12)]
     with pytest.raises(InternalInvariantError,
                        match="2 disjoint twomark-pool clauses on one shoot, "
                              "but the maximum twomark collection holds 1"):
-        eng._heavy_overflow(fr, (6, 9, 11))
+        eng._heavy_overflow((6, 9, 11))
 
 
 def test_twice_marked_pool_covers_every_end_of_onemark_node(corpus500):

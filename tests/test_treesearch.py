@@ -23,7 +23,7 @@ from naenum.cli import main as cli_main
 from naenum.selection import (TWOMARK, TwomarkContext, build_stage_profile,
                               monotone_index, twomark_context)
 from naenum.tree import SurvivalKernel, column_counts
-from naenum.treesearch import _DRAW_LIMIT, _PERMS, _Engine, _Frame
+from naenum.treesearch import _DRAW_LIMIT, _PERMS, _Engine
 from corpus import (collision_reset_instance, heavy_overflow_instance,
                     heavy_reset_instance, structure_reset_instance,
                     twomark_reset_instance)
@@ -164,8 +164,9 @@ def test_twomark_reset_instance_restarts_the_attempt():
 
 def _twomark_check(cnt: dict, U: int, fals_var=3, debug_assertions=None):
     """``_stage_checks`` of a twomark node of ``heavy_overflow_instance()``
-    below the path (1, 4, 2, 5), with the label mark counts and the
-    falsifying mask set by hand."""
+    below the path (1, 4, 2, 5), with the engine's controlled-stage state,
+    the label mark counts and the falsifying mask set by hand.  A twomark
+    node pushes no heavy clause."""
     f = heavy_overflow_instance()
     base, _ = disjoint_stage(f)
     prof = build_stage_profile(monotone_index(f), base, (1, 4))
@@ -174,8 +175,9 @@ def _twomark_check(cnt: dict, U: int, fals_var=3, debug_assertions=None):
     eng = _Engine(f, 4, OrderingSource.fixed(), base=base,
                   debug_assertions=debug_assertions)
     eng.label_cnt = [cnt.get(v, 0) for v in range(f.n + 1)]
-    fr = _Frame(prof, k2, ())
-    assert eng._stage_checks((3, 8, 12), TWOMARK, fals_var, U, fr) is fr
+    eng.prof, eng.k2, eng.heavies = prof, k2, []
+    assert eng._stage_checks((3, 8, 12), TWOMARK, fals_var, U) is False
+    assert eng.heavies == []
 
 
 def test_twomark_guards_fire_on_their_violations():
@@ -392,6 +394,13 @@ def test_parallel_pool_is_capped_at_the_core_count(monkeypatch):
 def test_parallel_must_be_an_integer():
     with pytest.raises(ParameterError, match="parallel=1.5 is not an integer"):
         collect_solutions(negation_closure(maj(4, 3)), 2, parallel=1.5)
+
+
+def test_parallel_must_be_at_least_one():
+    f = negation_closure(maj(4, 3))
+    for k in (0, -3):
+        with pytest.raises(ParameterError, match=f"parallel={k} is below 1"):
+            count_solutions(f, 2, parallel=k)
 
 
 def test_subtree_workers_in_process_rebuild_the_sequential_run():

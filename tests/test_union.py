@@ -36,22 +36,28 @@ def _product(*fs):
     return tau, sorted(sols)
 
 
-# (sides, n, t, solutions, fixed-ordering stats: nodes_visited, base resets)
+# (sides, n, t, solutions, fixed-ordering stats: (nodes_visited,
+# superfluous_skips, leaves_visited), profiles recorded, base resets)
 UNIONS = {
     # the base reset of the heavy side stays; the twomark side needs none
     "heavy+twomark": ((heavy_reset_instance, twomark_reset_instance),
-                      27, 11, 342, 6550, 1),
+                      27, 11, 342, (6550, 5962, 980), 208, 1),
     "twomark+twomark": ((twomark_reset_instance, twomark_reset_instance),
-                        28, 12, 324, 4140, 0),
+                        28, 12, 324, (4140, 3993, 402), 64, 0),
     # the twomark witness sits below each of the 27 depth-t0 paths of maj
     "maj12+twomark": ((lambda: negation_closure(maj(12, 3)),
-                       twomark_reset_instance), 26, 12, 3888, 10219, 0),
+                       twomark_reset_instance), 26, 12, 3888,
+                      (10219, 5373, 4320), 216, 0),
+    # free-stage shoots meet heavy clauses, none past its budget
+    "maj12+heavy_overflow": ((lambda: negation_closure(maj(12, 3)),
+                              heavy_overflow_instance), 25, 10, 4320,
+                             (24529, 10773, 12528), 243, 0),
 }
 
 
 @pytest.mark.parametrize("name", sorted(UNIONS))
 def test_union_solutions_are_the_product_of_the_sides(name):
-    sides, n, t, count, nodes, base_resets = UNIONS[name]
+    sides, n, t, count, tree, profiles, base_resets = UNIONS[name]
     fs = [side() for side in sides]
     f = disjoint_union(*fs)
     tau, want = _product(*fs)
@@ -61,7 +67,9 @@ def test_union_solutions_are_the_product_of_the_sides(name):
         assert sorted(sols) == want, ordering
         assert stats.resets["twomark"] == 0, ordering
         if ordering.kind == "fixed":
-            assert stats.nodes_visited == nodes
+            assert (stats.nodes_visited, stats.superfluous_skips,
+                    stats.leaves_visited) == tree
+            assert len(stats.profiles) == profiles
             assert stats.resets == {"base": base_resets, "onemark": 0,
                                     "twomark": 0}
 

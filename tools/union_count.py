@@ -3,9 +3,13 @@
 The union (``disjoint_union`` in tests/corpus.py) has n = 38 and tau = 12 + 6
 = 18.  Its weight-18 solutions are the pairs of one weight-tau solution per
 side, so the count must be 6^6 * 18 = 839,808.  The search runs in count mode
-with debug assertions off; the script prints the count, the work and the time.
+with debug assertions off, under the fixed ordering, on the controlled route;
+the script prints the count, the work and the time.  It also checks the tree
+the search walked: 1,868,062 nodes visited, 798,255 superfluous skips and
+933,120 surviving leaves, so a change to the controlled stage's clause
+choice shows here at scale.
 
-    python tools/union_count.py     # exit 1 unless the count is 839,808
+    python tools/union_count.py     # exit 1 unless the count and tree match
 """
 
 from __future__ import annotations
@@ -22,6 +26,8 @@ from corpus import disjoint_union, twomark_reset_instance  # noqa: E402
 
 T = 18
 EXPECT = 6 ** 6 * 18
+# fixed-ordering (nodes_visited, superfluous_skips, leaves_visited)
+EXPECT_TREE = (1_868_062, 798_255, 933_120)
 
 
 def main() -> int:
@@ -34,6 +40,11 @@ def main() -> int:
           f"{stats.resets['base']} base resets, {elapsed:.1f} s")
     if count != EXPECT:
         print(f"expected {EXPECT:,} solutions", file=sys.stderr)
+        return 1
+    tree = (stats.nodes_visited, stats.superfluous_skips, stats.leaves_visited)
+    if tree != EXPECT_TREE:
+        print(f"expected (nodes, skips, leaves) = {EXPECT_TREE}, got {tree}",
+              file=sys.stderr)
         return 1
     return 0
 
