@@ -120,6 +120,10 @@ def cmd_gen(args) -> int:
 def cmd_enumerate(args) -> int:
     if args.parallel < 1:       # refused in every mode, not only the search
         raise ParameterError(f"parallel={args.parallel} is below 1")
+    if args.parallel != 1 and (args.mode == "psi" or args.exhaustive_orderings):
+        what = "--exhaustive-orderings" if args.exhaustive_orderings else "--mode psi"
+        raise ParameterError(f"{what} searches in one process; "
+                             f"parallel={args.parallel} is not 1")
     f = _read_formula(args.file)
     if args.closure:
         f = negation_closure(f)

@@ -17,12 +17,13 @@ in time proportional to the occurrences of its label, so backtracking is just
 returning: no trail is kept, and a reset signal unwinds any number of levels
 without repair.  Clauses are ranked by the key (width, variables) of their
 positive literals, so the free pick is the lowest set bit of ``P`` and "no
-live positive clause" is ``P == 0``.  A node steps into each child in its
-own loop.  Outside the debug tree, depth-t children settle in a loop of
-their own, with no frame and no path label written: its counts stay in
-locals until the loop ends, and a leaf's waking clauses are scanned only
-when none of its parent's live clauses stays live, as a leaf is a solution
-iff none stays live and none wakes.
+live positive clause" is ``P == 0``.  A node steps into each non-leaf child
+in its own loop.  Depth-t children settle in a loop of their own, with no
+frame and no path label written: its counts stay in locals until the loop
+ends, and a leaf's waking clauses are scanned only when none of its parent's
+live clauses stays live, as a leaf is a solution iff none stays live and
+none wakes.  The debug tree records a node's leaf children before that loop
+and enters it with an empty left-label mask, as it skips no edge.
 A non-leaf child's ``U`` is its parent's plus the unit clauses its label x
 leaves.  That addition depends only on x and on ``Q`` within ``N(x)``, the
 variables of the all-negative clauses with literal ``-x``, so each engine
@@ -63,6 +64,10 @@ reset re-extends it), so below depth t0, where every base variable is
 marked, no width-3 expansion is unmarked: it is a monotone width-3 clause,
 which meets a base variable.  Under debug assertions each attempt checks
 this premise once against the index's masks.
+
+The parallel driver (``parallel=k``) searches the subtree below each live
+root child in a worker process, as the whole search would, and merges the
+results in the root's order: it reports what the sequential run reports.
 """
 
 from __future__ import annotations
@@ -331,18 +336,17 @@ class _Engine:
         self.k2: TwomarkContext | None = None
         self.heavies: list[Clause] = []
 
-    def run(self, prefix: Sequence[int] = ()) -> None:
+    def run(self, root: int | None = None) -> None:
         """Search until one attempt finishes without a reset.
 
         Only the base collection resets: a base reset signal unwinds to
         here, the base is grown, and the attempt restarts at the root.  Each
         reset strictly grows the base, so the loop ends.
 
-        With a ``prefix`` (one label per base level, as the parallel driver
-        hands out) only the subtree under that path is searched; sibling
-        edges left of the prefix still feed the left-label mask of deeper
-        superfluous checks.  A base reset moves every prefix, so in this
-        mode it is raised to the caller."""
+        With a ``root`` label, a live root child as the parallel driver hands
+        out, only the subtree under that child is searched, as the whole
+        search would (the labels left of it feed the left-label mask), and a
+        base reset is raised to the caller, with the stats counted so far."""
         while True:
             self._begin_attempt()
             try:
@@ -351,10 +355,17 @@ class _Engine:
                     self.tree_nodes[0].leaf_kind = "falsified"
                 else:
                     self.stats.nodes_visited += 1
-                    Q, P, U, L = self._walk_prefix(prefix)
-                    if len(prefix) < self.t:
-                        self._node(len(prefix), Q, P, U, L, 0)
-                    else:       # the root is a leaf: t = 0 or a full prefix
+                    Q, P, U, L, depth = 0, self.live0, self.unit0, 0, 0
+                    if root is not None:
+                        order = self._order_children(0, self.base[0])
+                        L = sum(1 << y for y in order[:order.index(root)])
+                        for y in order:
+                            self.label_cnt[y] += 1
+                        Q, P, U = self._step(0, root, Q, P, U)
+                        depth = 1
+                    if depth < self.t:
+                        self._node(depth, Q, P, U, L, 0)
+                    else:       # a leaf: t = 0, or t = 1 below a root label
                         self.stats.leaves_visited += 1
                         self.tree_nodes[0].leaf_kind = "viable"
                         if not P:
@@ -363,7 +374,7 @@ class _Engine:
                                 self.buffer.append(Q)
                 break
             except BaseResetSignal as sig:
-                if prefix:
+                if root is not None:
                     raise
                 self._apply_base_reset(sig)
         self.stats.route = self.route
@@ -377,20 +388,6 @@ class _Engine:
             # freed before the next block's tuples are built
             for i in range(0, len(buf), 4096):
                 buf[i:i + 4096] = mask_tuples(buf[i:i + 4096], self.n, 1)
-
-    def _walk_prefix(self, prefix: Sequence[int]) -> tuple[int, int, int, int]:
-        """Masks ``Q, P, U, L`` at the end of a disjoint-stage path, with the
-        path's labels marked.  The prefix is one of ``_valid_prefixes`` of
-        this base: a label of each level, none falsifying."""
-        Q, P, U, L = 0, self.live0, self.unit0, 0
-        for depth, x in enumerate(prefix):
-            labels = self.base[depth]
-            order = self._order_children(depth, labels)
-            L |= sum(1 << y for y in order[:order.index(x)])
-            for y in labels:
-                self.label_cnt[y] += 1
-            Q, P, U = self._step(depth, x, Q, P, U)
-        return Q, P, U, L
 
     def _apply_base_reset(self, sig: BaseResetSignal) -> None:
         grown = attempt_reset(self.base, sig.removed, sig.added, self.mono3)
@@ -462,8 +459,6 @@ class _Engine:
                     labels, stage = self.pick[(P & -P).bit_length() - 1], FREE
                     heavy = len(labels) == 3 and self._stage_checks(labels, stage, None, U)
 
-        if record:
-            self.tree_nodes[node_id].stage = stage
         order = self._order_children(depth, labels) if depth < self.draw_below else labels
         if self.keep_marks:
             for x in labels:
@@ -473,7 +468,13 @@ class _Engine:
         # each child's step is _step inlined, its U step memoised
         keep_by, wake_by = self.keep_by, self.wake_by
         leaf = depth + 1 == self.t
-        if leaf and not record:
+        if record:
+            self.tree_nodes[node_id].stage = stage
+            L = 0                   # the debug tree skips no edge
+            if leaf:                # ids as in preorder: leaves have no subtree
+                for x in order:
+                    self._record_child(node_id, depth, x, bool(U >> x & 1))
+        if leaf:
             # depth-t leaves settle here: a leaf is a solution iff no live
             # clause stays (P & keep_by[x]) and none wakes
             skips = falsified = visited = emitted = 0
@@ -513,7 +514,7 @@ class _Engine:
             for x in order:
                 bit = 1 << x
                 child_id = self._record_child(node_id, depth, x, bool(U & bit)) if record else 0
-                if L & bit and not record:
+                if L & bit:
                     stats.superfluous_skips += 1
                 elif U & bit:
                     stats.falsified_leaves += 1
@@ -525,29 +526,22 @@ class _Engine:
                     for neg, pos, b in wake_by[x]:
                         if not (neg & ~Qx or pos & Qx):
                             Px |= b
-                    if not leaf:
-                        # the unit clauses x leaves depend on x and on Q
-                        # within N(x) only, so the step is memoised on both
-                        key = (Qx | hi) & fals_vars[x]
-                        add = memo.get(key)
-                        if add is None:
-                            add = 0
-                            for neg in fals_by[x]:
-                                rest = neg & ~Qx
-                                if not rest & (rest - 1):
-                                    if not rest:
-                                        raise InternalInvariantError("entered a falsified child")
-                                    add |= rest
-                            if len(memo) >= _FALS_MEMO_CAP:
-                                memo.clear()
-                            memo[key] = add
-                        self._node(depth + 1, Qx, Px, U | add, L, child_id)
-                    else:       # a depth-t leaf of the debug tree
-                        stats.leaves_visited += 1
-                        if not Px:
-                            stats.solutions_emitted += 1
-                            if self.buffer is not None:
-                                self.buffer.append(Qx)
+                    # the unit clauses x leaves depend on x and on Q within
+                    # N(x) only, so the step is memoised on both
+                    key = (Qx | hi) & fals_vars[x]
+                    add = memo.get(key)
+                    if add is None:
+                        add = 0
+                        for neg in fals_by[x]:
+                            rest = neg & ~Qx
+                            if not rest & (rest - 1):
+                                if not rest:
+                                    raise InternalInvariantError("entered a falsified child")
+                                add |= rest
+                        if len(memo) >= _FALS_MEMO_CAP:
+                            memo.clear()
+                        memo[key] = add
+                    self._node(depth + 1, Qx, Px, U | add, L, child_id)
                 L |= bit
         if self.keep_marks:
             for x in labels:
@@ -687,7 +681,8 @@ def _run(f: Formula, t: int, ordering: OrderingSource | None, *, collect: bool,
         raise ParameterError(f"parallel={parallel} is below 1")
     try:
         if parallel > 1:
-            return _parallel_enumerate(f, t, ordering, collect, parallel)
+            return _parallel_enumerate(f, t, ordering, collect, parallel,
+                                       debug_assertions)
         eng = _Engine(f, t, ordering, debug_assertions=debug_assertions,
                       collect=collect)
         eng.run()
@@ -787,94 +782,72 @@ def enumerate_all_orderings(f: Formula, t: int,
 
 
 def _subtree_worker(args):
-    f, t, ordering, base, prefix = args
-    eng = _Engine(f, t, ordering, base=base)
+    """Search the subtree under one root child.  Returns the subtree's stats
+    (``SearchStats.as_dict()``), its solutions when collecting, and what cut
+    it short: a base reset as (removed, added, reason), or None.  A
+    precondition violation comes back as (None, None, the exception), to be
+    raised where the sequential run would raise it."""
+    f, t, ordering, collect, debug_assertions, base, root = args
+    eng = _Engine(f, t, ordering, debug_assertions=debug_assertions,
+                  collect=collect, base=base)
     try:
-        eng.run(prefix)
+        eng.run(root)
     except BaseResetSignal as sig:
-        return ("reset", sig.removed, sig.added, sig.reason)
+        return eng.stats.as_dict(), None, (sig.removed, sig.added, sig.reason)
     except PreconditionViolated as exc:
-        return ("precondition", str(exc))
-    return ("ok", eng.buffer, eng.stats.as_dict())
-
-
-def _valid_prefixes(eng: _Engine, depth_limit: int) -> tuple[list[tuple[int, ...]], int]:
-    """All non-falsified disjoint-stage paths to depth_limit, plus the count
-    of falsified leaves encountered among them."""
-    prefixes: list[tuple[int, ...]] = []
-    falsified = 0
-
-    def rec(depth: int, Q: int, P: int, U: int) -> None:
-        nonlocal falsified
-        if depth == depth_limit:
-            prefixes.append(tuple(eng.path[:depth]))
-            return
-        labels = eng.base[depth]
-        for x in eng._order_children(depth, labels):
-            if U >> x & 1:
-                falsified += 1
-            else:
-                rec(depth + 1, *eng._step(depth, x, Q, P, U))
-
-    rec(0, 0, eng.live0, eng.unit0)
-    return prefixes, falsified
+        return None, None, exc
+    return eng.stats.as_dict(), eng.buffer, None
 
 
 def _parallel_enumerate(f: Formula, t: int, ordering: OrderingSource,
-                        collect: bool, workers: int) -> _Engine:
+                        collect: bool, workers: int,
+                        debug_assertions: bool | None) -> _Engine:
+    """The search with one task per live root child, merged in the root's
+    order into what the sequential run reports: the root and each falsified
+    child are counted here, and a child's worker that hits a base reset ends
+    the attempt there, its partial stats included."""
     from concurrent.futures import ProcessPoolExecutor
 
-    master = _Engine(f, t, ordering)
+    eng = _Engine(f, t, ordering, debug_assertions=debug_assertions,
+                  collect=collect)
+    if not eng.base or not t or eng.has_empty_clause:
+        eng.run()           # the root is no base level, or it has no child
+        return eng
+    stats = eng.stats
     while True:
-        t0 = len(master.base)
-        depth = min(t0, t)
-        if depth == 0 or master.has_empty_clause:
-            # only on the first pass (resets grow t0 and leave t, and an
-            # empty clause ends the search at the root), so the master has
-            # reset nothing and a fresh engine builds its base
-            return _run(f, t, ordering, collect=collect)
-        prefixes, falsified = _valid_prefixes(master, depth)
-        tasks = [(f, t, ordering, master.base, p) for p in prefixes]
-        reset = None
-        results = []
+        eng._begin_attempt()
+        order = eng._order_children(0, eng.base[0])
+        tasks = [(f, t, ordering, collect, eng.debug_assertions, eng.base, x)
+                 for x in order if not eng.unit0 >> x & 1]
         # the fork start method launches every worker on the first submit
         size = min(workers, len(tasks) or 1, os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=size) as pool:
-            for res in pool.map(_subtree_worker, tasks):
-                results.append(res)
-        for res in results:
-            if res[0] == "reset":
-                reset = res
+            results = iter(list(pool.map(_subtree_worker, tasks)))
+        stats.nodes_visited += 1
+        stop = None
+        for x in order:
+            if eng.unit0 >> x & 1:
+                stats.falsified_leaves += 1
+                continue
+            sub, buf, stop = next(results)
+            if sub is None:
+                raise stop
+            for name in ("nodes_visited", "leaves_visited", "falsified_leaves",
+                         "superfluous_skips", "solutions_emitted"):
+                setattr(stats, name, getattr(stats, name) + sub[name])
+            room = PROFILE_CAP - len(stats.profiles)
+            if sub["profiles_truncated"] or len(sub["profiles"]) > room:
+                stats.profiles_truncated = True
+            stats.profiles.extend(sub["profiles"][:room])
+            if stop is not None:
                 break
-            if res[0] == "precondition":
-                raise PreconditionViolated(res[1])
-        if reset is not None:
-            master._apply_base_reset(BaseResetSignal(reset[1], reset[2], reset[3]))
-            continue
-        stats = master.stats
-        stats.route = branch_on_t0(t0, f.n)
-        stats.t0 = t0
-        stats.falsified_leaves += falsified
-        # prefix-internal nodes, visited once each in a sequential run
-        seen_prefix: set[tuple[int, ...]] = set()
-        for p in prefixes:
-            for k in range(len(p)):
-                seen_prefix.add(p[:k])
-        stats.nodes_visited += len(seen_prefix)
-        solutions: list[tuple[int, ...]] = []
-        for res in results:
-            _, buf, st = res
-            solutions.extend(tuple(s) for s in buf)
-            stats.leaves_visited += st["leaves_visited"]
-            stats.nodes_visited += st["nodes_visited"]
-            stats.falsified_leaves += st["falsified_leaves"]
-            stats.superfluous_skips += st["superfluous_skips"]
-            for k, v in st["resets"].items():
-                stats.resets[k] += v
-            stats.reset_events.extend(st["reset_events"])
-            stats.profiles.extend(st["profiles"][:max(0, PROFILE_CAP - len(stats.profiles))])
-        if len(set(solutions)) != len(solutions):
-            raise InternalInvariantError("duplicate solutions across subtrees")
-        stats.solutions_emitted = len(solutions)
-        master.buffer = solutions if collect else None
-        return master
+            if collect:
+                eng.buffer.extend(buf)
+        if stop is None:
+            break
+        eng._apply_base_reset(BaseResetSignal(*stop))
+    if collect and len(set(eng.buffer)) != len(eng.buffer):
+        # the left labels of each root child split the tree into disjoint subtrees
+        raise InternalInvariantError("duplicate solutions across subtrees")
+    stats.route, stats.t0 = eng.route, eng.t0
+    return eng

@@ -187,6 +187,17 @@ def test_enumerate_refuses_parallel_below_one(maj4, capsys):
             assert code == 4 and out == "" and f"parallel={k} is below 1" in err
 
 
+def test_enumerate_refuses_parallel_where_it_takes_no_effect(maj4, capsys):
+    # psi estimates and exhaustive orderings run in one process, so they
+    # refuse a parallel setting that would not take effect
+    for mode, what in ((["--mode", "psi"], "--mode psi"),
+                       (["--exhaustive-orderings"], "--exhaustive-orderings")):
+        code, out, err = run_cli(["enumerate", "--t", "2", "--closure",
+                                  *mode, "--parallel", "2", maj4], capsys)
+        assert code == 4 and out == ""
+        assert f"{what} searches in one process; parallel=2 is not 1" in err
+
+
 def test_verify_engine_pass(maj4, capsys):
     code, out, _ = run_cli(["verify", "--closure", maj4], capsys)
     assert code == 0 and json.loads(out.strip())["passed"] is True

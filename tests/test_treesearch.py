@@ -24,9 +24,9 @@ from naenum.selection import (TWOMARK, TwomarkContext, build_stage_profile,
                               monotone_index, twomark_context)
 from naenum.tree import SurvivalKernel, column_counts
 from naenum.treesearch import _DRAW_LIMIT, _PERMS, _Engine
-from corpus import (collision_reset_instance, heavy_overflow_instance,
-                    heavy_reset_instance, structure_reset_instance,
-                    twomark_reset_instance)
+from corpus import (collision_reset_instance, disjoint_union,
+                    heavy_overflow_instance, heavy_reset_instance,
+                    structure_reset_instance, twomark_reset_instance)
 from oracles import disjoint_stage, leaves, q_of, satisfies
 from test_engine_golden import _generator as golden_generator
 
@@ -341,30 +341,46 @@ def _same_run(got, want) -> bool:
 @pytest.mark.parametrize("workers", [2, 3])
 def test_parallel_matches_sequential(workers):
     f = negation_closure(maj(8, 3))
-    seq, seq_stats = collect_solutions(f, 4, OrderingSource.random(5))
-    par, par_stats = collect_solutions(f, 4, OrderingSource.random(5),
-                                       parallel=workers)
-    assert seq == par
-    assert seq_stats.nodes_visited == par_stats.nodes_visited
-    assert seq_stats.superfluous_skips == par_stats.superfluous_skips
+    assert _same_run(collect_solutions(f, 4, OrderingSource.random(5), parallel=workers),
+                     collect_solutions(f, 4, OrderingSource.random(5)))
     # an empty clause ends the search at the root, in either driver
     g = Formula.of(6, [(1, 2, 3), (-1, -2, -3), ()])
     assert _same_run(collect_solutions(g, 2, parallel=workers), collect_solutions(g, 2))
+    # the unit clause (-1) falsifies the root child 1, which the driver
+    # counts itself; below 2 and 3 the clause (1) leaves only skipped edges
+    h = Formula.of(4, [(1, 2, 3), (-1, -2, -3), (1,), (-1,)])
+    assert _same_run(collect_solutions(h, 2, parallel=workers), collect_solutions(h, 2))
+    stats = collect_solutions(h, 2)[1]
+    assert (stats.falsified_leaves, stats.superfluous_skips) == (1, 2)
 
 
 def test_parallel_reset_instance():
-    f = collision_reset_instance()
-    t = brute_force(f).tau
-    seq, s1 = collect_solutions(f, t)
-    par, s2 = collect_solutions(f, t, parallel=2)
-    assert seq == par and s2.resets["base"] >= 1
+    # every reset instance under the fixed ordering and seeds 0-2: the
+    # driver merges its workers, resets included, into the sequential run
+    for make in RESET_INSTANCES:
+        f = make()
+        t = brute_force(f).tau
+        for ordering in [OrderingSource.fixed()] + [OrderingSource.random(s)
+                                                    for s in range(3)]:
+            assert _same_run(collect_solutions(f, t, ordering, parallel=2),
+                             collect_solutions(f, t, ordering)), (make.__name__, ordering)
 
 
-def test_parallel_pool_is_capped_at_the_core_count(monkeypatch):
-    # the fork start method launches every worker on the first submit, so
-    # the pool never outgrows the cores or the tasks, whatever the caller
-    # asks for.  The stub pool runs the workers in this process: no process
-    # starts, and a worker's base reset reaches the driver.
+def test_parallel_merges_truncated_profiles(monkeypatch):
+    # maj12+heavy_overflow of test_union.py records 243 profiles; below a
+    # lowered cap the driver cuts the merged list and flags it as the
+    # sequential run does, whether or not a worker saw the lowered cap
+    monkeypatch.setattr(treesearch, "PROFILE_CAP", 5)
+    f = disjoint_union(negation_closure(maj(12, 3)), heavy_overflow_instance())
+    seq = collect_solutions(f, 10)
+    assert seq[1].profiles_truncated and len(seq[1].profiles) == 5
+    assert _same_run(collect_solutions(f, 10, parallel=2), seq)
+
+
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """A stand-in for ``ProcessPoolExecutor`` that runs the workers in this
+    process, so no process starts; yields the pool sizes asked for."""
     import concurrent.futures
 
     sizes = []
@@ -383,12 +399,31 @@ def test_parallel_pool_is_capped_at_the_core_count(monkeypatch):
             return map(fn, tasks)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    return sizes
+
+
+def test_parallel_pool_is_capped_at_the_core_count(in_process_pool):
+    # the fork start method launches every worker on the first submit, so
+    # the pool never outgrows the cores or the tasks, whatever the caller
+    # asks for.  A worker's base reset reaches the driver.
     f = collision_reset_instance()
     t = brute_force(f).tau
     sols, stats = collect_solutions(f, t, parallel=10 ** 6)
     assert sols == collect_solutions(f, t)[0]
     assert stats.resets["base"] == 1
+    sizes = in_process_pool
     assert len(sizes) == 2 and all(1 <= s <= os.cpu_count() for s in sizes)
+
+
+def test_parallel_worker_precondition_reaches_the_caller(in_process_pool):
+    # a root child's subtree holds a transversal lighter than t: the driver
+    # raises the worker's violation with the sequential run's message
+    f = negation_closure(maj(4, 3))
+    for parallel in (1, 2):
+        with pytest.raises(PreconditionViolated,
+                           match=re.escape("[1, 2] is a transversal of weight 2 < t=3")):
+            count_solutions(f, 3, parallel=parallel)
+    assert in_process_pool == [2]
 
 
 def test_parallel_must_be_an_integer():
@@ -405,18 +440,19 @@ def test_parallel_must_be_at_least_one():
 
 def test_subtree_workers_in_process_rebuild_the_sequential_run():
     # the parallel driver's workers, run in this process: their solution
-    # lists, one per disjoint-stage prefix in search order, concatenate to
-    # the sequential run's emission order
+    # lists, one per live root child in search order, concatenate to the
+    # sequential run's emission order
     f = heavy_overflow_instance()
     for ordering in (OrderingSource.fixed(), OrderingSource.random(7)):
         eng = _Engine(f, 4, ordering)
-        prefixes, _ = treesearch._valid_prefixes(eng, len(eng.base))
-        assert len(prefixes) > 1
-        base = eng.base
+        roots = [x for x in eng._order_children(0, eng.base[0])
+                 if not eng.unit0 >> x & 1]
+        assert len(roots) > 1
         sols = []
-        for prefix in prefixes:
-            status, buf, _ = treesearch._subtree_worker((f, 4, ordering, base, prefix))
-            assert status == "ok"
+        for x in roots:
+            _, buf, stop = treesearch._subtree_worker(
+                (f, 4, ordering, True, None, eng.base, x))
+            assert stop is None
             sols += buf
         assert sols == collect_solutions(f, 4, ordering)[0]
 

@@ -7,9 +7,12 @@ with debug assertions off, under the fixed ordering, on the controlled route;
 the script prints the count, the work and the time.  It also checks the tree
 the search walked: 1,868,062 nodes visited, 798,255 superfluous skips and
 933,120 surviving leaves, so a change to the controlled stage's clause
-choice shows here at scale.
+choice shows here at scale.  Last, it counts again with ``parallel=2`` and
+requires the same count and the same ``SearchStats.as_dict()``: the parallel
+driver on the controlled route, with more stage profiles than ``PROFILE_CAP``
+keeps.
 
-    python tools/union_count.py     # exit 1 unless the count and tree match
+    python tools/union_count.py     # exit 1 unless count, tree and driver match
 """
 
 from __future__ import annotations
@@ -44,6 +47,15 @@ def main() -> int:
     tree = (stats.nodes_visited, stats.superfluous_skips, stats.leaves_visited)
     if tree != EXPECT_TREE:
         print(f"expected (nodes, skips, leaves) = {EXPECT_TREE}, got {tree}",
+              file=sys.stderr)
+        return 1
+    start = time.perf_counter()
+    par_count, par_stats = count_solutions(f, T, debug_assertions=False,
+                                           parallel=2)
+    print(f"parallel=2: {par_count:,} solutions, "
+          f"{time.perf_counter() - start:.1f} s")
+    if (par_count, par_stats.as_dict()) != (count, stats.as_dict()):
+        print("parallel=2 reports other stats than the sequential run",
               file=sys.stderr)
         return 1
     return 0
