@@ -1,11 +1,12 @@
 """Closed-form bound functions, exact DP tables, grid verification of the
 crossover/upper-bound claims, and survival-value estimation.
 
-Each closed form G_i is defined once, in ``_LARGE_FORMS``/``_SMALL_FORMS``/
-``_SMALL_ALT_CASE3``, as a product of powers base**(cw*w + cd*d + ch*h) over
-the bases 5/2, 2, 3/2, 9/4 and sqrt(27/8) = 3*sqrt(6)/4.  The ceiling F stays
-piecewise: a case index picks one G_i, so the claim min(G_i) = F is a check,
-not a definition.
+Each closed form G_i is defined once, in ``_LARGE_FORMS``/``_SMALL_FORMS``,
+as a product of powers base**(cw*w + cd*d + ch*h) over the bases 5/2, 2,
+3/2, 9/4 and sqrt(27/8) = 3*sqrt(6)/4.  The ceiling F stays piecewise: a
+case index picks one G_i, so the claim min(G_i) = F is a check, not a
+definition.  Every claim the grids report can fail; none holds by how F is
+defined.
 
 Every form is read one way: its square is 2^a 3^b 5^c, with (a, b, c) linear
 in (w, d, h) and read off the definition once (``_square_exponents``).  At a
@@ -22,8 +23,8 @@ of cross-products of ints, whose two values give <=, >= and = alike (the
 pairs are in lowest terms).  Each product is formed where its inputs change.
 Per (w, d): the squares of the small-grid forms with no h term (G1, G2 and
 G4), their cross-products and P * 16^d (P * 4^d on the large grid).  Per
-point: the squares of G3 and, where the third-case forms are compared, of
-the alternate form, G3's cross-products with the others, and M^2 against F.
+point: the square of G3, its cross-products with the others, and M^2
+against F.
 M <= G_i follows from M <= F and F <= G_i where both hold and is compared
 directly otherwise.  A point's predicates are examined one by one only when
 their conjunction fails.  Nothing is decided by floats.  Fractions appear
@@ -100,9 +101,6 @@ _SMALL_FORMS = (
      (_ROOT_27_8, (1, -1, -1))),                            # ... 2^h (27/8)^((w-d-h)/2)
     ((_2, (-1, 3, 0)), (_3_2, (1, -2, 0))),                 # 2^(3d-w) (3/2)^(w-2d)
 )
-# the algebraically equal second form of the third case
-_SMALL_ALT_CASE3 = ((_2, (0, 0, 1)), (_3_2, (1, -2, 0)),
-                    (_ROOT_27_8, (-1, 3, -1)))              # ... (27/8)^((3d-w-h)/2)
 
 
 def _square_exponents(form) -> tuple[int, ...]:
@@ -136,10 +134,9 @@ def _exponents(exps, w: int, d: int, h: int = 0) -> tuple[int, int, int]:
             a5w * w + a5d * d + a5h * h)
 
 
-# square exponents of G1, G2 (large) and of G1..G4 plus the alternate third
-# case (small)
+# square exponents of G1, G2 (large) and of G1..G4 (small)
 _LARGE_EXPONENTS = tuple(map(_square_exponents, _LARGE_FORMS))
-_SMALL_EXPONENTS = tuple(map(_square_exponents, _SMALL_FORMS + (_SMALL_ALT_CASE3,)))
+_SMALL_EXPONENTS = tuple(map(_square_exponents, _SMALL_FORMS))
 
 
 def _value(exps, w: int, d: int, h: int = 0) -> QSqrt6:
@@ -349,19 +346,6 @@ def _append_checks(report, names, count: int, witnesses) -> None:
         report.checks.append(ClaimCheck(name, w is None, count, w))
 
 
-def _multi_check(report, points: Iterable, preds, names) -> None:
-    """Evaluate a tuple of predicates per point in one grid pass, recording
-    each predicate's first failing point as its witness."""
-    count = 0
-    witnesses: list[tuple | None] = [None] * len(names)
-    for p in points:
-        count += 1
-        oks = preds(*p)
-        if not all(oks):
-            _note_failures(witnesses, oks, p)
-    _append_checks(report, names, count, witnesses)
-
-
 _LARGE_CLAIMS = ("large: M(w,d) <= G1",
                  "large: M(w,d) <= G2",
                  "large: M(w,d) <= F",
@@ -372,9 +356,7 @@ _SMALL_CLAIMS = ("small: M(w,d,h) <= G_i for i=1..4",
                  "small: G1 <= G2 iff w <= d, equality iff w = d",
                  "small: G2 <= G3 iff w <= d+h, equality iff w = d+h",
                  "small: G3 <= G4 iff w <= 3d-h, equality iff w = 3d-h",
-                 "small: min(G1..G4) = F on the ordered region h <= d",
-                 "small: F equals one of G1..G4 everywhere",
-                 "small: third-case forms agree")
+                 "small: min(G1..G4) = F on the ordered region h <= d")
 
 
 def verify_appendix_claims(grid2_w: tuple[int, int] = (-3, 60),
@@ -428,7 +410,7 @@ def _large_claims(rep: ClaimReport, wlo: int, whi: int, dmax: int) -> None:
 
 def _small_claims(rep: ClaimReport, wlo: int, whi: int, dmax: int,
                   hmax: int) -> None:
-    """The eight small-grid claims, points (w, d, h) with d outermost and h
+    """The six small-grid claims, points (w, d, h) with d outermost and h
     innermost.  G1, G2 and G4 must carry no h, as they are squared once per
     (w, d); the module docstring says what else is formed per (w, d) and
     what per point."""
@@ -436,27 +418,24 @@ def _small_claims(rep: ClaimReport, wlo: int, whi: int, dmax: int,
     if any(any(exps[i][2::3]) for i in (0, 1, 3)):
         raise InternalInvariantError("the claim kernel needs G1, G2 and G4 "
                                      "free of h")
-    (a2, a3, a5), (b2, b3, b5) = exps[2][2::3], exps[4][2::3]     # h terms
+    a2, a3, a5 = exps[2][2::3]                      # G3's h terms
     lo = min(wlo, -2)
     rows = _dp_small_rows(lo, whi, dmax, hmax)
     case = _small_case
-    wit: list[tuple | None] = [None] * 8
+    wit: list[tuple | None] = [None] * 6
     for d in range(dmax + 1):
         s, rows_d = 16 ** d, rows[d]                # M^2 = (4^d M)^2 / 16^d
         for w in range(wlo, whi + 1):
-            g1, g2, _, g4, _ = _squares(exps, w, d)
+            g1, g2, _, g4 = _squares(exps, w, d)
             (p1, q1), (p2, q2), (p4, q4) = g1, g2, g4
             s1, s2, s4 = p1 * s, p2 * s, p4 * s
             x12, y12 = p1 * q2, p2 * q1             # Gi <= Gj iff xij <= yij
             x14, y14 = p1 * q4, p4 * q1
             x24, y24 = p2 * q4, p4 * q2
             ok12 = x12 < y12 if w < d else x12 > y12 if w > d else x12 == y12
-            # w <= d+h iff k2 <= h and w <= 3d-h iff h <= k3, so the third
-            # case's region d+h <= w <= 3d-h is h <= k_alt
+            # w <= d+h iff k2 <= h and w <= 3d-h iff h <= k3
             k2, k3 = w - d, 3 * d - w
-            k_alt = min(k2, k3)
             t2, t3, t5 = _exponents(exps[2], w, d)
-            u2, u3, u5 = _exponents(exps[4], w, d)
             for h, m in enumerate(rows_d[w - lo]):
                 g3 = p3, q3 = _square_pair(t2 + a2 * h, t3 + a3 * h, t5 + a5 * h)
                 x23, y23 = p2 * q3, p3 * q2
@@ -483,12 +462,9 @@ def _small_claims(rep: ClaimReport, wlo: int, whi: int, dmax: int,
                 # form, M is compared with each form
                 m_g = m_f and (f_min or (n2 * q1 <= s1 and n2 * q2 <= s2
                                          and n2 * q3 <= p3 * s and n2 * q4 <= s4))
-                alt = h > k_alt or _square_pair(u2 + b2 * h, u3 + b3 * h,
-                                                u5 + b5 * h) == ff
-                # F is one of G1..G4 by construction, so claim 7 holds
-                if not (m_g and ok12 and ok23 and ok34 and (f_min or h > d) and alt):
-                    _note_failures(wit, (m_g, m_f, ok12, ok23, ok34, f_min or h > d,
-                                         True, alt), (w, d, h))
+                if not (m_g and ok12 and ok23 and ok34 and (f_min or h > d)):
+                    _note_failures(wit, (m_g, m_f, ok12, ok23, ok34, f_min or h > d),
+                                   (w, d, h))
     _append_checks(rep, _SMALL_CLAIMS, (whi - wlo + 1) * (dmax + 1) * (hmax + 1), wit)
 
 
@@ -599,9 +575,10 @@ def global_bound_check(ns_large: Sequence[int] = tuple(range(8, 65, 4)),
         bound = Fraction(6) ** (n // 4)
         return lhs == bound * Fraction(27, 32) ** delta and lhs <= bound
 
-    _multi_check(rep, [(n, delta) for n in ns_large for delta in range(n // 4 + 1)],
-                 lambda *p: (large_ok(*p),),
-                 ["large route: 3^(n/4+D) F(n/2, n/4-D) = 6^(n/4) (27/32)^D <= 6^(n/4)"])
+    pts = [(n, delta) for n in ns_large for delta in range(n // 4 + 1)]
+    bad = next((p for p in pts if not large_ok(*p)), None)
+    _append_checks(rep, ["large route: 3^(n/4+D) F(n/2, n/4-D) = 6^(n/4) (27/32)^D"
+                         " <= 6^(n/4)"], len(pts), [bad])
 
     def controlled_ok(cert: NodeCertificate, scaled: QSqrt6, bound: QSqrt6) -> bool:
         inner = cert.i_value <= cert.n
@@ -615,9 +592,10 @@ def global_bound_check(ns_large: Sequence[int] = tuple(range(8, 65, 4)),
         certs = {pt: n_of_u0(*pt) for pt in pts}
         scaled = {pt: cert.scaled() for pt, cert in certs.items()}
         bound = QSqrt6(Fraction(6) ** (n // 4))
-        _multi_check(rep, pts,
-                     lambda *pt: (controlled_ok(certs[pt], scaled[pt], bound),),
-                     [f"controlled route n={n}: 3^t0 N <= 6^(n/4), d+h <= w, regime iff"])
+        bad = next((pt for pt in pts
+                    if not controlled_ok(certs[pt], scaled[pt], bound)), None)
+        _append_checks(rep, [f"controlled route n={n}: 3^t0 N <= 6^(n/4), "
+                             "d+h <= w, regime iff"], len(pts), [bad])
         top = max(pts, key=scaled.__getitem__)
         best = certs[top]
         rep.details.append({"n": n, "max_scaled_float": float(scaled[top]),

@@ -3,8 +3,8 @@
 Machine-readable JSON goes to stdout (one document, last line); human logs go
 to stderr.  Solution lines precede the JSON unless routed to a file with
 ``--solutions``.  Exit codes: 0 success, 1 internal invariant failure,
-2 weight-precondition violation, 3 malformed input, 4 refused parameters,
-5 verification mismatch.
+2 weight-precondition violation, 3 malformed input, 4 refused parameters or
+a run out of memory, 5 verification mismatch.
 """
 
 from __future__ import annotations
@@ -120,10 +120,14 @@ def cmd_gen(args) -> int:
 def cmd_enumerate(args) -> int:
     if args.parallel < 1:       # refused in every mode, not only the search
         raise ParameterError(f"parallel={args.parallel} is below 1")
+    what = ("--exhaustive-orderings" if args.exhaustive_orderings
+            else f"--mode {args.mode}")
     if args.parallel != 1 and (args.mode == "psi" or args.exhaustive_orderings):
-        what = "--exhaustive-orderings" if args.exhaustive_orderings else "--mode psi"
         raise ParameterError(f"{what} searches in one process; "
                              f"parallel={args.parallel} is not 1")
+    if args.solutions and (args.mode != "enumerate" or args.exhaustive_orderings):
+        raise ParameterError(f"{what} writes no solutions; --solutions is "
+                             "for --mode enumerate")
     f = _read_formula(args.file)
     if args.closure:
         f = negation_closure(f)
@@ -347,6 +351,9 @@ def main(argv=None) -> int:
     except (ParameterError, OracleRefused, InputNotClosed, BudgetExceeded,
             ValueError, OSError) as exc:
         _log(f"refused: {exc}")
+        return 4
+    except MemoryError:
+        _log("refused: out of memory")
         return 4
     except InternalInvariantError as exc:
         _log(f"internal invariant failure: {exc}")

@@ -9,8 +9,8 @@ base collection that the search starts from.
 ``clause_vars`` and ``satisfies`` read clauses and assignments directly;
 ``child_nodes``, ``path_ids``, ``q_of`` and ``leaves`` walk a ``DebugTree``
 through its nodes' ``children`` and ``parent`` links; and
-``f_small_alt_case3`` is the algebraically equal second form of the
-four-case ceiling's third case, which the claim kernel compares on squares.
+``f_small_alt_case3`` evaluates ``SMALL_ALT_CASE3``, the paper's second
+expression of the four-case ceiling's third case.
 """
 
 from __future__ import annotations
@@ -64,9 +64,14 @@ def leaves(tree: DebugTree) -> Iterator[TreeNode]:
     return (u for u in tree.nodes if u.leaf_kind is not None)
 
 
+# 2^h (3/2)^(w-2d) (27/8)^((3d-w-h)/2), written as ``analysis`` writes G3
+SMALL_ALT_CASE3 = ((analysis._2, (0, 0, 1)), (analysis._3_2, (1, -2, 0)),
+                   (analysis._ROOT_27_8, (-1, 3, -1)))
+
+
 def f_small_alt_case3(w: int, d: int, h: int) -> analysis.QSqrt6:
     """The algebraically equal second form of the third case."""
-    return analysis._value(analysis._SMALL_EXPONENTS[4], w, d, h)
+    return analysis._value(analysis._square_exponents(SMALL_ALT_CASE3), w, d, h)
 
 
 def simplify(f: Formula, ones: Iterable[int]) -> Formula:

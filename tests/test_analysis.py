@@ -9,14 +9,14 @@ import pytest
 from naenum import (Formula, brute_force, enumerate_all_orderings, maj,
                     negation_closure, random_negation_closed)
 from naenum import analysis
-from naenum.analysis import (QSqrt6, ClaimReport, dp_m_large, dp_m_small,
+from naenum.analysis import (QSqrt6, dp_m_large, dp_m_small,
                              estimate_psi, f_large, f_small,
                              feasible_profiles, g_large, g_small,
                              global_bound_check, n_of_u0,
                              verify_appendix_claims)
 from naenum.errors import ParameterError
 from naenum.treesearch import DEBUG_TREE_MAX_N
-from oracles import f_small_alt_case3
+from oracles import SMALL_ALT_CASE3, f_small_alt_case3
 
 
 # ---------------------------------------------------------------- numbers
@@ -118,6 +118,13 @@ def test_f_small_case3_forms_agree():
                 assert f_small(w, d, h) == f_small_alt_case3(w, d, h)
 
 
+def test_f_small_case3_forms_have_one_square_exponent_vector():
+    # the paper's two expressions of the third case have equal squares at
+    # every (w, d, h), not only on a grid, so no claim compares them
+    assert (analysis._square_exponents(SMALL_ALT_CASE3)
+            == analysis._SMALL_EXPONENTS[2] == (1, -5, 5, -1, 5, -3, 0, 0, 0))
+
+
 def test_f_rejects_negative_depth():
     # every public closed form, not only the two piecewise ceilings
     for fn in (f_large, partial(g_large, 1), partial(g_large, 2)):
@@ -190,8 +197,8 @@ def test_closed_forms_match_literal_formulas():
 def test_kernel_squares_match_public_values():
     """At every grid point the claim kernel's integer pair (P, Q) is the
     square of the literal form (which the test above equates with the public
-    value), for every G_i, both F and the alternate third case; and the
-    kernel's integer DP rows are the squares of both public DP tables."""
+    value), for every G_i and both F; and the kernel's integer DP rows are
+    the squares of both public DP tables."""
     large = dp_m_large(16, 8)
     small = dp_m_small(16, 8, 8)
     lo = -3
@@ -203,9 +210,9 @@ def test_kernel_squares_match_public_values():
         assert (Fraction(*g1), Fraction(*g2)) == (lit1, lit2)
         fl = (g1, g2)[analysis._large_case(w, d)]
         assert Fraction(*fl) == (lit1 if w <= 2 * d else lit2)
-        *gs, alt = analysis._squares(analysis._SMALL_EXPONENTS, w, d, h)
-        lits = [_square(literal(w, d, h)) for literal in SMALL_LITERALS]
-        assert [Fraction(*pair) for pair in gs + [alt]] == lits, (w, d, h)
+        gs = analysis._squares(analysis._SMALL_EXPONENTS, w, d, h)
+        lits = [_square(literal(w, d, h)) for literal in SMALL_LITERALS[:4]]
+        assert [Fraction(*pair) for pair in gs] == lits, (w, d, h)
         fs = gs[analysis._small_case(w, d, h)]
         case = 0 if w <= d else 1 if w <= d + h else 2 if w <= 3 * d - h else 3
         assert Fraction(*fs) == lits[case]
@@ -281,7 +288,7 @@ def test_claim_grids_small():
     rep = verify_appendix_claims(grid2_w=(-3, 16), grid2_d=8,
                                  grid3_w=(-3, 12), grid3_d=6, grid3_h=6)
     assert rep.ok, [c.name for c in rep.checks if not c.ok]
-    assert len(rep.checks) == 13
+    assert len(rep.checks) == 11
 
 
 LARGE_GRID = dict(grid2_w=(-3, 120), grid2_d=60,
@@ -294,7 +301,7 @@ def test_claim_grids_large():
     rep = verify_appendix_claims(**LARGE_GRID)
     elapsed = time.perf_counter() - start
     assert rep.ok, [c.name for c in rep.checks if not c.ok]
-    assert sum(c.points for c in rep.checks) == 5 * 124 * 61 + 8 * 64 * 31 * 31
+    assert sum(c.points for c in rep.checks) == 5 * 124 * 61 + 6 * 64 * 31 * 31
     assert elapsed <= 1.5
 
 
@@ -302,16 +309,6 @@ def test_claim_grids_refuse_empty_grids():
     for kw in (dict(grid2_d=-1), dict(grid3_h=-1), dict(grid3_w=(5, 4))):
         with pytest.raises(ParameterError):
             verify_appendix_claims(**kw)
-
-
-def test_multi_check_records_first_failing_point():
-    rep = ClaimReport()
-    analysis._multi_check(rep, [(1, 0), (2, 0), (3, 1)],
-                          lambda a, b: (a != 2, b == 0, True), ["x", "y", "z"])
-    assert [c.as_dict() for c in rep.checks] == [
-        {"name": "x", "ok": False, "points": 3, "witness": [2, 0]},
-        {"name": "y", "ok": False, "points": 3, "witness": [3, 1]},
-        {"name": "z", "ok": True, "points": 3, "witness": None}]
 
 
 def test_claim_kernel_detects_wrong_pieces(monkeypatch):
@@ -394,6 +391,21 @@ def test_certificate_boundary_regime_forms_agree():
                 assert g_small(3, w, d, h) == g_small(4, w, d, h)
             found += 1
     assert found
+
+
+def test_certificate_closed_form():
+    # a step of the sum spends (2, 1, 1) of (w, d, h), which halves F in
+    # either case, so sum_i C(m'_R, i) (3/8)^i 2^-i = (19/16)^m'_R
+    profiles = 0
+    for n in range(4, 41, 2):
+        for t0, t1, m_r, m_b in feasible_profiles(n):
+            cert = n_of_u0(n, t0, t1, m_r, m_b)
+            f = g_small(3 if cert.i_value <= n else 4,
+                        n // 2 - t1, n // 2 - t0 - t1, m_r + m_b)
+            scale = Fraction(5, 2) ** t1 * Fraction(19, 20) ** m_r
+            assert cert.value == QSqrt6(scale * f.r, f.root6), (n, t0, t1, m_r, m_b)
+            profiles += 1
+    assert profiles == 4508
 
 
 def test_certificate_refuses_inconsistency():

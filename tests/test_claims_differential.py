@@ -2,10 +2,13 @@
 against the frozen per-point kernel in ``reference_claims.py``.  The reports
 must be equal, names, point counts and witnesses included, on the shipped
 grids, on odd grids, and where a DP cell, a form's exponents or a case
-function is changed so that claims fail."""
+function is changed so that claims fail.  A fixed list of such changes makes
+every claim that ``verify_appendix_claims`` or ``global_bound_check`` reports
+fail, so that none of them holds by construction."""
 
 import math
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -95,29 +98,33 @@ def test_dp_cell_between_least_form_and_f_fails_alike(monkeypatch):
     assert failed == {"small: M(w,d,h) <= G_i for i=1..4": [w, d, h]}
 
 
-@pytest.mark.parametrize("i", range(5))
+def _changed_exponent(monkeypatch, table: str, i: int, k: int, delta: int):
+    """Add ``delta`` to coefficient k of form i's square exponents (a2w, a2d,
+    a2h, a3w, ...) in ``_LARGE_EXPONENTS`` or ``_SMALL_EXPONENTS``."""
+    name = f"_{table.upper()}_EXPONENTS"
+    exps = list(getattr(analysis, name))
+    exps[i] = exps[i][:k] + (exps[i][k] + delta,) + exps[i][k + 1:]
+    monkeypatch.setattr(analysis, name, tuple(exps))
+
+
+@pytest.mark.parametrize("i", range(4))
 @pytest.mark.parametrize("k, delta", [(1, -4), (0, 2), (4, 1), (7, 2)])
 def test_changed_form_fails_alike(monkeypatch, i, k, delta):
-    # coefficient k of form i's square exponents (a2w, a2d, a2h, a3w, ...);
     # k = 7 is a5d, a factor 5^(delta d) that no form has
-    exps = list(analysis._SMALL_EXPONENTS)
-    exps[i] = exps[i][:k] + (exps[i][k] + delta,) + exps[i][k + 1:]
-    monkeypatch.setattr(analysis, "_SMALL_EXPONENTS", tuple(exps))
+    _changed_exponent(monkeypatch, "small", i, k, delta)
     assert not _same(**FAILING)["ok"]
 
 
 @pytest.mark.parametrize("i, k, delta", [(0, 1, -4), (1, 0, 2), (1, 4, 1)])
 def test_changed_large_form_fails_alike(monkeypatch, i, k, delta):
-    exps = list(analysis._LARGE_EXPONENTS)
-    exps[i] = exps[i][:k] + (exps[i][k] + delta,) + exps[i][k + 1:]
-    monkeypatch.setattr(analysis, "_LARGE_EXPONENTS", tuple(exps))
+    _changed_exponent(monkeypatch, "large", i, k, delta)
     assert not _same(**FAILING)["ok"]
 
 
 @pytest.mark.parametrize("large, small", [
-    ((0, 0), (0, 0, 2, 3, 4)), ((1, 1), (1, 1, 2, 3, 4)),
-    ((0, 1), (0, 1, 1, 3, 4)), ((0, 1), (0, 1, 3, 3, 4)),
-    ((0, 1), (3, 1, 2, 3, 4)), ((0, 1), (0, 1, 2, 3, 1)),
+    ((0, 0), (0, 0, 2, 3)), ((1, 1), (1, 1, 2, 3)),
+    ((0, 1), (0, 1, 1, 3)), ((0, 1), (0, 1, 3, 3)),
+    ((0, 1), (3, 1, 2, 3)),
 ])
 def test_equal_forms_fail_alike(monkeypatch, large, small):
     # two forms made one: equality off the case boundaries breaks the order
@@ -129,21 +136,17 @@ def test_equal_forms_fail_alike(monkeypatch, large, small):
     assert not _same(**FAILING)["ok"]
 
 
-@pytest.mark.parametrize("i, delta", [(2, 1), (2, -2), (4, 1), (4, 3)])
+@pytest.mark.parametrize("i, delta", [(2, 1), (2, -2)])
 def test_changed_h_term_fails_alike(monkeypatch, i, delta):
-    # G3 and the alternate form carry h; a2h changes with h, point by point
-    exps = list(analysis._SMALL_EXPONENTS)
-    exps[i] = exps[i][:2] + (exps[i][2] + delta,) + exps[i][3:]
-    monkeypatch.setattr(analysis, "_SMALL_EXPONENTS", tuple(exps))
+    # G3 carries h; a2h changes with h, point by point
+    _changed_exponent(monkeypatch, "small", i, 2, delta)
     assert not _same(**FAILING)["ok"]
 
 
 @pytest.mark.parametrize("i", [0, 1, 3])
 def test_h_in_an_h_free_form_is_refused(monkeypatch, i):
     # the kernel squares G1, G2 and G4 once per (w, d)
-    exps = list(analysis._SMALL_EXPONENTS)
-    exps[i] = exps[i][:2] + (1,) + exps[i][3:]
-    monkeypatch.setattr(analysis, "_SMALL_EXPONENTS", tuple(exps))
+    _changed_exponent(monkeypatch, "small", i, 2, 1)
     assert not reference_claims.verify_appendix_claims(**FAILING).ok
     with pytest.raises(InternalInvariantError, match="free of h"):
         verify_appendix_claims(**FAILING)
@@ -159,11 +162,57 @@ def test_wrong_case_fails_alike(monkeypatch, large, small):
     assert not _same(**FAILING)["ok"]
 
 
-@pytest.mark.parametrize("shift", [1, 2, 3])
-def test_shifted_case_fails_alike(monkeypatch, shift):
+def _shifted_cases(monkeypatch, shift: int):
     real_large, real_small = analysis._large_case, analysis._small_case
     monkeypatch.setattr(analysis, "_large_case",
                         lambda w, d: (real_large(w, d) + shift) % 2)
     monkeypatch.setattr(analysis, "_small_case",
                         lambda w, d, h: (real_small(w, d, h) + shift) % 4)
+
+
+@pytest.mark.parametrize("shift", [1, 2, 3])
+def test_shifted_case_fails_alike(monkeypatch, shift):
+    _shifted_cases(monkeypatch, shift)
     assert not _same(**FAILING)["ok"]
+
+
+def _doubled(monkeypatch, name: str):
+    """Make the public ceiling ``f_large`` or ``g_small`` return twice its
+    value."""
+    real = getattr(analysis, name)
+
+    def twice(*args):
+        v = real(*args)
+        return 2 * v if name == "f_large" else analysis.QSqrt6(2 * v.r, v.root6)
+
+    monkeypatch.setattr(analysis, name, twice)
+
+
+# a raised DP cell per table, a changed exponent per form (a2d lowered by 4,
+# or a2w raised by 2 for the large forms), a shifted case function, and the
+# public ceilings doubled where the global sweep reads them
+MUTATIONS = [
+    partial(_raise_cell, table="large", d=3, w=4, h=None, value=lambda v: 3 * v + 1),
+    partial(_raise_cell, table="small", d=2, w=3, h=1, value=lambda v: 3 * v + 1),
+    *(partial(_changed_exponent, table="large", i=i, k=0, delta=2)
+      for i in range(len(analysis._LARGE_EXPONENTS))),
+    *(partial(_changed_exponent, table="small", i=i, k=1, delta=-4)
+      for i in range(len(analysis._SMALL_EXPONENTS))),
+    partial(_shifted_cases, shift=1),
+    partial(_doubled, name="f_large"),
+    partial(_doubled, name="g_small"),
+]
+
+
+def _reports():
+    return [verify_appendix_claims(**FAILING), analysis.global_bound_check()]
+
+
+def test_every_reported_claim_can_fail(monkeypatch):
+    names = {c.name for rep in _reports() for c in rep.checks}
+    failed = set()
+    for mutate in MUTATIONS:
+        with monkeypatch.context() as mp:
+            mutate(mp)
+            failed |= {c.name for rep in _reports() for c in rep.checks if not c.ok}
+    assert sorted(names - failed) == []

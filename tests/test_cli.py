@@ -7,8 +7,9 @@ from pathlib import Path
 import pytest
 
 from naenum import InternalInvariantError, is_negation_closed, parse_dimacs
-from naenum import cli
+from naenum import analysis, cli
 from naenum.cli import main
+from test_claims_differential import _changed_exponent, _doubled
 
 DATA = Path(__file__).parent / "data"
 
@@ -198,6 +199,20 @@ def test_enumerate_refuses_parallel_where_it_takes_no_effect(maj4, capsys):
         assert f"{what} searches in one process; parallel=2 is not 1" in err
 
 
+def test_enumerate_refuses_solutions_where_it_writes_nothing(maj4, tmp_path, capsys):
+    # counts, psi estimates and exhaustive orderings emit no solution lines,
+    # so a --solutions file would silently not be written
+    sols = tmp_path / "out.txt"
+    for mode, what in ((["--mode", "count"], "--mode count"),
+                       (["--mode", "psi"], "--mode psi"),
+                       (["--exhaustive-orderings"], "--exhaustive-orderings")):
+        code, out, err = run_cli(["enumerate", "--t", "2", "--closure", *mode,
+                                  "--solutions", str(sols), maj4], capsys)
+        assert code == 4 and out == "" and not sols.exists()
+        assert err == (f"refused: {what} writes no solutions; "
+                       "--solutions is for --mode enumerate\n")
+
+
 def test_verify_engine_pass(maj4, capsys):
     code, out, _ = run_cli(["verify", "--closure", maj4], capsys)
     assert code == 0 and json.loads(out.strip())["passed"] is True
@@ -299,19 +314,38 @@ def test_bound_claims_small_grid(capsys):
 
 
 def test_bound_failing_claim_exits_5(capsys, monkeypatch):
-    from naenum import analysis
-
-    # the alternate third-case form with one more factor 2^h: it no longer
-    # agrees with G3, and that is the one claim that fails
-    exps = list(analysis._SMALL_EXPONENTS)
-    exps[4] = exps[4][:2] + (exps[4][2] + 1,) + exps[4][3:]
-    monkeypatch.setattr(analysis, "_SMALL_EXPONENTS", tuple(exps))
+    # G3 with one more factor 2^h: from h = 1 on it leaves its place in the
+    # order of the four forms
+    _changed_exponent(monkeypatch, "small", 2, 2, 1)
     code, out, _ = run_cli(["bound", "--verify-claims", "--grid", "6"], capsys)
     assert code == 5
     claims = json.loads(out.strip())["claims"]
     assert claims["ok"] is False
-    assert [(c["name"], c["witness"]) for c in claims["checks"] if not c["ok"]] \
-        == [("small: third-case forms agree", [2, 1, 1])]
+    assert [(c["name"], c["witness"]) for c in claims["checks"] if not c["ok"]] == [
+        ("small: G2 <= G3 iff w <= d+h, equality iff w = d+h", [1, 0, 1]),
+        ("small: G3 <= G4 iff w <= 3d-h, equality iff w = 3d-h", [-3, 0, 1]),
+        ("small: min(G1..G4) = F on the ordered region h <= d", [4, 2, 1])]
+
+
+def test_bound_global_sweep_failure_exits_5(capsys, monkeypatch):
+    # a doubled two-case ceiling breaks the large-route identity at its
+    # first point; the controlled route reads the four-case one only
+    _doubled(monkeypatch, "f_large")
+    code, out, _ = run_cli(["bound", "--global-sweep"], capsys)
+    assert code == 5
+    sweep = json.loads(out.strip())["global"]
+    assert sweep["ok"] is False
+    assert [(c["name"], c["witness"]) for c in sweep["checks"] if not c["ok"]] == [
+        ("large route: 3^(n/4+D) F(n/2, n/4-D) = 6^(n/4) (27/32)^D <= 6^(n/4)",
+         [8, 0])]
+
+
+def test_bound_profile_above_the_bound_exits_5(capsys, monkeypatch):
+    _doubled(monkeypatch, "g_small")
+    code, out, _ = run_cli(["bound", "--n", "8", "--profile", "2,0,0,0"], capsys)
+    assert code == 5
+    cert = json.loads(out.strip())["certificate"]
+    assert (cert["N"], cert["scaled"], cert["within_bound"]) == ("27/4", "243/4", False)
 
 
 def test_bound_refuses_empty(capsys):
@@ -426,6 +460,16 @@ def test_internal_invariant_failure_exits_1(maj4, capsys, monkeypatch):
     code, out, err = run_cli(["enumerate", "--t", "2", "--closure", maj4], capsys)
     assert code == 1 and out == ""
     assert err == "internal invariant failure: broken on purpose\n"
+
+
+def test_out_of_memory_exits_4(maj4, capsys, monkeypatch):
+    def exhausted(*args, **kw):
+        raise MemoryError
+
+    monkeypatch.setattr(analysis, "estimate_psi", exhausted)
+    code, out, err = run_cli(["enumerate", "--t", "2", "--closure", "--mode", "psi",
+                              maj4], capsys)
+    assert (code, out, err) == (4, "", "refused: out of memory\n")
 
 
 def test_usage_error_exit_code(capsys):
