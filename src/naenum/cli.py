@@ -125,9 +125,25 @@ def cmd_enumerate(args) -> int:
     if args.parallel != 1 and (args.mode == "psi" or args.exhaustive_orderings):
         raise ParameterError(f"{what} searches in one process; "
                              f"parallel={args.parallel} is not 1")
-    if args.solutions and (args.mode != "enumerate" or args.exhaustive_orderings):
-        raise ParameterError(f"{what} writes no solutions; --solutions is "
-                             "for --mode enumerate")
+    # an option the chosen mode does not read is refused, not dropped; the
+    # defaults of --budget, --samples and --psi-method apply where read
+    solve = not args.exhaustive_orderings and args.mode == "enumerate"
+    psi = not args.exhaustive_orderings and args.mode == "psi"
+    for opt, given, used, why, where in (
+            ("--solutions", args.solutions, solve, "writes no solutions",
+             "--mode enumerate"),
+            ("--bitstring", args.bitstring, solve, "writes no solutions",
+             "--mode enumerate"),
+            ("--seed", args.seed is not None, not args.exhaustive_orderings,
+             "sweeps every ordering", "a seeded search or --mode psi"),
+            ("--budget", args.budget is not None, args.exhaustive_orderings,
+             "sweeps no orderings", "--exhaustive-orderings"),
+            ("--samples", args.samples is not None, psi, "estimates no psi",
+             "--mode psi"),
+            ("--psi-method", args.psi_method, psi, "estimates no psi",
+             "--mode psi")):
+        if given and not used:
+            raise ParameterError(f"{what} {why}; {opt} is for {where}")
     f = _read_formula(args.file)
     if args.closure:
         f = negation_closure(f)
@@ -148,7 +164,8 @@ def cmd_enumerate(args) -> int:
                             "invariant_violations": check_invariants(tree)}
 
     if args.exhaustive_orderings:
-        report = enumerate_all_orderings(f, t, budget=args.budget)
+        report = enumerate_all_orderings(
+            f, t, budget=10 ** 6 if args.budget is None else args.budget)
         exact_edges = all(report.edge_survival[v.id] == Fraction(1, 2 ** v.marks)
                           for v in report.tree.nodes[1:] if not v.falsifying)
         doc["exhaustive"] = {
@@ -162,17 +179,15 @@ def cmd_enumerate(args) -> int:
         return 0
 
     if args.mode == "psi":
-        est = analysis.estimate_psi(f, t, args.samples, args.seed or 0,
-                                    method=args.psi_method)
+        est = analysis.estimate_psi(
+            f, t, 10 ** 4 if args.samples is None else args.samples,
+            args.seed or 0, method=args.psi_method or "auto")
         doc["psi"] = est.as_dict()
         _emit_json(doc)
         return 0
 
     search = collect_solutions if args.mode == "enumerate" else count_solutions
-    sols, stats = search(
-        f, t, ordering,
-        debug_assertions=True if args.debug_assertions else None,
-        parallel=args.parallel)
+    sols, stats = search(f, t, ordering, parallel=args.parallel)
     doc["stats"] = stats.as_dict()
     if args.mode == "enumerate":
         lines = [_sol_line(s, f.n, args.bitstring) for s in sols]
@@ -306,12 +321,12 @@ def build_parser() -> _Parser:
     e.add_argument("--solutions", help="write solutions here instead of stdout")
     e.add_argument("--bitstring", action="store_true")
     e.add_argument("--exhaustive-orderings", action="store_true")
-    e.add_argument("--budget", type=int, default=10 ** 6)
-    e.add_argument("--samples", type=int, default=10 ** 4)
+    e.add_argument("--budget", type=int,
+                   help="most orderings to sweep (default 10^6)")
+    e.add_argument("--samples", type=int, help="psi samples (default 10^4)")
     e.add_argument("--psi-method", choices=["auto", "tree", "engine"],
-                   default="auto")
+                   help="psi estimator (default auto)")
     e.add_argument("--debug-tree", help="write the materialized tree here")
-    e.add_argument("--debug-assertions", action="store_true")
     e.add_argument("--parallel", type=int, default=1)
     e.set_defaults(func=cmd_enumerate)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from operator import getitem
 from typing import Iterable
 
@@ -91,6 +92,12 @@ class Formula:
     @property
     def max_width(self) -> int:
         return max((len(c) for c in self.clauses), default=0)
+
+    @cached_property
+    def max_var(self) -> int:
+        """The highest variable that occurs in a clause, 0 if none: a
+        clause's last literal has its highest variable."""
+        return max((abs(c[-1]) for c in self.clauses if c), default=0)
 
     def monotone_clauses(self, width: int | None = None) -> tuple[Clause, ...]:
         out = (c for c in self.clauses if is_monotone(c))

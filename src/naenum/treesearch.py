@@ -31,11 +31,17 @@ memoises it in one dict of at most ``_FALS_MEMO_CAP`` entries, cleared on a
 miss once full.  Path labels and per-depth ordering hashes live in
 depth-indexed arrays that a child overwrites.  The label mark counters are
 raised and lowered around an expansion only where they are read: on the
-controlled route and in the debug tree.  In either mode the exactly-once
-check keys each solution on its ``Q`` mask, the set of its path labels.  A
-count keeps no solution list; a collect buffers the masks and turns them
-into sorted tuples (``cnf.mask_tuples``) once the search settles and the
-check's set is dropped.
+controlled route and in the debug tree.  A solution is its ``Q`` mask, the
+set of its path labels.  A count keeps no solution list; a collect buffers
+the masks and turns them into sorted tuples (``cnf.mask_tuples``) once the
+search settles.  The per-variable tables and the masks span the variables
+up to the highest that occurs in a clause, whatever the header's n.
+The exactly-once check, on with the debug assertions, keeps O(t) state:
+each node also receives ``C``, the labels left of its path as ``L`` holds
+them, which no skip reads.  No node may be entered with ``Q & C`` nonzero,
+and no solution emitted through a label of ``C``: such a path repeats
+solutions of the subtree to its left.  And in a search a node's id is its
+visit count, checked on entry, so a node searched twice is caught too.
 The controlled stage keeps its state on the engine, as the path does: the
 depth-t0 node u0 builds the stage profile into ``prof``, an end-of-onemark
 node the twomark plan into ``k2`` from the labels of the onemark levels
@@ -226,26 +232,30 @@ def validate_engine_input(f: Formula, t: int) -> int:
 class _Engine:
     # every attribute an engine sets, so instances carry no __dict__; a new
     # attribute needs its name here
-    __slots__ = ("n", "t", "record", "debug_assertions", "draw_below",
-                 "hashes", "path", "mono3_index", "mono3", "has_empty_clause",
+    __slots__ = ("n", "top", "t", "record", "debug_assertions", "check_once",
+                 "draw_below", "hashes", "path", "mono3_index", "mono3",
+                 "has_empty_clause",
                  "pick", "wake_by", "fals_by", "fals_vars", "fals_memo",
                  "live0", "unit0", "keep_by",
-                 "base", "stats", "buffer", "t0", "route", "_seen",
+                 "base", "stats", "buffer", "t0", "route",
                  "discarded_leaves", "tree_nodes", "tree_profiles",
                  "keep_marks", "label_cnt", "label_nodes",
                  "prof", "k2", "heavies")
 
     def __init__(self, f: Formula, t: int, ordering: OrderingSource,
-                 *, debug_assertions: bool | None = None,
+                 *, debug_assertions: bool = True,
                  record: bool = False, collect: bool = True,
                  base: Sequence[Clause] | None = None):
         t = validate_engine_input(f, t)
         self.n = f.n
+        # the highest variable that occurs: the per-variable tables, the
+        # masks and the solution tuples span 0..top, whatever the header's n
+        self.top = f.max_var
         self.t = t
         self.record = record
-        if debug_assertions is None:
-            debug_assertions = f.n <= 32
         self.debug_assertions = debug_assertions
+        # the exactly-once check; the unpruned debug tree repeats solutions
+        self.check_once = debug_assertions and not record
         # nodes above this depth draw their child order; a count stops one
         # level short, as no count observes the last level's order
         # (OrderingSource), and the fixed order draws nowhere
@@ -269,25 +279,24 @@ class _Engine:
         self.buffer: list | None = [] if collect else None
 
     def _index_clauses(self, f: Formula) -> None:
-        """Per-variable occurrence masks and lists, in O(total literals).
+        """Per-variable occurrence masks and lists, in O(total literals + top).
         Clauses with a positive literal get a bit each, ranked by (width,
         variables) of their positive literals; all-negative ones feed the
         falsifying mask."""
+        top = self.top
         posvars = [tuple(l for l in c if l > 0) for c in f.clauses]
         ranked = sorted((i for i, pv in enumerate(posvars) if pv),
                         key=lambda i: (len(posvars[i]), posvars[i]))
         self.pick = [posvars[i] for i in ranked]        # free labels per rank
-        sat_by = [0] * (f.n + 1)     # ranks of the clauses a literal +v hits
+        sat_by = [0] * (top + 1)     # ranks of the clauses a literal +v hits
         # per v: (negated-variable mask, positive-variable mask, rank bit) of
         # each ranked clause with literal -v, and the variable mask of each
         # all-negative clause with literal -v
         self.wake_by: list[list[tuple[int, int, int]]] = [[] for _ in sat_by]
         self.fals_by: list[list[int]] = [[] for _ in sat_by]
         # per v: N(v), the variables of the all-negative clauses with
-        # literal -v, and v itself above bit n, so that
-        # (Q | -1 << n + 1) & fals_vars[v] keys the falsifying-mask memo on
-        # v and Q within N(v) (see _node)
-        fals_vars = [v << f.n + 1 for v in range(f.n + 1)]
+        # literal -v
+        nbr = [0] * (top + 1)
         self.live0 = self.unit0 = 0                     # P and U at the root
         for r, i in enumerate(ranked):
             bit = 1 << r
@@ -306,8 +315,11 @@ class _Engine:
                 self.unit0 |= neg if len(c) == 1 else 0
                 for l in c:
                     self.fals_by[-l].append(neg)
-                    fals_vars[-l] |= neg
-        self.fals_vars = fals_vars
+                    nbr[-l] |= neg
+        # N(v) and v itself above bit top, so that (Q | -1 << top + 1) &
+        # fals_vars[v] keys the falsifying-mask memo on v and Q within N(v)
+        # (see _node); 0 where N(v) is empty, as such a step adds nothing
+        self.fals_vars = [m | v << top + 1 if m else 0 for v, m in enumerate(nbr)]
         self.fals_memo: dict[int, int] = {}
 
     # ------------------------------------------------------------------
@@ -323,14 +335,13 @@ class _Engine:
         if self.buffer is not None:
             self.buffer.clear()
         self.stats.solutions_emitted = 0
-        # exactly-once check; the unpruned debug tree repeats solutions
-        self._seen = set() if self.debug_assertions and not self.record else None
         self.discarded_leaves = self.stats.leaves_visited
         self.tree_nodes: list[TreeNode] = [TreeNode(0, 0, None, None, (), False)]
         self.tree_profiles: list[StageProfile] = []
         self.keep_marks = self.record or self.route == "controlled"
-        self.label_cnt = [0] * (self.n + 1)
-        self.label_nodes: list[list[int]] = [[] for _ in range(self.n + 1)]
+        self.label_cnt = [0] * (self.top + 1)
+        self.label_nodes: list[list[int]] = ([[] for _ in self.label_cnt]
+                                             if self.record else [])
         # below u0: its profile, the twomark plan, the shoot's heavy clauses
         self.prof: StageProfile | None = None
         self.k2: TwomarkContext | None = None
@@ -364,7 +375,9 @@ class _Engine:
                         Q, P, U = self._step(0, root, Q, P, U)
                         depth = 1
                     if depth < self.t:
-                        self._node(depth, Q, P, U, L, 0)
+                        # in a search, a node's id is its visit count
+                        self._node(depth, Q, P, U, L, L,
+                                   0 if self.record else self.stats.nodes_visited)
                     else:       # a leaf: t = 0, or t = 1 below a root label
                         self.stats.leaves_visited += 1
                         self.tree_nodes[0].leaf_kind = "viable"
@@ -379,15 +392,12 @@ class _Engine:
                 self._apply_base_reset(sig)
         self.stats.route = self.route
         self.stats.t0 = self.t0
-        # the exactly-once set goes first, so that it and the solution
-        # tuples are never held at once
-        self._seen = None
         buf = self.buffer
         if buf is not None:
             # in place, a block at a time, so that each block's masks are
             # freed before the next block's tuples are built
             for i in range(0, len(buf), 4096):
-                buf[i:i + 4096] = mask_tuples(buf[i:i + 4096], self.n, 1)
+                buf[i:i + 4096] = mask_tuples(buf[i:i + 4096], self.top, 1)
 
     def _apply_base_reset(self, sig: BaseResetSignal) -> None:
         grown = attempt_reset(self.base, sig.removed, sig.added, self.mono3)
@@ -421,7 +431,7 @@ class _Engine:
                 P |= bit
         return Q, P, U
 
-    def _node(self, depth: int, Q: int, P: int, U: int, L: int,
+    def _node(self, depth: int, Q: int, P: int, U: int, L: int, C: int,
               node_id: int) -> None:
         stats = self.stats
         record = self.record
@@ -429,6 +439,18 @@ class _Engine:
             raise PreconditionViolated(
                 f"{sorted(self.path[:depth])} is a transversal of weight "
                 f"{depth} < t={self.t}")
+        # exactly-once: C holds the labels left of the path as L does, but
+        # no skip reads it, so no path may enter one of them; and a node
+        # is entered with its visit count as its id, so a node searched
+        # again carries a stale one
+        check = self.check_once
+        if check and (Q & C or node_id != stats.nodes_visited):
+            why = (f"the path enters left label(s) "
+                   f"{mask_tuples([Q & C], self.top, 1)[0]}" if Q & C
+                   else "its node is searched twice")
+            raise InternalInvariantError(
+                f"each solution (below path {tuple(self.path[:depth])}) "
+                f"emitted twice: {why}")
         # stage selection: base levels, then (below u0) the onemark clauses,
         # the twomark plan, and the free pick; base, onemark and twomark
         # clauses come from the monotone index, so each is its own label tuple
@@ -470,39 +492,36 @@ class _Engine:
         leaf = depth + 1 == self.t
         if record:
             self.tree_nodes[node_id].stage = stage
-            L = 0                   # the debug tree skips no edge
+            L = C = 0               # the debug tree skips no edge
             if leaf:                # ids as in preorder: leaves have no subtree
                 for x in order:
                     self._record_child(node_id, depth, x, bool(U >> x & 1))
         if leaf:
             # depth-t leaves settle here: a leaf is a solution iff no live
-            # clause stays (P & keep_by[x]) and none wakes
-            skips = falsified = visited = emitted = 0
-            buf, seen = self.buffer, self._seen
+            # clause stays (P & keep_by[x]) and none wakes.  A node's labels
+            # are distinct, so no leaf's label joins L for its siblings
+            skips = falsified = emitted = 0
+            buf, left = self.buffer, C if check else 0
             for x in order:
                 bit = 1 << x
                 if L & bit:
                     skips += 1
                 elif U & bit:
                     falsified += 1
-                else:
-                    visited += 1
-                    if not P & keep_by[x]:
-                        Qx = Q | bit
-                        for neg, pos, _ in wake_by[x]:
-                            if not (neg & ~Qx or pos & Qx):
-                                break
-                        else:
-                            emitted += 1
-                            if buf is not None:
-                                buf.append(Qx)
-                            if seen is not None:
-                                if Qx in seen:
-                                    self.path[depth] = x
-                                    raise InternalInvariantError(
-                                        f"solution {tuple(sorted(self.path))} emitted twice")
-                                seen.add(Qx)
-                L |= bit
+                elif not P & keep_by[x]:
+                    Qx = Q | bit
+                    for neg, pos, _ in wake_by[x]:
+                        if not (neg & ~Qx or pos & Qx):
+                            break
+                    else:
+                        if left & bit:
+                            self.path[depth] = x
+                            raise InternalInvariantError(
+                                f"solution {tuple(sorted(self.path))} emitted twice")
+                        emitted += 1
+                        if buf is not None:
+                            buf.append(Qx)
+            visited = len(order) - skips - falsified
             stats.superfluous_skips += skips
             stats.falsified_leaves += falsified
             stats.nodes_visited += visited
@@ -510,7 +529,7 @@ class _Engine:
             stats.solutions_emitted += emitted
         else:
             path, fals_by, fals_vars = self.path, self.fals_by, self.fals_vars
-            memo, hi = self.fals_memo, -1 << self.n + 1
+            memo, hi = self.fals_memo, -1 << self.top + 1
             for x in order:
                 bit = 1 << x
                 child_id = self._record_child(node_id, depth, x, bool(U & bit)) if record else 0
@@ -519,7 +538,7 @@ class _Engine:
                 elif U & bit:
                     stats.falsified_leaves += 1
                 else:
-                    stats.nodes_visited += 1
+                    visits = stats.nodes_visited = stats.nodes_visited + 1
                     path[depth] = x
                     Qx = Q | bit
                     Px = P & keep_by[x]
@@ -541,8 +560,9 @@ class _Engine:
                         if len(memo) >= _FALS_MEMO_CAP:
                             memo.clear()
                         memo[key] = add
-                    self._node(depth + 1, Qx, Px, U | add, L, child_id)
+                    self._node(depth + 1, Qx, Px, U | add, L, C, child_id or visits)
                 L |= bit
+                C |= bit
         if self.keep_marks:
             for x in labels:
                 self.label_cnt[x] -= 1
@@ -659,7 +679,7 @@ class _Engine:
 
 def enumerate_solutions(f: Formula, t: int,
                         ordering: OrderingSource | None = None,
-                        *, debug_assertions: bool | None = None,
+                        *, debug_assertions: bool = True,
                         parallel: int = 1) -> SearchStats:
     """Emit every weight-t satisfying assignment of a negation-closed 3-CNF
     exactly once, assuming no satisfying assignment has weight below t
@@ -672,7 +692,7 @@ def enumerate_solutions(f: Formula, t: int,
 
 
 def _run(f: Formula, t: int, ordering: OrderingSource | None, *, collect: bool,
-         debug_assertions: bool | None = None, parallel: int = 1) -> _Engine:
+         debug_assertions: bool = True, parallel: int = 1) -> _Engine:
     """The engine of a settled run, the master one when ``parallel`` > 1; a
     search deeper than the recursion limit is refused here."""
     ordering = ordering or OrderingSource.fixed()
@@ -694,7 +714,7 @@ def _run(f: Formula, t: int, ordering: OrderingSource | None, *, collect: bool,
 
 
 def surviving_leaves(f: Formula, t: int, ordering: OrderingSource,
-                     *, debug_assertions: bool | None = None) -> int:
+                     *, debug_assertions: bool = True) -> int:
     """Surviving depth-t leaves of the search under ``ordering``, counting
     only the tree that the run settled on.  ``SearchStats.leaves_visited``
     also counts the leaves of attempts that a reset threw away."""
@@ -801,7 +821,7 @@ def _subtree_worker(args):
 
 def _parallel_enumerate(f: Formula, t: int, ordering: OrderingSource,
                         collect: bool, workers: int,
-                        debug_assertions: bool | None) -> _Engine:
+                        debug_assertions: bool) -> _Engine:
     """The search with one task per live root child, merged in the root's
     order into what the sequential run reports: the root and each falsified
     child are counted here, and a child's worker that hits a base reset ends
@@ -846,8 +866,5 @@ def _parallel_enumerate(f: Formula, t: int, ordering: OrderingSource,
         if stop is None:
             break
         eng._apply_base_reset(BaseResetSignal(*stop))
-    if collect and len(set(eng.buffer)) != len(eng.buffer):
-        # the left labels of each root child split the tree into disjoint subtrees
-        raise InternalInvariantError("duplicate solutions across subtrees")
     stats.route, stats.t0 = eng.route, eng.t0
     return eng

@@ -10,7 +10,9 @@ base collection that the search starts from.
 ``child_nodes``, ``path_ids``, ``q_of`` and ``leaves`` walk a ``DebugTree``
 through its nodes' ``children`` and ``parent`` links; and
 ``f_small_alt_case3`` evaluates ``SMALL_ALT_CASE3``, the paper's second
-expression of the four-case ceiling's third case.
+expression of the four-case ceiling's third case.  ``first_repeat`` is the
+exactly-once check as a set of every emitted solution, which the engine
+kept until its O(t) check replaced it.
 """
 
 from __future__ import annotations
@@ -72,6 +74,18 @@ SMALL_ALT_CASE3 = ((analysis._2, (0, 0, 1)), (analysis._3_2, (1, -2, 0)),
 def f_small_alt_case3(w: int, d: int, h: int) -> analysis.QSqrt6:
     """The algebraically equal second form of the third case."""
     return analysis._value(analysis._square_exponents(SMALL_ALT_CASE3), w, d, h)
+
+
+def first_repeat(solutions: Iterable[tuple[int, ...]]) -> tuple[int, ...] | None:
+    """The first solution that repeats an earlier one, or None: the
+    exactly-once check as a set of every emitted solution, the reference
+    for the engine's O(t) check."""
+    seen = set()
+    for sol in solutions:
+        if sol in seen:
+            return sol
+        seen.add(sol)
+    return None
 
 
 def simplify(f: Formula, ones: Iterable[int]) -> Formula:

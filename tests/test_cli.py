@@ -213,6 +213,37 @@ def test_enumerate_refuses_solutions_where_it_writes_nothing(maj4, tmp_path, cap
                        "--solutions is for --mode enumerate\n")
 
 
+@pytest.mark.parametrize("mode, option, err", [
+    (["--exhaustive-orderings"], ["--seed", "5"],
+     "--exhaustive-orderings sweeps every ordering; --seed is for a seeded "
+     "search or --mode psi"),
+    (["--mode", "count"], ["--bitstring"],
+     "--mode count writes no solutions; --bitstring is for --mode enumerate"),
+    (["--mode", "enumerate"], ["--budget", "10"],
+     "--mode enumerate sweeps no orderings; --budget is for "
+     "--exhaustive-orderings"),
+    (["--mode", "count"], ["--samples", "64"],
+     "--mode count estimates no psi; --samples is for --mode psi"),
+    (["--mode", "psi", "--exhaustive-orderings"], ["--psi-method", "tree"],
+     "--exhaustive-orderings estimates no psi; --psi-method is for --mode psi"),
+], ids=["seed", "bitstring", "budget", "samples", "psi-method"])
+def test_enumerate_refuses_options_the_mode_does_not_read(maj4, mode, option,
+                                                          err, capsys):
+    # each option would be accepted and silently dropped; the refusal comes
+    # before the formula is read
+    code, out, got = run_cli(["enumerate", "--t", "2", "--closure", *mode,
+                              *option, maj4], capsys)
+    assert (code, out, got) == (4, "", f"refused: {err}\n")
+
+
+def test_enumerate_reads_budget_where_it_sweeps(maj4, capsys):
+    # the closure of maj(4,3) at t = 2 has 1,296 joint orderings
+    code, out, err = run_cli(["enumerate", "--t", "2", "--closure",
+                              "--exhaustive-orderings", "--budget", "1295",
+                              maj4], capsys)
+    assert (code, out) == (4, "") and "1296 orderings exceed budget 1295" in err
+
+
 def test_verify_engine_pass(maj4, capsys):
     code, out, _ = run_cli(["verify", "--closure", maj4], capsys)
     assert code == 0 and json.loads(out.strip())["passed"] is True

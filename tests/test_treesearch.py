@@ -27,7 +27,7 @@ from naenum.treesearch import _DRAW_LIMIT, _PERMS, _Engine
 from corpus import (collision_reset_instance, disjoint_union,
                     heavy_overflow_instance, heavy_reset_instance,
                     structure_reset_instance, twomark_reset_instance)
-from oracles import disjoint_stage, leaves, q_of, satisfies
+from oracles import disjoint_stage, first_repeat, leaves, q_of, satisfies
 from test_engine_golden import _generator as golden_generator
 
 
@@ -162,7 +162,7 @@ def test_twomark_reset_instance_restarts_the_attempt():
     assert [p["m_r_prime"] for p in tree.stats.profiles if p["q_u0"] == [1, 4]] == [2]
 
 
-def _twomark_check(cnt: dict, U: int, fals_var=3, debug_assertions=None):
+def _twomark_check(cnt: dict, U: int, fals_var=3, debug_assertions=True):
     """``_stage_checks`` of a twomark node of ``heavy_overflow_instance()``
     below the path (1, 4, 2, 5), with the engine's controlled-stage state,
     the label mark counts and the falsifying mask set by hand.  A twomark
@@ -506,15 +506,20 @@ def test_count_draws_no_last_level_order(monkeypatch):
         assert cstats.as_dict() == stats.as_dict()
 
 
+def _traced_peak(call):
+    """``call()`` and the tracemalloc peak it reached."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_count_keeps_no_solution_buffer():
     # a buffer of the 1,296 solutions alone would take ~150 KiB
     f = negation_closure(maj(16, 3))
-    tracemalloc.start()
-    try:
-        count, _ = count_solutions(f, 8, debug_assertions=False)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (count, _), peak = _traced_peak(
+        lambda: count_solutions(f, 8, debug_assertions=False))
     assert count == 1296
     assert peak < 32 * 1024, peak
 
@@ -629,6 +634,85 @@ def test_repeated_emission_is_an_invariant_failure(monkeypatch):
         with pytest.raises(InternalInvariantError, match=r"solution \(.*\) emitted twice"):
             search(f, 4)
     assert count_solutions(f, 4, debug_assertions=False)[0] == 2 * 36
+
+
+def _drop_left_labels(monkeypatch, at_depth=None):
+    """Make ``_node`` forget the left labels it inherits, at every depth or
+    at one: the path's skip mask loses them, and the exactly-once check's
+    own copy keeps them."""
+    real = _Engine._node
+
+    def forgetful(eng, depth, Q, P, U, L, *rest):
+        real(eng, depth, Q, P, U,
+             0 if at_depth in (None, depth) else L, *rest)
+
+    monkeypatch.setattr(_Engine, "_node", forgetful)
+
+
+def test_dropped_left_labels_are_an_invariant_failure(monkeypatch):
+    # above n = 32 and under default settings: the closure of maj(8,3) with
+    # 32 variables that occur in no clause has the same 36 solutions
+    f = Formula.of(40, negation_closure(maj(8, 3)).clauses)
+    assert count_solutions(f, 4)[0] == 36
+    with monkeypatch.context() as m:
+        _drop_left_labels(m)
+        for search in (count_solutions, collect_solutions):
+            with pytest.raises(InternalInvariantError, match="emitted twice"):
+                search(f, 4)
+    # a worker of the parallel driver checks its subtree against the labels
+    # left of its root child, so no subtree repeats another's solutions
+    _drop_left_labels(monkeypatch, at_depth=1)
+    with pytest.raises(InternalInvariantError, match="emitted twice"):
+        collect_solutions(f, 4, parallel=2)
+
+
+def test_exactly_once_check_agrees_with_the_set_reference(monkeypatch):
+    # with left labels dropped at one depth, the engine's check raises
+    # wherever the reference (a set of every emitted solution) sees a
+    # repeat, and on the unchanged search neither fires
+    cases = [(negation_closure(maj(8, 3)), 4), (negation_closure(maj(12, 3)), 6)]
+    cases += [(f, brute_force(f).tau) for f in
+              (collision_reset_instance(), structure_reset_instance(),
+               heavy_reset_instance(), twomark_reset_instance())]
+    repeats = 0
+    for f, t in cases:
+        for ordering in (OrderingSource.fixed(), OrderingSource.random(3)):
+            sols, _ = collect_solutions(f, t, ordering)
+            assert first_repeat(sols) is None
+            for depth in range(t):
+                with monkeypatch.context() as m:
+                    _drop_left_labels(m, depth)
+                    sols, _ = collect_solutions(f, t, ordering,
+                                                debug_assertions=False)
+                    if first_repeat(sols) is None:
+                        continue
+                    repeats += 1
+                    with pytest.raises(InternalInvariantError,
+                                       match="emitted twice"):
+                        collect_solutions(f, t, ordering)
+    assert repeats >= 10, repeats
+
+
+@pytest.mark.parametrize("n, count", [(16, 1296), (20, 7776)])
+def test_default_count_memory_does_not_grow_with_solutions(n, count):
+    # the exactly-once check holds O(t) integers, not one per solution
+    f = negation_closure(maj(n, 3))
+    (got, _), peak = _traced_peak(lambda: count_solutions(f, n // 2))
+    assert got == count
+    assert peak < 64 * 1024, peak
+
+
+def test_engine_tables_are_sized_by_the_variables_that_occur():
+    # headers of 10^4 and 10^6 variables and no clause: the weight-0
+    # solution, found without a table or a mask per header variable.  The
+    # small header goes first, so that tables sized by the header (15 MB
+    # at 10^4, quadratic in it) fail the test before the large one
+    for n in (10 ** 4, 10 ** 6):
+        f = Formula.of(n, [])
+        for search, result in ((count_solutions, 1), (collect_solutions, [()])):
+            (got, _), peak = _traced_peak(lambda: search(f, 0))
+            assert got == result
+            assert peak < 64 * 1024, (n, search.__name__, peak)
 
 
 M64 = 2 ** 64

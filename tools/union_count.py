@@ -3,7 +3,8 @@
 The union (``disjoint_union`` in tests/corpus.py) has n = 38 and tau = 12 + 6
 = 18.  Its weight-18 solutions are the pairs of one weight-tau solution per
 side, so the count must be 6^6 * 18 = 839,808.  The search runs in count mode
-with debug assertions off, under the fixed ordering, on the controlled route;
+under the default settings, so the exactly-once check and the other debug
+assertions run at n = 38, under the fixed ordering, on the controlled route;
 the script prints the count, the work and the time.  It also checks the tree
 the search walked: 1,868,062 nodes visited, 798,255 superfluous skips and
 933,120 surviving leaves, so a change to the controlled stage's clause
@@ -36,7 +37,7 @@ EXPECT_TREE = (1_868_062, 798_255, 933_120)
 def main() -> int:
     f = disjoint_union(negation_closure(maj(24, 3)), twomark_reset_instance())
     start = time.perf_counter()
-    count, stats = count_solutions(f, T, debug_assertions=False)
+    count, stats = count_solutions(f, T)
     elapsed = time.perf_counter() - start
     print(f"n = {f.n}, t = {T}: {count:,} solutions, "
           f"{stats.nodes_visited:,} nodes, {stats.route} route, t0 = {stats.t0}, "
@@ -50,8 +51,7 @@ def main() -> int:
               file=sys.stderr)
         return 1
     start = time.perf_counter()
-    par_count, par_stats = count_solutions(f, T, debug_assertions=False,
-                                           parallel=2)
+    par_count, par_stats = count_solutions(f, T, parallel=2)
     print(f"parallel=2: {par_count:,} solutions, "
           f"{time.perf_counter() - start:.1f} s")
     if (par_count, par_stats.as_dict()) != (count, stats.as_dict()):
