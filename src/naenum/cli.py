@@ -370,6 +370,9 @@ def main(argv=None) -> int:
     except MemoryError:
         _log("refused: out of memory")
         return 4
+    except KeyboardInterrupt:
+        _log("interrupted")
+        return 130
     except InternalInvariantError as exc:
         _log(f"internal invariant failure: {exc}")
         return 1

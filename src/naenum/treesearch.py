@@ -53,10 +53,9 @@ Random sibling orderings come from a counter-based stream (splitmix64 as a
 path hash, after Salmon et al., SC 2011): a node's order is a function of the
 seed and its path labels alone, computed from its parent's hash in a few
 integer operations.  The ``OrderingSource`` docstring gives the stream
-exactly.  The stream fixes every node's order, but a count does not compute
-the draws at depth t - 1: a depth-t leaf's siblings carry other labels, so
-nothing a count reports can observe their order.  A collect draws there, for
-its emission order.
+exactly.  No search draws at depth t - 1: a depth-t leaf's siblings carry
+other labels, so its outcome depends only on the left labels its parent
+received, and such a node emits its solutions in clause-variable order.
 
 Each call also builds one ``monotone_index`` of the formula (its monotone
 width-3 clauses with their variable masks).  The base greedy and every
@@ -145,10 +144,10 @@ class OrderingSource:
     new order holds the child at index perm[i].  Re-mixing changes only d,
     never the hash passed to the children.
 
-    The stream fixes every node's order.  A count does not compute the draws
-    at depth t - 1, because nothing it reports can observe them: a depth-t
-    leaf's siblings carry other labels, so its outcome depends only on the
-    left labels its parent received.  A collect draws there."""
+    No search draws at depth t - 1, where a draw could only reorder emitted
+    solutions: a depth-t leaf's siblings carry other labels, so its outcome
+    depends only on the left labels its parent received.  A node there takes
+    its children in clause-variable order."""
 
     kind: str = "fixed"
     seed: int = 0
@@ -256,11 +255,9 @@ class _Engine:
         self.debug_assertions = debug_assertions
         # the exactly-once check; the unpruned debug tree repeats solutions
         self.check_once = debug_assertions and not record
-        # nodes above this depth draw their child order; a count stops one
-        # level short, as no count observes the last level's order
-        # (OrderingSource), and the fixed order draws nowhere
-        self.draw_below = ((t if collect else t - 1) if ordering.kind == "random"
-                           else 0)
+        # nodes above depth t - 1 draw their child order; no search observes
+        # the last level's (OrderingSource), and the fixed order draws nowhere
+        self.draw_below = t - 1 if ordering.kind == "random" else 0
         self.hashes = [_splitmix64(ordering.seed & _M64)] + [0] * t
         self.path = [0] * t              # label entered at each depth
 

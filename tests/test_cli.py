@@ -1,5 +1,7 @@
 import io
 import json
+import select
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -501,6 +503,45 @@ def test_out_of_memory_exits_4(maj4, capsys, monkeypatch):
     code, out, err = run_cli(["enumerate", "--t", "2", "--closure", "--mode", "psi",
                               maj4], capsys)
     assert (code, out, err) == (4, "", "refused: out of memory\n")
+
+
+def test_interrupt_exits_130(maj4, capsys, monkeypatch):
+    def interrupted(*args, **kw):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "count_solutions", interrupted)
+    code, out, err = run_cli(["enumerate", "--t", "2", "--closure", "--mode", "count",
+                              maj4], capsys)
+    assert (code, out, err) == (130, "", "interrupted\n")
+
+
+def test_sigint_ends_a_count_with_exit_130(tmp_path):
+    # a sequential count of the closure of maj(40,3) runs for minutes; the
+    # child prints a line once its search has started, and SIGINT then
+    # ends it with exit 130, one stderr line, no traceback and no JSON
+    path = tmp_path / "maj40.cnf"
+    assert main(["gen", "--family", "maj", "--n", "40", "-o", str(path)]) == 0
+    script = ("import sys\n"
+              "from naenum import cli, treesearch\n"
+              "run = treesearch._Engine.run\n"
+              "def started(eng, *args):\n"
+              "    print('ready', flush=True)\n"
+              "    return run(eng, *args)\n"
+              "treesearch._Engine.run = started\n"
+              "raise SystemExit(cli.main(sys.argv[1:]))\n")
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script, "enumerate", "--t", "20", "--mode", "count",
+         "--closure", str(path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        assert select.select([proc.stdout], [], [], 60)[0], "no ready line in 60 s"
+        assert proc.stdout.readline() == "ready\n"
+        proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert (proc.returncode, out, err) == (130, "", "interrupted\n")
 
 
 def test_usage_error_exit_code(capsys):

@@ -366,6 +366,25 @@ def test_parallel_reset_instance():
                              collect_solutions(f, t, ordering)), (make.__name__, ordering)
 
 
+@pytest.mark.parametrize("t", [1, 2])
+def test_parallel_matches_sequential_seeded_at_shallow_depths(t):
+    # at t = 1 the root is the last level and draws no order; at t = 2 the
+    # root draws and its children do not.  Either way the driver orders the
+    # root as the sequential run does and reports that run; the collision
+    # instance resets its base at t = 2
+    cases = [negation_closure(maj(8, 3)), collision_reset_instance(),
+             structure_reset_instance(),
+             negation_closure(Formula.of(6, [(1, 2, 3), (4, 5, 6)][:t]))]
+    emitted = 0
+    for f in cases:
+        for seed in (0, 1, 2):
+            ordering = OrderingSource.random(seed)
+            seq = collect_solutions(f, t, ordering)
+            assert _same_run(collect_solutions(f, t, ordering, parallel=2), seq), (f.n, seed)
+            emitted += len(seq[0])
+    assert emitted
+
+
 def test_parallel_merges_truncated_profiles(monkeypatch):
     # maj12+heavy_overflow of test_union.py records 243 profiles; below a
     # lowered cap the driver cuts the merged list and flags it as the
@@ -485,25 +504,55 @@ def test_count_matches_enumerate(corpus500):
 
 def test_count_draws_no_last_level_order(monkeypatch):
     # a depth-t leaf's siblings carry other labels, so its outcome does not
-    # depend on their order: a count draws no order at depth t - 1, while a
-    # collect draws one there for its emission order, and both search the
-    # same tree
+    # depend on their order: neither a count nor a collect draws an order at
+    # depth t - 1.  Both draw the same orders above it, from the same
+    # hashes, and search the same tree
     f = negation_closure(maj(8, 3))
-    real = _Engine._order_children
-    depths = []
+    real_order, real_mix = _Engine._order_children, treesearch._splitmix64
+    depths, mixes = [], []
     monkeypatch.setattr(_Engine, "_order_children",
                         lambda eng, depth, labels: depths.append(depth)
-                        or real(eng, depth, labels))
+                        or real_order(eng, depth, labels))
+    monkeypatch.setattr(treesearch, "_splitmix64",
+                        lambda z: mixes.append(z) or real_mix(z))
     for seed in (1, 2, 5, 11):
-        ordering = OrderingSource.random(seed)
-        depths.clear()
-        _, cstats = count_solutions(f, 4, ordering)
-        counted = list(depths)
-        depths.clear()
-        _, stats = collect_solutions(f, 4, ordering)
-        assert set(counted) == {0, 1, 2} and set(depths) == {0, 1, 2, 3}
-        assert counted == [d for d in depths if d != 3]
-        assert cstats.as_dict() == stats.as_dict()
+        runs = []
+        for search in (count_solutions, collect_solutions):
+            depths.clear()
+            mixes.clear()
+            _, stats = search(f, 4, OrderingSource.random(seed))
+            runs.append((list(depths), list(mixes), stats.as_dict()))
+        (counted, count_mixes, cstats), (collected, collect_mixes, stats) = runs
+        assert set(counted) == {0, 1, 2} and counted == collected
+        assert len(count_mixes) > 1 and count_mixes == collect_mixes
+        assert cstats == stats
+
+
+def test_seeded_collect_emits_a_leaf_parent_in_clause_order(monkeypatch):
+    # a depth-(t - 1) node draws no order, so under any seed it emits its
+    # solutions in the order of its clause's variables, which is ascending;
+    # at t = 1 the root is that node
+    sols, _ = collect_solutions(negation_closure(Formula.of(3, [(1, 2, 3)])),
+                                1, OrderingSource.random(4))
+    assert sols == [(1,), (2,), (3,)]
+    # each leaf parent's emitted labels, read off the buffer's Q masks
+    real = _Engine._node
+    groups = []
+
+    def node(eng, depth, Q, *rest):
+        start = len(eng.buffer)
+        real(eng, depth, Q, *rest)
+        if depth == eng.t - 1:
+            groups.append([(m & ~Q).bit_length() - 1 for m in eng.buffer[start:]])
+
+    monkeypatch.setattr(_Engine, "_node", node)
+    for f, t in [(negation_closure(maj(8, 3)), 4), (heavy_overflow_instance(), 4),
+                 (collision_reset_instance(), 2)]:
+        for seed in (1, 2, 3):
+            groups.clear()
+            collect_solutions(f, t, OrderingSource.random(seed))
+            assert any(len(g) > 1 for g in groups)
+            assert all(g == sorted(g) for g in groups), (f.n, seed)
 
 
 def _traced_peak(call):
@@ -829,14 +878,15 @@ def test_draw_limit_is_exactly_uniform(k):
 
 
 def test_root_ordering_hits_every_permutation():
-    # the emission order of the closure of one width-3 clause at t = 1 is its
-    # root's child order; over 3,000 seeds all 6 orders occur, with a
-    # chi-square statistic (5 degrees of freedom) below its 0.999 quantile
-    f = negation_closure(Formula.of(3, [(1, 2, 3)]))
+    # the closure of two disjoint width-3 clauses at t = 2: the root, at
+    # depth t - 2, draws the order of (1, 2, 3), which the emission order
+    # shows; over 3,000 seeds all 6 orders occur, with a chi-square
+    # statistic (5 degrees of freedom) below its 0.999 quantile
+    f = negation_closure(Formula.of(6, [(1, 2, 3), (4, 5, 6)]))
     seen: dict[tuple, int] = {}
     for seed in range(3000):
-        sols, _ = collect_solutions(f, 1, OrderingSource.random(seed))
-        key = tuple(s for (s,) in sols)
+        sols, _ = collect_solutions(f, 2, OrderingSource.random(seed))
+        key = tuple(dict.fromkeys(a for a, _ in sols))
         seen[key] = seen.get(key, 0) + 1
     assert sorted(seen) == sorted(itertools.permutations((1, 2, 3)))
     chi2 = sum((c - 500) ** 2 / 500 for c in seen.values())
