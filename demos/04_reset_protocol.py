@@ -16,7 +16,7 @@ import naenum as ne
 # two once-marked clauses sit on both spare variables of one base clause with
 # disjoint tails; swapping them in for that clause grows the base collection
 f = ne.negation_closure(ne.Formula.of(8, [(1, 2, 3), (2, 4, 5), (3, 6, 7)]))
-base = ne.greedy_maximal(f.monotone_clauses(3))
+base = ne.greedy_maximal(ne.monotone_index(f))
 print(f"greedy base collection: {list(base)} (size {len(base)})")
 
 tau = ne.brute_force(f).tau

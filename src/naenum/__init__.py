@@ -11,7 +11,7 @@ from .errors import (BudgetExceeded, DimacsError, InputNotClosed,
                      ParameterError, PreconditionViolated, TautologyError,
                      WidthError)
 from .generators import GenSpec, ksat_to_naesat, maj, random_negation_closed
-from .matching import attempt_reset, greedy_maximal
+from .matching import attempt_reset, greedy_maximal, monotone_index
 from .oracle import (OracleReport, VerifyReport, brute_force,
                      nae_solutions_direct, verify_enumeration)
 from .selection import (StageProfile, TwomarkContext, branch_on_t0,

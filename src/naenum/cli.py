@@ -25,7 +25,7 @@ from .tree import check_invariants, export_lines
 from .treesearch import (OrderingSource, build_debug_tree, collect_solutions,
                          count_solutions, enumerate_all_orderings)
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class _Parser(argparse.ArgumentParser):

@@ -5,13 +5,17 @@ Maximum 3-set packing is NP-hard, so the base and onemark collections are
 greedily maximal.  Only the base resets: it grows whenever a structural check
 exposes a strictly larger disjoint family, at most n times.  The twomark
 collection is a maximum family of a small pool (``maximum_family``).
+
+Collections are built from a ``monotone_index``, a formula's monotone
+width-3 clauses in canonical order with their variable masks: it is sorted
+and free of duplicates already, and no builder masks a clause again.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .cnf import Clause
+from .cnf import Clause, Formula
 from .errors import InternalInvariantError
 
 
@@ -21,6 +25,16 @@ def var_mask(clause: Clause) -> int:
     for l in clause:
         m |= 1 << abs(l)
     return m
+
+
+MonotoneIndex = tuple[tuple[Clause, int], ...]
+
+
+def monotone_index(f: Formula) -> MonotoneIndex:
+    """The formula's monotone width-3 clauses in its own order, each with
+    its variable bitmask: canonical and free of duplicates when the formula
+    is, as ``Formula.of`` makes it and the engine requires."""
+    return tuple((c, var_mask(c)) for c in f.monotone_clauses(3))
 
 
 def check_disjoint(clauses: Sequence[Clause]) -> tuple[Clause, ...]:
@@ -35,31 +49,30 @@ def check_disjoint(clauses: Sequence[Clause]) -> tuple[Clause, ...]:
     return tuple(clauses)
 
 
-def greedy_maximal(candidates: Iterable[Clause],
+def greedy_maximal(index: MonotoneIndex,
                    keep: Sequence[Clause] = ()) -> tuple[Clause, ...]:
-    """Scan candidates in canonical order, adding every clause disjoint from
-    the collection so far.  ``keep`` seeds the collection (used after resets).
-    The result is maximal: no candidate is disjoint from all members."""
+    """Scan a monotone index, adding every clause disjoint from the
+    collection so far.  ``keep``, pairwise disjoint, seeds the collection
+    (used after resets).  The result is maximal: no clause of the index is
+    disjoint from all members."""
     members = list(keep)
-    chosen = set(members)
     used = 0                       # bit v: variable v is covered
     for c in members:
         used |= var_mask(c)
-    for c in sorted(set(candidates)):
-        m = var_mask(c)
-        if not m & used and c not in chosen:
+    for c, m in index:
+        if not m & used:
             members.append(c)
-            chosen.add(c)
             used |= m
     members.sort()
-    return check_disjoint(members)
+    return tuple(members)
 
 
-def maximum_family(pool: Sequence[Clause], bound: int) -> tuple[Clause, ...]:
-    """The first maximum pairwise-disjoint family of ``pool`` in canonical
-    order: a depth-first search in that order keeps each family larger than
-    all before it, and stops at ``bound`` clauses, which none can exceed."""
-    masks = [var_mask(c) for c in pool]
+def maximum_family(pool: Sequence[tuple[Clause, int]],
+                   bound: int) -> tuple[Clause, ...]:
+    """The first maximum pairwise-disjoint family of ``pool``, clauses in
+    canonical order with their variable masks: a depth-first search in that
+    order keeps each family larger than all before it, and stops at
+    ``bound`` clauses, which none can exceed."""
     best: list[int] = []
     chosen: list[int] = []
 
@@ -67,25 +80,27 @@ def maximum_family(pool: Sequence[Clause], bound: int) -> tuple[Clause, ...]:
         for i in range(start, len(pool)):
             if len(chosen) + len(pool) - i <= len(best):
                 return False        # the rest of the pool cannot beat best
-            if not masks[i] & used:
+            m = pool[i][1]
+            if not m & used:
                 chosen.append(i)
                 if len(chosen) > len(best):
                     best[:] = chosen
-                if len(best) == bound or grow(i + 1, used | masks[i]):
+                if len(best) == bound or grow(i + 1, used | m):
                     return True
                 chosen.pop()
         return False
 
     grow(0, 0)
-    return check_disjoint([pool[i] for i in best])
+    return tuple(pool[i][0] for i in best)
 
 
 def attempt_reset(members: Sequence[Clause], removed: Sequence[Clause],
                   added: Iterable[Clause],
-                  extend_from: Iterable[Clause]) -> tuple[Clause, ...] | None:
+                  extend_from: MonotoneIndex) -> tuple[Clause, ...] | None:
     """The collection with ``removed`` members replaced by ``added`` clauses,
-    re-extended greedily over ``extend_from`` so it stays maximal, if the
-    swap strictly grows it; None for a no-op.  ``members`` is not changed.
+    re-extended greedily over the monotone index ``extend_from`` so it stays
+    maximal, if the swap strictly grows it; None for a no-op.  ``members`` is
+    not changed.
 
     The caller guarantees disjointness of the witness; a violation means the
     structural argument that produced it is wrong, and is raised as an

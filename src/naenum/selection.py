@@ -30,11 +30,15 @@ engine checks the premise once per attempt under its debug assertions.  So
 no twice-marked clause has both marks on onemark tails: it would avoid the
 path labels and the sibling pairs X, which are all the base's variables.
 
-Stage profiles read a ``monotone_index``: the formula's monotone width-3
-clauses in canonical order, each paired with its variable bitmask.  The
-search engine builds it once per call and hands it to every profile, which
-then classifies clauses by int mask tests against the path labels, the
-sibling pairs and the onemark collection.
+Stage profiles read a ``monotone_index`` (``matching``): the formula's
+monotone width-3 clauses in canonical order, each paired with its variable
+bitmask.  The search engine builds it once per call and hands it to every
+profile.  A profile takes each level's sibling pair straight from its base
+clause, then reads the index's masks in two passes: the first builds C1
+greedily, in canonical order, and records each V1 level's X-tilde and
+X-hat as it goes; the second classifies the twice-marked clauses by int mask
+tests against the path labels, the sibling pairs and C1.  The exhaustive
+search for C_R runs only when F2R is non-empty.
 """
 
 from __future__ import annotations
@@ -42,9 +46,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .cnf import Clause, Formula
+from .cnf import Clause
 from .errors import InternalInvariantError
-from .matching import greedy_maximal, maximum_family, var_mask
+# monotone_index is re-exported beside the profile builder that reads its index
+from .matching import MonotoneIndex, maximum_family, monotone_index  # noqa: F401
 
 # Stage tags, by what the stage expands with: the pairwise-disjoint prefix,
 # once-marked clauses, twice-marked width-reduced clauses, the free pick.
@@ -52,6 +57,10 @@ BASE = "base"
 ONEMARK = "onemark"
 TWOMARK = "twomark"
 FREE = "free"
+
+
+def _var(bit: int) -> int:
+    return bit.bit_length() - 1
 
 
 class BaseResetSignal(Exception):
@@ -131,19 +140,6 @@ class StageProfile:
                                   sorted(self.ell_histogram.items())}}
 
 
-MonotoneIndex = tuple[tuple[Clause, int], ...]
-
-
-def monotone_index(f: Formula) -> MonotoneIndex:
-    """The formula's monotone width-3 clauses in canonical order, each with
-    its variable bitmask."""
-    return tuple((c, var_mask(c)) for c in f.monotone_clauses(3))
-
-
-def _var(bit: int) -> int:
-    return bit.bit_length() - 1
-
-
 def build_stage_profile(index: MonotoneIndex, base: tuple[Clause, ...],
                         path_labels: Sequence[int]) -> StageProfile:
     """Compute the controlled-stage profile for the node reached along
@@ -157,66 +153,73 @@ def build_stage_profile(index: MonotoneIndex, base: tuple[Clause, ...],
     F2R in canonical order; its search stops at m_R clauses.
 
     Membership is decided on variable bitmasks: ``q0`` (path labels), ``X``
-    (sibling pairs), ``once``/``twice`` (variables marked by exactly one or by
-    both of X and the onemark collection) and the X variables of the V1
-    levels.  Clauses are walked in canonical order, so the first structural
-    violation found is the one raised.
+    (sibling pairs), ``once`` (variables marked by exactly one of X and the
+    onemark collection) and the X variables of the V1 levels.  One pass over
+    the index, in canonical order, builds C1 greedily; a second classifies
+    the twice-marked clauses.  So the first structural violation found is
+    the one raised.
     """
     t0 = len(base)
     if len(path_labels) != t0:
         raise InternalInvariantError("path does not cover the disjoint prefix")
-    q0 = frozenset(path_labels)
-    x_pairs: list[tuple[int, int]] = []
-    x_index: dict[int, int] = {}
+    pairs: list[tuple[int, int]] = []     # X_i, the sibling pair of level i
+    level: dict[int, int] = {}            # X variable -> its level
     q0_mask = x_mask = 0
-    # collection members are monotone: each clause is its own variable tuple
-    for i, (c, lab) in enumerate(zip(base, path_labels)):
-        if lab not in c:
+    # collection members are monotone width-3 clauses of the index
+    for i, ((a, b, c), lab) in enumerate(zip(base, path_labels)):
+        if lab == a:
+            y, z = b, c
+        elif lab == b:
+            y, z = a, c
+        elif lab == c:
+            y, z = a, b
+        else:
             raise InternalInvariantError("path label not in base clause")
-        rest = tuple(v for v in c if v != lab)
-        x_pairs.append(rest)
+        pairs.append((y, z))
+        level[y] = level[z] = i
         q0_mask |= 1 << lab
-        for v in rest:
-            x_index[v] = i
-            x_mask |= 1 << v
+        x_mask |= 1 << y | 1 << z
 
-    # exactly one marked variable at u0, live at u0
-    f1 = tuple(c for c, m in index
-               if not m & q0_mask and (m & x_mask).bit_count() == 1)
-    c1 = greedy_maximal(f1)
-
+    # C1: greedily maximal over F1, the clauses live at u0 (they avoid q0)
+    # with exactly one marked variable; ``used`` covers q0 and C1 so far
+    c1: list[Clause] = []
+    c1_levels: list[int] = []
+    c1_at: dict[int, int] = {}            # level in V1 -> its C1 clause's mask
     x_tilde: dict[int, int] = {}
     x_hat: dict[int, int] = {}
-    y_index: dict[int, int] = {}
-    c1_of_level: dict[int, Clause] = {}
-    c1_levels: list[int] = []
-    c1_mask = v1_x_mask = 0
-    for c in c1:
-        xs = [v for v in c if v in x_index]
-        i = x_index[xs[0]]
-        c1_levels.append(i)
-        if i in c1_of_level:
+    used = q0_mask
+    v1_x_mask = 0
+    for c, m in index:
+        if m & used:
+            continue
+        xm = m & x_mask
+        if not xm or xm & (xm - 1):
+            continue
+        x = _var(xm)
+        i = level[x]
+        if i in c1_at:
             # two onemark clauses on the same sibling pair with disjoint
             # tails: swapping them in for base level i grows the base family
-            raise BaseResetSignal([base[i]], [c1_of_level[i], c],
+            raise BaseResetSignal([base[i]], [c1[c1_levels.index(i)], c],
                                   f"onemark clauses on both X variables of level {i}")
-        c1_of_level[i] = c
-        x_tilde[i] = xs[0]
-        x_hat[i] = x_pairs[i][0] if x_pairs[i][1] == xs[0] else x_pairs[i][1]
-        v1_x_mask |= 1 << x_pairs[i][0] | 1 << x_pairs[i][1]
-        for v in c:
-            c1_mask |= 1 << v
-            if v != xs[0]:
-                y_index[v] = i
-    v1 = tuple(sorted(c1_of_level))
+        c1.append(c)
+        c1_levels.append(i)
+        c1_at[i] = m
+        y, z = pairs[i]
+        x_tilde[i] = x
+        x_hat[i] = z if x == y else y
+        v1_x_mask |= 1 << y | 1 << z
+        used |= m
 
     # marking multiplicity at the end of the onemark stage: a clause is
     # twice-marked when two of its variables are marked once and none twice.
     # Q* = q0 | X-tilde, and X-tilde lies inside ``twice``, so skipping
     # clauses that meet q0 | twice also skips those that meet Q*.
-    once = x_mask ^ c1_mask
-    skip = q0_mask | (x_mask & c1_mask)
+    c1_mask = used ^ q0_mask
+    once, twice = x_mask ^ c1_mask, x_mask & c1_mask
+    skip = q0_mask | twice
 
+    f2r: list[tuple[Clause, int]] = []
     f2r_level: dict[Clause, int] = {}     # F2R clause -> its V1 level
     f2b: list[Clause] = []
     for c, m in index:
@@ -226,30 +229,35 @@ def build_stage_profile(index: MonotoneIndex, base: tuple[Clause, ...],
         v1_x = marked & v1_x_mask
         if v1_x == marked:
             lo = v1_x & -v1_x
-            i, j = sorted((x_index[_var(lo)], x_index[_var(v1_x ^ lo)]))
+            i, j = sorted((level[_var(lo)], level[_var(v1_x ^ lo)]))
             raise BaseResetSignal(
                 [base[i], base[j]],
-                [c1_of_level[i], c1_of_level[j], c],
+                [c1[c1_levels.index(i)], c1[c1_levels.index(j)], c],
                 f"twice-marked clause spans the X pairs of levels {i} and {j}")
         if v1_x:
-            i = x_index[_var(v1_x)]
-            if not marked & ~v1_x & x_mask:
-                j = y_index[_var(marked ^ v1_x)]
-                if j != i:
-                    raise BaseResetSignal(
-                        [base[i]], [c1_of_level[i], c],
-                        f"twice-marked clause pairs level {i} with a tail of level {j}")
+            i = level[_var(v1_x)]
+            tail = marked ^ v1_x
+            if not tail & (x_mask | c1_at[i]):
+                j = next(j for j, cm in c1_at.items() if cm & tail)
+                raise BaseResetSignal(
+                    [base[i]], [c1[c1_levels.index(i)], c],
+                    f"twice-marked clause pairs level {i} with a tail of level {j}")
             # the second mark is on a VB sibling pair or on level i's tail
+            f2r.append((c, m))
             f2r_level[c] = i
         else:
             f2b.append(c)
 
-    f2r = tuple(f2r_level)
-    vr = tuple(sorted(set(f2r_level.values())))
-    cr = maximum_family(f2r, len(vr))
-    return StageProfile(t0, base, q0, c1, tuple(c1_levels), x_tilde, x_hat,
-                        v1, f2r, tuple(f2b), cr, {c: f2r_level[c] for c in cr},
-                        vr)
+    if f2r:
+        vr = tuple(sorted(set(f2r_level.values())))
+        cr = maximum_family(f2r, len(vr))
+        cr_level = {c: f2r_level[c] for c in cr}
+    else:
+        vr = cr = ()
+        cr_level = {}
+    return StageProfile(t0, base, frozenset(path_labels), tuple(c1),
+                        tuple(c1_levels), x_tilde, x_hat, tuple(sorted(x_tilde)),
+                        tuple(f2r_level), tuple(f2b), cr, cr_level, vr)
 
 
 @dataclass(frozen=True)
@@ -268,12 +276,13 @@ def twomark_context(profile: StageProfile, onemark_labels: Sequence[int]) -> Two
     """The plan below an end-of-onemark node whose path entered
     ``onemark_labels`` at the t1 onemark levels, one label per C1 member in
     order.  A level took X-tilde when its label is that level's X-tilde
-    variable; the twomark stage replays the collection clauses of those
-    levels, so its length is their overlap with the collection's levels."""
-    took = {lvl for lvl, x in zip(profile.c1_levels, onemark_labels)
-            if x == profile.x_tilde[lvl]}
-    clauses = tuple(c for c in profile.cr if profile.cr_level[c] in took)
-    fals = tuple(profile.x_hat[profile.cr_level[c]] for c in clauses)
+    variable; the C1 members are disjoint, so that is when the variable is
+    among the labels.  The twomark stage replays the collection clauses of
+    those levels, so its length is their overlap with the collection's
+    levels."""
+    x_tilde, x_hat, cr_level = profile.x_tilde, profile.x_hat, profile.cr_level
+    clauses = tuple(c for c in profile.cr if x_tilde[cr_level[c]] in onemark_labels)
+    fals = tuple(x_hat[cr_level[c]] for c in clauses)
     ell = len(clauses)
     budget = profile.m_r_prime + profile.m_b - ell
     return TwomarkContext(clauses, fals, ell, budget)

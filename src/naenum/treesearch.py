@@ -47,7 +47,11 @@ depth-t0 node u0 builds the stage profile into ``prof``, an end-of-onemark
 node the twomark plan into ``k2`` from the labels of the onemark levels
 (``selection.twomark_context``), and a heavy free-stage clause sits on
 ``heavies`` while its node's children are expanded.  The stage checks read
-the label mark counters and the falsifying mask ``U`` directly.
+the label mark counters and the falsifying mask ``U`` directly.  A width-3
+free-stage clause below u0 is tested in ``_node`` itself: only a live clause
+with no variable marked twice and one or two marked once reaches
+``_stage_checks``, which raises on a once-marked clause and pushes a heavy
+one.  The free route runs none of this.
 
 Random sibling orderings come from a counter-based stream (splitmix64 as a
 path hash, after Salmon et al., SC 2011): a node's order is a function of the
@@ -58,10 +62,11 @@ other labels, so its outcome depends only on the left labels its parent
 received, and such a node emits its solutions in clause-variable order.
 
 Each call also builds one ``monotone_index`` of the formula (its monotone
-width-3 clauses with their variable masks).  The base greedy and every
-controlled-stage profile read it, so a depth-t0 node's profile is built from
-mask tests rather than a fresh scan of the formula.  The index lives only as
-long as the engine.
+width-3 clauses in canonical order with their variable masks).  The base
+greedy, each base reset and every controlled-stage profile read it, so a
+depth-t0 node's profile is built in two passes of mask tests over it rather
+than from a fresh scan of the formula.  The index lives only as long as the
+engine.
 
 The base collection, a sorted tuple of clauses and the only collection that
 resets, is maximal over that index (``greedy_maximal`` builds it, each base
@@ -92,10 +97,11 @@ import numpy as np
 from .cnf import Clause, Formula, is_negation_closed, mask_tuples
 from .errors import (BudgetExceeded, InputNotClosed, InternalInvariantError,
                      ParameterError, PreconditionViolated, WidthError)
-from .matching import attempt_reset, check_disjoint, greedy_maximal, var_mask
+from .matching import (attempt_reset, check_disjoint, greedy_maximal,
+                       monotone_index, var_mask)
 from .selection import (BASE, FREE, ONEMARK, TWOMARK, BaseResetSignal,
                         StageProfile, TwomarkContext, branch_on_t0,
-                        build_stage_profile, monotone_index, twomark_context)
+                        build_stage_profile, twomark_context)
 from .tree import (DebugTree, SurvivalKernel, TreeNode, psi_exact,
                    row_counts)
 
@@ -176,8 +182,7 @@ class SearchStats:
     solutions_emitted: int = 0
     route: str = ""
     t0: int = 0
-    # ONEMARK and TWOMARK stay 0 (neither resets); kept for the JSON shape
-    resets: dict = field(default_factory=lambda: {BASE: 0, ONEMARK: 0, TWOMARK: 0})
+    resets: dict = field(default_factory=lambda: {BASE: 0})     # only the base resets
     reset_events: list = field(default_factory=list)
     profiles_truncated: bool = False
     # the first PROFILE_CAP controlled-stage profiles: dicts, then the
@@ -232,7 +237,7 @@ class _Engine:
     # every attribute an engine sets, so instances carry no __dict__; a new
     # attribute needs its name here
     __slots__ = ("n", "top", "t", "record", "debug_assertions", "check_once",
-                 "draw_below", "hashes", "path", "mono3_index", "mono3",
+                 "draw_below", "hashes", "path", "mono3_index",
                  "has_empty_clause",
                  "pick", "wake_by", "fals_by", "fals_vars", "fals_memo",
                  "live0", "unit0", "keep_by",
@@ -264,11 +269,10 @@ class _Engine:
         # monotone width-3 clauses with their variable masks, read by the
         # base greedy and by every stage profile of this call
         self.mono3_index = monotone_index(f)
-        self.mono3 = tuple(c for c, _ in self.mono3_index)
         self.has_empty_clause = any(len(c) == 0 for c in f.clauses)
         self._index_clauses(f)
 
-        self.base = (greedy_maximal(self.mono3) if base is None
+        self.base = (greedy_maximal(self.mono3_index) if base is None
                      else check_disjoint(base))
         self.stats = SearchStats()
         # the solutions in emission order, or None to count them only: their
@@ -397,7 +401,7 @@ class _Engine:
                 buf[i:i + 4096] = mask_tuples(buf[i:i + 4096], self.top, 1)
 
     def _apply_base_reset(self, sig: BaseResetSignal) -> None:
-        grown = attempt_reset(self.base, sig.removed, sig.added, self.mono3)
+        grown = attempt_reset(self.base, sig.removed, sig.added, self.mono3_index)
         if grown is None:
             raise InternalInvariantError(
                 f"base reset did not grow the collection: {sig.reason}")
@@ -476,7 +480,15 @@ class _Engine:
                     self._stage_checks(labels, stage, k2.fals_vars[j], U)
                 else:
                     labels, stage = self.pick[(P & -P).bit_length() - 1], FREE
-                    heavy = len(labels) == 3 and self._stage_checks(labels, stage, None, U)
+                    if len(labels) == 3:
+                        # the guards of a live clause with marks (0, 0, 1) or
+                        # (0, 1, 1): none above 1, and one or two in all
+                        x, y, z = labels
+                        cnt = self.label_cnt
+                        a, b, c = cnt[x], cnt[y], cnt[z]
+                        if ((a | b | c) < 2 and 0 < a + b + c < 3
+                                and not U & (1 << x | 1 << y | 1 << z)):
+                            heavy = self._stage_checks(labels, stage, None, U)
 
         order = self._order_children(depth, labels) if depth < self.draw_below else labels
         if self.keep_marks:
@@ -608,8 +620,10 @@ class _Engine:
 
     def _stage_checks(self, labels: tuple[int, ...], stage: str,
                       fals_var: int | None, U: int) -> bool:
-        """Guards of a twomark node, or of a width-3 free-stage clause, below
-        u0; True iff the free-stage clause is heavy and went onto ``heavies``."""
+        """Guards of a twomark node, or of a live width-3 free-stage clause
+        below u0 with no variable marked twice and one or two marked once
+        (``_node`` tests that inline); True iff the free-stage clause is heavy
+        and went onto ``heavies``."""
         cnt = self.label_cnt
         if stage == TWOMARK:
             if not self.debug_assertions:
@@ -627,24 +641,18 @@ class _Engine:
                 raise InternalInvariantError(
                     f"twomark clause {labels}: mass {Fraction(num, 1 << top)} > 3/2")
             return False
-        x, y, z = labels            # a free-stage clause of width 3
-        a, b, c = cnt[x], cnt[y], cnt[z]
-        # live with marks (0, 0, 1) or (0, 1, 1): none above 1, sum 1 or 2
-        if U & (1 << x | 1 << y | 1 << z) or (a | b | c) > 1:
-            return False
-        if a + b + c == 1:
+        x, y, z = labels
+        if cnt[x] + cnt[y] + cnt[z] == 1:
             # Unreachable while C1 is maximal over F1.  The clause is
             # monotone and live, so it avoids the path labels q0; the
             # base collection is maximal, so it meets an X variable,
             # which carries a base mark.  That X variable is its only
             # marked one and is marked once, and its two other variables
             # are unmarked: the clause lies in F1 and is disjoint from
-            # C1's variables, contradicting C1 = greedy_maximal(F1).
+            # C1's variables, contradicting C1's maximality over F1.
             raise InternalInvariantError(
                 f"once-marked free-stage clause {labels} of mass "
                 f"5/2: the onemark collection is not maximal")
-        if a + b + c != 2:
-            return False
         if len(self.heavies) >= self.k2.heavy_budget:
             self._heavy_overflow(labels)
         self.heavies.append(labels)

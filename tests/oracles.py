@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Sequence
 
 from naenum import analysis
 from naenum.cnf import Clause, Formula, _clause_key
-from naenum.matching import greedy_maximal
+from naenum.matching import greedy_maximal, monotone_index
 from naenum.tree import DebugTree, TreeNode
 
 
@@ -103,7 +103,7 @@ def simplify(f: Formula, ones: Iterable[int]) -> Formula:
 def disjoint_stage(f: Formula) -> tuple[tuple[Clause, ...], int]:
     """The greedily-maximal base collection of ``f``'s monotone width-3
     clauses, and its size t0."""
-    base = greedy_maximal(f.monotone_clauses(3))
+    base = greedy_maximal(monotone_index(f))
     return base, len(base)
 
 

@@ -43,7 +43,7 @@ def test_enumerate_solutions_and_stats(maj4, capsys):
     *sol_lines, stats_line = out.strip().splitlines()
     assert sol_lines == ["1 2", "1 3", "1 4", "2 3", "2 4", "3 4"]
     doc = json.loads(stats_line)
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     assert doc["stats"]["solutions_emitted"] == 6
 
 
